@@ -1,0 +1,47 @@
+"""Behaviour pin: SHA-256 of `metrics.csv` and `events.log` for two small
+seeded scenarios.
+
+For a given (config, seed) these two files are the simulator's contract, so
+a refactor that is meant to keep behaviour must leave both hashes alone. A
+change that alters them on purpose (for example by removing an RNG draw)
+re-pins here and says why in CHANGES.md.
+
+The short retention window makes log pruning, case erasure and the daily
+bookkeeping around them run inside a 30-day scenario.
+"""
+
+import hashlib
+from dataclasses import replace
+
+import pytest
+
+from tracenet.simnet import ScenarioConfig, run
+
+BASE = ScenarioConfig(population=120, days=30, seed=3, index_cases=2,
+                      p_transmit=0.01, retention_days=7)
+
+PINS = {
+    "full_adoption": (
+        BASE,
+        "b3a4d0b0b98a7904b449629c48be66572f4365d6b35337993a4389e4285f66ca",
+        "39eaeada99ce4ae43279a62007d18a40e843200c03985fd45ca951dc15e16ca4",
+    ),
+    "partial_adoption_delayed_tests": (
+        replace(BASE, adoption_fraction=0.6, test_delay_days=2),
+        "ab810d4113192966b0b1222398eadcea9fa9266dda4ad35742718399701678f8",
+        "96afe1bc543e269d9fcfc18d315dd1792381a10dd94d116b845d74ba9e696ff8",
+    ),
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_outputs_match_pinned_hashes(name):
+    config, metrics_sha, events_sha = PINS[name]
+    report = run(config, record_events=True)
+    # The same text `tracenet simulate` writes to metrics.csv and events.log.
+    assert _sha256(report.to_csv()) == metrics_sha
+    assert _sha256("".join(line + "\n" for line in report.events)) == events_sha
