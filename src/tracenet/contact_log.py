@@ -1,9 +1,10 @@
-"""Device-local contact accounting and the optional location log.
+"""Device-local contact accounting.
 
 Observations arrive on a 30-second tick grid: 2880 ticks per day, grouped
 into 720 two-minute buckets. A record accumulates per-class tick counts for
 one foreign identifier on one date; face-to-face time is the near+mid tick
-count at half a minute per tick.
+count at half a minute per tick. Which ticks a record has counted is one
+integer bitmask (bit t for tick t); the record's buckets are derived from it.
 """
 
 from __future__ import annotations
@@ -47,11 +48,21 @@ class ContactRecord:
     near_ticks: int = 0
     mid_ticks: int = 0
     far_ticks: int = 0
-    buckets: set = field(default_factory=set)
     first_tick: int = -1
     last_tick: int = -1
-    # Ticks already counted, for per-(rdi, tick) dedup. Not exported.
-    seen_ticks: set = field(default_factory=set, repr=False)
+    # Bit t is set once tick t has been counted, for per-(rdi, tick) dedup.
+    # Not exported.
+    ticks: int = field(default=0, repr=False)
+
+    @property
+    def buckets(self) -> frozenset:
+        """Indices of the two-minute buckets holding a counted tick."""
+        mask = self.ticks
+        bucket_bits = (1 << TICKS_PER_BUCKET) - 1
+        n = -(-mask.bit_length() // TICKS_PER_BUCKET)
+        return frozenset(
+            b for b in range(n) if mask >> (b * TICKS_PER_BUCKET) & bucket_bits
+        )
 
     @property
     def total_ticks(self) -> int:
@@ -62,16 +73,16 @@ class ContactRecord:
         return (self.near_ticks + self.mid_ticks) * MINUTES_PER_TICK
 
     def _add_tick(self, tick: int, cls: DistanceClass) -> None:
-        if tick in self.seen_ticks:
+        bit = 1 << tick
+        if self.ticks & bit:
             return
-        self.seen_ticks.add(tick)
+        self.ticks |= bit
         if cls == DistanceClass.NEAR:
             self.near_ticks += 1
         elif cls == DistanceClass.MID:
             self.mid_ticks += 1
         else:
             self.far_ticks += 1
-        self.buckets.add(tick // TICKS_PER_BUCKET)
         if self.first_tick < 0 or tick < self.first_tick:
             self.first_tick = tick
         if tick > self.last_tick:
@@ -155,25 +166,16 @@ class ContactLog:
         if rec is None:
             rec = ContactRecord(foreign_rdi=rdi, date=date)
             self.records[(date, rdi)] = rec
-        span = range(start_tick, end)
-        if rec.seen_ticks.isdisjoint(span):
-            new_count = len(span)
-            rec.seen_ticks.update(span)
-        else:
-            new = set(span).difference(rec.seen_ticks)
-            new_count = len(new)
-            rec.seen_ticks.update(new)
+        span = ((1 << (end - start_tick)) - 1) << start_tick
+        new_count = (span & ~rec.ticks).bit_count()
         if new_count:
+            rec.ticks |= span
             if cls == DistanceClass.NEAR:
                 rec.near_ticks += new_count
             elif cls == DistanceClass.MID:
                 rec.mid_ticks += new_count
             else:
                 rec.far_ticks += new_count
-            # Every tick in the span is in seen_ticks now, so every bucket
-            # the span touches belongs in the record.
-            rec.buckets.update(range(start_tick // TICKS_PER_BUCKET,
-                                     (end - 1) // TICKS_PER_BUCKET + 1))
             if rec.first_tick < 0 or start_tick < rec.first_tick:
                 rec.first_tick = start_tick
             if end - 1 > rec.last_tick:
@@ -218,8 +220,8 @@ def records_to_csv(records) -> str:
 
 
 def records_from_csv(text: str):
-    """Parse history CSV. Bucket indices are not serialized, only their
-    count, so parsed records carry empty bucket sets."""
+    """Parse history CSV. Tick indices are not serialized, only the bucket
+    count, so parsed records carry an empty tick mask."""
     reader = csv.DictReader(io.StringIO(text))
     expected = HISTORY_CSV_HEADER.split(",")
     if reader.fieldnames != expected:

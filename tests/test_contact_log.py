@@ -191,6 +191,36 @@ def test_observe_span_equals_repeated_observe(spans):
     assert (a.first_tick, a.last_tick) == (b.first_tick, b.last_tick)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=2879),  # start tick
+            st.integers(min_value=1, max_value=120),  # span length, may pass day end
+            st.sampled_from([NEAR, MID, FAR]),
+        ),
+        min_size=1,
+        max_size=20,
+    )
+)
+def test_tick_mask_matches_plain_set_oracle(spans):
+    # The oracle keeps the counted ticks as a plain set; overlapping spans
+    # count only their new ticks, for the class of the span that adds them.
+    log = ContactLog()
+    ticks = set()
+    counts = {NEAR: 0, MID: 0, FAR: 0}
+    for start, n, cls in spans:
+        log.observe_span(X, cls, 0, start, n)
+        span = set(range(start, min(start + n, 2880)))
+        counts[cls] += len(span - ticks)
+        ticks |= span
+    rec = log.records[(0, X)]
+    assert (rec.near_ticks, rec.mid_ticks, rec.far_ticks) == (
+        counts[NEAR], counts[MID], counts[FAR])
+    assert rec.buckets == {t // 4 for t in ticks}
+    assert (rec.first_tick, rec.last_tick) == (min(ticks), max(ticks))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(
