@@ -15,11 +15,11 @@ from .ident import (
     generate_daily_identifier,
     rotate_if_needed,
 )
-from .contact_log import Category, ContactLog, ContactRecord, LocationLog, classify
+from .contact_log import Category, ContactLog, ContactRecord, classify
 from .authority import AuthorityState, SignedCarrierList, verify_list
 from .matching import Hit, brute_force_match, build_index, match_contacts
 from .casework import CaseRecord, CaseState, MailboxMessage, MessageKind, on_hits
-from .simnet import MetricsReport, ScenarioConfig, World, init_world, run
+from .simnet import MetricsReport, ScenarioConfig, World, run
 
 __all__ = [
     "DailyIdentifier",
@@ -32,7 +32,6 @@ __all__ = [
     "Category",
     "ContactLog",
     "ContactRecord",
-    "LocationLog",
     "classify",
     "AuthorityState",
     "SignedCarrierList",
@@ -49,6 +48,5 @@ __all__ = [
     "MetricsReport",
     "ScenarioConfig",
     "World",
-    "init_world",
     "run",
 ]

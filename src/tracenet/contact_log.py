@@ -106,24 +106,6 @@ def classify(
     return Category.CATEGORY2
 
 
-@dataclass
-class LocationLog:
-    """Opaque location/orientation tokens (my_loc), kept per day."""
-
-    days: dict = field(default_factory=dict)  # date -> list[(tick, loc, orient)]
-
-    def append(self, date: int, tick: int, location_token: str, orientation_token: str):
-        self.days.setdefault(date, []).append((tick, location_token, orientation_token))
-
-    def prune(self, today: int, retention_days: int) -> None:
-        cutoff = today - retention_days
-        for date in [d for d in self.days if d < cutoff]:
-            del self.days[date]
-
-    def excerpt(self, date: int):
-        return list(self.days.get(date, []))
-
-
 class ContactLog:
     """A device's contact records, keyed by (date, foreign rdi)."""
 

@@ -9,17 +9,15 @@ code. Tracing, casework and publication run against the real authority.
 from __future__ import annotations
 
 import io
-import math
 import random
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import authority as authority_mod
 from . import casework, matching
 from .authority import AuthorityState, StaleHistory, generate_keypair, verify_list
 from .casework import CaseState, MailboxMessage, MessageKind
-from .contact_log import Category, ContactLog, LocationLog, TICKS_PER_DAY
+from .contact_log import Category, ContactLog, TICKS_PER_DAY
 from .ident import (
     DistanceClass,
     decode_beacon,
@@ -199,7 +197,6 @@ class Device:
     current: object = None  # DailyIdentifier
     id_history: dict = field(default_factory=dict)  # date -> rdi
     log: ContactLog = None
-    loc: LocationLog = field(default_factory=LocationLog)
     handled: set = field(default_factory=set)  # (date, rdi) hits already acted on
 
 
@@ -495,11 +492,11 @@ class World:
         self.quarantined[:] = False
         infected = np.isin(self.health, (EXPOSED, INFECTIOUS, SYMPTOMATIC))
         self.quarantined |= self.known_carrier & infected
+        cases = self.authority.cases
+        for token in [t for t in self.case_agent if t not in cases]:
+            del self.case_agent[token]  # case erased by erase_expired
         for token, agent in self.case_agent.items():
-            case = self.authority.cases.get(token)
-            if case is not None and case.state in (
-                CaseState.AWAITING_TEST1, CaseState.AWAITING_TEST2
-            ):
+            if cases[token].state in (CaseState.AWAITING_TEST1, CaseState.AWAITING_TEST2):
                 self.quarantined[agent] = True
 
     def step_day(self) -> "World":
@@ -516,11 +513,12 @@ class World:
                 dev.current = rotate_if_needed(dev.current, day, self.rng)
             dev.id_history[day] = dev.current.rdi
             dev.log.prune(day)
-            dev.loc.prune(day, cfg.retention_days)
-            dev.loc.append(day, 0, f"loc-{self.rng.getrandbits(32):08x}", "orient-0")
             cutoff = day - cfg.retention_days
             for old in [d for d in dev.id_history if d < cutoff]:
                 del dev.id_history[old]
+            # The pruned log holds no record of these dates, so they can
+            # never match again.
+            dev.handled.difference_update([k for k in dev.handled if k[0] < cutoff])
         stale = [k for k in self.observers if k[0] < day - cfg.retention_days]
         for k in stale:
             del self.observers[k]
@@ -609,10 +607,6 @@ class World:
         self.metrics["list_size"].append(len(lst.entries))
         self.day += 1
         return self
-
-
-def init_world(config: ScenarioConfig, seed: int = None) -> World:
-    return World(config, seed=seed)
 
 
 def run(config: ScenarioConfig, seed: int = None,

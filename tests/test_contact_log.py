@@ -8,7 +8,6 @@ from tracenet.contact_log import (
     ContactLog,
     ContactRecord,
     EmptyRange,
-    LocationLog,
     classify,
     log_from_records,
     records_from_csv,
@@ -124,15 +123,6 @@ def test_prune_empty_log_is_identity():
     log = ContactLog()
     log.prune(today=100)
     assert log.records == {}
-
-
-def test_location_log_prunes_with_same_retention():
-    loc = LocationLog()
-    loc.append(9, 0, "loc-a", "or-a")
-    loc.append(10, 0, "loc-b", "or-b")
-    loc.prune(today=31, retention_days=21)
-    assert 9 not in loc.days
-    assert loc.excerpt(10) == [(0, "loc-b", "or-b")]
 
 
 def test_export_history_filters_and_sorts():

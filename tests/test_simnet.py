@@ -202,6 +202,21 @@ def test_trace_through_nonadopter_index_case():
                           CaseState.DROPPED}
 
 
+def test_run_bookkeeping_stays_within_live_state():
+    cfg = replace(FAST, days=30, retention_days=5)
+    world = World(cfg)
+    tokens_seen = set()
+    for _ in range(cfg.days):
+        world.step_day()
+        tokens_seen |= world.case_agent.keys()
+        assert world.case_agent.keys() <= world.authority.cases.keys()
+        cutoff = world.day - 1 - cfg.retention_days
+        for dev in world.devices.values():
+            assert all(date >= cutoff for date, _ in dev.handled)
+    assert any(dev.handled for dev in world.devices.values())
+    assert len(tokens_seen) > len(world.case_agent)  # erased cases were dropped
+
+
 def test_authority_never_stores_agent_identity():
     cfg = replace(FAST, adoption_fraction=1.0, days=12, p_transmit=0.05)
     world = World(cfg)
