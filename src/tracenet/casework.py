@@ -189,6 +189,17 @@ def _drop(case: CaseRecord, today) -> None:
     case.resolution_epoch = today
 
 
+def _decide(case: CaseRecord, category: Category, traced_categories, today):
+    """Drop an open inquiry or order its test, by decided category."""
+    if category == Category.UNCRITICAL or category not in traced_categories:
+        _drop(case, today)
+        return case, [MailboxMessage(case.token, MessageKind.DROP, {})]
+    case.category = category
+    case.state = CaseState.AWAITING_TEST1
+    return case, [MailboxMessage(case.token, MessageKind.TEST_ORDER,
+                                 {"category": category.value})]
+
+
 def categorize(case: CaseRecord, record_summary: dict, evidence=None,
                traced_categories=ALL_CATEGORIES, today: int = None):
     """Decide the category of an open inquiry.
@@ -199,18 +210,7 @@ def categorize(case: CaseRecord, record_summary: dict, evidence=None,
     if case.state != CaseState.INQUIRY_OPEN:
         raise WrongState(f"categorize in state {case.state}")
     category = classify(_summary_record(record_summary, evidence or case.evidence))
-    messages = []
-    if category == Category.UNCRITICAL or category not in traced_categories:
-        _drop(case, today)
-        messages.append(MailboxMessage(case.token, MessageKind.DROP, {}))
-    else:
-        case.category = category
-        case.state = CaseState.AWAITING_TEST1
-        messages.append(
-            MailboxMessage(case.token, MessageKind.TEST_ORDER,
-                           {"category": category.value})
-        )
-    return case, messages
+    return _decide(case, category, traced_categories, today)
 
 
 def record_test_result(case: CaseRecord, result: str, date: int,
@@ -280,14 +280,11 @@ def step(case: CaseRecord, message: MailboxMessage, today: int = None):
     if kind == MessageKind.CATEGORY_DECISION:
         if case.state != CaseState.INQUIRY_OPEN:
             return illegal("no open inquiry")
-        category = Category(message.body["category"])
-        if category == Category.UNCRITICAL:
-            _drop(case, today)
-            return case, [MailboxMessage(case.token, MessageKind.DROP, {})]
-        case.category = category
-        case.state = CaseState.AWAITING_TEST1
-        return case, [MailboxMessage(case.token, MessageKind.TEST_ORDER,
-                                     {"category": category.value})]
+        try:
+            category = Category(message.body.get("category"))
+        except ValueError as exc:
+            return illegal(str(exc))
+        return _decide(case, category, ALL_CATEGORIES, today)
     if kind == MessageKind.TEST_RESULT:
         result = message.body.get("result")
         date = int(message.body.get("date", 0))

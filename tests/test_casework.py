@@ -181,6 +181,28 @@ def test_step_illegal_pair_is_audited_noop():
     assert len(case.audit) == 1
 
 
+@pytest.mark.parametrize("body", [{"category": "category9"}, {}])
+def test_step_bad_category_decision_is_audited_noop(body):
+    case = open_case()
+    case, msgs = step(case, MailboxMessage(case.token, MessageKind.CATEGORY_DECISION,
+                                           body))
+    assert case.state == CaseState.INQUIRY_OPEN
+    assert msgs == []
+    assert len(case.audit) == 1
+
+
+@pytest.mark.parametrize("category,kind,state", [
+    ("category2", MessageKind.TEST_ORDER, CaseState.AWAITING_TEST1),
+    ("uncritical", MessageKind.DROP, CaseState.DROPPED),
+])
+def test_step_category_decision_matches_categorize(category, kind, state):
+    case = open_case()
+    case, msgs = step(case, MailboxMessage(case.token, MessageKind.CATEGORY_DECISION,
+                                           {"category": category}), today=4)
+    assert [m.kind for m in msgs] == [kind]
+    assert case.state == state
+
+
 def test_step_replayed_test_result_is_noop():
     case = open_case()
     categorize(case, {"near_ticks": 40})

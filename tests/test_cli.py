@@ -230,6 +230,26 @@ def test_replay_reports_final_states(tmp_path, capsys):
     assert "audit=1" in lines[token_b.hex()]
 
 
+def test_replay_audits_bad_category_decision(tmp_path, capsys):
+    token = bytes([3]) * 16
+    messages = [
+        casework.MailboxMessage(
+            token, casework.MessageKind.OPEN_INQUIRY,
+            {"date": 3, "rdi": "00" * 16, "duration_minutes": 20.0,
+             "near_ticks": 40, "mid_ticks": 0, "far_ticks": 0},
+        ),
+        casework.MailboxMessage(
+            token, casework.MessageKind.CATEGORY_DECISION, {"category": "category9"},
+        ),
+    ]
+    trace = tmp_path / "mailbox.bin"
+    trace.write_bytes(b"".join(casework.serialize_message(m) for m in messages))
+    code, out, err = run_cli(["replay", "--trace", str(trace)], capsys)
+    assert code == 0
+    assert err == ""
+    assert out.strip() == f"{token.hex()},inquiry_open,-,tests=0,audit=1"
+
+
 def test_replay_rejects_garbage_trace(tmp_path, capsys):
     trace = tmp_path / "mailbox.bin"
     trace.write_bytes(b"\x00\xff\x01")
