@@ -57,12 +57,9 @@ class ContactRecord:
     @property
     def buckets(self) -> frozenset:
         """Indices of the two-minute buckets holding a counted tick."""
-        mask = self.ticks
         bucket_bits = (1 << TICKS_PER_BUCKET) - 1
-        n = -(-mask.bit_length() // TICKS_PER_BUCKET)
-        return frozenset(
-            b for b in range(n) if mask >> (b * TICKS_PER_BUCKET) & bucket_bits
-        )
+        return frozenset(b for b in range(BUCKETS_PER_DAY)
+                         if self.ticks >> (b * TICKS_PER_BUCKET) & bucket_bits)
 
     @property
     def total_ticks(self) -> int:
