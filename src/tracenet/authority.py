@@ -158,7 +158,6 @@ class AuthorityState:
         self.entries: dict = {}
         self.retained_histories: dict = {}  # key -> RetainedHistory
         self.cases: dict = {}  # token bytes -> casework.CaseRecord
-        self.audit: list = []
         self.trace_contact_derived = trace_contact_derived
 
     @property
@@ -280,7 +279,6 @@ class AuthorityState:
                     casework.case_to_dict(case)
                     for _, case in sorted(self.cases.items())
                 ],
-                "audit": list(self.audit),
             },
             sort_keys=True,
             indent=1,
@@ -291,18 +289,37 @@ def load_state_entries(text: str) -> AuthorityState:
     """Rebuild an AuthorityState's entry table from a serialize_state dump.
 
     Only the published-entry table is restored; histories and cases are
-    deliberately not round-tripped through files.
+    deliberately not round-tripped through files. Raises Malformed on text
+    that is not such a dump.
     """
     from .ident import rdi_from_hex
 
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise Malformed(f"state is not JSON: {exc}") from exc
+    entries = data.get("entries", []) if isinstance(data, dict) else None
+    if not isinstance(entries, list):
+        raise Malformed("state must be an object with an 'entries' list")
     state = AuthorityState()
-    for item in data.get("entries", []):
-        state.entries[(int(item["date"]), rdi_from_hex(item["rdi"]))] = {
-            "added_epoch": int(item["added_epoch"]),
+    for n, item in enumerate(entries):
+        try:
+            date, added = item["date"], item["added_epoch"]
+            rdi = rdi_from_hex(item["rdi"])
+        except KeyError as exc:
+            raise Malformed(f"entry {n}: missing {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise Malformed(f"entry {n}: {exc}") from exc
+        # Dates go into the list codec's u32 fields at publication; bools
+        # are not integers here.
+        if not (type(date) is int and 0 <= date < 2**32 and type(added) is int):
+            raise Malformed(f"entry {n}: date and added_epoch must be integers")
+        state.entries[(date, rdi)] = {
+            "added_epoch": added,
             "source": item.get("source", SOURCE_CARRIER_OWN),
         }
     return state
+
 
 
 def _history_key(records) -> str:

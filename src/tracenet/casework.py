@@ -93,7 +93,10 @@ def deserialize_message(data: bytes, offset: int = 0):
         raise ValueError("truncated message payload")
     token = data[start : start + TOKEN_BYTES]
     kind = MessageKind(data[start + TOKEN_BYTES])
-    body = json.loads(data[start + TOKEN_BYTES + 1 : end] or b"{}")
+    try:
+        body = json.loads(data[start + TOKEN_BYTES + 1 : end] or b"{}")
+    except RecursionError as exc:
+        raise ValueError("message body nests too deeply") from exc
     return MailboxMessage(token=token, kind=kind, body=body), end
 
 
@@ -257,13 +260,15 @@ def record_test_result(case: CaseRecord, result: str, date: int,
 def step(case: CaseRecord, message: MailboxMessage, today: int = None):
     """Total transition function over (case, message).
 
-    Illegal pairs, duplicates and premature retests never fail: they leave
-    the case unchanged and record an audit entry.
+    Illegal pairs, malformed bodies, duplicates and premature retests never
+    fail: they leave the case unchanged and record an audit entry.
     """
     def illegal(reason):
         case.audit.append(f"{message.kind.name} in {case.state.value}: {reason}")
         return case, []
 
+    if not isinstance(message.body, dict):
+        return illegal("body is not an object")
     kind = message.kind
     if kind == MessageKind.OPEN_INQUIRY:
         if case.state != CaseState.IDLE:
@@ -287,7 +292,10 @@ def step(case: CaseRecord, message: MailboxMessage, today: int = None):
         return _decide(case, category, ALL_CATEGORIES, today)
     if kind == MessageKind.TEST_RESULT:
         result = message.body.get("result")
-        date = int(message.body.get("date", 0))
+        try:
+            date = int(message.body.get("date", 0))
+        except (TypeError, ValueError, OverflowError) as exc:
+            return illegal(f"bad date: {exc}")
         if (result, date) in case.test_results:
             return illegal("duplicate test result")
         if case.state not in (CaseState.AWAITING_TEST1, CaseState.AWAITING_TEST2):

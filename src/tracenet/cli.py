@@ -105,7 +105,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_genlist(args) -> int:
     with open(args.state) as fh:
-        state = authority_mod.load_state_entries(fh.read())
+        text = fh.read()
+    try:
+        state = authority_mod.load_state_entries(text)
+    except authority_mod.Malformed as exc:
+        raise DomainError(f"malformed state: {exc}") from exc
     with open(args.key) as fh:
         key_hex = fh.read().strip()
     try:

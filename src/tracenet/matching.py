@@ -48,11 +48,13 @@ def _sorted_hits(hits):
 
 def match_contacts(log, index: CarrierIndex):
     """All log records whose (date, rdi) is in the index, in (date,
-    first_tick) order."""
+    first_tick) order. The log is probed once per index entry, so a check
+    costs O(list), not O(log)."""
+    records = log.records
     hits = [
-        Hit(rdi=rec.foreign_rdi, date=rec.date, record=rec)
-        for (date, rdi), rec in log.records.items()
-        if (date, rdi) in index
+        Hit(rdi=rdi, date=date, record=records[date, rdi])
+        for date, rdi in index._pairs
+        if (date, rdi) in records
     ]
     return _sorted_hits(hits)
 

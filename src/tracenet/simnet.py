@@ -146,33 +146,18 @@ def config_from_file(path) -> ScenarioConfig:
             spec = by_name.get(key)
             if spec is None:
                 raise InvalidConfig([f"{path}:{lineno}: unknown key {key!r}"])
-            if spec.type in ("int", int):
-                values[key] = int(value)
-            elif spec.type in ("float", float):
-                values[key] = float(value)
-            elif spec.type in ("bool", bool):
-                values[key] = value.lower() in ("1", "true", "yes")
-            else:
-                values[key] = value
+            try:
+                if spec.type in ("int", int):
+                    values[key] = int(value)
+                elif spec.type in ("float", float):
+                    values[key] = float(value)
+                elif spec.type in ("bool", bool):
+                    values[key] = value.lower() in ("1", "true", "yes")
+                else:
+                    values[key] = value
+            except ValueError as exc:
+                raise InvalidConfig([f"{path}:{lineno}: bad {key}: {exc}"]) from exc
     return ScenarioConfig(**values).validate()
-
-
-@dataclass
-class ContactEvent:
-    day: int
-    a: int
-    b: int
-    distance_class: DistanceClass
-    start_tick: int
-    n_ticks: int
-
-    @property
-    def near_ticks(self) -> int:
-        return self.n_ticks if self.distance_class == DistanceClass.NEAR else 0
-
-    @property
-    def mid_ticks(self) -> int:
-        return self.n_ticks if self.distance_class == DistanceClass.MID else 0
 
 
 def infection_probability(near_ticks, mid_ticks, p_transmit):
@@ -182,18 +167,8 @@ def infection_probability(near_ticks, mid_ticks, p_transmit):
     return 1.0 - np.power(1.0 - p_transmit, exposure)
 
 
-def transmit(event: ContactEvent, rng, p_transmit: float) -> bool:
-    """Decide whether one contact event between an infectious and a
-    susceptible agent transmits the disease."""
-    prob = infection_probability(event.near_ticks, event.mid_ticks, p_transmit)
-    return rng.random() < float(prob)
-
-
 @dataclass
 class Device:
-    # The agent index is simulator bookkeeping only; it never enters any
-    # beacon, upload or mailbox message.
-    agent: int
     current: object = None  # DailyIdentifier
     id_history: dict = field(default_factory=dict)  # date -> rdi
     log: ContactLog = None
@@ -295,7 +270,7 @@ class World:
         adopters = sorted(self.rng.sample(range(n), round(n * config.adoption_fraction)))
         self.adopter[adopters] = True
         self.devices = {
-            a: Device(agent=a, log=ContactLog(retention_days=config.retention_days))
+            a: Device(log=ContactLog(retention_days=config.retention_days))
             for a in adopters
         }
         for a in self.rng.sample(range(n), min(config.index_cases, n)):
@@ -310,10 +285,6 @@ class World:
         self.case_agent = {}  # token -> agent (simulator bookkeeping only)
         self.pending_tests = []  # [(due_day, seq, kind, agent, token)]
         self._test_seq = 0
-        # (date, rdi) -> set of observing agents: a reverse sighting map so
-        # daily matching only visits devices that can possibly have a hit.
-        # Hits themselves always come from matching.match_contacts.
-        self.observers = {}
 
         self.metrics = {k: [] for k in
                         ("new_infections", "active_cases", "quarantined",
@@ -398,7 +369,6 @@ class World:
             payload = encode_beacon(self.devices[tx].current)
             rdi = decode_beacon(payload)
             self.devices[rx].log.observe_span(rdi, observed, day, start, dur)
-            self.observers.setdefault((day, rdi), set()).add(rx)
 
     def _run_due_tests(self, day):
         cfg = self.config
@@ -450,11 +420,7 @@ class World:
         index = matching.build_index(lst, verified)
         if len(index) == 0:
             return
-        candidates = set()
-        for entry in lst.entries:
-            candidates.update(self.observers.get(entry, ()))
-        for agent in sorted(candidates):
-            dev = self.devices[agent]
+        for agent, dev in self.devices.items():
             hits = matching.match_contacts(dev.log, index)
             new = [h for h in hits if (h.date, h.rdi) not in dev.handled]
             if not new:
@@ -506,7 +472,7 @@ class World:
         tests_used = 0
 
         # 1. identifier rotation, retention pruning.
-        for agent, dev in self.devices.items():
+        for dev in self.devices.values():
             if dev.current is None:
                 dev.current = generate_daily_identifier(self.rng, day)
             else:
@@ -519,9 +485,6 @@ class World:
             # The pruned log holds no record of these dates, so they can
             # never match again.
             dev.handled.difference_update([k for k in dev.handled if k[0] < cutoff])
-        stale = [k for k in self.observers if k[0] < day - cfg.retention_days]
-        for k in stale:
-            del self.observers[k]
 
         # 2. contact events: beacon logging and disease transmission.
         src, dst, cls, start, dur = self._sample_events()
@@ -583,9 +546,10 @@ class World:
         lst = self.authority.publish(day)
         self._log_event(day, 0, "publish", "-", "-", f"entries={len(lst.entries)}")
 
-        # 7. devices match at least once per day; new hits open inquiries,
-        #    which are categorized and ordered for testing. A second test
-        #    drain covers zero-delay test orders issued today.
+        # 7. every device matches the day's list against its own log, in
+        #    ascending agent order; new hits open inquiries, which are
+        #    categorized and ordered for testing. A second test drain
+        #    covers zero-delay test orders issued today.
         if self.devices:
             self._match_and_inquire(day, lst)
         tests_used += self._run_due_tests(day)

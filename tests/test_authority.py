@@ -235,7 +235,7 @@ def test_state_holds_no_identity_fields():
     import json
 
     dump = json.loads(state.serialize_state())
-    allowed = {"entries", "retained_histories", "cases", "audit"}
+    allowed = {"entries", "retained_histories", "cases"}
     assert set(dump) == allowed
     for entry in dump["entries"]:
         assert set(entry) == {"date", "rdi", "added_epoch", "source"}

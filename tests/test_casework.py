@@ -191,6 +191,35 @@ def test_step_bad_category_decision_is_audited_noop(body):
     assert len(case.audit) == 1
 
 
+@pytest.mark.parametrize("kind", list(MessageKind))
+@pytest.mark.parametrize("body", [["date", 3], "text", 7, None])
+def test_step_non_object_body_is_audited_noop(kind, body):
+    case = open_case()
+    case, msgs = step(case, MailboxMessage(case.token, kind, body), today=1)
+    assert case.state == CaseState.INQUIRY_OPEN
+    assert msgs == []
+    assert len(case.audit) == 1
+
+
+@pytest.mark.parametrize("date", ["x", None, [5], 1e309])
+def test_step_bad_test_result_date_is_audited_noop(date):
+    case = open_case()
+    categorize(case, {"near_ticks": 40})
+    case, msgs = step(case, MailboxMessage(case.token, MessageKind.TEST_RESULT,
+                                           {"result": "positive", "date": date}))
+    assert case.state == CaseState.AWAITING_TEST1
+    assert msgs == []
+    assert case.test_results == []
+    assert len(case.audit) == 1
+
+
+def test_deserialize_rejects_deeply_nested_body():
+    body = b"[" * 60_000
+    blob = (len(body) + 17).to_bytes(2, "big") + bytes(16) + bytes([1]) + body
+    with pytest.raises(ValueError):
+        deserialize_message(blob)
+
+
 @pytest.mark.parametrize("category,kind,state", [
     ("category2", MessageKind.TEST_ORDER, CaseState.AWAITING_TEST1),
     ("uncritical", MessageKind.DROP, CaseState.DROPPED),

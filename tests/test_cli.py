@@ -286,3 +286,64 @@ def test_state_json_survives_cli_roundtrip(signed_setup):
     reparsed = json.loads(loaded.serialize_state())
     original = json.loads(state.serialize_state())
     assert reparsed["entries"] == original["entries"]
+
+
+@pytest.mark.parametrize("kind,body", [
+    (casework.MessageKind.OPEN_INQUIRY, ["date", 3]),
+    (casework.MessageKind.CATEGORY_DECISION, "category1"),
+    (casework.MessageKind.TEST_RESULT, {"result": "positive", "date": "x"}),
+])
+def test_replay_audits_malformed_body(tmp_path, capsys, kind, body):
+    token = bytes([4]) * 16
+    trace = tmp_path / "mailbox.bin"
+    trace.write_bytes(casework.serialize_message(
+        casework.MailboxMessage(token, kind, body)))
+    code, out, err = run_cli(["replay", "--trace", str(trace)], capsys)
+    assert code == 0
+    assert err == ""
+    assert out.strip() == f"{token.hex()},idle,-,tests=0,audit=1"
+
+
+def test_simulate_rejects_mistyped_value(tmp_path, capsys):
+    path = tmp_path / "scenario.cfg"
+    path.write_text("days=10\npopulation = lots\n")
+    code, out, err = run_cli(
+        ["simulate", "--config", str(path), "--out", str(tmp_path / "out")], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {path}:2: bad population")
+
+
+GOOD_ENTRY = {"date": 6, "rdi": "ab" * 16, "added_epoch": 7, "source": "carrier"}
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    "[1, 2]",
+    json.dumps({"entries": {"date": 6}}),
+    json.dumps({"entries": [7]}),
+    json.dumps({"entries": [{k: v for k, v in GOOD_ENTRY.items() if k != "date"}]}),
+    json.dumps({"entries": [dict(GOOD_ENTRY, date="six")]}),
+    json.dumps({"entries": [dict(GOOD_ENTRY, date=-1)]}),
+    json.dumps({"entries": [dict(GOOD_ENTRY, rdi="zz")]}),
+    json.dumps({"entries": [dict(GOOD_ENTRY, rdi=5)]}),
+    json.dumps({"entries": [{k: v for k, v in GOOD_ENTRY.items() if k != "rdi"}]}),
+    json.dumps({"entries": [dict(GOOD_ENTRY, added_epoch=None)]}),
+    json.dumps({"entries": [{k: v for k, v in GOOD_ENTRY.items()
+                             if k != "added_epoch"}]}),
+])
+def test_genlist_rejects_malformed_state(signed_setup, capsys, text):
+    _, _, state_path, key_path, list_path, _ = signed_setup
+    state_path.write_text(text)
+    code, out, err = run_cli(
+        ["genlist", "--state", str(state_path), "--epoch", "7",
+         "--key", str(key_path), "--out", str(list_path)],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: malformed state:")
+    assert err.count("\n") == 1
+    assert not list_path.exists()

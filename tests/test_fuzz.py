@@ -1,0 +1,89 @@
+"""Fuzz the decoders and the replay command: any input yields a result or
+the module's domain error, never another exception."""
+
+import json
+from dataclasses import fields
+
+from hypothesis import given, settings, strategies as st
+
+from tracenet import authority, casework
+from tracenet.cli import main
+from tracenet.simnet import InvalidConfig, ScenarioConfig, config_from_file
+
+FUZZ = settings(max_examples=100, deadline=None)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def objects_with(keys):
+    """JSON objects that tend to carry the given keys, with any values."""
+    return st.dictionaries(st.sampled_from(keys) | st.text(max_size=4),
+                           json_values, max_size=4)
+
+
+frames = st.builds(
+    lambda token, kind, body: casework.serialize_message(
+        casework.MailboxMessage(token, kind, body)),
+    st.sampled_from([bytes(16), bytes([1]) * 16]),
+    st.sampled_from(casework.MessageKind),
+    json_values | objects_with(["result", "date", "category", "near_ticks"]),
+)
+traces = st.binary(max_size=64) | st.builds(
+    lambda parts, tail: b"".join(parts) + tail,
+    st.lists(frames, max_size=6), st.binary(max_size=4),
+)
+
+
+@FUZZ
+@given(traces)
+def test_replay_any_trace_exits_0_or_1(tmp_path_factory, data):
+    trace = tmp_path_factory.getbasetemp() / "fuzz-mailbox.bin"
+    trace.write_bytes(data)
+    assert main(["replay", "--trace", str(trace)]) in (0, 1)
+
+
+config_lines = st.builds(
+    lambda key, sep, value: f"{key}{sep}{value}",
+    st.sampled_from([f.name for f in fields(ScenarioConfig)]) | st.text(max_size=6),
+    st.sampled_from(["=", " = ", ""]),
+    st.text(max_size=8) | st.integers().map(str) | st.floats().map(str),
+)
+
+
+@FUZZ
+@given(st.text() | st.lists(config_lines, max_size=5).map("\n".join))
+def test_config_from_file_any_text(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz-scenario.cfg"
+    path.write_text(text, encoding="utf-8")
+    try:
+        assert isinstance(config_from_file(path), ScenarioConfig)
+    except InvalidConfig:
+        pass
+
+
+entries = st.lists(
+    objects_with(["date", "rdi", "added_epoch", "source"])
+    | st.fixed_dictionaries({
+        "date": st.integers(-2, 2**33) | json_values,
+        "rdi": st.binary(min_size=15, max_size=17).map(bytes.hex) | json_values,
+        "added_epoch": st.integers() | json_values,
+    }),
+    max_size=3,
+)
+
+
+@FUZZ
+@given(st.text() | json_values.map(json.dumps)
+       | entries.map(lambda e: json.dumps({"entries": e})))
+def test_load_state_entries_any_text(text):
+    try:
+        state = authority.load_state_entries(text)
+    except authority.Malformed:
+        return
+    # Whatever loads can be published: dates fit the list codec.
+    authority.canonical_body(0, sorted(state.entries))

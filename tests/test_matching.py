@@ -108,6 +108,8 @@ def test_oracle_equivalence_randomized(seed):
     slow = brute_force_match(log, lst)
     assert hit_keys(fast) == hit_keys(slow)
     assert [(h.date, h.rdi) for h in fast] == [(h.date, h.rdi) for h in slow]
+    # Hits carry the log's own record objects, not copies.
+    assert all(f.record is s.record for f, s in zip(fast, slow))
     # Completeness: every planted overlap is reported.
     assert set(planted) <= hit_keys(fast)
 

@@ -1,4 +1,3 @@
-import random
 from dataclasses import replace
 
 import numpy as np
@@ -6,9 +5,7 @@ import pytest
 
 from tracenet import simnet
 from tracenet.casework import CaseState
-from tracenet.ident import DistanceClass
 from tracenet.simnet import (
-    ContactEvent,
     InsufficientData,
     InvalidConfig,
     MetricsReport,
@@ -19,7 +16,6 @@ from tracenet.simnet import (
     estimate_R_effective,
     infection_probability,
     run,
-    transmit,
 )
 
 FAST = ScenarioConfig(population=120, days=15, seed=3, index_cases=2,
@@ -105,20 +101,10 @@ def test_transmission_probability_closed_form():
 
 
 def test_transmit_degenerate_probabilities():
-    near = ContactEvent(0, 0, 1, DistanceClass.NEAR, 0, 10)
-    far = ContactEvent(0, 0, 1, DistanceClass.FAR, 0, 500)
-    rng = random.Random(0)
-    assert not any(transmit(near, rng, 0.0) for _ in range(100))
-    assert all(transmit(near, rng, 1.0) for _ in range(100))
-    assert not any(transmit(far, rng, 1.0) for _ in range(100))
-
-
-def test_transmit_monte_carlo_matches_closed_form():
-    event = ContactEvent(0, 0, 1, DistanceClass.NEAR, 0, 30)
-    rng = random.Random(42)
-    trials = 10_000
-    rate = sum(transmit(event, rng, 0.01) for _ in range(trials)) / trials
-    assert rate == pytest.approx(0.2603, abs=0.02)
+    # Far ticks carry no exposure: 500 far-only ticks are 0 near, 0 mid.
+    assert infection_probability(10, 0, 0.0) == 0.0
+    assert infection_probability(10, 0, 1.0) == 1.0
+    assert infection_probability(0, 0, 1.0) == 0.0
 
 
 def test_population_conserved_every_day():
@@ -225,7 +211,7 @@ def test_authority_never_stores_agent_identity():
     import json
 
     dump = json.loads(world.authority.serialize_state())
-    assert set(dump) == {"entries", "retained_histories", "cases", "audit"}
+    assert set(dump) == {"entries", "retained_histories", "cases"}
     text = world.authority.serialize_state()
     for banned in ("agent", "identity", "device_id", "owner"):
         assert banned not in text
