@@ -16,7 +16,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from . import authority as authority_mod
 from . import casework, matching, simnet
-from .contact_log import classify, log_from_records, records_from_csv
+from .contact_log import MalformedHistory, classify, log_from_records, records_from_csv
 from .ident import rdi_to_hex
 
 SEED_ENV_VAR = "TRACENET_SEED"
@@ -104,6 +104,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_genlist(args) -> int:
+    # The list codec stores the epoch as an unsigned 32-bit field.
+    if not 0 <= args.epoch < 2**32:
+        raise DomainError(f"epoch must be in 0..{2**32 - 1}, got {args.epoch}")
     with open(args.state) as fh:
         text = fh.read()
     try:
@@ -149,7 +152,10 @@ def cmd_verify(args) -> int:
 def cmd_match(args) -> int:
     lst = _load_verified_list(args.list_path, args.pubkey)
     with open(args.log_csv) as fh:
-        records = records_from_csv(fh.read())
+        try:
+            records = records_from_csv(fh.read())
+        except (MalformedHistory, UnicodeDecodeError) as exc:
+            raise DomainError(f"malformed history: {exc}") from exc
     log = log_from_records(records)
     index = matching.build_index(lst, verified=True)
     hits = matching.match_contacts(log, index)

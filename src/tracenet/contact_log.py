@@ -33,13 +33,17 @@ class EmptyRange(ValueError):
     pass
 
 
+class MalformedHistory(ValueError):
+    """History CSV text that does not parse; the message names the line."""
+
+
 class Category(Enum):
     CATEGORY1 = "category1"
     CATEGORY2 = "category2"
     UNCRITICAL = "uncritical"
 
 
-@dataclass
+@dataclass(slots=True)
 class ContactRecord:
     """Accumulated observations of one foreign identifier on one date."""
 
@@ -138,13 +142,15 @@ class ContactLog:
         `n_ticks` consecutive ticks. Equivalent to n_ticks observe calls."""
         if n_ticks <= 0:
             return self
-        end = min(start_tick + n_ticks, TICKS_PER_DAY)
         if not 0 <= start_tick < TICKS_PER_DAY:
             raise ValueError(f"start_tick out of range: {start_tick}")
-        rec = self.records.get((date, rdi))
+        end = start_tick + n_ticks
+        if end > TICKS_PER_DAY:
+            end = TICKS_PER_DAY
+        key = (date, rdi)
+        rec = self.records.get(key)
         if rec is None:
-            rec = ContactRecord(foreign_rdi=rdi, date=date)
-            self.records[(date, rdi)] = rec
+            rec = self.records[key] = ContactRecord(rdi, date)
         span = ((1 << (end - start_tick)) - 1) << start_tick
         new_count = (span & ~rec.ticks).bit_count()
         if new_count:
@@ -200,24 +206,37 @@ def records_to_csv(records) -> str:
 
 def records_from_csv(text: str):
     """Parse history CSV. Tick indices are not serialized, only the bucket
-    count, so parsed records carry an empty tick mask."""
+    count, so parsed records carry an empty tick mask.
+
+    Raises MalformedHistory, naming the line, on a bad header or a row that
+    is short, long, or holds a non-hex rdi or a non-integer field.
+    """
     reader = csv.DictReader(io.StringIO(text))
     expected = HISTORY_CSV_HEADER.split(",")
-    if reader.fieldnames != expected:
-        raise ValueError(f"bad history CSV header: {reader.fieldnames}")
     out = []
-    for row in reader:
-        out.append(
-            ContactRecord(
-                foreign_rdi=rdi_from_hex(row["rdi_hex"]),
-                date=int(row["date"]),
-                near_ticks=int(row["near_ticks"]),
-                mid_ticks=int(row["mid_ticks"]),
-                far_ticks=int(row["far_ticks"]),
-                first_tick=int(row["first_tick"]),
-                last_tick=int(row["last_tick"]),
-            )
-        )
+    try:
+        if reader.fieldnames != expected:
+            raise MalformedHistory(
+                f"line 1: bad header: {reader.fieldnames}")
+        for row in reader:
+            if None in row or None in row.values():
+                raise MalformedHistory(
+                    f"line {reader.line_num}: expected {len(expected)} fields")
+            try:
+                rec = ContactRecord(
+                    foreign_rdi=rdi_from_hex(row["rdi_hex"]),
+                    date=int(row["date"]),
+                    near_ticks=int(row["near_ticks"]),
+                    mid_ticks=int(row["mid_ticks"]),
+                    far_ticks=int(row["far_ticks"]),
+                    first_tick=int(row["first_tick"]),
+                    last_tick=int(row["last_tick"]),
+                )
+            except ValueError as exc:
+                raise MalformedHistory(f"line {reader.line_num}: {exc}") from exc
+            out.append(rec)
+    except csv.Error as exc:
+        raise MalformedHistory(f"line {reader.line_num}: {exc}") from exc
     return out
 
 

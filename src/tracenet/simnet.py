@@ -360,15 +360,34 @@ class World:
         start = np.minimum(start, TICKS_PER_DAY - dur)
         return src[keep], dst[keep], cls[keep], start[keep], dur[keep]
 
-    def _exchange_beacons(self, day, a, b, cls_code, start, dur):
-        """Both devices of one contact event log each other through the real
-        beacon codec and contact log."""
-        rssi = CLASS_RSSI_DBM[DistanceClass(cls_code)]
-        observed = estimate_distance_class(rssi, TX_POWER_DBM)
-        for rx, tx in ((a, b), (b, a)):
-            payload = encode_beacon(self.devices[tx].current)
-            rdi = decode_beacon(payload)
-            self.devices[rx].log.observe_span(rdi, observed, day, start, dur)
+    def _exchange_beacons(self, day, src, dst, cls, start, dur):
+        """Both devices of every adopter-to-adopter contact event today log
+        each other through the real beacon codec and contact log, and each
+        such event adds a `contact` line to the event log.
+
+        A device's identifier is fixed for the day, so each beacon goes
+        through the codec once per device, and each distance class is
+        estimated from its representative power once per day. Events are
+        applied in their sampled order, because overlapping spans of one
+        pair resolve by first claim.
+        """
+        rdis = {}
+        logs = {}
+        for agent, dev in self.devices.items():
+            rdis[agent] = decode_beacon(encode_beacon(dev.current))
+            logs[agent] = dev.log
+        observed = [estimate_distance_class(CLASS_RSSI_DBM[c], TX_POWER_DBM)
+                    for c in DistanceClass]
+        both = self.adopter[src] & self.adopter[dst]
+        events = self.events if self.record_events else None
+        for a, b, c, s, d in zip(src[both].tolist(), dst[both].tolist(),
+                                 cls[both].tolist(), start[both].tolist(),
+                                 dur[both].tolist()):
+            obs = observed[c]
+            logs[a].observe_span(rdis[b], obs, day, s, d)
+            logs[b].observe_span(rdis[a], obs, day, s, d)
+            if events is not None:
+                events.append(f"{day},{s},contact,{a},{b},{c}:{d}")
 
     def _run_due_tests(self, day):
         cfg = self.config
@@ -486,17 +505,13 @@ class World:
             # never match again.
             dev.handled.difference_update([k for k in dev.handled if k[0] < cutoff])
 
-        # 2. contact events: beacon logging and disease transmission.
+        # 2. contact events: beacon logging and disease transmission. The
+        #    codec runs once per device and distance classing once per
+        #    class; the day's events are then logged in sampled order.
         src, dst, cls, start, dur = self._sample_events()
         if len(src):
             if self.devices:
-                logmask = self.adopter[src] & self.adopter[dst]
-                for i in np.flatnonzero(logmask):
-                    a, b = int(src[i]), int(dst[i])
-                    self._exchange_beacons(day, a, b, int(cls[i]),
-                                           int(start[i]), int(dur[i]))
-                    self._log_event(day, int(start[i]), "contact", a, b,
-                                    f"{int(cls[i])}:{int(dur[i])}")
+                self._exchange_beacons(day, src, dst, cls, start, dur)
             infectious = np.isin(self.health, (INFECTIOUS, SYMPTOMATIC))
             sus = self.health == SUSCEPTIBLE
             relevant = (infectious[src] & sus[dst]) | (sus[src] & infectious[dst])

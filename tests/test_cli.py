@@ -6,7 +6,7 @@ import pytest
 from tracenet import authority as authority_mod
 from tracenet import casework
 from tracenet.cli import main
-from tracenet.contact_log import ContactLog, records_to_csv
+from tracenet.contact_log import HISTORY_CSV_HEADER, ContactLog, records_to_csv
 from tracenet.ident import DistanceClass
 from tracenet.matching import brute_force_match
 
@@ -345,5 +345,55 @@ def test_genlist_rejects_malformed_state(signed_setup, capsys, text):
     assert code == 1
     assert out == ""
     assert err.startswith("error: malformed state:")
+    assert err.count("\n") == 1
+    assert not list_path.exists()
+
+
+GOOD_ROW = f"6,{'ab' * 16},4,0,0,10,13,1"
+
+
+def history(*rows):
+    return "".join(row + "\n" for row in rows).encode()
+
+
+@pytest.mark.parametrize("data, detail", [
+    (history("bogus,header", "1,2"), "line 1: bad header"),
+    (history(HISTORY_CSV_HEADER, "1,2"), "line 2:"),
+    (history(HISTORY_CSV_HEADER, GOOD_ROW, GOOD_ROW + ",9"), "line 3:"),
+    (history(HISTORY_CSV_HEADER, GOOD_ROW.replace("ab", "zz")), "line 2:"),
+    (history(HISTORY_CSV_HEADER, GOOD_ROW, GOOD_ROW.replace("4,0,0", "4,x,0")),
+     "line 3:"),
+    (history(HISTORY_CSV_HEADER, GOOD_ROW.replace("ab", "", 1)), "line 2:"),
+    (b"\xff\xfe", "'utf-8' codec can't decode"),
+])
+def test_match_rejects_malformed_history(signed_setup, tmp_path, capsys,
+                                         data, detail):
+    _, pub, state_path, key_path, list_path, _ = signed_setup
+    run_cli(["genlist", "--state", str(state_path), "--epoch", "7",
+             "--key", str(key_path), "--out", str(list_path)], capsys)
+    log_path = tmp_path / "history.csv"
+    log_path.write_bytes(data)
+    code, out, err = run_cli(
+        ["match", "--log", str(log_path), "--list", str(list_path),
+         "--pubkey", pub.hex()],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: malformed history: {detail}")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("epoch", ["-1", str(2**32)])
+def test_genlist_rejects_epoch_outside_u32(signed_setup, capsys, epoch):
+    _, _, state_path, key_path, list_path, _ = signed_setup
+    code, out, err = run_cli(
+        ["genlist", "--state", str(state_path), "--epoch", epoch,
+         "--key", str(key_path), "--out", str(list_path)],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: epoch must be in 0..4294967295")
     assert err.count("\n") == 1
     assert not list_path.exists()

@@ -8,6 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from tracenet import authority, casework
 from tracenet.cli import main
+from tracenet.contact_log import (
+    HISTORY_CSV_HEADER,
+    ContactRecord,
+    MalformedHistory,
+    records_from_csv,
+    records_to_csv,
+)
 from tracenet.simnet import InvalidConfig, ScenarioConfig, config_from_file
 
 FUZZ = settings(max_examples=100, deadline=None)
@@ -87,3 +94,77 @@ def test_load_state_entries_any_text(text):
         return
     # Whatever loads can be published: dates fit the list codec.
     authority.canonical_body(0, sorted(state.entries))
+
+
+signed_lists = st.builds(
+    lambda epoch, entries, sig: authority.serialize_list(
+        authority.SignedCarrierList(epoch, tuple(entries), sig)),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.integers(0, 2**32 - 1), st.binary(min_size=16, max_size=16)),
+             max_size=3),
+    st.binary(max_size=64),
+)
+list_bytes = st.binary(max_size=64) | signed_lists | st.builds(
+    lambda data, cut, tail: data[:cut] + tail,
+    signed_lists, st.integers(0, 200), st.binary(max_size=3),
+)
+
+
+@FUZZ
+@given(list_bytes)
+def test_deserialize_list_any_bytes(data):
+    try:
+        lst = authority.deserialize_list(data)
+    except authority.Malformed:
+        return
+    assert isinstance(lst, authority.SignedCarrierList)
+    # What decodes re-encodes to the same bytes.
+    assert authority.serialize_list(lst) == data
+
+
+@FUZZ
+@given(traces)
+def test_deserialize_message_raises_only_value_error(data):
+    offset = 0
+    while offset < len(data):
+        try:
+            msg, offset = casework.deserialize_message(data, offset)
+        except ValueError:
+            return
+        assert isinstance(msg, casework.MailboxMessage)
+
+
+def mutate(fields, how, pos, text):
+    """Keep a row's fields, cut them short, add one, or replace one."""
+    if how == "drop":
+        return fields[:pos]
+    if how == "extra":
+        return fields + [text]
+    if how == "replace":
+        return fields[:pos] + [text] + fields[pos + 1:]
+    return fields
+
+
+valid_rows = st.builds(
+    lambda date, rdi, counts: [str(date), rdi.hex(), *map(str, counts)],
+    st.integers(0, 2**32 - 1), st.binary(min_size=16, max_size=16),
+    st.lists(st.integers(-1, 2880), min_size=6, max_size=6),
+)
+history_rows = st.builds(
+    lambda fields, how, pos, text: ",".join(mutate(fields, how, pos, text)),
+    valid_rows, st.sampled_from(["keep", "keep", "drop", "extra", "replace"]),
+    st.integers(0, 7), st.text(max_size=4),
+)
+
+
+@FUZZ
+@given(st.text()
+       | st.lists(history_rows, max_size=4).map(
+           lambda rows: "\n".join([HISTORY_CSV_HEADER, *rows])))
+def test_records_from_csv_any_text(text):
+    try:
+        records = records_from_csv(text)
+    except MalformedHistory:
+        return
+    assert all(isinstance(rec, ContactRecord) for rec in records)
+    assert records_from_csv(records_to_csv(records)) == records

@@ -5,6 +5,12 @@ import pytest
 
 from tracenet import simnet
 from tracenet.casework import CaseState
+from tracenet.ident import (
+    DistanceClass,
+    decode_beacon,
+    encode_beacon,
+    estimate_distance_class,
+)
 from tracenet.simnet import (
     InsufficientData,
     InvalidConfig,
@@ -153,9 +159,54 @@ def test_beacons_flow_through_real_codec(monkeypatch):
 
     monkeypatch.setattr(simnet, "decode_beacon", counting_decode)
     world = World(replace(FAST, population=40, adoption_fraction=1.0))
-    world.step_day()
-    assert calls["decode"] > 0
+    for _ in range(3):
+        calls["decode"] = 0
+        world.step_day()
+        # One codec pass per device per day, not one per contact event.
+        assert calls["decode"] == len(world.devices)
     assert any(dev.log.records for dev in world.devices.values())
+
+
+def _exchange_one_event_at_a_time(world, day, src, dst, cls, start, dur):
+    """Per-event, per-tick reference for World._exchange_beacons: the codec
+    runs for each beacon, the class is estimated for each event, and every
+    tick of a span is a separate observe call."""
+    for i in range(len(src)):
+        a, b = int(src[i]), int(dst[i])
+        if not (world.adopter[a] and world.adopter[b]):
+            continue
+        rssi = simnet.CLASS_RSSI_DBM[DistanceClass(int(cls[i]))]
+        observed = estimate_distance_class(rssi, simnet.TX_POWER_DBM)
+        s, d = int(start[i]), int(dur[i])
+        for rx, tx in ((a, b), (b, a)):
+            rdi = decode_beacon(encode_beacon(world.devices[tx].current))
+            for tick in range(s, s + d):
+                world.devices[rx].log.observe([(rdi, observed)], day, tick)
+        world._log_event(day, s, "contact", a, b, f"{int(cls[i])}:{d}")
+
+
+def test_daily_beacon_pass_matches_per_event_reference(monkeypatch):
+    # Long contacts make overlapping spans of one pair on one day common,
+    # so the first-claim order between events is exercised.
+    cfg = ScenarioConfig(population=60, days=5, seed=11, adoption_fraction=0.6,
+                         index_cases=3, duration_mean_ticks=300.0,
+                         p_transmit=0.01)
+    batched = World(cfg, record_events=True)
+    reference = World(cfg, record_events=True)
+    monkeypatch.setattr(
+        reference, "_exchange_beacons",
+        lambda *args: _exchange_one_event_at_a_time(reference, *args))
+    for _ in range(cfg.days):
+        batched.step_day()
+        reference.step_day()
+    assert batched.devices.keys() == reference.devices.keys()
+    for agent, dev in batched.devices.items():
+        records = dev.log.records
+        assert records
+        # Dataclass equality compares every field, the tick mask included.
+        assert records == reference.devices[agent].log.records
+    assert batched.events == reference.events
+    assert batched.metrics == reference.metrics
 
 
 def test_trace_through_nonadopter_index_case():
