@@ -17,12 +17,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
 )
-from cryptography.hazmat.primitives.serialization import (
-    Encoding,
-    NoEncryption,
-    PrivateFormat,
-    PublicFormat,
-)
+from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from .ident import RDI_BYTES, rdi_to_hex
 
@@ -63,10 +58,6 @@ def generate_keypair(rng=None):
         private = Ed25519PrivateKey.from_private_bytes(rng.randbytes(32))
     public = private.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
     return private, public
-
-
-def private_key_bytes(private: Ed25519PrivateKey) -> bytes:
-    return private.private_bytes(Encoding.Raw, PrivateFormat.Raw, NoEncryption())
 
 
 def canonical_body(epoch_date: int, entries, algorithm: int = ALG_ED25519) -> bytes:
@@ -159,12 +150,6 @@ class AuthorityState:
         self.retained_histories: dict = {}  # key -> RetainedHistory
         self.cases: dict = {}  # token bytes -> casework.CaseRecord
         self.trace_contact_derived = trace_contact_derived
-
-    @property
-    def public_key_bytes(self) -> bytes:
-        return self.signing_key.public_key().public_bytes(
-            Encoding.Raw, PublicFormat.Raw
-        )
 
     def _add_entry(self, date: int, rdi: bytes, added_epoch: int, source: str):
         # Set semantics on (date, rdi); the first registration wins, so

@@ -35,10 +35,6 @@ class WrongState(ValueError):
     pass
 
 
-class PrematureRetest(ValueError):
-    pass
-
-
 class CaseState(Enum):
     IDLE = "idle"
     SELF_QUARANTINED = "self_quarantined"
@@ -203,7 +199,7 @@ def _decide(case: CaseRecord, category: Category, traced_categories, today):
                                  {"category": category.value})]
 
 
-def categorize(case: CaseRecord, record_summary: dict, evidence=None,
+def categorize(case: CaseRecord, record_summary: dict,
                traced_categories=ALL_CATEGORIES, today: int = None):
     """Decide the category of an open inquiry.
 
@@ -212,49 +208,8 @@ def categorize(case: CaseRecord, record_summary: dict, evidence=None,
     """
     if case.state != CaseState.INQUIRY_OPEN:
         raise WrongState(f"categorize in state {case.state}")
-    category = classify(_summary_record(record_summary, evidence or case.evidence))
+    category = classify(_summary_record(record_summary, case.evidence))
     return _decide(case, category, traced_categories, today)
-
-
-def record_test_result(case: CaseRecord, result: str, date: int,
-                       incubation_days: int = None):
-    """Apply a test outcome.
-
-    Positive makes the case a carrier and requests the contact history for
-    the lookback window. A first negative schedules a retest; a second
-    negative dated at least an incubation period after the first releases
-    the person.
-    """
-    if case.state not in (CaseState.AWAITING_TEST1, CaseState.AWAITING_TEST2):
-        raise WrongState(f"test result in state {case.state}")
-    if incubation_days is None:
-        incubation_days = case.incubation_days
-    messages = []
-    if result == "positive":
-        case.test_results.append((result, date))
-        case.state = CaseState.CARRIER
-        case.resolution_epoch = date
-        messages.append(
-            MailboxMessage(case.token, MessageKind.HISTORY_REQUEST,
-                           {"from_date": date - case.lookback_days})
-        )
-    elif result == "negative":
-        if case.state == CaseState.AWAITING_TEST1:
-            case.test_results.append((result, date))
-            case.state = CaseState.AWAITING_TEST2
-        else:
-            first_negative = max(d for r, d in case.test_results if r == "negative")
-            if date < first_negative + incubation_days:
-                raise PrematureRetest(
-                    f"retest at {date} before {first_negative} + {incubation_days}"
-                )
-            case.test_results.append((result, date))
-            case.state = CaseState.RELEASED
-            case.resolution_epoch = date
-            messages.append(MailboxMessage(case.token, MessageKind.RELEASE, {}))
-    else:
-        raise ValueError(f"unknown test result {result!r}")
-    return case, messages
 
 
 def step(case: CaseRecord, message: MailboxMessage, today: int = None):
@@ -300,10 +255,30 @@ def step(case: CaseRecord, message: MailboxMessage, today: int = None):
             return illegal("duplicate test result")
         if case.state not in (CaseState.AWAITING_TEST1, CaseState.AWAITING_TEST2):
             return illegal("no test pending")
-        try:
-            return record_test_result(case, result, date)
-        except (PrematureRetest, ValueError) as exc:
-            return illegal(str(exc))
+        # Positive makes the case a carrier and requests the contact history
+        # for the lookback window. A first negative awaits a retest; a second
+        # negative dated at least an incubation period after the first
+        # releases the person.
+        if result == "positive":
+            case.test_results.append((result, date))
+            case.state = CaseState.CARRIER
+            case.resolution_epoch = date
+            return case, [MailboxMessage(case.token, MessageKind.HISTORY_REQUEST,
+                                         {"from_date": date - case.lookback_days})]
+        if result != "negative":
+            return illegal(f"unknown test result {result!r}")
+        if case.state == CaseState.AWAITING_TEST1:
+            case.test_results.append((result, date))
+            case.state = CaseState.AWAITING_TEST2
+            return case, []
+        first_negative = max(d for r, d in case.test_results if r == "negative")
+        if date < first_negative + case.incubation_days:
+            return illegal(f"retest at {date} before {first_negative} + "
+                           f"{case.incubation_days}")
+        case.test_results.append((result, date))
+        case.state = CaseState.RELEASED
+        case.resolution_epoch = date
+        return case, [MailboxMessage(case.token, MessageKind.RELEASE, {})]
     if kind == MessageKind.HISTORY_UPLOAD:
         if case.state != CaseState.CARRIER:
             return illegal("no history requested")

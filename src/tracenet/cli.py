@@ -108,19 +108,17 @@ def cmd_genlist(args) -> int:
     if not 0 <= args.epoch < 2**32:
         raise DomainError(f"epoch must be in 0..{2**32 - 1}, got {args.epoch}")
     with open(args.state) as fh:
-        text = fh.read()
-    try:
-        state = authority_mod.load_state_entries(text)
-    except authority_mod.Malformed as exc:
-        raise DomainError(f"malformed state: {exc}") from exc
+        try:
+            state = authority_mod.load_state_entries(fh.read())
+        except (authority_mod.Malformed, UnicodeDecodeError) as exc:
+            raise DomainError(f"malformed state: {exc}") from exc
     with open(args.key) as fh:
-        key_hex = fh.read().strip()
-    try:
-        state.signing_key = Ed25519PrivateKey.from_private_bytes(
-            bytes.fromhex(key_hex)
-        )
-    except ValueError as exc:
-        raise DomainError(f"bad private key: {exc}") from exc
+        try:
+            state.signing_key = Ed25519PrivateKey.from_private_bytes(
+                bytes.fromhex(fh.read().strip())
+            )
+        except ValueError as exc:  # UnicodeDecodeError included
+            raise DomainError(f"bad private key: {exc}") from exc
     lst = state.publish(args.epoch)
     atomic_write(args.out, authority_mod.serialize_list(lst))
     print(f"wrote {args.out} ({len(lst.entries)} entries, epoch {lst.epoch_date})")

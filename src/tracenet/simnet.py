@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import random
 from dataclasses import dataclass, field, fields, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -134,7 +135,11 @@ def config_from_file(path) -> ScenarioConfig:
     by_name = {f.name: f for f in fields(ScenarioConfig)}
     values = {}
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise InvalidConfig([f"{path}: {exc}"]) from exc
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -282,9 +287,10 @@ class World:
         self.authority = AuthorityState(
             signing_key=key, trace_contact_derived=config.trace_contact_derived
         )
-        self.case_agent = {}  # token -> agent (simulator bookkeeping only)
-        self.pending_tests = []  # [(due_day, seq, kind, agent, token)]
-        self._test_seq = 0
+        # [(due_day, kind, agent, token)] in scheduling order. A "case" test
+        # is pending exactly while its case awaits a test result, so these
+        # entries are also the simulator's only token -> agent map.
+        self.pending_tests = []
 
         self.metrics = {k: [] for k in
                         ("new_infections", "active_cases", "quarantined",
@@ -295,10 +301,6 @@ class World:
     def _log_event(self, day, tick, kind, subject, obj, detail):
         if self.record_events:
             self.events.append(f"{day},{tick},{kind},{subject},{obj},{detail}")
-
-    def _schedule_test(self, due_day, kind, agent, token):
-        self.pending_tests.append((due_day, self._test_seq, kind, agent, token))
-        self._test_seq += 1
 
     def _infect(self, target, infector, day):
         self.health[target] = EXPOSED
@@ -396,7 +398,8 @@ class World:
             return 0
         self.pending_tests = [t for t in self.pending_tests if t[0] > day]
         used = 0
-        for _, _, kind, agent, token in sorted(due):
+        # Stable by due day: tests due the same day run in scheduling order.
+        for _, kind, agent, token in sorted(due, key=itemgetter(0)):
             infected = self.health[agent] in (EXPOSED, INFECTIOUS, SYMPTOMATIC)
             result = "positive" if infected else "negative"
             if kind == "self":
@@ -405,11 +408,7 @@ class World:
                 if infected and not self.known_carrier[agent]:
                     self._register_positive(agent, day)
                 continue
-            case = self.authority.cases.get(token)
-            if case is None or case.state not in (
-                CaseState.AWAITING_TEST1, CaseState.AWAITING_TEST2
-            ):
-                continue
+            case = self.authority.cases[token]
             used += 1
             self._log_event(day, 0, "test", agent, "-", f"case:{result}")
             case, msgs = casework.step(
@@ -430,7 +429,8 @@ class World:
                 elif msg.kind == MessageKind.RELEASE:
                     self._log_event(day, 0, "release", agent, "-", "")
             if case.state == CaseState.AWAITING_TEST2 and result == "negative":
-                self._schedule_test(day + cfg.incubation_days, "case", agent, token)
+                self.pending_tests.append(
+                    (day + cfg.incubation_days, "case", agent, token))
         return used
 
     def _match_and_inquire(self, day, lst):
@@ -459,15 +459,14 @@ class World:
                 )
                 case, _ = casework.step(case, msg, today=day)
                 self.authority.cases[msg.token] = case
-                self.case_agent[msg.token] = agent
                 case, out = casework.categorize(
                     case, case.summary,
                     traced_categories=cfg.traced_categories, today=day,
                 )
                 for m2 in out:
                     if m2.kind == MessageKind.TEST_ORDER:
-                        self._schedule_test(day + cfg.test_delay_days,
-                                            "case", agent, msg.token)
+                        self.pending_tests.append(
+                            (day + cfg.test_delay_days, "case", agent, msg.token))
                         self._log_event(day, 0, "case", agent, "-",
                                         case.category.value)
                     elif m2.kind == MessageKind.DROP:
@@ -477,11 +476,8 @@ class World:
         self.quarantined[:] = False
         infected = np.isin(self.health, (EXPOSED, INFECTIOUS, SYMPTOMATIC))
         self.quarantined |= self.known_carrier & infected
-        cases = self.authority.cases
-        for token in [t for t in self.case_agent if t not in cases]:
-            del self.case_agent[token]  # case erased by erase_expired
-        for token, agent in self.case_agent.items():
-            if cases[token].state in (CaseState.AWAITING_TEST1, CaseState.AWAITING_TEST2):
+        for _, kind, agent, _ in self.pending_tests:
+            if kind == "case":
                 self.quarantined[agent] = True
 
     def step_day(self) -> "World":
@@ -551,7 +547,8 @@ class World:
         for agent in np.flatnonzero(newly_symptomatic):
             agent = int(agent)
             if self.adopter[agent] and not self.known_carrier[agent]:
-                self._schedule_test(day + cfg.test_delay_days, "self", agent, None)
+                self.pending_tests.append(
+                    (day + cfg.test_delay_days, "self", agent, None))
                 self._log_event(day, 0, "symptom", agent, "-", "")
 
         # 5. run tests due today.
@@ -572,7 +569,8 @@ class World:
         # 8. erase expired non-public data.
         self.authority.erase_expired(day)
 
-        # 9. quarantine flags for tomorrow's contact process.
+        # 9. quarantine flags for tomorrow's contact process: infected
+        #    known carriers, and every agent with a case test pending.
         self._refresh_quarantine()
 
         # 10. metrics.

@@ -8,13 +8,11 @@ from tracenet.casework import (
     MailboxMessage,
     MessageKind,
     NoHits,
-    PrematureRetest,
     WrongState,
     categorize,
     deserialize_message,
     hit_summary,
     on_hits,
-    record_test_result,
     serialize_message,
     step,
 )
@@ -128,10 +126,15 @@ def test_categorize_wrong_state_raises():
         categorize(case, {"near_ticks": 1})
 
 
+def send_result(case, result, date):
+    return step(case, MailboxMessage(case.token, MessageKind.TEST_RESULT,
+                                     {"result": result, "date": date}))
+
+
 def test_positive_result_makes_carrier_and_requests_history():
     case = open_case()
     categorize(case, {"near_ticks": 40})
-    case, msgs = record_test_result(case, "positive", date=7)
+    case, msgs = send_result(case, "positive", date=7)
     assert case.state == CaseState.CARRIER
     assert case.resolution_epoch == 7
     assert [m.kind for m in msgs] == [MessageKind.HISTORY_REQUEST]
@@ -141,35 +144,52 @@ def test_positive_result_makes_carrier_and_requests_history():
 def test_two_spaced_negatives_release():
     case = open_case()
     categorize(case, {"near_ticks": 40})
-    case, msgs = record_test_result(case, "negative", date=7)
+    case, msgs = send_result(case, "negative", date=7)
     assert case.state == CaseState.AWAITING_TEST2
     assert msgs == []
-    case, msgs = record_test_result(case, "negative", date=12)
+    case, msgs = send_result(case, "negative", date=12)
     assert case.state == CaseState.RELEASED
     assert [m.kind for m in msgs] == [MessageKind.RELEASE]
     assert len(case.test_results) == 2
 
 
-def test_premature_retest_rejected():
+def test_premature_retest_is_audited_noop():
     case = open_case()
     categorize(case, {"near_ticks": 40})
-    record_test_result(case, "negative", date=7)
-    with pytest.raises(PrematureRetest):
-        record_test_result(case, "negative", date=9)
+    send_result(case, "negative", date=7)
+    case, msgs = send_result(case, "negative", date=9)
+    assert case.state == CaseState.AWAITING_TEST2
+    assert msgs == []
+    assert case.test_results == [("negative", 7)]
+    assert len(case.audit) == 1
 
 
 def test_retest_exactly_at_incubation_boundary_releases():
     case = open_case()
     categorize(case, {"near_ticks": 40})
-    record_test_result(case, "negative", date=7)
-    case, _ = record_test_result(case, "negative", date=7 + case.incubation_days)
+    send_result(case, "negative", date=7)
+    case, _ = send_result(case, "negative", date=7 + case.incubation_days)
     assert case.state == CaseState.RELEASED
 
 
-def test_result_in_wrong_state_raises():
+def test_result_in_wrong_state_is_audited_noop():
     case = open_case()
-    with pytest.raises(WrongState):
-        record_test_result(case, "negative", date=1)
+    case, msgs = send_result(case, "negative", date=1)
+    assert case.state == CaseState.INQUIRY_OPEN
+    assert msgs == []
+    assert case.test_results == []
+    assert len(case.audit) == 1
+
+
+def test_unknown_result_is_audited_noop():
+    case = open_case()
+    categorize(case, {"near_ticks": 40})
+    case, msgs = send_result(case, "inconclusive", date=7)
+    assert case.state == CaseState.AWAITING_TEST1
+    assert msgs == []
+    assert case.test_results == []
+    assert case.audit == ["TEST_RESULT in awaiting_test1: unknown test result "
+                          "'inconclusive'"]
 
 
 def test_step_illegal_pair_is_audited_noop():

@@ -316,6 +316,20 @@ def test_simulate_rejects_mistyped_value(tmp_path, capsys):
     assert err.startswith(f"error: {path}:2: bad population")
 
 
+def test_simulate_rejects_non_utf8_config(tmp_path, capsys):
+    path = tmp_path / "scenario.cfg"
+    path.write_bytes(b"days=10\n\xff\n")
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        ["simulate", "--config", str(path), "--out", str(out_dir)], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {path}: 'utf-8' codec can't decode")
+    assert not out_dir.exists()
+
+
 GOOD_ENTRY = {"date": 6, "rdi": "ab" * 16, "added_epoch": 7, "source": "carrier"}
 
 
@@ -345,6 +359,25 @@ def test_genlist_rejects_malformed_state(signed_setup, capsys, text):
     assert code == 1
     assert out == ""
     assert err.startswith("error: malformed state:")
+    assert err.count("\n") == 1
+    assert not list_path.exists()
+
+
+@pytest.mark.parametrize("target, detail", [
+    ("state", "malformed state"),
+    ("key", "bad private key"),
+])
+def test_genlist_rejects_non_utf8_input(signed_setup, capsys, target, detail):
+    _, _, state_path, key_path, list_path, _ = signed_setup
+    {"state": state_path, "key": key_path}[target].write_bytes(b"\xff")
+    code, out, err = run_cli(
+        ["genlist", "--state", str(state_path), "--epoch", "7",
+         "--key", str(key_path), "--out", str(list_path)],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {detail}: 'utf-8' codec can't decode")
     assert err.count("\n") == 1
     assert not list_path.exists()
 

@@ -239,19 +239,29 @@ def test_trace_through_nonadopter_index_case():
                           CaseState.DROPPED}
 
 
-def test_run_bookkeeping_stays_within_live_state():
-    cfg = replace(FAST, days=30, retention_days=5)
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"test_delay_days": 2, "incubation_days": 0},
+], ids=["defaults", "delay2-incubation0"])
+def test_pending_case_tests_track_awaiting_cases(overrides):
+    cfg = replace(FAST, days=30, retention_days=5, **overrides)
     world = World(cfg)
-    tokens_seen = set()
+    awaiting = {CaseState.AWAITING_TEST1, CaseState.AWAITING_TEST2}
+    ever_pending = False
     for _ in range(cfg.days):
         world.step_day()
-        tokens_seen |= world.case_agent.keys()
-        assert world.case_agent.keys() <= world.authority.cases.keys()
+        tokens = [token for _, kind, _, token in world.pending_tests
+                  if kind == "case"]
+        pending = set(tokens)
+        assert len(tokens) == len(pending)  # one pending test per case
+        assert pending == {token for token, case in world.authority.cases.items()
+                           if case.state in awaiting}
+        ever_pending |= bool(pending)
         cutoff = world.day - 1 - cfg.retention_days
         for dev in world.devices.values():
             assert all(date >= cutoff for date, _ in dev.handled)
+    assert ever_pending
     assert any(dev.handled for dev in world.devices.values())
-    assert len(tokens_seen) > len(world.case_agent)  # erased cases were dropped
 
 
 def test_authority_never_stores_agent_identity():
