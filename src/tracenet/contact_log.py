@@ -4,7 +4,10 @@ Observations arrive on a 30-second tick grid: 2880 ticks per day, grouped
 into 720 two-minute buckets. A record accumulates per-class tick counts for
 one foreign identifier on one date; face-to-face time is the near+mid tick
 count at half a minute per tick. Which ticks a record has counted is one
-integer bitmask (bit t for tick t); the record's buckets are derived from it.
+integer bitmask (bit t for tick t), its only tick state: the first and last
+tick and the buckets are derived from it. The history CSV carries no mask, so
+an upload does not disclose 30-second ticks; a parsed row gets the lowest
+mask a device could have counted for it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ BUCKETS_PER_DAY = 720
 MINUTES_PER_TICK = 0.5
 
 DEFAULT_RETENTION_DAYS = 21
-DEFAULT_CATEGORY1_THRESHOLD_MINUTES = 15.0
+CATEGORY1_THRESHOLD_MINUTES = 15.0
 
 HISTORY_CSV_HEADER = (
     "date,rdi_hex,near_ticks,mid_ticks,far_ticks,first_tick,last_tick,bucket_count"
@@ -52,11 +55,20 @@ class ContactRecord:
     near_ticks: int = 0
     mid_ticks: int = 0
     far_ticks: int = 0
-    first_tick: int = -1
-    last_tick: int = -1
     # Bit t is set once tick t has been counted, for per-(rdi, tick) dedup.
     # Not exported.
     ticks: int = field(default=0, repr=False)
+
+    @property
+    def first_tick(self) -> int:
+        """Lowest counted tick; -1 when none is counted."""
+        t = self.ticks
+        return (t & -t).bit_length() - 1
+
+    @property
+    def last_tick(self) -> int:
+        """Highest counted tick; -1 when none is counted."""
+        return self.ticks.bit_length() - 1
 
     @property
     def buckets(self) -> frozenset:
@@ -73,36 +85,18 @@ class ContactRecord:
     def face_to_face_minutes(self) -> float:
         return (self.near_ticks + self.mid_ticks) * MINUTES_PER_TICK
 
-    def _add_tick(self, tick: int, cls: DistanceClass) -> None:
-        bit = 1 << tick
-        if self.ticks & bit:
-            return
-        self.ticks |= bit
-        if cls == DistanceClass.NEAR:
-            self.near_ticks += 1
-        elif cls == DistanceClass.MID:
-            self.mid_ticks += 1
-        else:
-            self.far_ticks += 1
-        if self.first_tick < 0 or tick < self.first_tick:
-            self.first_tick = tick
-        if tick > self.last_tick:
-            self.last_tick = tick
 
-
-def classify(
-    record: ContactRecord,
-    threshold_minutes: float = DEFAULT_CATEGORY1_THRESHOLD_MINUTES,
-) -> Category:
+def classify(record: ContactRecord) -> Category:
     """Categorize a contact by accumulated face-to-face minutes.
 
     Exactly at the threshold is Category 2: Category 1 requires strictly
-    more than `threshold_minutes`. Far-only contacts are uncritical.
+    more than `CATEGORY1_THRESHOLD_MINUTES`. Far-only contacts are
+    uncritical.
     """
     face_ticks = record.near_ticks + record.mid_ticks
     if face_ticks == 0:
         return Category.UNCRITICAL
-    if face_ticks * MINUTES_PER_TICK > threshold_minutes:
+    if face_ticks * MINUTES_PER_TICK > CATEGORY1_THRESHOLD_MINUTES:
         return Category.CATEGORY1
     return Category.CATEGORY2
 
@@ -128,11 +122,7 @@ class ContactLog:
             if rdi in seen_this_call:
                 continue
             seen_this_call.add(rdi)
-            rec = self.records.get((date, rdi))
-            if rec is None:
-                rec = ContactRecord(foreign_rdi=rdi, date=date)
-                self.records[(date, rdi)] = rec
-            rec._add_tick(tick, cls)
+            self.observe_span(rdi, cls, date, tick, 1)
         return self
 
     def observe_span(
@@ -161,10 +151,6 @@ class ContactLog:
                 rec.mid_ticks += new_count
             else:
                 rec.far_ticks += new_count
-            if rec.first_tick < 0 or start_tick < rec.first_tick:
-                rec.first_tick = start_tick
-            if end - 1 > rec.last_tick:
-                rec.last_tick = end - 1
         return self
 
     def prune(self, today: int) -> "ContactLog":
@@ -204,12 +190,46 @@ def records_to_csv(records) -> str:
     return buf.getvalue()
 
 
+def _lowest_mask(counts, first: int, last: int, bucket_count: int):
+    """The lowest tick mask a device could have counted for a history row:
+    ticks `first` and `last`, the first tick of each further bucket the row
+    claims, then the remaining ticks from the front of the claimed buckets.
+    None when no mask holds `sum(counts)` ticks from `first` to `last` in
+    `bucket_count` buckets, or a count is negative."""
+    if min(counts) < 0 or not 0 <= first <= last < TICKS_PER_DAY:
+        return None
+    lo, hi = first // TICKS_PER_BUCKET, last // TICKS_PER_BUCKET
+    further = bucket_count - len({lo, hi})
+    if not 0 <= further <= max(0, hi - lo - 1):
+        return None
+    bucket_bits = (1 << TICKS_PER_BUCKET) - 1
+    mask = 1 << first | 1 << last
+    claimed = bucket_bits << lo * TICKS_PER_BUCKET | bucket_bits << hi * TICKS_PER_BUCKET
+    for b in range(lo + 1, lo + 1 + further):
+        mask |= 1 << b * TICKS_PER_BUCKET
+        claimed |= bucket_bits << b * TICKS_PER_BUCKET
+    free = claimed & ((1 << last + 1) - (1 << first)) & ~mask
+    need = sum(counts) - mask.bit_count()
+    if not 0 <= need <= free.bit_count():
+        return None
+    for _ in range(need):
+        low = free & -free
+        mask |= low
+        free ^= low
+    return mask
+
+
 def records_from_csv(text: str):
-    """Parse history CSV. Tick indices are not serialized, only the bucket
-    count, so parsed records carry an empty tick mask.
+    """Parse history CSV. The file carries no tick mask, so each row gets
+    the lowest mask a device could have counted for it; its first and last
+    tick and bucket count are the row's, and `records_to_csv` writes the
+    row back as it was read.
 
     Raises MalformedHistory, naming the line, on a bad header or a row that
-    is short, long, or holds a non-hex rdi or a non-integer field.
+    is short, long, or holds a non-hex rdi or a non-integer field, and on a
+    row no device can write: a negative count, a tick outside the day,
+    `first_tick > last_tick`, more ticks than `[first_tick, last_tick]`
+    holds, or a `bucket_count` those ticks cannot fill.
     """
     reader = csv.DictReader(io.StringIO(text))
     expected = HISTORY_CSV_HEADER.split(",")
@@ -223,18 +243,16 @@ def records_from_csv(text: str):
                 raise MalformedHistory(
                     f"line {reader.line_num}: expected {len(expected)} fields")
             try:
-                rec = ContactRecord(
-                    foreign_rdi=rdi_from_hex(row["rdi_hex"]),
-                    date=int(row["date"]),
-                    near_ticks=int(row["near_ticks"]),
-                    mid_ticks=int(row["mid_ticks"]),
-                    far_ticks=int(row["far_ticks"]),
-                    first_tick=int(row["first_tick"]),
-                    last_tick=int(row["last_tick"]),
-                )
+                rdi = rdi_from_hex(row["rdi_hex"])
+                date, near, mid, far, first, last, buckets = (
+                    int(row[name]) for name in expected if name != "rdi_hex")
             except ValueError as exc:
                 raise MalformedHistory(f"line {reader.line_num}: {exc}") from exc
-            out.append(rec)
+            ticks = _lowest_mask((near, mid, far), first, last, buckets)
+            if ticks is None:
+                raise MalformedHistory(
+                    f"line {reader.line_num}: no device logs these ticks")
+            out.append(ContactRecord(rdi, date, near, mid, far, ticks))
     except csv.Error as exc:
         raise MalformedHistory(f"line {reader.line_num}: {exc}") from exc
     return out

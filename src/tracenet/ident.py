@@ -19,7 +19,7 @@ RDI_BYTES = 16
 # Distance class boundaries in meters (inclusive at the near side).
 NEAR_MAX_M = 2.0
 MID_MAX_M = 5.0
-DEFAULT_PATH_LOSS_EXPONENT = 2.0
+PATH_LOSS_EXPONENT = 2.0
 
 
 class BeaconError(ValueError):
@@ -96,29 +96,21 @@ def decode_beacon(payload: bytes) -> bytes:
     return payload[8:]
 
 
-def estimate_distance_m(
-    rssi_dbm: float,
-    tx_power_dbm: float,
-    path_loss_exponent: float = DEFAULT_PATH_LOSS_EXPONENT,
-) -> float:
+def estimate_distance_m(rssi_dbm: float, tx_power_dbm: float) -> float:
     """Log-distance path loss inversion: received power to distance in meters.
 
     tx_power_dbm is the calibrated received power at 1 m.
     """
-    exponent = (tx_power_dbm - rssi_dbm) / (10.0 * path_loss_exponent)
+    exponent = (tx_power_dbm - rssi_dbm) / (10.0 * PATH_LOSS_EXPONENT)
     try:
         return 10.0 ** exponent
     except OverflowError:
         return math.inf
 
 
-def estimate_distance_class(
-    rssi_dbm: float,
-    tx_power_dbm: float,
-    path_loss_exponent: float = DEFAULT_PATH_LOSS_EXPONENT,
-) -> DistanceClass:
+def estimate_distance_class(rssi_dbm: float, tx_power_dbm: float) -> DistanceClass:
     """Map received power to a proximity class (boundaries inclusive below)."""
-    d = estimate_distance_m(rssi_dbm, tx_power_dbm, path_loss_exponent)
+    d = estimate_distance_m(rssi_dbm, tx_power_dbm)
     if d <= NEAR_MAX_M:
         return DistanceClass.NEAR
     if d <= MID_MAX_M:

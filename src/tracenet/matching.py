@@ -20,25 +20,13 @@ class Hit:
     record: object  # the matching ContactRecord
 
 
-class CarrierIndex:
-    """Constant-time membership over a verified list's (date, rdi) pairs."""
-
-    def __init__(self, pairs):
-        self._pairs = frozenset(pairs)
-
-    def __contains__(self, key) -> bool:
-        return key in self._pairs
-
-    def __len__(self) -> int:
-        return len(self._pairs)
-
-
-def build_index(lst, verified: bool) -> CarrierIndex:
-    """Index a published list for matching. `verified` must be the outcome
-    of authority.verify_list on this list."""
+def build_index(lst, verified: bool) -> frozenset:
+    """Index a published list for matching: its (date, rdi) pairs as a
+    frozenset. `verified` must be the outcome of authority.verify_list on
+    this list."""
     if not verified:
         raise UnverifiedList("refusing to index an unverified carrier list")
-    return CarrierIndex(lst.entries)
+    return frozenset(lst.entries)
 
 
 def _sorted_hits(hits):
@@ -46,14 +34,14 @@ def _sorted_hits(hits):
     return hits
 
 
-def match_contacts(log, index: CarrierIndex):
+def match_contacts(log, index: frozenset):
     """All log records whose (date, rdi) is in the index, in (date,
     first_tick) order. The log is probed once per index entry, so a check
     costs O(list), not O(log)."""
     records = log.records
     hits = [
         Hit(rdi=rdi, date=date, record=records[date, rdi])
-        for date, rdi in index._pairs
+        for date, rdi in index
         if (date, rdi) in records
     ]
     return _sorted_hits(hits)

@@ -428,9 +428,10 @@ class World:
                     )
                 elif msg.kind == MessageKind.RELEASE:
                     self._log_event(day, 0, "release", agent, "-", "")
+            # A retest is a new test event: due the next day at the earliest.
             if case.state == CaseState.AWAITING_TEST2 and result == "negative":
                 self.pending_tests.append(
-                    (day + cfg.incubation_days, "case", agent, token))
+                    (day + max(1, cfg.incubation_days), "case", agent, token))
         return used
 
     def _match_and_inquire(self, day, lst):
@@ -657,9 +658,7 @@ def estimate_R_effective(report: MetricsReport, window_days: int = 7):
     return series
 
 
-def calibrate_p_transmit(config: ScenarioConfig, target_r0: float = None,
-                         tolerance: float = 0.1, runs_per_probe: int = 20,
-                         max_steps: int = 30) -> float:
+def calibrate_p_transmit(config: ScenarioConfig, target_r0: float = None) -> float:
     """Bisect the per-tick transmission probability until the Monte-Carlo
     estimate of mean secondary infections of index cases hits the target.
 
@@ -667,6 +666,7 @@ def calibrate_p_transmit(config: ScenarioConfig, target_r0: float = None,
     index cases to complete their disease course.
     """
     config.validate()
+    tolerance, runs_per_probe, max_steps = 0.1, 20, 30
     if target_r0 is None:
         target_r0 = config.target_r0
     if target_r0 == 0:

@@ -349,7 +349,7 @@ def test_criterion_11_erasure_margin():
     state = AuthorityState(signing_key=key)
     for epoch in range(3, 8):
         history = [ContactRecord(foreign_rdi=rng.randbytes(16), date=epoch,
-                                 near_ticks=10, first_tick=0, last_tick=9)]
+                                 near_ticks=10, ticks=(1 << 10) - 1)]
         ids = [(epoch, rng.randbytes(16))]
         state.register_carrier(history, 0, own_identifiers=ids, today=epoch)
         case = CaseRecord(token=rng.randbytes(16), state=CaseState.DROPPED,

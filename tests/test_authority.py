@@ -24,7 +24,7 @@ def make_state(trace_contact_derived=True, seed=0):
 
 def contact(date, rdi, near=10):
     return ContactRecord(foreign_rdi=rdi, date=date, near_ticks=near,
-                         first_tick=0, last_tick=near - 1)
+                         ticks=(1 << near) - 1)
 
 
 def own_ids(rng, days):

@@ -22,7 +22,8 @@ from tracenet.matching import Hit
 
 def make_hit(date=3, rdi=bytes([7]) * 16, near=40, mid=0, far=0):
     rec = ContactRecord(foreign_rdi=rdi, date=date, near_ticks=near,
-                        mid_ticks=mid, far_ticks=far, first_tick=0, last_tick=10)
+                        mid_ticks=mid, far_ticks=far,
+                        ticks=(1 << near + mid + far) - 1)
     return Hit(rdi=rdi, date=date, record=rec)
 
 

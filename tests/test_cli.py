@@ -382,7 +382,7 @@ def test_genlist_rejects_non_utf8_input(signed_setup, capsys, target, detail):
     assert not list_path.exists()
 
 
-GOOD_ROW = f"6,{'ab' * 16},4,0,0,10,13,1"
+GOOD_ROW = f"6,{'ab' * 16},4,0,0,8,11,1"
 
 
 def history(*rows):
@@ -397,6 +397,8 @@ def history(*rows):
     (history(HISTORY_CSV_HEADER, GOOD_ROW, GOOD_ROW.replace("4,0,0", "4,x,0")),
      "line 3:"),
     (history(HISTORY_CSV_HEADER, GOOD_ROW.replace("ab", "", 1)), "line 2:"),
+    (history(HISTORY_CSV_HEADER, GOOD_ROW.replace("4,0,0,8,11", "-5,0,0,900,3")),
+     "line 2: no device logs"),
     (b"\xff\xfe", "'utf-8' codec can't decode"),
 ])
 def test_match_rejects_malformed_history(signed_setup, tmp_path, capsys,

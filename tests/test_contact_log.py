@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tracenet.contact_log import (
+    HISTORY_CSV_HEADER,
     Category,
     ContactLog,
     ContactRecord,
     EmptyRange,
+    MalformedHistory,
     classify,
     log_from_records,
     records_from_csv,
@@ -244,15 +246,43 @@ def test_history_csv_round_trip():
     log.observe([(X, NEAR)], date=3, tick=40)
     log.observe([(X, NEAR)], date=3, tick=41)
     log.observe([(Y, FAR)], date=4, tick=100)
+    # 10 ticks in 3 buckets: the bucket count survives the round trip.
+    log.observe_span(Y, MID, 5, 10, 2)
+    log.observe_span(Y, MID, 5, 20, 4)
+    log.observe_span(Y, NEAR, 5, 300, 4)
     records = log.export_history(0, 10)
     text = records_to_csv(records)
     parsed = records_from_csv(text)
-    assert [(r.date, r.foreign_rdi, r.near_ticks, r.far_ticks) for r in parsed] == [
-        (3, X, 2, 0),
-        (4, Y, 0, 1),
+    assert [(r.date, r.foreign_rdi, r.near_ticks, r.mid_ticks, r.far_ticks,
+             len(r.buckets)) for r in parsed] == [
+        (3, X, 2, 0, 0, 1),
+        (4, Y, 0, 0, 1, 1),
+        (5, Y, 4, 6, 0, 3),
     ]
+    assert records_to_csv(parsed) == text
     rebuilt = log_from_records(parsed)
-    assert set(rebuilt.records) == {(3, X), (4, Y)}
+    assert set(rebuilt.records) == {(3, X), (4, Y), (5, Y)}
+
+
+@pytest.mark.parametrize("counts_and_ticks", [
+    "-1,2,0,40,41,1",
+    "-5,0,0,900,3,1",
+    "0,0,0,-1,-1,0",
+    "1,0,0,2880,2880,1",
+    "2,0,0,41,40,1",
+    "5,0,0,40,43,1",
+    "10,0,0,40,48,3",
+    "2,0,0,40,48,3",
+    "4,0,0,40,48,1",
+    "3,0,0,40,41,2",
+], ids=["negative-count", "negative-count-reversed-ticks", "no-ticks",
+        "tick-past-day", "first-after-last", "ticks-exceed-span",
+        "ticks-exceed-buckets", "buckets-exceed-ticks",
+        "buckets-below-first-and-last", "buckets-exceed-span"])
+def test_history_csv_rejects_row_no_device_writes(counts_and_ticks):
+    text = f"{HISTORY_CSV_HEADER}\n3,{X.hex()},{counts_and_ticks}\n"
+    with pytest.raises(MalformedHistory, match="^line 2: no device logs"):
+        records_from_csv(text)
 
 
 def test_history_csv_rejects_bad_header():

@@ -1,6 +1,8 @@
 """Fuzz the decoders and the replay command: any input yields a result or
 the module's domain error, never another exception."""
 
+import csv
+import io
 import json
 from dataclasses import fields
 
@@ -10,11 +12,13 @@ from tracenet import authority, casework
 from tracenet.cli import main
 from tracenet.contact_log import (
     HISTORY_CSV_HEADER,
+    ContactLog,
     ContactRecord,
     MalformedHistory,
     records_from_csv,
     records_to_csv,
 )
+from tracenet.ident import DistanceClass
 from tracenet.simnet import InvalidConfig, ScenarioConfig, config_from_file
 
 FUZZ = settings(max_examples=100, deadline=None)
@@ -145,16 +149,41 @@ def mutate(fields, how, pos, text):
     return fields
 
 
-valid_rows = st.builds(
+def logged_history(spans):
+    """The history a device exports after logging the given spans."""
+    log = ContactLog()
+    for date, rdi, cls, start, n_ticks in spans:
+        log.observe_span(rdi, cls, date, start, n_ticks)
+    return log.export_history(0, 3)
+
+
+histories = st.lists(
+    st.tuples(st.integers(0, 3), st.sampled_from([bytes(16), bytes([1]) * 16]),
+              st.sampled_from(DistanceClass), st.integers(0, 2879),
+              st.integers(1, 120)),
+    max_size=12,
+).map(logged_history)
+logged_rows = histories.filter(bool).flatmap(
+    lambda records: st.sampled_from(records_to_csv(records).splitlines()[1:])
+).map(lambda line: line.split(","))
+numeric_rows = st.builds(
     lambda date, rdi, counts: [str(date), rdi.hex(), *map(str, counts)],
     st.integers(0, 2**32 - 1), st.binary(min_size=16, max_size=16),
     st.lists(st.integers(-1, 2880), min_size=6, max_size=6),
 )
 history_rows = st.builds(
     lambda fields, how, pos, text: ",".join(mutate(fields, how, pos, text)),
-    valid_rows, st.sampled_from(["keep", "keep", "drop", "extra", "replace"]),
+    logged_rows | numeric_rows,
+    st.sampled_from(["keep", "keep", "drop", "extra", "replace"]),
     st.integers(0, 7), st.text(max_size=4),
 )
+
+
+def row_values(text):
+    """Each history row's fields as integers, the rdi as bytes."""
+    return [[bytes.fromhex(value) if name == "rdi_hex" else int(value)
+             for name, value in row.items()]
+            for row in csv.DictReader(io.StringIO(text))]
 
 
 @FUZZ
@@ -167,4 +196,15 @@ def test_records_from_csv_any_text(text):
     except MalformedHistory:
         return
     assert all(isinstance(rec, ContactRecord) for rec in records)
-    assert records_from_csv(records_to_csv(records)) == records
+    # Every accepted row is written back with the values it was read with,
+    # bucket_count included, and the written text re-parses to equal records.
+    canonical = records_to_csv(records)
+    assert row_values(canonical) == row_values(text)
+    assert records_from_csv(canonical) == records
+
+
+@FUZZ
+@given(histories)
+def test_history_csv_written_by_a_device_round_trips(records):
+    text = records_to_csv(records)
+    assert records_to_csv(records_from_csv(text)) == text

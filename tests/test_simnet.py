@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tracenet import simnet
 from tracenet.casework import CaseState
@@ -262,6 +263,38 @@ def test_pending_case_tests_track_awaiting_cases(overrides):
             assert all(date >= cutoff for date, _ in dev.handled)
     assert ever_pending
     assert any(dev.handled for dev in world.devices.values())
+
+
+small_worlds = st.builds(
+    ScenarioConfig,
+    population=st.integers(20, 200), days=st.integers(1, 30),
+    seed=st.integers(0, 2**16), index_cases=st.integers(1, 3),
+    p_transmit=st.sampled_from([0.005, 0.01, 0.02]),
+    incubation_days=st.integers(0, 6), test_delay_days=st.integers(0, 3),
+    retention_days=st.integers(1, 21),
+    adoption_fraction=st.sampled_from([0.3, 0.6, 1.0]),
+    categories_traced=st.sampled_from(["cat1", "cat1+cat2"]),
+    trace_contact_derived=st.booleans(),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@example(ScenarioConfig(population=120, days=30, seed=3, index_cases=2,
+                        p_transmit=0.01, retention_days=7, incubation_days=0,
+                        test_delay_days=2))
+@given(small_worlds)
+def test_simulator_is_a_well_behaved_casework_client(cfg):
+    # The simulator only sends messages a case expects, so casework audits
+    # nothing but history uploads, and each test it counts is one it logs.
+    world = World(cfg, record_events=True)
+    for _ in range(cfg.days):
+        logged = len(world.events)
+        world.step_day()
+        for case in world.authority.cases.values():
+            assert [e for e in case.audit if e != "history uploaded"] == []
+        tests = [line for line in world.events[logged:]
+                 if line.split(",")[2] == "test"]
+        assert world.metrics["tests_used"][-1] == len(tests)
 
 
 def test_authority_never_stores_agent_identity():
