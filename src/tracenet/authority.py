@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -25,10 +25,7 @@ LIST_MAGIC = b"GACTC"
 LIST_VERSION = 0x01
 ALG_ED25519 = 0x01
 
-SOURCE_CARRIER_OWN = "carrier"
-SOURCE_CONTACT = "contact"
-
-DEFAULT_ERASE_MARGIN_DAYS = 1
+ERASE_MARGIN_DAYS = 1
 
 
 class Malformed(ValueError):
@@ -128,34 +125,16 @@ def verify_list(lst: SignedCarrierList, public_key) -> bool:
         return False
 
 
-@dataclass
-class RetainedHistory:
-    """A carrier's uploaded contact history, kept only for categorization
-    support and erased after the publication margin."""
-
-    added_epoch: int
-    records: list
-    key: str  # content hash for idempotent registration
-
-
 class AuthorityState:
     """Health-authority server state: the publishable carrier-identifier
-    table, retained histories, and open cases."""
+    table and the cases. Uploaded histories are not kept."""
 
     def __init__(self, signing_key: Ed25519PrivateKey = None,
                  trace_contact_derived: bool = True):
         self.signing_key = signing_key
-        # (date, rdi) -> {"added_epoch": int, "source": str}
-        self.entries: dict = {}
-        self.retained_histories: dict = {}  # key -> RetainedHistory
+        self.entries: dict = {}  # (date, rdi) -> added_epoch
         self.cases: dict = {}  # token bytes -> casework.CaseRecord
         self.trace_contact_derived = trace_contact_derived
-
-    def _add_entry(self, date: int, rdi: bytes, added_epoch: int, source: str):
-        # Set semantics on (date, rdi); the first registration wins, so
-        # duplicate uploads never refresh the publication window.
-        if (date, rdi) not in self.entries:
-            self.entries[(date, rdi)] = {"added_epoch": added_epoch, "source": source}
 
     def register_carrier(self, history, infectious_start: int,
                          own_identifiers=(), today: int = 0) -> "AuthorityState":
@@ -163,10 +142,13 @@ class AuthorityState:
 
         `history` is the carrier's contact records from the infectious
         window; `own_identifiers` is the carrier's own (date, rdi) broadcast
-        history for the same window. Both enter the publishable entry table,
-        flagged by source but indistinguishable once published. Records predating
-        `infectious_start` are ignored; if the whole history predates it the
-        upload is rejected as stale.
+        history for the same window. The own identifiers, and the contacts'
+        identifiers if the authority traces contact-derived entries, enter
+        the publishable entry table; the history itself is not stored.
+        Records predating `infectious_start` are ignored; if the whole
+        history predates it the upload is rejected as stale. The first
+        registration of a (date, rdi) wins, so duplicate uploads never
+        refresh its publication window.
         """
         history = list(history)
         usable = [rec for rec in history if rec.date >= infectious_start]
@@ -176,16 +158,10 @@ class AuthorityState:
             )
         for date, rdi in own_identifiers:
             if date >= infectious_start:
-                self._add_entry(date, rdi, today, SOURCE_CARRIER_OWN)
+                self.entries.setdefault((date, rdi), today)
         if self.trace_contact_derived:
             for rec in usable:
-                self._add_entry(rec.date, rec.foreign_rdi, today, SOURCE_CONTACT)
-        if usable:
-            key = _history_key(usable)
-            if key not in self.retained_histories:
-                self.retained_histories[key] = RetainedHistory(
-                    added_epoch=today, records=usable, key=key
-                )
+                self.entries.setdefault((rec.date, rec.foreign_rdi), today)
         return self
 
     def publish(self, epoch_date: int) -> SignedCarrierList:
@@ -194,8 +170,8 @@ class AuthorityState:
             raise ValueError("no signing key")
         entries = sorted(
             (date, rdi)
-            for (date, rdi), meta in self.entries.items()
-            if meta["added_epoch"] in (epoch_date, epoch_date - 1)
+            for (date, rdi), added in self.entries.items()
+            if added in (epoch_date, epoch_date - 1)
         )
         body = canonical_body(epoch_date, entries)
         signature = self.signing_key.sign(body)
@@ -203,27 +179,23 @@ class AuthorityState:
             epoch_date=epoch_date, entries=tuple(entries), signature=signature
         )
 
-    def erase_expired(self, epoch_date: int,
-                      margin_days: int = DEFAULT_ERASE_MARGIN_DAYS) -> "AuthorityState":
+    def erase_expired(self, epoch_date: int) -> "AuthorityState":
         """Delete non-public data older than the publication margin.
 
-        Retained histories and resolved case payloads from epochs at or
-        before epoch_date - margin_days go away; published entries themselves
+        Resolved case payloads from epochs at or before
+        epoch_date - ERASE_MARGIN_DAYS go away; published entries themselves
         are dropped once they fall out of every future publication window.
         """
-        history_cutoff = epoch_date - margin_days
-        for key in [k for k, h in self.retained_histories.items()
-                    if h.added_epoch <= history_cutoff]:
-            del self.retained_histories[key]
+        case_cutoff = epoch_date - ERASE_MARGIN_DAYS
         for token in [
             t for t, case in self.cases.items()
             if case.resolution_epoch is not None
-            and case.resolution_epoch <= history_cutoff
+            and case.resolution_epoch <= case_cutoff
         ]:
             del self.cases[token]
-        entry_cutoff = epoch_date - 1 - margin_days
-        for key in [k for k, meta in self.entries.items()
-                    if meta["added_epoch"] <= entry_cutoff]:
+        entry_cutoff = epoch_date - 1 - ERASE_MARGIN_DAYS
+        for key in [k for k, added in self.entries.items()
+                    if added <= entry_cutoff]:
             del self.entries[key]
         return self
 
@@ -239,26 +211,9 @@ class AuthorityState:
                     {
                         "date": date,
                         "rdi": rdi_to_hex(rdi),
-                        "added_epoch": meta["added_epoch"],
-                        "source": meta["source"],
+                        "added_epoch": added,
                     }
-                    for (date, rdi), meta in sorted(self.entries.items())
-                ],
-                "retained_histories": [
-                    {
-                        "added_epoch": h.added_epoch,
-                        "records": [
-                            {
-                                "date": r.date,
-                                "rdi": rdi_to_hex(r.foreign_rdi),
-                                "near_ticks": r.near_ticks,
-                                "mid_ticks": r.mid_ticks,
-                                "far_ticks": r.far_ticks,
-                            }
-                            for r in h.records
-                        ],
-                    }
-                    for _, h in sorted(self.retained_histories.items())
+                    for (date, rdi), added in sorted(self.entries.items())
                 ],
                 "cases": [
                     casework.case_to_dict(case)
@@ -273,9 +228,10 @@ class AuthorityState:
 def load_state_entries(text: str) -> AuthorityState:
     """Rebuild an AuthorityState's entry table from a serialize_state dump.
 
-    Only the published-entry table is restored; histories and cases are
-    deliberately not round-tripped through files. Raises Malformed on text
-    that is not such a dump.
+    Only the published-entry table is restored; cases are deliberately not
+    round-tripped through files. Keys that older dumps carry (an entry's
+    "source", a "retained_histories" list) are ignored. Raises Malformed on
+    text that is not such a dump.
     """
     from .ident import rdi_from_hex
 
@@ -299,19 +255,5 @@ def load_state_entries(text: str) -> AuthorityState:
         # are not integers here.
         if not (type(date) is int and 0 <= date < 2**32 and type(added) is int):
             raise Malformed(f"entry {n}: date and added_epoch must be integers")
-        state.entries[(date, rdi)] = {
-            "added_epoch": added,
-            "source": item.get("source", SOURCE_CARRIER_OWN),
-        }
+        state.entries[(date, rdi)] = added
     return state
-
-
-
-def _history_key(records) -> str:
-    import hashlib
-
-    h = hashlib.sha256()
-    for rec in sorted(records, key=lambda r: (r.date, r.foreign_rdi)):
-        h.update(struct.pack(">I", rec.date))
-        h.update(rec.foreign_rdi)
-    return h.hexdigest()

@@ -104,7 +104,6 @@ class CaseRecord:
     state: CaseState = CaseState.IDLE
     category: Category = None
     test_results: list = field(default_factory=list)  # [(result, date)]
-    created_epoch: int = None
     resolution_epoch: int = None
     summary: dict = None
     evidence: list = field(default_factory=list)
@@ -230,7 +229,6 @@ def step(case: CaseRecord, message: MailboxMessage, today: int = None):
             return illegal("already open")
         case.state = CaseState.INQUIRY_OPEN
         case.summary = dict(message.body)
-        case.created_epoch = today
         return case, []
     if kind == MessageKind.CATEGORIZATION_EVIDENCE:
         if case.state != CaseState.INQUIRY_OPEN:
@@ -282,8 +280,8 @@ def step(case: CaseRecord, message: MailboxMessage, today: int = None):
     if kind == MessageKind.HISTORY_UPLOAD:
         if case.state != CaseState.CARRIER:
             return illegal("no history requested")
-        # Records land in the authority's retained histories, not here;
-        # the case only notes that the upload happened.
+        # The records go to AuthorityState.register_carrier, which keeps
+        # only the identifiers it publishes; the case notes the upload.
         case.audit.append("history uploaded")
         return case, []
     if kind == MessageKind.DROP:
@@ -303,7 +301,6 @@ def case_to_dict(case: CaseRecord) -> dict:
         "state": case.state.value,
         "category": case.category.value if case.category else None,
         "test_results": [[r, d] for r, d in case.test_results],
-        "created_epoch": case.created_epoch,
         "resolution_epoch": case.resolution_epoch,
         "summary": case.summary,
         "evidence": case.evidence,

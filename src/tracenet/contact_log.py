@@ -229,11 +229,13 @@ def records_from_csv(text: str):
     is short, long, or holds a non-hex rdi or a non-integer field, and on a
     row no device can write: a negative count, a tick outside the day,
     `first_tick > last_tick`, more ticks than `[first_tick, last_tick]`
-    holds, or a `bucket_count` those ticks cannot fill.
+    holds, or a `bucket_count` those ticks cannot fill; and on a second
+    row for the same (date, rdi), since a device logs one record per key.
     """
     reader = csv.DictReader(io.StringIO(text))
     expected = HISTORY_CSV_HEADER.split(",")
     out = []
+    seen = set()
     try:
         if reader.fieldnames != expected:
             raise MalformedHistory(
@@ -252,6 +254,11 @@ def records_from_csv(text: str):
             if ticks is None:
                 raise MalformedHistory(
                     f"line {reader.line_num}: no device logs these ticks")
+            if (date, rdi) in seen:
+                raise MalformedHistory(
+                    f"line {reader.line_num}: second row for date {date}, "
+                    f"rdi {row['rdi_hex']}")
+            seen.add((date, rdi))
             out.append(ContactRecord(rdi, date, near, mid, far, ticks))
     except csv.Error as exc:
         raise MalformedHistory(f"line {reader.line_num}: {exc}") from exc

@@ -9,6 +9,7 @@ code. Tracing, casework and publication run against the real authority.
 from __future__ import annotations
 
 import io
+import math
 import random
 from dataclasses import dataclass, field, fields, replace
 from operator import itemgetter
@@ -89,7 +90,15 @@ class ScenarioConfig:
     trace_contact_derived: bool = False
 
     def validate(self) -> "ScenarioConfig":
-        problems = []
+        # Every range check below is meaningless on inf or nan, so those
+        # are reported alone.
+        problems = [
+            f"{f.name} must be finite, got {getattr(self, f.name)}"
+            for f in fields(self)
+            if f.type in ("float", float) and not math.isfinite(getattr(self, f.name))
+        ]
+        if problems:
+            raise InvalidConfig(problems)
         if self.population < 0:
             problems.append(f"population must be >= 0, got {self.population}")
         if self.days < 0:
@@ -157,6 +166,9 @@ def config_from_file(path) -> ScenarioConfig:
                 elif spec.type in ("float", float):
                     values[key] = float(value)
                 elif spec.type in ("bool", bool):
+                    if value.lower() not in ("1", "true", "yes", "0", "false", "no"):
+                        raise ValueError(
+                            f"expected 1/true/yes or 0/false/no, got {value!r}")
                     values[key] = value.lower() in ("1", "true", "yes")
                 else:
                     values[key] = value
@@ -221,7 +233,7 @@ class MetricsReport:
             raise ValueError("bad metrics CSV header")
         series = {k: [] for k in METRICS_CSV_HEADER.split(",")[1:]}
         summary = {}
-        for line in lines[1:]:
+        for lineno, line in enumerate(lines[1:], start=2):
             if line.startswith("#"):
                 body = line.lstrip("# ").strip()
                 if "=" in body:
@@ -229,8 +241,17 @@ class MetricsReport:
                     summary[key] = value
                 continue
             parts = line.split(",")
-            for key, value in zip(series, parts[1:]):
-                series[key].append(int(value))
+            try:
+                row = [int(value) for value in parts]
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from exc
+            day = len(series["new_infections"])
+            if len(row) != len(series) + 1 or row[0] != day:
+                raise ValueError(
+                    f"line {lineno}: expected day {day} and {len(series)} "
+                    f"integers, got {line!r}")
+            for key, value in zip(series, row[1:]):
+                series[key].append(value)
         return cls(
             population=int(summary["population"]),
             days=int(summary["days"]),
@@ -638,13 +659,15 @@ def finalize_report(world: World) -> MetricsReport:
     )
 
 
-def estimate_R_effective(report: MetricsReport, window_days: int = 7):
+def estimate_R_effective(report: MetricsReport):
     """Ratio-of-new-infections estimator over one generation interval.
 
     Returns [(day, R)] for each day where the trailing window saw at least
-    one infection. The generation interval is latency plus two days.
+    one infection. The generation interval is latency plus two days; a
+    series shorter than a week is rejected.
     """
     new = report.new_infections
+    window_days = 7
     if len(new) < window_days:
         raise InsufficientData(
             f"need at least {window_days} days of data, have {len(new)}"

@@ -49,7 +49,6 @@ def test_register_is_idempotent():
     snapshot = dict(state.entries)
     state.register_carrier(history, 10, own_identifiers=ids, today=15)
     assert state.entries == snapshot
-    assert len(state.retained_histories) == 1
 
 
 def test_register_rejects_fully_stale_history():
@@ -78,8 +77,19 @@ def test_contact_derived_entries_follow_policy_flag():
     off, _ = make_state(trace_contact_derived=False)
     off.register_carrier([rec], 10, today=14)
     assert (12, rec.foreign_rdi) not in off.entries
-    # History is retained either way, for categorization support.
-    assert len(off.retained_histories) == 1
+
+
+def test_untraced_contact_identifiers_are_not_stored():
+    state, _ = make_state(trace_contact_derived=False)
+    rng = random.Random(15)
+    history = [contact(date, rng.randbytes(16)) for date in (10, 11, 12)]
+    ids = own_ids(rng, [11, 12])
+    state.register_carrier(history, 10, own_identifiers=ids, today=12)
+    dump = state.serialize_state()
+    for rec in history:
+        assert rec.foreign_rdi.hex() not in dump
+    for _, rdi in ids:
+        assert rdi.hex() in dump
 
 
 def test_publication_window_is_epoch_and_day_before():
@@ -195,24 +205,10 @@ def test_deserialize_rejects_bad_magic_and_version():
         deserialize_list(bytes(data))
 
 
-def test_erase_drops_history_past_margin():
-    state, _ = make_state()
-    rng = random.Random(12)
-    old = contact(4, rng.randbytes(16))
-    fresh = contact(6, rng.randbytes(16))
-    state.register_carrier([old], 0, today=5)
-    state.register_carrier([fresh], 0, today=6)
-    state.erase_expired(6, margin_days=1)
-    kept = [h.added_epoch for h in state.retained_histories.values()]
-    assert kept == [6]
-    dump = state.serialize_state()
-    assert old.foreign_rdi.hex() not in dump or (4, old.foreign_rdi) in state.entries
-
-
 def test_erase_empty_state_is_identity():
     state, _ = make_state()
     state.erase_expired(10)
-    assert state.entries == {} and state.retained_histories == {}
+    assert state.entries == {} and state.cases == {}
 
 
 def test_erase_drops_stale_published_entries():
@@ -220,8 +216,8 @@ def test_erase_drops_stale_published_entries():
     rng = random.Random(13)
     state.register_carrier([], 0, own_identifiers=own_ids(rng, [2]), today=2)
     state.register_carrier([], 0, own_identifiers=own_ids(rng, [5]), today=5)
-    state.erase_expired(5, margin_days=1)
-    epochs = {meta["added_epoch"] for meta in state.entries.values()}
+    state.erase_expired(5)
+    epochs = set(state.entries.values())
     # Epoch-2 entries are outside every future publication window.
     assert epochs == {5}
     assert verify_list(state.publish(5), pub)
@@ -235,10 +231,6 @@ def test_state_holds_no_identity_fields():
     import json
 
     dump = json.loads(state.serialize_state())
-    allowed = {"entries", "retained_histories", "cases"}
-    assert set(dump) == allowed
+    assert set(dump) == {"entries", "cases"}
     for entry in dump["entries"]:
-        assert set(entry) == {"date", "rdi", "added_epoch", "source"}
-    for hist in dump["retained_histories"]:
-        for rec in hist["records"]:
-            assert set(rec) == {"date", "rdi", "near_ticks", "mid_ticks", "far_ticks"}
+        assert set(entry) == {"date", "rdi", "added_epoch"}

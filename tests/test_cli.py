@@ -271,12 +271,56 @@ def test_report_summarizes_metrics(scenario_file, tmp_path, capsys):
     assert "extinction" in out
 
 
-def test_report_rejects_malformed_csv(tmp_path, capsys):
+METRICS = (
+    "day,new_infections,active_cases,quarantined,tests_used,list_size\n"
+    "0,1,1,0,0,0\n"
+    "1,0,1,0,0,0\n"
+    "# summary\n# population=10\n# days=2\n# latency_days=3\n"
+    "# attack_rate=0.100000\n# empirical_r0=0.000000\n# extinction=0\n"
+    "# extinction_day=-1\n"
+)
+
+
+@pytest.mark.parametrize("text, detail", [
+    ("this,is,not\na,metrics,file\n", "bad metrics CSV header"),
+    (METRICS.replace("1,0,1,0,0,0", "1,0,1"), "line 3:"),
+    (METRICS.replace("1,0,1,0,0,0", "1,0,1,0,0,0,0,0"), "line 3:"),
+    (METRICS.replace("1,0,1,0,0,0", "2,0,1,0,0,0"), "line 3: expected day 1"),
+], ids=["header", "short-row", "long-row", "day-out-of-order"])
+def test_report_rejects_malformed_csv(tmp_path, capsys, text, detail):
     path = tmp_path / "metrics.csv"
-    path.write_text("this,is,not\na,metrics,file\n")
-    code, _, err = run_cli(["report", "--metrics", str(path)], capsys)
+    path.write_text(text)
+    code, out, err = run_cli(["report", "--metrics", str(path)], capsys)
     assert code == 1
-    assert "error:" in err
+    assert out == ""
+    assert err.startswith(f"error: malformed metrics CSV: {detail}")
+    assert err.count("\n") == 1
+
+
+def test_report_reads_well_formed_csv(tmp_path, capsys):
+    path = tmp_path / "metrics.csv"
+    path.write_text(METRICS)
+    code, out, _ = run_cli(["report", "--metrics", str(path)], capsys)
+    assert code == 0
+    assert "population           10" in out
+
+
+def test_genlist_ignores_keys_of_older_state_dumps(signed_setup, capsys):
+    _, pub, state_path, key_path, list_path, ids = signed_setup
+    dump = json.loads(state_path.read_text())
+    for entry in dump["entries"]:
+        entry["source"] = "carrier"
+    dump["retained_histories"] = [{"added_epoch": 7, "records": []}]
+    state_path.write_text(json.dumps(dump))
+    code, _, _ = run_cli(
+        ["genlist", "--state", str(state_path), "--epoch", "7",
+         "--key", str(key_path), "--out", str(list_path)],
+        capsys,
+    )
+    assert code == 0
+    lst = authority_mod.deserialize_list(list_path.read_bytes())
+    assert authority_mod.verify_list(lst, pub)
+    assert set(lst.entries) == set(ids)
 
 
 def test_state_json_survives_cli_roundtrip(signed_setup):
@@ -304,16 +348,38 @@ def test_replay_audits_malformed_body(tmp_path, capsys, kind, body):
     assert out.strip() == f"{token.hex()},idle,-,tests=0,audit=1"
 
 
-def test_simulate_rejects_mistyped_value(tmp_path, capsys):
+@pytest.mark.parametrize("line, detail", [
+    ("population = lots", ":2: bad population"),
+    ("trace_contact_derived = ture", ":2: bad trace_contact_derived"),
+])
+def test_simulate_rejects_mistyped_value(tmp_path, capsys, line, detail):
     path = tmp_path / "scenario.cfg"
-    path.write_text("days=10\npopulation = lots\n")
+    path.write_text(f"days=10\n{line}\n")
     code, out, err = run_cli(
         ["simulate", "--config", str(path), "--out", str(tmp_path / "out")], capsys
     )
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1
-    assert err.startswith(f"error: {path}:2: bad population")
+    assert err.startswith(f"error: {path}{detail}")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("contacts_per_day", "inf"),
+    ("contacts_per_day", "nan"),
+    ("duration_mean_ticks", "inf"),
+])
+def test_simulate_rejects_non_finite_value(tmp_path, capsys, key, value):
+    path = tmp_path / "scenario.cfg"
+    path.write_text(f"population=20\ndays=3\n{key} = {value}\n")
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        ["simulate", "--config", str(path), "--out", str(out_dir)], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {key} must be finite, got {value}\n"
+    assert not out_dir.exists()
 
 
 def test_simulate_rejects_non_utf8_config(tmp_path, capsys):
@@ -399,6 +465,8 @@ def history(*rows):
     (history(HISTORY_CSV_HEADER, GOOD_ROW.replace("ab", "", 1)), "line 2:"),
     (history(HISTORY_CSV_HEADER, GOOD_ROW.replace("4,0,0,8,11", "-5,0,0,900,3")),
      "line 2: no device logs"),
+    (history(HISTORY_CSV_HEADER, GOOD_ROW, GOOD_ROW.replace("4,0,0,8,11", "1,0,0,8,8")),
+     "line 3: second row"),
     (b"\xff\xfe", "'utf-8' codec can't decode"),
 ])
 def test_match_rejects_malformed_history(signed_setup, tmp_path, capsys,

@@ -286,15 +286,37 @@ small_worlds = st.builds(
 def test_simulator_is_a_well_behaved_casework_client(cfg):
     # The simulator only sends messages a case expects, so casework audits
     # nothing but history uploads, and each test it counts is one it logs.
+    # Quarantine covers exactly the agents whose case awaits a test plus the
+    # infected known carriers; devices keep nothing past retention; the
+    # reported list size is the published one.
     world = World(cfg, record_events=True)
-    for _ in range(cfg.days):
+    awaiting = (CaseState.AWAITING_TEST1, CaseState.AWAITING_TEST2)
+    for day in range(cfg.days):
         logged = len(world.events)
         world.step_day()
         for case in world.authority.cases.values():
             assert [e for e in case.audit if e != "history uploaded"] == []
-        tests = [line for line in world.events[logged:]
-                 if line.split(",")[2] == "test"]
+        today = [line.split(",") for line in world.events[logged:]]
+        tests = [f for f in today if f[2] == "test"]
         assert world.metrics["tests_used"][-1] == len(tests)
+
+        pending = {token: agent for _, kind, agent, token in world.pending_tests
+                   if kind == "case"}
+        assert set(pending) == {token for token, case in world.authority.cases.items()
+                                if case.state in awaiting}
+        infected = np.isin(world.health, (simnet.EXPOSED, simnet.INFECTIOUS,
+                                          simnet.SYMPTOMATIC))
+        carriers = np.flatnonzero(world.known_carrier & infected).tolist()
+        assert world.metrics["quarantined"][-1] == len(set(pending.values())
+                                                       | set(carriers))
+
+        cutoff = day - cfg.retention_days
+        for dev in world.devices.values():
+            assert all(date >= cutoff for date, _ in dev.log.records)
+            assert all(date >= cutoff for date in dev.id_history)
+
+        [publish] = [f for f in today if f[2] == "publish"]
+        assert publish[5] == f"entries={world.metrics['list_size'][-1]}"
 
 
 def test_authority_never_stores_agent_identity():
@@ -305,7 +327,7 @@ def test_authority_never_stores_agent_identity():
     import json
 
     dump = json.loads(world.authority.serialize_state())
-    assert set(dump) == {"entries", "retained_histories", "cases"}
+    assert set(dump) == {"entries", "cases"}
     text = world.authority.serialize_state()
     for banned in ("agent", "identity", "device_id", "owner"):
         assert banned not in text
@@ -345,7 +367,7 @@ def test_r_effective_requires_enough_data():
         attack_rate=0.0, empirical_r0=0.0, extinction=False, extinction_day=-1,
     )
     with pytest.raises(InsufficientData):
-        estimate_R_effective(report, window_days=7)
+        estimate_R_effective(report)
 
 
 def test_calibration_target_zero_is_p_zero():
