@@ -19,7 +19,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
-from .ident import RDI_BYTES, rdi_to_hex
+from .ident import RDI_BYTES
 
 LIST_MAGIC = b"GACTC"
 LIST_VERSION = 0x01
@@ -210,7 +210,7 @@ class AuthorityState:
                 "entries": [
                     {
                         "date": date,
-                        "rdi": rdi_to_hex(rdi),
+                        "rdi": rdi.hex(),
                         "added_epoch": added,
                     }
                     for (date, rdi), added in sorted(self.entries.items())

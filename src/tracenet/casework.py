@@ -4,6 +4,11 @@ A hit device either quarantines silently (nothing is ever sent) or opens a
 token-addressed inquiry. The token is fresh randomness, unrelated to any
 identifier, so the mailbox exchange never reveals who is talking.
 
+An inquiry's body is a hit summary (`hit_summary`): the one contact record
+that matched a carrier, reduced to its carrier day (`date`), the carrier's
+identifier, its face-to-face minutes and its near/mid/far tick counts. The
+authority categorizes the case from those counts alone.
+
 Case evolution: Idle -> InquiryOpen -> (Dropped | AwaitingTest1) ->
 Carrier on a positive test, or AwaitingTest2 after a first negative and
 Released after a second negative spaced at least an incubation period.
@@ -18,7 +23,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
-from .contact_log import Category, ContactRecord, classify
+from .contact_log import TICKS_PER_DAY, Category, ContactRecord, classify
 
 TOKEN_BYTES = 16
 DEFAULT_INCUBATION_DAYS = 5
@@ -44,11 +49,6 @@ class CaseState(Enum):
     CARRIER = "carrier"
     RELEASED = "released"
     DROPPED = "dropped"
-
-
-TERMINAL_STATES = frozenset(
-    {CaseState.SELF_QUARANTINED, CaseState.CARRIER, CaseState.RELEASED, CaseState.DROPPED}
-)
 
 
 class MessageKind(IntEnum):
@@ -159,6 +159,19 @@ def on_hits(hits, preference: str, rng):
     return CaseState.INQUIRY_OPEN, messages
 
 
+def _is_hit_summary(body: dict) -> bool:
+    """Whether an inquiry body can be categorized: each tick count present
+    is a non-negative int (not a bool), together they fit in one day, and a
+    date, if present, is an int. Missing keys count as 0."""
+    total = 0
+    for key in ("near_ticks", "mid_ticks", "far_ticks"):
+        count = body.get(key, 0)
+        if type(count) is not int or count < 0:
+            return False
+        total += count
+    return total <= TICKS_PER_DAY and type(body.get("date", 0)) is int
+
+
 def _summary_record(summary: dict, evidence) -> ContactRecord:
     """Rebuild a classification input from an inquiry summary, applying any
     evidence-driven distance reassessment."""
@@ -227,6 +240,8 @@ def step(case: CaseRecord, message: MailboxMessage, today: int = None):
     if kind == MessageKind.OPEN_INQUIRY:
         if case.state != CaseState.IDLE:
             return illegal("already open")
+        if not _is_hit_summary(message.body):
+            return illegal("not a hit summary")
         case.state = CaseState.INQUIRY_OPEN
         case.summary = dict(message.body)
         return case, []

@@ -17,7 +17,6 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from . import authority as authority_mod
 from . import casework, matching, simnet
 from .contact_log import MalformedHistory, classify, log_from_records, records_from_csv
-from .ident import rdi_to_hex
 
 SEED_ENV_VAR = "TRACENET_SEED"
 
@@ -161,7 +160,7 @@ def cmd_match(args) -> int:
     for hit in hits:
         category = classify(hit.record)
         print(
-            f"{hit.date},{rdi_to_hex(hit.rdi)},"
+            f"{hit.date},{hit.rdi.hex()},"
             f"{hit.record.face_to_face_minutes:.1f},{category.value}"
         )
     return 0

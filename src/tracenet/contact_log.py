@@ -17,7 +17,7 @@ import csv
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .ident import DistanceClass, rdi_from_hex, rdi_to_hex
+from .ident import DistanceClass, rdi_from_hex
 
 TICKS_PER_DAY = 2880
 TICKS_PER_BUCKET = 4
@@ -183,7 +183,7 @@ def records_to_csv(records) -> str:
     buf.write(HISTORY_CSV_HEADER + "\n")
     for rec in records:
         buf.write(
-            f"{rec.date},{rdi_to_hex(rec.foreign_rdi)},{rec.near_ticks},"
+            f"{rec.date},{rec.foreign_rdi.hex()},{rec.near_ticks},"
             f"{rec.mid_ticks},{rec.far_ticks},{rec.first_tick},{rec.last_tick},"
             f"{len(rec.buckets)}\n"
         )

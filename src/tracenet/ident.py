@@ -118,10 +118,6 @@ def estimate_distance_class(rssi_dbm: float, tx_power_dbm: float) -> DistanceCla
     return DistanceClass.FAR
 
 
-def rdi_to_hex(rdi: bytes) -> str:
-    return rdi.hex()
-
-
 def rdi_from_hex(text: str) -> bytes:
     rdi = bytes.fromhex(text)
     if len(rdi) != RDI_BYTES:

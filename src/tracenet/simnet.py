@@ -12,7 +12,6 @@ import io
 import math
 import random
 from dataclasses import dataclass, field, fields, replace
-from operator import itemgetter
 
 import numpy as np
 
@@ -46,7 +45,9 @@ CLASS_RSSI_DBM = {
     DistanceClass.FAR: -79,  # ~10 m
 }
 
-METRICS_CSV_HEADER = "day,new_infections,active_cases,quarantined,tests_used,list_size"
+# The per-day series of metrics.csv, in column order.
+SERIES = ("new_infections", "active_cases", "quarantined", "tests_used", "list_size")
+METRICS_CSV_HEADER = ",".join(("day",) + SERIES)
 
 
 class InvalidConfig(ValueError):
@@ -160,6 +161,8 @@ def config_from_file(path) -> ScenarioConfig:
             spec = by_name.get(key)
             if spec is None:
                 raise InvalidConfig([f"{path}:{lineno}: unknown key {key!r}"])
+            if key in values:
+                raise InvalidConfig([f"{path}:{lineno}: duplicate key {key!r}"])
             try:
                 if spec.type in ("int", int):
                     values[key] = int(value)
@@ -204,25 +207,25 @@ class MetricsReport:
     list_size: list
     attack_rate: float
     empirical_r0: float
-    extinction: bool
     extinction_day: int  # -1 when the epidemic never died out
     events: list = field(default_factory=list, repr=False)
+
+    @property
+    def extinction(self) -> bool:
+        return self.extinction_day >= 0
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write(METRICS_CSV_HEADER + "\n")
-        for d in range(len(self.new_infections)):
-            buf.write(
-                f"{d},{self.new_infections[d]},{self.active_cases[d]},"
-                f"{self.quarantined[d]},{self.tests_used[d]},{self.list_size[d]}\n"
-            )
+        for d, row in enumerate(zip(*(getattr(self, key) for key in SERIES))):
+            buf.write(f"{d}," + ",".join(map(str, row)) + "\n")
         buf.write("# summary\n")
         buf.write(f"# population={self.population}\n")
         buf.write(f"# days={self.days}\n")
         buf.write(f"# latency_days={self.latency_days}\n")
         buf.write(f"# attack_rate={self.attack_rate:.6f}\n")
         buf.write(f"# empirical_r0={self.empirical_r0:.6f}\n")
-        buf.write(f"# extinction={1 if self.extinction else 0}\n")
+        buf.write(f"# extinction={int(self.extinction)}\n")
         buf.write(f"# extinction_day={self.extinction_day}\n")
         return buf.getvalue()
 
@@ -231,7 +234,7 @@ class MetricsReport:
         lines = text.splitlines()
         if not lines or lines[0] != METRICS_CSV_HEADER:
             raise ValueError("bad metrics CSV header")
-        series = {k: [] for k in METRICS_CSV_HEADER.split(",")[1:]}
+        series = {key: [] for key in SERIES}
         summary = {}
         for lineno, line in enumerate(lines[1:], start=2):
             if line.startswith("#"):
@@ -245,7 +248,7 @@ class MetricsReport:
                 row = [int(value) for value in parts]
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
-            day = len(series["new_infections"])
+            day = len(series[SERIES[0]])
             if len(row) != len(series) + 1 or row[0] != day:
                 raise ValueError(
                     f"line {lineno}: expected day {day} and {len(series)} "
@@ -256,15 +259,10 @@ class MetricsReport:
             population=int(summary["population"]),
             days=int(summary["days"]),
             latency_days=int(summary["latency_days"]),
-            new_infections=series["new_infections"],
-            active_cases=series["active_cases"],
-            quarantined=series["quarantined"],
-            tests_used=series["tests_used"],
-            list_size=series["list_size"],
             attack_rate=float(summary["attack_rate"]),
             empirical_r0=float(summary["empirical_r0"]),
-            extinction=summary["extinction"] == "1",
             extinction_day=int(summary["extinction_day"]),
+            **series,
         )
 
 
@@ -286,8 +284,6 @@ class World:
         n = config.population
         self.health = np.full(n, SUSCEPTIBLE, dtype=np.int8)
         self.day_infected = np.full(n, -1, dtype=np.int32)
-        self.generation = np.full(n, -1, dtype=np.int32)
-        self.infections_caused = np.zeros(n, dtype=np.int32)
         self.asymptomatic = self.nprng.random(n) < config.asymptomatic_fraction
         self.quarantined = np.zeros(n, dtype=bool)
         self.known_carrier = np.zeros(n, dtype=bool)
@@ -299,36 +295,43 @@ class World:
             a: Device(log=ContactLog(retention_days=config.retention_days))
             for a in adopters
         }
+        # Index agent -> infections it caused: the sample of empirical_r0.
+        self.index_infections = {}
         for a in self.rng.sample(range(n), min(config.index_cases, n)):
             self.health[a] = EXPOSED
             self.day_infected[a] = 0
-            self.generation[a] = 0
+            self.index_infections[a] = 0
 
         key, self.public_key = generate_keypair(self.rng)
         self.authority = AuthorityState(
             signing_key=key, trace_contact_derived=config.trace_contact_derived
         )
-        # [(due_day, kind, agent, token)] in scheduling order. A "case" test
-        # is pending exactly while its case awaits a test result, so these
+        # {due_day: [(kind, agent, token)]}, each list in scheduling order.
+        # Tests are scheduled for today or later and today's are drained the
+        # same day, so every key is today or later while a day runs and
+        # later than the day just stepped between days. A "case" test is
+        # pending exactly while its case awaits a test result, so these
         # entries are also the simulator's only token -> agent map.
-        self.pending_tests = []
+        self.pending_tests = {}
 
-        self.metrics = {k: [] for k in
-                        ("new_infections", "active_cases", "quarantined",
-                         "tests_used", "list_size")}
+        self.metrics = {key: [] for key in SERIES}
 
     # -- helpers ----------------------------------------------------------
 
-    def _log_event(self, day, tick, kind, subject, obj, detail):
+    def _log_event(self, day, kind, subject, obj, detail):
+        """Log a day-resolved event; its tick column is 0."""
         if self.record_events:
-            self.events.append(f"{day},{tick},{kind},{subject},{obj},{detail}")
+            self.events.append(f"{day},0,{kind},{subject},{obj},{detail}")
+
+    def _schedule_test(self, due_day, kind, agent, token):
+        self.pending_tests.setdefault(due_day, []).append((kind, agent, token))
 
     def _infect(self, target, infector, day):
         self.health[target] = EXPOSED
         self.day_infected[target] = day
-        self.generation[target] = self.generation[infector] + 1
-        self.infections_caused[infector] += 1
-        self._log_event(day, 0, "infect", infector, target, "")
+        if infector in self.index_infections:
+            self.index_infections[infector] += 1
+        self._log_event(day, "infect", infector, target, "")
 
     def _register_positive(self, agent, day):
         """Carrier registration: the device uploads its contact history and
@@ -352,7 +355,7 @@ class World:
         # carrier when contact-derived entries get published.
         for rec in history:
             dev.handled.add((rec.date, rec.foreign_rdi))
-        self._log_event(day, 0, "register", agent, "-", f"records={len(history)}")
+        self._log_event(day, "register", agent, "-", f"records={len(history)}")
 
     # -- daily step -------------------------------------------------------
 
@@ -414,24 +417,19 @@ class World:
 
     def _run_due_tests(self, day):
         cfg = self.config
-        due = [t for t in self.pending_tests if t[0] <= day]
-        if not due:
-            return 0
-        self.pending_tests = [t for t in self.pending_tests if t[0] > day]
         used = 0
-        # Stable by due day: tests due the same day run in scheduling order.
-        for _, kind, agent, token in sorted(due, key=itemgetter(0)):
+        for kind, agent, token in self.pending_tests.pop(day, ()):
             infected = self.health[agent] in (EXPOSED, INFECTIOUS, SYMPTOMATIC)
             result = "positive" if infected else "negative"
             if kind == "self":
                 used += 1
-                self._log_event(day, 0, "test", agent, "-", f"self:{result}")
+                self._log_event(day, "test", agent, "-", f"self:{result}")
                 if infected and not self.known_carrier[agent]:
                     self._register_positive(agent, day)
                 continue
             case = self.authority.cases[token]
             used += 1
-            self._log_event(day, 0, "test", agent, "-", f"case:{result}")
+            self._log_event(day, "test", agent, "-", f"case:{result}")
             case, msgs = casework.step(
                 case,
                 MailboxMessage(token, MessageKind.TEST_RESULT,
@@ -448,11 +446,11 @@ class World:
                         today=day,
                     )
                 elif msg.kind == MessageKind.RELEASE:
-                    self._log_event(day, 0, "release", agent, "-", "")
+                    self._log_event(day, "release", agent, "-", "")
             # A retest is a new test event: due the next day at the earliest.
             if case.state == CaseState.AWAITING_TEST2 and result == "negative":
-                self.pending_tests.append(
-                    (day + max(1, cfg.incubation_days), "case", agent, token))
+                self._schedule_test(day + max(1, cfg.incubation_days),
+                                    "case", agent, token)
         return used
 
     def _match_and_inquire(self, day, lst):
@@ -468,7 +466,7 @@ class World:
                 continue
             for h in new:
                 dev.handled.add((h.date, h.rdi))
-                self._log_event(day, 0, "hit", agent, "-",
+                self._log_event(day, "hit", agent, "-",
                                 f"date={h.date}")
             if self.known_carrier[agent]:
                 continue  # already registered; no new inquiry needed
@@ -487,20 +485,21 @@ class World:
                 )
                 for m2 in out:
                     if m2.kind == MessageKind.TEST_ORDER:
-                        self.pending_tests.append(
-                            (day + cfg.test_delay_days, "case", agent, msg.token))
-                        self._log_event(day, 0, "case", agent, "-",
+                        self._schedule_test(day + cfg.test_delay_days,
+                                            "case", agent, msg.token)
+                        self._log_event(day, "case", agent, "-",
                                         case.category.value)
                     elif m2.kind == MessageKind.DROP:
-                        self._log_event(day, 0, "drop", agent, "-", "")
+                        self._log_event(day, "drop", agent, "-", "")
 
     def _refresh_quarantine(self):
         self.quarantined[:] = False
         infected = np.isin(self.health, (EXPOSED, INFECTIOUS, SYMPTOMATIC))
         self.quarantined |= self.known_carrier & infected
-        for _, kind, agent, _ in self.pending_tests:
-            if kind == "case":
-                self.quarantined[agent] = True
+        for tests in self.pending_tests.values():
+            for kind, agent, _ in tests:
+                if kind == "case":
+                    self.quarantined[agent] = True
 
     def step_day(self) -> "World":
         cfg = self.config
@@ -569,16 +568,15 @@ class World:
         for agent in np.flatnonzero(newly_symptomatic):
             agent = int(agent)
             if self.adopter[agent] and not self.known_carrier[agent]:
-                self.pending_tests.append(
-                    (day + cfg.test_delay_days, "self", agent, None))
-                self._log_event(day, 0, "symptom", agent, "-", "")
+                self._schedule_test(day + cfg.test_delay_days, "self", agent, None)
+                self._log_event(day, "symptom", agent, "-", "")
 
         # 5. run tests due today.
         tests_used += self._run_due_tests(day)
 
         # 6. daily signed publication.
         lst = self.authority.publish(day)
-        self._log_event(day, 0, "publish", "-", "-", f"entries={len(lst.entries)}")
+        self._log_event(day, "publish", "-", "-", f"entries={len(lst.entries)}")
 
         # 7. every device matches the day's list against its own log, in
         #    ascending agent order; new hits open inquiries, which are
@@ -620,9 +618,8 @@ def run(config: ScenarioConfig, seed: int = None,
         if (world.metrics["active_cases"][-1] == 0
                 and not world.pending_tests):
             break
-    while len(world.metrics["new_infections"]) < days:
-        for key in world.metrics:
-            world.metrics[key].append(0)
+    for series in world.metrics.values():
+        series.extend([0] * (days - len(series)))
     return finalize_report(world)
 
 
@@ -631,31 +628,19 @@ def finalize_report(world: World) -> MetricsReport:
     n = cfg.population
     ever_infected = int(np.count_nonzero(world.day_infected >= 0))
     attack_rate = ever_infected / n if n else 0.0
-    index_mask = world.generation == 0
-    if np.any(index_mask):
-        empirical_r0 = float(np.mean(world.infections_caused[index_mask]))
-    else:
-        empirical_r0 = 0.0
-    active = world.metrics["active_cases"]
-    extinction_day = -1
-    for d, value in enumerate(active):
-        if value == 0:
-            extinction_day = d
-            break
+    caused = world.index_infections.values()
+    empirical_r0 = sum(caused) / len(caused) if caused else 0.0
+    extinction_day = next(
+        (d for d, value in enumerate(world.metrics["active_cases"]) if value == 0), -1)
     return MetricsReport(
         population=n,
         days=cfg.days,
         latency_days=cfg.latency_days,
-        new_infections=world.metrics["new_infections"],
-        active_cases=active,
-        quarantined=world.metrics["quarantined"],
-        tests_used=world.metrics["tests_used"],
-        list_size=world.metrics["list_size"],
         attack_rate=attack_rate,
         empirical_r0=empirical_r0,
-        extinction=extinction_day >= 0,
         extinction_day=extinction_day,
         events=world.events,
+        **world.metrics,
     )
 
 

@@ -212,6 +212,30 @@ def test_step_bad_category_decision_is_audited_noop(body):
     assert len(case.audit) == 1
 
 
+@pytest.mark.parametrize("body", [
+    {"near_ticks": "abc"},
+    {"date": "x"},
+    {"date": True},
+    {"near_ticks": [1]},
+    {"mid_ticks": float("inf")},
+    {"near_ticks": 4.0},
+    {"near_ticks": -100},
+    {"near_ticks": 10**9},
+    {"near_ticks": 2000, "far_ticks": 881},
+    {"near_ticks": True},
+], ids=repr)
+def test_step_open_inquiry_rejects_what_is_not_a_hit_summary(body):
+    # Tick counts must be non-negative ints that fit in one day and the date
+    # an int, or the authority would fail, or order a test, on garbage.
+    case = CaseRecord(token=bytes(16))
+    case, msgs = step(case, MailboxMessage(case.token, MessageKind.OPEN_INQUIRY,
+                                           body), today=0)
+    assert case.state == CaseState.IDLE
+    assert case.summary is None
+    assert msgs == []
+    assert case.audit == ["OPEN_INQUIRY in idle: not a hit summary"]
+
+
 @pytest.mark.parametrize("kind", list(MessageKind))
 @pytest.mark.parametrize("body", [["date", 3], "text", 7, None])
 def test_step_non_object_body_is_audited_noop(kind, body):

@@ -351,6 +351,7 @@ def test_replay_audits_malformed_body(tmp_path, capsys, kind, body):
 @pytest.mark.parametrize("line, detail", [
     ("population = lots", ":2: bad population"),
     ("trace_contact_derived = ture", ":2: bad trace_contact_derived"),
+    ("days = 80", ":2: duplicate key 'days'"),
 ])
 def test_simulate_rejects_mistyped_value(tmp_path, capsys, line, detail):
     path = tmp_path / "scenario.cfg"

@@ -183,7 +183,8 @@ def _exchange_one_event_at_a_time(world, day, src, dst, cls, start, dur):
             rdi = decode_beacon(encode_beacon(world.devices[tx].current))
             for tick in range(s, s + d):
                 world.devices[rx].log.observe([(rdi, observed)], day, tick)
-        world._log_event(day, s, "contact", a, b, f"{int(cls[i])}:{d}")
+        if world.record_events:
+            world.events.append(f"{day},{s},contact,{a},{b},{int(cls[i])}:{d}")
 
 
 def test_daily_beacon_pass_matches_per_event_reference(monkeypatch):
@@ -225,7 +226,7 @@ def test_trace_through_nonadopter_index_case():
     world.devices.pop(index)
     world.health[index] = simnet.INFECTIOUS
     world.day_infected[index] = 0
-    world.generation[index] = 0
+    world.index_infections[index] = 0
     seen_states = set()
     peak_cases = 0
     for _ in range(cfg.days):
@@ -251,8 +252,8 @@ def test_pending_case_tests_track_awaiting_cases(overrides):
     ever_pending = False
     for _ in range(cfg.days):
         world.step_day()
-        tokens = [token for _, kind, _, token in world.pending_tests
-                  if kind == "case"]
+        tokens = [token for tests in world.pending_tests.values()
+                  for kind, _, token in tests if kind == "case"]
         pending = set(tokens)
         assert len(tokens) == len(pending)  # one pending test per case
         assert pending == {token for token, case in world.authority.cases.items()
@@ -300,8 +301,10 @@ def test_simulator_is_a_well_behaved_casework_client(cfg):
         tests = [f for f in today if f[2] == "test"]
         assert world.metrics["tests_used"][-1] == len(tests)
 
-        pending = {token: agent for _, kind, agent, token in world.pending_tests
-                   if kind == "case"}
+        # Every test left pending is due after the day just stepped.
+        assert all(due > day for due in world.pending_tests)
+        pending = {token: agent for tests in world.pending_tests.values()
+                   for kind, agent, token in tests if kind == "case"}
         assert set(pending) == {token for token, case in world.authority.cases.items()
                                 if case.state in awaiting}
         infected = np.isin(world.health, (simnet.EXPOSED, simnet.INFECTIOUS,
@@ -317,6 +320,22 @@ def test_simulator_is_a_well_behaved_casework_client(cfg):
 
         [publish] = [f for f in today if f[2] == "publish"]
         assert publish[5] == f"entries={world.metrics['list_size'][-1]}"
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_empirical_r0_counts_infections_by_index_agents(seed):
+    # R0 is measured on the index cases only: infections they caused over
+    # their number, read back from the event log.
+    cfg = replace(FAST, days=30, index_cases=4, adoption_fraction=0.6)
+    world = World(cfg, seed=seed, record_events=True)
+    index = {str(a) for a in np.flatnonzero(world.day_infected == 0)}
+    for _ in range(cfg.days):
+        world.step_day()
+    report = simnet.finalize_report(world)
+    rows = [line.split(",") for line in report.events]
+    caused = sum(1 for f in rows if f[2] == "infect" and f[3] in index)
+    assert len(index) == cfg.index_cases
+    assert report.empirical_r0 == caused / len(index)
 
 
 def test_authority_never_stores_agent_identity():
@@ -338,7 +357,7 @@ def test_r_effective_constant_series_is_one():
         population=100, days=30, latency_days=3,
         new_infections=[10] * 30, active_cases=[1] * 30,
         quarantined=[0] * 30, tests_used=[0] * 30, list_size=[0] * 30,
-        attack_rate=0.0, empirical_r0=0.0, extinction=False, extinction_day=-1,
+        attack_rate=0.0, empirical_r0=0.0, extinction_day=-1,
     )
     series = estimate_R_effective(report)
     assert series
@@ -352,7 +371,7 @@ def test_r_effective_doubling_series_is_two():
         population=100, days=40, latency_days=3,
         new_infections=new, active_cases=[1] * 40,
         quarantined=[0] * 40, tests_used=[0] * 40, list_size=[0] * 40,
-        attack_rate=0.0, empirical_r0=0.0, extinction=False, extinction_day=-1,
+        attack_rate=0.0, empirical_r0=0.0, extinction_day=-1,
     )
     series = estimate_R_effective(report)
     for _, value in series:
@@ -364,7 +383,7 @@ def test_r_effective_requires_enough_data():
         population=1, days=3, latency_days=3,
         new_infections=[1, 1, 1], active_cases=[1] * 3,
         quarantined=[0] * 3, tests_used=[0] * 3, list_size=[0] * 3,
-        attack_rate=0.0, empirical_r0=0.0, extinction=False, extinction_day=-1,
+        attack_rate=0.0, empirical_r0=0.0, extinction_day=-1,
     )
     with pytest.raises(InsufficientData):
         estimate_R_effective(report)
