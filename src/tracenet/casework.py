@@ -153,7 +153,7 @@ def on_hits(hits, preference: str, rng):
             MailboxMessage(
                 token=new_token(rng),
                 kind=MessageKind.OPEN_INQUIRY,
-                body=hit_summary(hit.record),
+                body=hit_summary(hit.contact_record()),
             )
         )
     return CaseState.INQUIRY_OPEN, messages

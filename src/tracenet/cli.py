@@ -158,10 +158,10 @@ def cmd_match(args) -> int:
     hits = matching.match_contacts(log, index)
     print("date,rdi_hex,duration_minutes,category")
     for hit in hits:
-        category = classify(hit.record)
+        record = hit.contact_record()
         print(
             f"{hit.date},{hit.rdi.hex()},"
-            f"{hit.record.face_to_face_minutes:.1f},{category.value}"
+            f"{record.face_to_face_minutes:.1f},{classify(record).value}"
         )
     return 0
 

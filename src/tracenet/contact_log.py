@@ -3,11 +3,19 @@
 Observations arrive on a 30-second tick grid: 2880 ticks per day, grouped
 into 720 two-minute buckets. A record accumulates per-class tick counts for
 one foreign identifier on one date; face-to-face time is the near+mid tick
-count at half a minute per tick. Which ticks a record has counted is one
-integer bitmask (bit t for tick t), its only tick state: the first and last
-tick and the buckets are derived from it. The history CSV carries no mask, so
-an upload does not disclose 30-second ticks; a parsed row gets the lowest
-mask a device could have counted for it.
+count at half a minute per tick.
+
+A log stores each record as a plain tuple of ints, `(near, mid, far,
+first_tick, mask)`, where bit i of `mask` is set once tick `first_tick + i`
+has been counted, so bit 0 is always set. That is the record's only tick
+state, and two logs that counted the same ticks hold equal tuples. Tuples of
+ints drop out of the garbage collector's tracking, so a large log adds
+nothing to each collection pass. Only this module knows the layout: other
+code reads a stored value through `as_record` and `first_tick_of`, which
+give the `ContactRecord` boundary form with its absolute mask (bit t for
+tick t). The history CSV carries no mask, so an upload does not disclose
+30-second ticks; a parsed row gets the lowest mask a device could have
+counted for it.
 """
 
 from __future__ import annotations
@@ -48,15 +56,17 @@ class Category(Enum):
 
 @dataclass(slots=True)
 class ContactRecord:
-    """Accumulated observations of one foreign identifier on one date."""
+    """Accumulated observations of one foreign identifier on one date: the
+    boundary form of a stored log value, for export, the history CSV and
+    hit reactions."""
 
     foreign_rdi: bytes
     date: int
     near_ticks: int = 0
     mid_ticks: int = 0
     far_ticks: int = 0
-    # Bit t is set once tick t has been counted, for per-(rdi, tick) dedup.
-    # Not exported.
+    # Bit t is set once tick t has been counted: the stored value's mask
+    # shifted up by its first tick. Not exported.
     ticks: int = field(default=0, repr=False)
 
     @property
@@ -105,8 +115,15 @@ class ContactLog:
     """A device's contact records, keyed by (date, foreign rdi)."""
 
     def __init__(self, retention_days: int = DEFAULT_RETENTION_DAYS):
-        self.records: dict = {}  # (date, rdi) -> ContactRecord
+        # (date, rdi) -> (near, mid, far, first_tick, mask); see the module
+        # docstring.
+        self.records: dict = {}
         self.retention_days = retention_days
+
+    def record(self, date: int, rdi: bytes) -> ContactRecord:
+        """The record for (date, rdi) in its boundary form; KeyError when
+        the log holds none."""
+        return as_record(date, rdi, self.records[date, rdi])
 
     def observe(self, sightings, date: int, tick: int) -> "ContactLog":
         """Record one monitoring tick's sightings.
@@ -129,28 +146,34 @@ class ContactLog:
         self, rdi: bytes, cls: DistanceClass, date: int, start_tick: int, n_ticks: int
     ) -> "ContactLog":
         """Batched form of observe: one rdi seen at one class for
-        `n_ticks` consecutive ticks. Equivalent to n_ticks observe calls."""
+        `n_ticks` consecutive ticks. Within the day this equals `n_ticks`
+        observe calls; a span that runs past tick 2879 is clipped at the end
+        of the day, where observe would raise on the first tick beyond it."""
         if n_ticks <= 0:
             return self
         if not 0 <= start_tick < TICKS_PER_DAY:
             raise ValueError(f"start_tick out of range: {start_tick}")
-        end = start_tick + n_ticks
-        if end > TICKS_PER_DAY:
-            end = TICKS_PER_DAY
+        width = min(n_ticks, TICKS_PER_DAY - start_tick)
         key = (date, rdi)
         rec = self.records.get(key)
         if rec is None:
-            rec = self.records[key] = ContactRecord(rdi, date)
-        span = ((1 << (end - start_tick)) - 1) << start_tick
-        new_count = (span & ~rec.ticks).bit_count()
+            near = mid = far = mask = 0
+            first = start_tick
+        else:
+            near, mid, far, first, mask = rec
+            if start_tick < first:
+                mask <<= first - start_tick
+                first = start_tick
+        span = ((1 << width) - 1) << (start_tick - first)
+        new_count = (span & ~mask).bit_count()
         if new_count:
-            rec.ticks |= span
             if cls == DistanceClass.NEAR:
-                rec.near_ticks += new_count
+                near += new_count
             elif cls == DistanceClass.MID:
-                rec.mid_ticks += new_count
+                mid += new_count
             else:
-                rec.far_ticks += new_count
+                far += new_count
+            self.records[key] = (near, mid, far, first, mask | span)
         return self
 
     def prune(self, today: int) -> "ContactLog":
@@ -169,12 +192,23 @@ class ContactLog:
         if from_date > to_date:
             raise EmptyRange(f"from_date {from_date} > to_date {to_date}")
         out = [
-            rec
-            for rec in self.records.values()
-            if from_date <= rec.date <= to_date
+            as_record(date, rdi, value)
+            for (date, rdi), value in self.records.items()
+            if from_date <= date <= to_date
         ]
         out.sort(key=lambda r: (r.date, r.first_tick, r.foreign_rdi))
         return out
+
+
+def as_record(date: int, rdi: bytes, value) -> ContactRecord:
+    """The boundary form of the value a log stores for (date, rdi)."""
+    near, mid, far, first, mask = value
+    return ContactRecord(rdi, date, near, mid, far, mask << first)
+
+
+def first_tick_of(value) -> int:
+    """The first counted tick of a value a log stores."""
+    return value[3]
 
 
 def records_to_csv(records) -> str:
@@ -266,8 +300,12 @@ def records_from_csv(text: str):
 
 
 def log_from_records(records, retention_days: int = DEFAULT_RETENTION_DAYS) -> ContactLog:
-    """Build a ContactLog from pre-accumulated records (e.g. a parsed CSV)."""
+    """Build a ContactLog from pre-accumulated records (e.g. a parsed CSV),
+    each stored in the log's value form. Every record must hold a counted
+    tick, as each one a device logs or `records_from_csv` returns does."""
     log = ContactLog(retention_days=retention_days)
     for rec in records:
-        log.records[(rec.date, rec.foreign_rdi)] = rec
+        first = rec.first_tick
+        log.records[(rec.date, rec.foreign_rdi)] = (
+            rec.near_ticks, rec.mid_ticks, rec.far_ticks, first, rec.ticks >> first)
     return log

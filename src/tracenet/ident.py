@@ -118,8 +118,13 @@ def estimate_distance_class(rssi_dbm: float, tx_power_dbm: float) -> DistanceCla
     return DistanceClass.FAR
 
 
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
 def rdi_from_hex(text: str) -> bytes:
-    rdi = bytes.fromhex(text)
-    if len(rdi) != RDI_BYTES:
-        raise ValueError(f"rdi hex must decode to {RDI_BYTES} bytes")
-    return rdi
+    """Parse an rdi written as exactly 32 hex digits. Unlike
+    `bytes.fromhex`, whitespace between the digits is rejected, so only
+    text that `bytes.hex` could have written (up to letter case) parses."""
+    if len(text) != 2 * RDI_BYTES or not _HEX_DIGITS.issuperset(text):
+        raise ValueError(f"rdi must be {2 * RDI_BYTES} hex digits")
+    return bytes.fromhex(text)

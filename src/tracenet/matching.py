@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .contact_log import ContactRecord, as_record, first_tick_of
+
 
 class UnverifiedList(ValueError):
     pass
@@ -17,7 +19,13 @@ class UnverifiedList(ValueError):
 class Hit:
     rdi: bytes
     date: int
-    record: object  # the matching ContactRecord
+    # The very value the log stores for (date, rdi), not a copy; read it
+    # through `contact_record`.
+    record: tuple
+
+    def contact_record(self) -> ContactRecord:
+        """The matched record in its boundary form."""
+        return as_record(self.date, self.rdi, self.record)
 
 
 def build_index(lst, verified: bool) -> frozenset:
@@ -30,7 +38,7 @@ def build_index(lst, verified: bool) -> frozenset:
 
 
 def _sorted_hits(hits):
-    hits.sort(key=lambda h: (h.date, h.record.first_tick, h.rdi))
+    hits.sort(key=lambda h: (h.date, first_tick_of(h.record), h.rdi))
     return hits
 
 
@@ -52,9 +60,9 @@ def brute_force_match(log, lst):
     every list entry. Semantics for match_contacts; kept deliberately dumb."""
     hits = []
     entries = list(lst.entries)
-    for rec in log.records.values():
+    for (rec_date, rec_rdi), value in log.records.items():
         for date, rdi in entries:
-            if rec.date == date and rec.foreign_rdi == rdi:
-                hits.append(Hit(rdi=rdi, date=date, record=rec))
+            if rec_date == date and rec_rdi == rdi:
+                hits.append(Hit(rdi=rdi, date=date, record=value))
                 break  # duplicate entries still yield one hit per record
     return _sorted_hits(hits)

@@ -181,7 +181,7 @@ def test_criterion_06_storage_bound():
     rdis = [bytes([i]) * 16 for i in range(6)]
     for tick in range(1440):  # 12 hours of 30-second ticks
         log.observe([(rdi, 0) for rdi in rdis], date=0, tick=tick)
-    total = sum(len(rec.buckets) for rec in log.records.values())
+    total = sum(len(log.record(*key).buckets) for key in log.records)
     assert total == 2160
     ok(6, "storage bound", "6 neighbors for 12h is exactly 2160 bucket-entries")
 

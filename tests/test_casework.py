@@ -16,7 +16,7 @@ from tracenet.casework import (
     serialize_message,
     step,
 )
-from tracenet.contact_log import Category, ContactRecord
+from tracenet.contact_log import Category, ContactRecord, log_from_records
 from tracenet.matching import Hit
 
 
@@ -24,14 +24,15 @@ def make_hit(date=3, rdi=bytes([7]) * 16, near=40, mid=0, far=0):
     rec = ContactRecord(foreign_rdi=rdi, date=date, near_ticks=near,
                         mid_ticks=mid, far_ticks=far,
                         ticks=(1 << near + mid + far) - 1)
-    return Hit(rdi=rdi, date=date, record=rec)
+    log = log_from_records([rec])
+    return Hit(rdi=rdi, date=date, record=log.records[date, rdi])
 
 
 def open_case(summary=None, rng=None):
     rng = rng or random.Random(0)
     case = CaseRecord(token=rng.randbytes(16))
     msg = MailboxMessage(case.token, MessageKind.OPEN_INQUIRY,
-                         summary or hit_summary(make_hit().record))
+                         summary or hit_summary(make_hit().contact_record()))
     case, _ = step(case, msg, today=0)
     assert case.state == CaseState.INQUIRY_OPEN
     return case

@@ -410,6 +410,7 @@ GOOD_ENTRY = {"date": 6, "rdi": "ab" * 16, "added_epoch": 7, "source": "carrier"
     json.dumps({"entries": [dict(GOOD_ENTRY, date=-1)]}),
     json.dumps({"entries": [dict(GOOD_ENTRY, rdi="zz")]}),
     json.dumps({"entries": [dict(GOOD_ENTRY, rdi=5)]}),
+    json.dumps({"entries": [dict(GOOD_ENTRY, rdi=" AB" * 16)]}),
     json.dumps({"entries": [{k: v for k, v in GOOD_ENTRY.items() if k != "rdi"}]}),
     json.dumps({"entries": [dict(GOOD_ENTRY, added_epoch=None)]}),
     json.dumps({"entries": [{k: v for k, v in GOOD_ENTRY.items()

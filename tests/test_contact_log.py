@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -28,7 +29,7 @@ Y = bytes(range(16, 32))
 def test_observe_base_case():
     log = ContactLog()
     log.observe([(X, NEAR)], date=0, tick=0)
-    rec = log.records[(0, X)]
+    rec = log.record(0, X)
     assert rec.near_ticks == 1
     assert rec.mid_ticks == rec.far_ticks == 0
     assert rec.buckets == {0}
@@ -39,7 +40,7 @@ def test_observe_updates_duration_on_reobservation():
     log = ContactLog()
     log.observe([(X, NEAR)], date=0, tick=0)
     log.observe([(X, MID)], date=0, tick=1)
-    rec = log.records[(0, X)]
+    rec = log.record(0, X)
     assert (rec.near_ticks, rec.mid_ticks) == (1, 1)
     assert rec.first_tick == 0 and rec.last_tick == 1
 
@@ -47,7 +48,7 @@ def test_observe_updates_duration_on_reobservation():
 def test_observe_dedups_within_one_call():
     log = ContactLog()
     log.observe([(X, NEAR), (X, FAR)], date=0, tick=0)
-    rec = log.records[(0, X)]
+    rec = log.record(0, X)
     assert rec.total_ticks == 1
     assert rec.near_ticks == 1  # first occurrence wins
 
@@ -56,13 +57,13 @@ def test_observe_one_increment_per_tick():
     log = ContactLog()
     log.observe([(X, NEAR)], date=0, tick=5)
     log.observe([(X, NEAR)], date=0, tick=5)
-    assert log.records[(0, X)].near_ticks == 1
+    assert log.record(0, X).near_ticks == 1
 
 
 def test_last_tick_of_day_is_bucket_719():
     log = ContactLog()
     log.observe([(X, NEAR)], date=0, tick=2879)
-    assert log.records[(0, X)].buckets == {719}
+    assert log.record(0, X).buckets == {719}
 
 
 def test_tick_out_of_range_rejected():
@@ -79,8 +80,8 @@ def test_six_neighbors_twelve_hours_storage_bound():
         log.observe([(rdi, NEAR) for rdi in rdis], date=0, tick=tick)
     assert len(log.records) == 6
     for rdi in rdis:
-        assert len(log.records[(0, rdi)].buckets) == 360
-    assert sum(len(r.buckets) for r in log.records.values()) == 2160
+        assert len(log.record(0, rdi).buckets) == 360
+    assert sum(len(log.record(*key).buckets) for key in log.records) == 2160
 
 
 @pytest.mark.parametrize(
@@ -109,7 +110,7 @@ def test_classify_depends_only_on_counts():
         a.observe([(X, NEAR)], 0, t)
     for t in reversed(ticks):
         b.observe([(X, NEAR)], 0, t)
-    assert classify(a.records[(0, X)]) == classify(b.records[(0, X)])
+    assert classify(a.record(0, X)) == classify(b.record(0, X))
 
 
 def test_prune_boundaries():
@@ -176,11 +177,22 @@ def test_observe_span_equals_repeated_observe(spans):
         batched.observe_span(X, cls, 0, start, n)
         for tick in range(start, start + n):
             single.observe([(X, cls)], 0, tick)
-    a = batched.records[(0, X)]
-    b = single.records[(0, X)]
+    a = batched.record(0, X)
+    b = single.record(0, X)
     assert (a.near_ticks, a.mid_ticks, a.far_ticks) == (b.near_ticks, b.mid_ticks, b.far_ticks)
     assert a.buckets == b.buckets
     assert (a.first_tick, a.last_tick) == (b.first_tick, b.last_tick)
+    assert batched.records == single.records
+    # With one class, the counted ticks alone fix the record. Replayed in
+    # reverse, a span that starts before the record's first tick shifts
+    # its mask up; the stored values must still be equal.
+    forward = ContactLog()
+    reverse = ContactLog()
+    for start, n, _ in spans:
+        forward.observe_span(X, NEAR, 0, start, n)
+    for start, n, _ in reversed(spans):
+        reverse.observe_span(X, NEAR, 0, start, n)
+    assert forward.records == reverse.records
 
 
 @settings(max_examples=100, deadline=None)
@@ -206,11 +218,26 @@ def test_tick_mask_matches_plain_set_oracle(spans):
         span = set(range(start, min(start + n, 2880)))
         counts[cls] += len(span - ticks)
         ticks |= span
-    rec = log.records[(0, X)]
+    rec = log.record(0, X)
     assert (rec.near_ticks, rec.mid_ticks, rec.far_ticks) == (
         counts[NEAR], counts[MID], counts[FAR])
     assert rec.buckets == {t // 4 for t in ticks}
     assert (rec.first_tick, rec.last_tick) == (min(ticks), max(ticks))
+
+
+def test_stored_records_are_not_tracked_by_the_garbage_collector():
+    # A log holds no object the collector must walk on each pass, however
+    # large it grows.
+    rng = random.Random(5)
+    log = ContactLog()
+    for _ in range(200):
+        log.observe_span(rng.randbytes(16), DistanceClass(rng.randrange(3)),
+                         rng.randrange(3), rng.randrange(2880), rng.randrange(1, 60))
+    log.observe_span(X, NEAR, 0, 100, 10)
+    log.observe_span(X, MID, 0, 50, 10)
+    gc.collect()
+    assert not any(gc.is_tracked(key) for key in log.records)
+    assert not any(gc.is_tracked(value) for value in log.records.values())
 
 
 @settings(max_examples=60, deadline=None)
@@ -230,7 +257,7 @@ def test_observe_monotone_and_bucket_consistent(observations):
     prev_buckets = set()
     for tick, cls in observations:
         log.observe([(X, cls)], 0, tick)
-        rec = log.records[(0, X)]
+        rec = log.record(0, X)
         assert rec.total_ticks >= prev_total
         assert rec.buckets >= prev_buckets
         prev_total = rec.total_ticks
@@ -264,24 +291,33 @@ def test_history_csv_round_trip():
     assert set(rebuilt.records) == {(3, X), (4, Y), (5, Y)}
 
 
-@pytest.mark.parametrize("counts_and_ticks", [
-    "-1,2,0,40,41,1",
-    "-5,0,0,900,3,1",
-    "0,0,0,-1,-1,0",
-    "1,0,0,2880,2880,1",
-    "2,0,0,41,40,1",
-    "5,0,0,40,43,1",
-    "10,0,0,40,48,3",
-    "2,0,0,40,48,3",
-    "4,0,0,40,48,1",
-    "3,0,0,40,41,2",
+NO_DEVICE_LOGS = "no device logs"
+
+
+@pytest.mark.parametrize("rdi_hex,counts_and_ticks,detail", [
+    *((X.hex(), counts_and_ticks, NO_DEVICE_LOGS) for counts_and_ticks in [
+        "-1,2,0,40,41,1",
+        "-5,0,0,900,3,1",
+        "0,0,0,-1,-1,0",
+        "1,0,0,2880,2880,1",
+        "2,0,0,41,40,1",
+        "5,0,0,40,43,1",
+        "10,0,0,40,48,3",
+        "2,0,0,40,48,3",
+        "4,0,0,40,48,1",
+        "3,0,0,40,41,2",
+    ]),
+    # bytes.fromhex skips this whitespace; a device writes 32 bare digits.
+    (" ".join(["ab"] * 16), "1,0,0,40,40,1", "rdi must be 32 hex digits"),
 ], ids=["negative-count", "negative-count-reversed-ticks", "no-ticks",
         "tick-past-day", "first-after-last", "ticks-exceed-span",
         "ticks-exceed-buckets", "buckets-exceed-ticks",
-        "buckets-below-first-and-last", "buckets-exceed-span"])
-def test_history_csv_rejects_row_no_device_writes(counts_and_ticks):
-    text = f"{HISTORY_CSV_HEADER}\n3,{X.hex()},{counts_and_ticks}\n"
-    with pytest.raises(MalformedHistory, match="^line 2: no device logs"):
+        "buckets-below-first-and-last", "buckets-exceed-span",
+        "rdi-with-spaces"])
+def test_history_csv_rejects_row_no_device_writes(rdi_hex, counts_and_ticks,
+                                                  detail):
+    text = f"{HISTORY_CSV_HEADER}\n3,{rdi_hex},{counts_and_ticks}\n"
+    with pytest.raises(MalformedHistory, match=f"^line 2: {detail}"):
         records_from_csv(text)
 
 

@@ -81,7 +81,7 @@ def test_hits_sorted_by_date_then_first_tick():
     log.observe([(X, NEAR)], 1, tick=500)
     lst = make_list([(1, X), (2, X), (2, Y)])
     hits = match_contacts(log, build_index(lst, verified=True))
-    assert [(h.date, h.record.first_tick) for h in hits] == [(1, 500), (2, 5), (2, 100)]
+    assert [(h.date, h.contact_record().first_tick) for h in hits] == [(1, 500), (2, 5), (2, 100)]
 
 
 def random_case(rng, n_log, n_list, overlap):
@@ -108,7 +108,7 @@ def test_oracle_equivalence_randomized(seed):
     slow = brute_force_match(log, lst)
     assert hit_keys(fast) == hit_keys(slow)
     assert [(h.date, h.rdi) for h in fast] == [(h.date, h.rdi) for h in slow]
-    # Hits carry the log's own record objects, not copies.
+    # Hits carry the values the log stores, not copies.
     assert all(f.record is s.record for f, s in zip(fast, slow))
     # Completeness: every planted overlap is reported.
     assert set(planted) <= hit_keys(fast)

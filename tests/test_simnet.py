@@ -205,7 +205,8 @@ def test_daily_beacon_pass_matches_per_event_reference(monkeypatch):
     for agent, dev in batched.devices.items():
         records = dev.log.records
         assert records
-        # Dataclass equality compares every field, the tick mask included.
+        # Stored values are canonical: equal tuples mean equal counts and
+        # the same counted ticks.
         assert records == reference.devices[agent].log.records
     assert batched.events == reference.events
     assert batched.metrics == reference.metrics
