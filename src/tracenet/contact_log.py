@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import io
 import csv
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -229,8 +230,8 @@ def _lowest_mask(counts, first: int, last: int, bucket_count: int):
     ticks `first` and `last`, the first tick of each further bucket the row
     claims, then the remaining ticks from the front of the claimed buckets.
     None when no mask holds `sum(counts)` ticks from `first` to `last` in
-    `bucket_count` buckets, or a count is negative."""
-    if min(counts) < 0 or not 0 <= first <= last < TICKS_PER_DAY:
+    `bucket_count` buckets. Every argument is a non-negative int."""
+    if not first <= last < TICKS_PER_DAY:
         return None
     lo, hi = first // TICKS_PER_BUCKET, last // TICKS_PER_BUCKET
     further = bucket_count - len({lo, hi})
@@ -253,6 +254,18 @@ def _lowest_mask(counts, first: int, last: int, bucket_count: int):
     return mask
 
 
+_DECIMAL = re.compile(r"0|[1-9][0-9]*")
+
+
+def _history_int(name: str, text: str) -> int:
+    """Parse one integer field of a history row. Only ASCII digits without
+    sign, spaces, underscores or a leading zero are accepted, so every
+    accepted field is written back as it was read."""
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"{name} must be a decimal integer >= 0, got {text!r}")
+    return int(text)
+
+
 def records_from_csv(text: str):
     """Parse history CSV. The file carries no tick mask, so each row gets
     the lowest mask a device could have counted for it; its first and last
@@ -260,11 +273,13 @@ def records_from_csv(text: str):
     row back as it was read.
 
     Raises MalformedHistory, naming the line, on a bad header or a row that
-    is short, long, or holds a non-hex rdi or a non-integer field, and on a
-    row no device can write: a negative count, a tick outside the day,
-    `first_tick > last_tick`, more ticks than `[first_tick, last_tick]`
-    holds, or a `bucket_count` those ticks cannot fill; and on a second
-    row for the same (date, rdi), since a device logs one record per key.
+    is short, long, or holds a non-hex rdi or an integer field not written
+    as `str` writes a non-negative int (a sign, space, underscore, leading
+    zero or non-ASCII digit); on a row no device can write: a tick outside
+    the day, `first_tick > last_tick`, more ticks than `[first_tick,
+    last_tick]` holds, or a `bucket_count` those ticks cannot fill; and on a
+    second row for the same (date, rdi), since a device logs one record per
+    key.
     """
     reader = csv.DictReader(io.StringIO(text))
     expected = HISTORY_CSV_HEADER.split(",")
@@ -281,7 +296,8 @@ def records_from_csv(text: str):
             try:
                 rdi = rdi_from_hex(row["rdi_hex"])
                 date, near, mid, far, first, last, buckets = (
-                    int(row[name]) for name in expected if name != "rdi_hex")
+                    _history_int(name, row[name])
+                    for name in expected if name != "rdi_hex")
             except ValueError as exc:
                 raise MalformedHistory(f"line {reader.line_num}: {exc}") from exc
             ticks = _lowest_mask((near, mid, far), first, last, buckets)

@@ -360,30 +360,63 @@ class World:
     # -- daily step -------------------------------------------------------
 
     def _sample_events(self):
+        """Draw the day's contact events as parallel int64 arrays
+        `(src, dst, cls, start, dur)`, in sampled order.
+
+        The generator is drawn in this order: contacts per agent (poisson),
+        then once per sampled event partners (integers), the quarantine-leak
+        uniforms (random), durations (standard_exponential, or geometric),
+        distance classes (random) and start ticks (integers). That order is
+        the stream contract `tests/test_pin.py` guards, so a change to it
+        changes every run's outputs.
+
+        The class and duration draws are numpy's own `choice(3, p=...)` and
+        `geometric` without their per-call overhead: a uniform compared
+        against the normalised cumulative mix, and the exponential inversion
+        `geometric` uses for p < 1/3. At p >= 1/3, that is a mean of three
+        ticks or less, numpy's `geometric` draws by a search instead, which
+        consumes the stream differently, so it is called as it is.
+        """
         cfg = self.config
         n = cfg.population
         if n == 0 or cfg.contacts_per_day == 0:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty, empty, empty, empty
+        rng = self.nprng
         lam = np.where(self.quarantined,
                        cfg.contacts_per_day * cfg.quarantine_leak,
                        cfg.contacts_per_day)
-        counts = self.nprng.poisson(lam)
+        counts = rng.poisson(lam)
         src = np.repeat(np.arange(n, dtype=np.int64), counts)
         m = len(src)
-        dst = self.nprng.integers(0, n, m, dtype=np.int64)
+        dst = rng.integers(0, n, m, dtype=np.int64)
         clash = dst == src
         dst[clash] = (dst[clash] + 1) % n
-        keep = self.nprng.random(m) < np.where(
-            self.quarantined[dst], cfg.quarantine_leak, 1.0
-        )
-        dur = self.nprng.geometric(1.0 / cfg.duration_mean_ticks, m).astype(np.int64)
-        np.minimum(dur, TICKS_PER_DAY, out=dur)
-        cls = self.nprng.choice(
-            3, m, p=[cfg.near_fraction, cfg.mid_fraction, cfg.far_fraction]
-        )
-        start = self.nprng.integers(0, TICKS_PER_DAY, m, dtype=np.int64)
-        start = np.minimum(start, TICKS_PER_DAY - dur)
+        # An event with a quarantined partner happens with the leak
+        # probability; the draw is made whether or not anyone is quarantined.
+        leak = rng.random(m)
+        drop = self.quarantined[dst]
+        drop &= leak >= cfg.quarantine_leak
+        p = 1.0 / cfg.duration_mean_ticks
+        if p < 1 / 3:
+            dur = rng.standard_exponential(m)
+            np.divide(dur, -math.log1p(-p), out=dur)
+            np.ceil(dur, out=dur)
+            np.minimum(dur, TICKS_PER_DAY, out=dur)
+            dur = dur.astype(np.int64)
+        else:
+            dur = rng.geometric(p, m)
+            np.minimum(dur, TICKS_PER_DAY, out=dur)
+        cdf = np.cumsum([cfg.near_fraction, cfg.mid_fraction, cfg.far_fraction])
+        cdf /= cdf[-1]
+        u = rng.random(m)
+        cls = (u >= cdf[0]).astype(np.int64)
+        cls += u >= cdf[1]
+        start = rng.integers(0, TICKS_PER_DAY, m, dtype=np.int64)
+        np.minimum(start, TICKS_PER_DAY - dur, out=start)
+        if not drop.any():
+            return src, dst, cls, start, dur
+        keep = ~drop
         return src[keep], dst[keep], cls[keep], start[keep], dur[keep]
 
     def _exchange_beacons(self, day, src, dst, cls, start, dur):
@@ -492,10 +525,14 @@ class World:
                     elif m2.kind == MessageKind.DROP:
                         self._log_event(day, "drop", agent, "-", "")
 
+    def _health_in(self, first, last):
+        """Agents whose health code is in `first..last`; the codes of the
+        infected states are contiguous, so a range compare is a set test."""
+        return (self.health >= first) & (self.health <= last)
+
     def _refresh_quarantine(self):
-        self.quarantined[:] = False
-        infected = np.isin(self.health, (EXPOSED, INFECTIOUS, SYMPTOMATIC))
-        self.quarantined |= self.known_carrier & infected
+        np.logical_and(self.known_carrier, self._health_in(EXPOSED, SYMPTOMATIC),
+                       out=self.quarantined)
         for tests in self.pending_tests.values():
             for kind, agent, _ in tests:
                 if kind == "case":
@@ -529,7 +566,7 @@ class World:
         if len(src):
             if self.devices:
                 self._exchange_beacons(day, src, dst, cls, start, dur)
-            infectious = np.isin(self.health, (INFECTIOUS, SYMPTOMATIC))
+            infectious = self._health_in(INFECTIOUS, SYMPTOMATIC)
             sus = self.health == SUSCEPTIBLE
             relevant = (infectious[src] & sus[dst]) | (sus[src] & infectious[dst])
             idx = np.flatnonzero(relevant)
@@ -594,9 +631,7 @@ class World:
         self._refresh_quarantine()
 
         # 10. metrics.
-        active = int(np.count_nonzero(
-            np.isin(self.health, (EXPOSED, INFECTIOUS, SYMPTOMATIC))
-        ))
+        active = int(np.count_nonzero(self._health_in(EXPOSED, SYMPTOMATIC)))
         self.metrics["new_infections"].append(new_infections)
         self.metrics["active_cases"].append(active)
         self.metrics["quarantined"].append(int(np.count_nonzero(self.quarantined)))

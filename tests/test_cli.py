@@ -465,7 +465,7 @@ def history(*rows):
     (history(HISTORY_CSV_HEADER, GOOD_ROW, GOOD_ROW.replace("4,0,0", "4,x,0")),
      "line 3:"),
     (history(HISTORY_CSV_HEADER, GOOD_ROW.replace("ab", "", 1)), "line 2:"),
-    (history(HISTORY_CSV_HEADER, GOOD_ROW.replace("4,0,0,8,11", "-5,0,0,900,3")),
+    (history(HISTORY_CSV_HEADER, GOOD_ROW.replace("4,0,0,8,11", "5,0,0,900,3")),
      "line 2: no device logs"),
     (history(HISTORY_CSV_HEADER, GOOD_ROW, GOOD_ROW.replace("4,0,0,8,11", "1,0,0,8,8")),
      "line 3: second row"),

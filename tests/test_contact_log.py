@@ -294,29 +294,47 @@ def test_history_csv_round_trip():
 NO_DEVICE_LOGS = "no device logs"
 
 
-@pytest.mark.parametrize("rdi_hex,counts_and_ticks,detail", [
-    *((X.hex(), counts_and_ticks, NO_DEVICE_LOGS) for counts_and_ticks in [
-        "-1,2,0,40,41,1",
-        "-5,0,0,900,3,1",
-        "0,0,0,-1,-1,0",
-        "1,0,0,2880,2880,1",
-        "2,0,0,41,40,1",
-        "5,0,0,40,43,1",
-        "10,0,0,40,48,3",
-        "2,0,0,40,48,3",
-        "4,0,0,40,48,1",
-        "3,0,0,40,41,2",
-    ]),
+def history_row(counts_and_ticks, rdi_hex=X.hex(), date="3"):
+    return f"{date},{rdi_hex},{counts_and_ticks}"
+
+
+@pytest.mark.parametrize("row,detail", [
+    pytest.param(history_row("-1,2,0,40,41,1"), "near_ticks must be",
+                 id="negative-count"),
+    pytest.param(history_row("-5,0,0,900,3,1"), "near_ticks must be",
+                 id="negative-count-reversed-ticks"),
+    pytest.param(history_row("0,0,0,-1,-1,0"), "first_tick must be", id="no-ticks"),
+    *(pytest.param(history_row(counts_and_ticks), NO_DEVICE_LOGS, id=name)
+      for name, counts_and_ticks in [
+          ("tick-past-day", "1,0,0,2880,2880,1"),
+          ("first-after-last", "2,0,0,41,40,1"),
+          ("ticks-exceed-span", "5,0,0,40,43,1"),
+          ("ticks-exceed-buckets", "10,0,0,40,48,3"),
+          ("buckets-exceed-ticks", "2,0,0,40,48,3"),
+          ("buckets-below-first-and-last", "4,0,0,40,48,1"),
+          ("buckets-exceed-span", "3,0,0,40,41,2"),
+      ]),
     # bytes.fromhex skips this whitespace; a device writes 32 bare digits.
-    (" ".join(["ab"] * 16), "1,0,0,40,40,1", "rdi must be 32 hex digits"),
-], ids=["negative-count", "negative-count-reversed-ticks", "no-ticks",
-        "tick-past-day", "first-after-last", "ticks-exceed-span",
-        "ticks-exceed-buckets", "buckets-exceed-ticks",
-        "buckets-below-first-and-last", "buckets-exceed-span",
-        "rdi-with-spaces"])
-def test_history_csv_rejects_row_no_device_writes(rdi_hex, counts_and_ticks,
-                                                  detail):
-    text = f"{HISTORY_CSV_HEADER}\n3,{rdi_hex},{counts_and_ticks}\n"
+    pytest.param(history_row("1,0,0,40,40,1", rdi_hex=" ".join(["ab"] * 16)),
+                 "rdi must be 32 hex digits", id="rdi-with-spaces"),
+    # int() takes each of these, and the row would be written back changed.
+    pytest.param(history_row("10,0,0,40,49,3", date=" +3"), "date must be",
+                 id="signed-date"),
+    pytest.param(history_row("1_0,0,0,40,49,3"), "near_ticks must be",
+                 id="underscore-count"),
+    pytest.param(history_row("10,0,0,4_0,49,3"), "first_tick must be",
+                 id="underscore-tick"),
+    pytest.param(history_row("1,0,0,40,40,1", date="\uff13"), "date must be",
+                 id="full-width-date"),
+    pytest.param(history_row("1,0,0,040,40,1"), "first_tick must be",
+                 id="leading-zero-tick"),
+    pytest.param(history_row("1,0,0,40,40,01"), "bucket_count must be",
+                 id="leading-zero-buckets"),
+    pytest.param(history_row("1,0,0,40,40,1", date="-0"), "date must be",
+                 id="negative-zero-date"),
+])
+def test_history_csv_rejects_row_no_device_writes(row, detail):
+    text = f"{HISTORY_CSV_HEADER}\n{row}\n"
     with pytest.raises(MalformedHistory, match=f"^line 2: {detail}"):
         records_from_csv(text)
 

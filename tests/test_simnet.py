@@ -150,6 +150,75 @@ def test_quarantine_reduces_contact_rate():
     assert quarantined_initiated < free_initiated * 0.15
 
 
+def reference_sample_events(world):
+    """The contact sampler as first written, kept deliberately dumb: numpy's
+    own `choice` and `geometric`, and a `keep` mask applied to every array."""
+    cfg = world.config
+    n = cfg.population
+    if n == 0 or cfg.contacts_per_day == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty, empty, empty
+    lam = np.where(world.quarantined,
+                   cfg.contacts_per_day * cfg.quarantine_leak,
+                   cfg.contacts_per_day)
+    counts = world.nprng.poisson(lam)
+    src = np.repeat(np.arange(n, dtype=np.int64), counts)
+    m = len(src)
+    dst = world.nprng.integers(0, n, m, dtype=np.int64)
+    clash = dst == src
+    dst[clash] = (dst[clash] + 1) % n
+    keep = world.nprng.random(m) < np.where(
+        world.quarantined[dst], cfg.quarantine_leak, 1.0
+    )
+    dur = world.nprng.geometric(1.0 / cfg.duration_mean_ticks, m).astype(np.int64)
+    np.minimum(dur, simnet.TICKS_PER_DAY, out=dur)
+    cls = world.nprng.choice(
+        3, m, p=[cfg.near_fraction, cfg.mid_fraction, cfg.far_fraction]
+    )
+    start = world.nprng.integers(0, simnet.TICKS_PER_DAY, m, dtype=np.int64)
+    start = np.minimum(start, simnet.TICKS_PER_DAY - dur)
+    return src[keep], dst[keep], cls[keep], start[keep], dur[keep]
+
+
+sampler_configs = st.builds(
+    lambda mix, **fields: ScenarioConfig(
+        near_fraction=mix[0], mid_fraction=mix[1], far_fraction=mix[2],
+        index_cases=0, **fields),
+    mix=st.sampled_from([(0.5, 0.3, 0.2), (1.0, 0.0, 0.0), (0.0, 0.5, 0.5)]),
+    population=st.sampled_from([0, 1, 2, 50, 400]),
+    seed=st.integers(0, 2**16),
+    contacts_per_day=st.sampled_from([0.0, 3.0, 8.0]),
+    quarantine_leak=st.sampled_from([0.0, 0.05, 1.0]),
+)
+
+
+# numpy's geometric switches from a search to an inversion below p = 1/3.
+@pytest.mark.parametrize("duration_mean_ticks", [1, 1.5, 3.0, 3.0001, 12, 300])
+@settings(max_examples=20, deadline=None)
+@example(cfg=ScenarioConfig(population=400, seed=5, index_cases=0,
+                            near_fraction=0.0, mid_fraction=0.5,
+                            far_fraction=0.5),
+         quarantined_share=0.5)
+@given(cfg=sampler_configs, quarantined_share=st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+def test_sample_events_matches_reference_stream(duration_mean_ticks, cfg,
+                                                quarantined_share):
+    # On equal seeds the sampler returns exactly the reference's arrays, day
+    # after day, and leaves the generator where the reference leaves it.
+    cfg = replace(cfg, duration_mean_ticks=duration_mean_ticks)
+    world, reference = World(cfg), World(cfg)
+    for day in range(3):
+        mask = np.random.default_rng(day).random(cfg.population) < quarantined_share
+        world.quarantined[:] = mask
+        reference.quarantined[:] = mask
+        got = world._sample_events()
+        want = reference_sample_events(reference)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == np.int64
+            assert np.array_equal(g, w)
+        assert (world.nprng.bit_generator.state
+                == reference.nprng.bit_generator.state)
+
+
 def test_beacons_flow_through_real_codec(monkeypatch):
     calls = {"decode": 0}
     real_decode = simnet.decode_beacon
