@@ -35,6 +35,11 @@ INFECTIOUS = 2
 SYMPTOMATIC = 3
 REMOVED = 4
 
+# Each health state's part in transmission, indexed by health code:
+# susceptible 2, infectious or symptomatic 1, otherwise 0. A contact can
+# transmit exactly when its partners' parts are 1 and 2, so XOR to 3.
+TRANSMISSION_ROLE = np.array([2, 0, 1, 1, 0], dtype=np.int8)
+
 # Calibrated broadcast power at 1 m and representative received powers per
 # distance class, so receivers classify proximity from power like a radio
 # would instead of being told the class.
@@ -115,6 +120,8 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 problems.append(f"{name} must be in [0, 1], got {value}")
+        if self.target_r0 < 0:
+            problems.append(f"target_r0 must be >= 0, got {self.target_r0}")
         if self.contacts_per_day < 0:
             problems.append(f"contacts_per_day must be >= 0, got {self.contacts_per_day}")
         if self.duration_mean_ticks < 1:
@@ -193,6 +200,42 @@ class Device:
     id_history: dict = field(default_factory=dict)  # date -> rdi
     log: ContactLog = None
     handled: set = field(default_factory=set)  # (date, rdi) hits already acted on
+
+
+class EventWorkspace:
+    """The buffers one World writes each day's contact events into.
+
+    An untraced 10k-agent day draws about 80k events. Event-sized arrays
+    allocated and freed every day go back to the system and are faulted in
+    again the next day, which took about a third of the sampler's time. So
+    the sampler and the transmission step write into these buffers, which are
+    reused from day to day. When a day has more events than they hold,
+    they are replaced by buffers a quarter larger than that day needs.
+    Only the partners and start ticks are fresh arrays each day, because
+    `Generator.integers` takes no `out=`.
+    """
+
+    HEADROOM = 1.25
+
+    def __init__(self):
+        self._allocate(0)
+
+    def reserve(self, m):
+        """Make every buffer hold at least `m` events."""
+        if m > self.capacity:
+            self._allocate(int(m * self.HEADROOM))
+
+    def _allocate(self, cap):
+        self.capacity = cap
+        self.src = np.empty(cap, dtype=np.int64)
+        self.cls = np.empty(cap, dtype=np.int64)
+        self.dur = np.empty(cap, dtype=np.int64)
+        self.latest = np.empty(cap, dtype=np.int64)  # last start tick that fits
+        self.uniform = np.empty(cap, dtype=np.float64)  # each float draw in turn
+        self.drop = np.empty(cap, dtype=bool)
+        self.mask = np.empty(cap, dtype=bool)  # scratch
+        self.src_role = np.empty(cap, dtype=np.int8)
+        self.dst_role = np.empty(cap, dtype=np.int8)
 
 
 @dataclass
@@ -280,6 +323,7 @@ class World:
         self.nprng = np.random.default_rng(self.rng.getrandbits(63))
         self.record_events = record_events
         self.events = []
+        self.workspace = EventWorkspace()
 
         n = config.population
         self.health = np.full(n, SUSCEPTIBLE, dtype=np.int8)
@@ -361,7 +405,9 @@ class World:
 
     def _sample_events(self):
         """Draw the day's contact events as parallel int64 arrays
-        `(src, dst, cls, start, dur)`, in sampled order.
+        `(src, dst, cls, start, dur)`, in sampled order. They may be views
+        into this World's `workspace`, so they hold only until the next
+        call. A population below two has no pairs and draws no events.
 
         The generator is drawn in this order: contacts per agent (poisson),
         then once per sampled event partners (integers), the quarantine-leak
@@ -379,41 +425,55 @@ class World:
         """
         cfg = self.config
         n = cfg.population
-        if n == 0 or cfg.contacts_per_day == 0:
+        if n < 2 or cfg.contacts_per_day == 0:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty, empty, empty, empty
         rng = self.nprng
+        ws = self.workspace
         lam = np.where(self.quarantined,
                        cfg.contacts_per_day * cfg.quarantine_leak,
                        cfg.contacts_per_day)
         counts = rng.poisson(lam)
-        src = np.repeat(np.arange(n, dtype=np.int64), counts)
-        m = len(src)
+        m = int(counts.sum())
+        ws.reserve(m)
+        # Each sender's id repeated `counts` times, built in place: the id
+        # step from the previous sender at its first event, then a running sum.
+        senders = np.flatnonzero(counts)
+        sent = counts[senders]
+        src = ws.src[:m]
+        src.fill(0)
+        src[np.cumsum(sent) - sent] = np.diff(senders, prepend=0)
+        np.cumsum(src, out=src)
         dst = rng.integers(0, n, m, dtype=np.int64)
-        clash = dst == src
+        mask = ws.mask[:m]
+        clash = np.equal(dst, src, out=mask)
         dst[clash] = (dst[clash] + 1) % n
         # An event with a quarantined partner happens with the leak
         # probability; the draw is made whether or not anyone is quarantined.
-        leak = rng.random(m)
-        drop = self.quarantined[dst]
-        drop &= leak >= cfg.quarantine_leak
+        # (`take` writes to `out` directly in "clip" mode, and every index is
+        # in range; in its default mode it fills a temporary first.)
+        uniform = ws.uniform[:m]
+        rng.random(out=uniform)
+        drop = np.take(self.quarantined, dst, out=ws.drop[:m], mode="clip")
+        drop &= np.greater_equal(uniform, cfg.quarantine_leak, out=mask)
         p = 1.0 / cfg.duration_mean_ticks
+        dur = ws.dur[:m]
         if p < 1 / 3:
-            dur = rng.standard_exponential(m)
-            np.divide(dur, -math.log1p(-p), out=dur)
-            np.ceil(dur, out=dur)
-            np.minimum(dur, TICKS_PER_DAY, out=dur)
-            dur = dur.astype(np.int64)
+            rng.standard_exponential(out=uniform)
+            np.divide(uniform, -math.log1p(-p), out=uniform)
+            np.ceil(uniform, out=uniform)
+            np.minimum(uniform, TICKS_PER_DAY, out=uniform)
+            np.copyto(dur, uniform, casting="unsafe")
         else:
-            dur = rng.geometric(p, m)
-            np.minimum(dur, TICKS_PER_DAY, out=dur)
+            np.minimum(rng.geometric(p, m), TICKS_PER_DAY, out=dur)
         cdf = np.cumsum([cfg.near_fraction, cfg.mid_fraction, cfg.far_fraction])
         cdf /= cdf[-1]
-        u = rng.random(m)
-        cls = (u >= cdf[0]).astype(np.int64)
-        cls += u >= cdf[1]
+        rng.random(out=uniform)
+        cls = np.greater_equal(uniform, cdf[0], out=ws.cls[:m])
+        cls += np.greater_equal(uniform, cdf[1], out=mask)
         start = rng.integers(0, TICKS_PER_DAY, m, dtype=np.int64)
-        np.minimum(start, TICKS_PER_DAY - dur, out=start)
+        np.minimum(start, np.subtract(TICKS_PER_DAY, dur, out=ws.latest[:m]),
+                   out=start)
         if not drop.any():
             return src, dst, cls, start, dur
         keep = ~drop
@@ -566,10 +626,13 @@ class World:
         if len(src):
             if self.devices:
                 self._exchange_beacons(day, src, dst, cls, start, dur)
-            infectious = self._health_in(INFECTIOUS, SYMPTOMATIC)
-            sus = self.health == SUSCEPTIBLE
-            relevant = (infectious[src] & sus[dst]) | (sus[src] & infectious[dst])
-            idx = np.flatnonzero(relevant)
+            # An event can transmit when its partners' roles XOR to 3.
+            m = len(src)
+            ws = self.workspace
+            role = TRANSMISSION_ROLE[self.health]
+            src_role = np.take(role, src, out=ws.src_role[:m], mode="clip")
+            src_role ^= np.take(role, dst, out=ws.dst_role[:m], mode="clip")
+            idx = np.flatnonzero(np.equal(src_role, 3, out=ws.mask[:m]))
             if len(idx):
                 near = np.where(cls[idx] == 0, dur[idx], 0)
                 mid = np.where(cls[idx] == 1, dur[idx], 0)
@@ -708,10 +771,11 @@ def calibrate_p_transmit(config: ScenarioConfig, target_r0: float = None) -> flo
     Probes run with tracing disabled (no adopters) and just long enough for
     index cases to complete their disease course.
     """
+    if target_r0 is not None:
+        config = replace(config, target_r0=target_r0)
     config.validate()
+    target_r0 = config.target_r0
     tolerance, runs_per_probe, max_steps = 0.1, 20, 30
-    if target_r0 is None:
-        target_r0 = config.target_r0
     if target_r0 == 0:
         return 0.0
     probe_days = config.latency_days + config.course_days + 2

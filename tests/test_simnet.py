@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -30,11 +31,13 @@ FAST = ScenarioConfig(population=120, days=15, seed=3, index_cases=2,
 
 
 def test_config_validation_names_offending_fields():
-    bad = ScenarioConfig(population=-1, adoption_fraction=1.5, near_fraction=0.9)
+    bad = ScenarioConfig(population=-1, adoption_fraction=1.5, near_fraction=0.9,
+                         target_r0=-0.5)
     with pytest.raises(InvalidConfig) as err:
         bad.validate()
     text = str(err.value)
     assert "population" in text
+    assert "target_r0" in text
     assert "adoption_fraction" in text
     assert "mix" in text
 
@@ -155,7 +158,7 @@ def reference_sample_events(world):
     own `choice` and `geometric`, and a `keep` mask applied to every array."""
     cfg = world.config
     n = cfg.population
-    if n == 0 or cfg.contacts_per_day == 0:
+    if n < 2 or cfg.contacts_per_day == 0:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty, empty, empty, empty
     lam = np.where(world.quarantined,
@@ -203,11 +206,16 @@ sampler_configs = st.builds(
 def test_sample_events_matches_reference_stream(duration_mean_ticks, cfg,
                                                 quarantined_share):
     # On equal seeds the sampler returns exactly the reference's arrays, day
-    # after day, and leaves the generator where the reference leaves it.
+    # after day, and leaves the generator where the reference leaves it. The
+    # first day has every agent quarantined and the second none, so at a low
+    # leak the second day outgrows the workspace the first day sized.
     cfg = replace(cfg, duration_mean_ticks=duration_mean_ticks)
+    n = cfg.population
+    masks = [np.ones(n, dtype=bool), np.zeros(n, dtype=bool)] + [
+        np.random.default_rng(day).random(n) < quarantined_share for day in range(3)]
     world, reference = World(cfg), World(cfg)
-    for day in range(3):
-        mask = np.random.default_rng(day).random(cfg.population) < quarantined_share
+    capacities = []
+    for mask in masks:
         world.quarantined[:] = mask
         reference.quarantined[:] = mask
         got = world._sample_events()
@@ -217,6 +225,48 @@ def test_sample_events_matches_reference_stream(duration_mean_ticks, cfg,
             assert np.array_equal(g, w)
         assert (world.nprng.bit_generator.state
                 == reference.nprng.bit_generator.state)
+        capacities.append(world.workspace.capacity)
+    if n >= 50 and cfg.contacts_per_day and cfg.quarantine_leak <= 0.05:
+        # At least 50 agents draw about 20 times more events unquarantined.
+        assert capacities[1] > capacities[0]
+
+
+def test_untraced_day_allocates_under_three_event_arrays():
+    # After its first day a World writes the day's events into its reused
+    # workspace. The only event-sized arrays a day allocates are then the
+    # partner and start-tick draws, which Generator.integers cannot write
+    # in place.
+    cfg = ScenarioConfig(population=2000, days=10, seed=11, index_cases=20,
+                         latency_days=0, adoption_fraction=0.0)
+    world = World(cfg)
+    world.step_day()
+    sample = world._sample_events
+    events = []
+
+    def counted():
+        arrays = sample()
+        events.append(len(arrays[0]))
+        return arrays
+
+    world._sample_events = counted
+    tracemalloc.start()
+    try:
+        world.step_day()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert world.metrics["new_infections"][-1] > 0  # transmission step ran
+    assert peak < 3 * 8 * events[0], f"peak {peak / (8 * events[0]):.2f} event arrays"
+
+
+def test_one_agent_world_has_no_contacts():
+    # A lone agent has no partner: its device logs no identifier, not even
+    # its own, and the event log has no contact line.
+    world = World(ScenarioConfig(population=1, days=5, seed=1), record_events=True)
+    for _ in range(5):
+        world.step_day()
+    assert not world.devices[0].log.records
+    assert not any(",contact," in line for line in world.events)
 
 
 def test_beacons_flow_through_real_codec(monkeypatch):
@@ -461,6 +511,16 @@ def test_r_effective_requires_enough_data():
 
 def test_calibration_target_zero_is_p_zero():
     assert calibrate_p_transmit(FAST, target_r0=0.0) == 0.0
+
+
+@pytest.mark.parametrize("target", [-1.0, float("nan"), float("inf")])
+def test_calibration_rejects_bad_target_before_any_probe(monkeypatch, target):
+    def probe(*args, **kwargs):
+        raise AssertionError("a probe ran")
+
+    monkeypatch.setattr(simnet, "run", probe)
+    with pytest.raises(InvalidConfig, match="target_r0"):
+        calibrate_p_transmit(FAST, target_r0=target)
 
 
 def test_r0_estimate_monotone_in_contact_rate():
