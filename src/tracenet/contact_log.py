@@ -16,6 +16,14 @@ give the `ContactRecord` boundary form with its absolute mask (bit t for
 tick t). The history CSV carries no mask, so an upload does not disclose
 30-second ticks; a parsed row gets the lowest mask a device could have
 counted for it.
+
+A log is partitioned by date, `{date: {rdi: value}}`, since the date is
+the unit the protocol stores, expires and matches by: a write folds into
+the one dict for its date, and `prune` drops whole days. Once a collection
+has untracked a past day's dict, no later write touches it, so the
+collector's young passes walk only the day being written. `records` is a
+read-only flat view keyed by `(date, rdi)`, for code that wants the log as
+one mapping.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from __future__ import annotations
 import io
 import csv
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -113,18 +122,24 @@ def classify(record: ContactRecord) -> Category:
 
 
 class ContactLog:
-    """A device's contact records, keyed by (date, foreign rdi)."""
+    """A device's contact records, partitioned by date: `days` maps each
+    date to `{foreign rdi: value}`, and holds no empty day. `records` is
+    the same log as a read-only flat mapping keyed by `(date, rdi)`."""
 
     def __init__(self, retention_days: int = DEFAULT_RETENTION_DAYS):
-        # (date, rdi) -> (near, mid, far, first_tick, mask); see the module
+        # date -> {rdi: (near, mid, far, first_tick, mask)}; see the module
         # docstring.
-        self.records: dict = {}
+        self.days: dict = {}
         self.retention_days = retention_days
+
+    @property
+    def records(self) -> "RecordsView":
+        return RecordsView(self.days)
 
     def record(self, date: int, rdi: bytes) -> ContactRecord:
         """The record for (date, rdi) in its boundary form; KeyError when
         the log holds none."""
-        return as_record(date, rdi, self.records[date, rdi])
+        return as_record(date, rdi, self.days[date][rdi])
 
     def observe(self, sightings, date: int, tick: int) -> "ContactLog":
         """Record one monitoring tick's sightings.
@@ -155,8 +170,12 @@ class ContactLog:
         if not 0 <= start_tick < TICKS_PER_DAY:
             raise ValueError(f"start_tick out of range: {start_tick}")
         width = min(n_ticks, TICKS_PER_DAY - start_tick)
-        key = (date, rdi)
-        rec = self.records.get(key)
+        day = self.days.get(date)
+        if day is None:
+            # The span counts at least one tick, so the new day is not left
+            # empty.
+            day = self.days[date] = {}
+        rec = day.get(rdi)
         if rec is None:
             near = mid = far = mask = 0
             first = start_tick
@@ -174,14 +193,14 @@ class ContactLog:
                 mid += new_count
             else:
                 far += new_count
-            self.records[key] = (near, mid, far, first, mask | span)
+            day[rdi] = (near, mid, far, first, mask | span)
         return self
 
     def prune(self, today: int) -> "ContactLog":
-        """Drop records older than the retention window."""
+        """Drop the days older than the retention window."""
         cutoff = today - self.retention_days
-        for key in [k for k in self.records if k[0] < cutoff]:
-            del self.records[key]
+        for date in [d for d in self.days if d < cutoff]:
+            del self.days[date]
         return self
 
     def export_history(self, from_date: int, to_date: int):
@@ -194,11 +213,33 @@ class ContactLog:
             raise EmptyRange(f"from_date {from_date} > to_date {to_date}")
         out = [
             as_record(date, rdi, value)
-            for (date, rdi), value in self.records.items()
+            for date, day in self.days.items()
             if from_date <= date <= to_date
+            for rdi, value in day.items()
         ]
         out.sort(key=lambda r: (r.date, r.first_tick, r.foreign_rdi))
         return out
+
+
+class RecordsView(Mapping):
+    """Read-only view of a log's days as one mapping `(date, rdi) -> value`.
+    It copies nothing: it reads the days it was given on each access, and
+    pickles with them."""
+
+    def __init__(self, days: dict):
+        self._days = days
+
+    def __getitem__(self, key):
+        date, rdi = key
+        return self._days[date][rdi]
+
+    def __iter__(self):
+        for date, day in self._days.items():
+            for rdi in day:
+                yield date, rdi
+
+    def __len__(self) -> int:
+        return sum(map(len, self._days.values()))
 
 
 def as_record(date: int, rdi: bytes, value) -> ContactRecord:
@@ -322,6 +363,6 @@ def log_from_records(records, retention_days: int = DEFAULT_RETENTION_DAYS) -> C
     log = ContactLog(retention_days=retention_days)
     for rec in records:
         first = rec.first_tick
-        log.records[(rec.date, rec.foreign_rdi)] = (
+        log.days.setdefault(rec.date, {})[rec.foreign_rdi] = (
             rec.near_ticks, rec.mid_ticks, rec.far_ticks, first, rec.ticks >> first)
     return log

@@ -7,8 +7,13 @@ daily, so a date mismatch means a different broadcast period entirely.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .contact_log import ContactRecord, as_record, first_tick_of
+
+
+# The day dict of a date the log holds no record of.
+_NO_DAY = MappingProxyType({})
 
 
 class UnverifiedList(ValueError):
@@ -44,13 +49,13 @@ def _sorted_hits(hits):
 
 def match_contacts(log, index: frozenset):
     """All log records whose (date, rdi) is in the index, in (date,
-    first_tick) order. The log is probed once per index entry, so a check
-    costs O(list), not O(log)."""
-    records = log.records
+    first_tick) order. The log's day dicts are probed once per index entry,
+    so a check costs O(list), not O(log)."""
+    days = log.days
     hits = [
-        Hit(rdi=rdi, date=date, record=records[date, rdi])
+        Hit(rdi=rdi, date=date, record=value)
         for date, rdi in index
-        if (date, rdi) in records
+        if (value := days.get(date, _NO_DAY).get(rdi)) is not None
     ]
     return _sorted_hits(hits)
 

@@ -122,8 +122,11 @@ class ScenarioConfig:
                 problems.append(f"{name} must be in [0, 1], got {value}")
         if self.target_r0 < 0:
             problems.append(f"target_r0 must be >= 0, got {self.target_r0}")
-        if self.contacts_per_day < 0:
-            problems.append(f"contacts_per_day must be >= 0, got {self.contacts_per_day}")
+        # More than one new contact per tick describes no device's day, and
+        # far larger rates overflow the Poisson draw or the day's buffers.
+        if not 0 <= self.contacts_per_day <= TICKS_PER_DAY:
+            problems.append(f"contacts_per_day must be in [0, {TICKS_PER_DAY}], "
+                            f"got {self.contacts_per_day}")
         if self.duration_mean_ticks < 1:
             problems.append(
                 f"duration_mean_ticks must be >= 1, got {self.duration_mean_ticks}"

@@ -383,6 +383,21 @@ def test_simulate_rejects_non_finite_value(tmp_path, capsys, key, value):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("population, value", [(20, "1e20"), (3, "1e12")])
+def test_simulate_rejects_contact_rate_above_one_per_tick(tmp_path, capsys,
+                                                          population, value):
+    path = tmp_path / "scenario.cfg"
+    path.write_text(f"population={population}\ndays=3\ncontacts_per_day = {value}\n")
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        ["simulate", "--config", str(path), "--out", str(out_dir)], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: contacts_per_day must be in [0, 2880], got {float(value)}\n"
+    assert not out_dir.exists()
+
+
 def test_simulate_rejects_non_utf8_config(tmp_path, capsys):
     path = tmp_path / "scenario.cfg"
     path.write_bytes(b"days=10\n\xff\n")

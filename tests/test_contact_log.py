@@ -236,8 +236,15 @@ def test_stored_records_are_not_tracked_by_the_garbage_collector():
     log.observe_span(X, NEAR, 0, 100, 10)
     log.observe_span(X, MID, 0, 50, 10)
     gc.collect()
-    assert not any(gc.is_tracked(key) for key in log.records)
-    assert not any(gc.is_tracked(value) for value in log.records.values())
+    past = list(log.days.values())
+    assert len(past) == 3
+    assert not any(gc.is_tracked(day) for day in past)
+    assert not any(gc.is_tracked(rdi) for day in past for rdi in day)
+    assert not any(gc.is_tracked(value) for day in past for value in day.values())
+    # A write to a new date re-tracks only that date's dict, so the young
+    # passes that follow do not walk the past days again.
+    log.observe_span(Y, FAR, 3, 0, 5)
+    assert not any(gc.is_tracked(day) for day in past)
 
 
 @settings(max_examples=60, deadline=None)

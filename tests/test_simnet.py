@@ -329,6 +329,14 @@ def test_daily_beacon_pass_matches_per_event_reference(monkeypatch):
         assert records == reference.devices[agent].log.records
     assert batched.events == reference.events
     assert batched.metrics == reference.metrics
+    # Both partners of a contact log each other's spans in the same order,
+    # so they store equal values for the day.
+    contacts = [line.split(",") for line in batched.events if ",contact," in line]
+    assert contacts
+    for day, _, _, a, b, _ in contacts:
+        day, dev_a, dev_b = int(day), batched.devices[int(a)], batched.devices[int(b)]
+        assert (dev_a.log.records[day, dev_b.id_history[day]]
+                == dev_b.log.records[day, dev_a.id_history[day]])
 
 
 def test_trace_through_nonadopter_index_case():
@@ -440,6 +448,28 @@ def test_simulator_is_a_well_behaved_casework_client(cfg):
 
         [publish] = [f for f in today if f[2] == "publish"]
         assert publish[5] == f"entries={world.metrics['list_size'][-1]}"
+
+
+def test_long_run_keeps_device_state_inside_the_retention_window():
+    # `run` stops at extinction, so the world is stepped directly: over 120
+    # days a device keeps at most the window's dates of records, identifiers
+    # and acted-on hits, however long the epidemic lasts.
+    cfg = ScenarioConfig(population=300, days=120, seed=1, index_cases=3,
+                         p_transmit=0.01, retention_days=7)
+    world = World(cfg)
+    full_windows = late_hits = 0
+    for day in range(cfg.days):
+        world.step_day()
+        cutoff = day - cfg.retention_days
+        for dev in world.devices.values():
+            dates = dev.log.days.keys()
+            assert len(dates) <= cfg.retention_days + 1
+            assert all(cutoff <= date <= day for date in dates)
+            assert all(cutoff <= date <= day for date in dev.id_history)
+            assert all(cutoff <= date <= day for date, _ in dev.handled)
+            full_windows += len(dates) == cfg.retention_days + 1
+            late_hits += day > 2 * cfg.retention_days and bool(dev.handled)
+    assert full_windows and late_hits
 
 
 @pytest.mark.parametrize("seed", range(5))
