@@ -356,11 +356,11 @@ def records_from_csv(text: str):
     return out
 
 
-def log_from_records(records, retention_days: int = DEFAULT_RETENTION_DAYS) -> ContactLog:
+def log_from_records(records) -> ContactLog:
     """Build a ContactLog from pre-accumulated records (e.g. a parsed CSV),
     each stored in the log's value form. Every record must hold a counted
     tick, as each one a device logs or `records_from_csv` returns does."""
-    log = ContactLog(retention_days=retention_days)
+    log = ContactLog()
     for rec in records:
         first = rec.first_tick
         log.days.setdefault(rec.date, {})[rec.foreign_rdi] = (

@@ -74,7 +74,6 @@ class ScenarioConfig:
     population: int = 1000
     days: int = 60
     seed: int = 0
-    target_r0: float = 2.15
     latency_days: int = 3
     symptom_onset_days: int = 5
     course_days: int = 21
@@ -120,8 +119,6 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 problems.append(f"{name} must be in [0, 1], got {value}")
-        if self.target_r0 < 0:
-            problems.append(f"target_r0 must be >= 0, got {self.target_r0}")
         # More than one new contact per tick describes no device's day, and
         # far larger rates overflow the Poisson draw or the day's buffers.
         if not 0 <= self.contacts_per_day <= TICKS_PER_DAY:
@@ -515,7 +512,7 @@ class World:
         cfg = self.config
         used = 0
         for kind, agent, token in self.pending_tests.pop(day, ()):
-            infected = self.health[agent] in (EXPOSED, INFECTIOUS, SYMPTOMATIC)
+            infected = EXPOSED <= self.health[agent] <= SYMPTOMATIC
             result = "positive" if infected else "negative"
             if kind == "self":
                 used += 1
@@ -767,35 +764,35 @@ def estimate_R_effective(report: MetricsReport):
     return series
 
 
-def calibrate_p_transmit(config: ScenarioConfig, target_r0: float = None) -> float:
+def calibrate_p_transmit(config: ScenarioConfig, target_r0: float) -> float:
     """Bisect the per-tick transmission probability until the Monte-Carlo
-    estimate of mean secondary infections of index cases hits the target.
+    estimate of mean secondary infections of index cases hits `target_r0`.
 
-    Probes run with tracing disabled (no adopters) and just long enough for
-    index cases to complete their disease course.
+    Each probe is 20 untraced runs (no adopters) of `course_days + 1` days.
+    Index cases are infected on day 0 and removed in step 3 of day
+    `course_days`, so step 2 of that day is the last in which one can
+    transmit. `empirical_r0` counts only their infections, so a longer run
+    would return the same estimate.
     """
-    if target_r0 is not None:
-        config = replace(config, target_r0=target_r0)
+    if not (math.isfinite(target_r0) and target_r0 >= 0):
+        raise InvalidConfig([f"target_r0 must be finite and >= 0, got {target_r0}"])
     config.validate()
-    target_r0 = config.target_r0
     tolerance, runs_per_probe, max_steps = 0.1, 20, 30
     if target_r0 == 0:
         return 0.0
-    probe_days = config.latency_days + config.course_days + 2
-    base = replace(config, adoption_fraction=0.0, days=probe_days)
+    base = replace(config, adoption_fraction=0.0, days=config.course_days + 1)
 
     def estimate(p):
-        values = []
-        for k in range(runs_per_probe):
-            rep = run(replace(base, p_transmit=p, seed=config.seed * 100003 + k))
-            values.append(rep.empirical_r0)
-        return sum(values) / len(values)
+        return sum(
+            run(replace(base, p_transmit=p, seed=config.seed * 100003 + k)).empirical_r0
+            for k in range(runs_per_probe)
+        ) / runs_per_probe
 
-    steps = 0
     lo = 0.0
     hi = 0.02
     hi_value = estimate(hi)
-    steps += 1
+    steps = 1
+    # Doubling from 0.02 reaches p=1 on the 7th probe, well inside the budget.
     while hi_value < target_r0:
         if hi >= 1.0:
             raise NoConvergence(
@@ -804,8 +801,6 @@ def calibrate_p_transmit(config: ScenarioConfig, target_r0: float = None) -> flo
         hi = min(1.0, hi * 2)
         hi_value = estimate(hi)
         steps += 1
-        if steps >= max_steps:
-            raise NoConvergence(f"no bracket after {steps} probes")
     while steps < max_steps:
         mid = (lo + hi) / 2
         value = estimate(mid)

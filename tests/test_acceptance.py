@@ -299,6 +299,7 @@ def test_criterion_08_casework_safety_exhaustive():
        f"{explored} transitions, {len(visited)} states, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_09_epidemic_calibration():
     started = time.monotonic()
     p = calibrated_p()
@@ -316,6 +317,7 @@ def test_criterion_09_epidemic_calibration():
        f"p={p:.6g}, R0 {mean_r0:.2f}, attack {mean_attack:.2f}, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_10_containment_property():
     p = calibrated_p()
     base = ScenarioConfig(population=1000, days=90, index_cases=3,

@@ -398,6 +398,20 @@ def test_simulate_rejects_contact_rate_above_one_per_tick(tmp_path, capsys,
     assert not out_dir.exists()
 
 
+def test_simulate_rejects_calibration_target(tmp_path, capsys):
+    # The R0 target is an argument of calibrate_p_transmit, not a scenario key.
+    path = tmp_path / "scenario.cfg"
+    path.write_text("population=20\ndays=3\ntarget_r0 = 2\n")
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        ["simulate", "--config", str(path), "--out", str(out_dir)], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}:3: unknown key 'target_r0'\n"
+    assert not out_dir.exists()
+
+
 def test_simulate_rejects_non_utf8_config(tmp_path, capsys):
     path = tmp_path / "scenario.cfg"
     path.write_bytes(b"days=10\n\xff\n")

@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,13 +32,11 @@ FAST = ScenarioConfig(population=120, days=15, seed=3, index_cases=2,
 
 
 def test_config_validation_names_offending_fields():
-    bad = ScenarioConfig(population=-1, adoption_fraction=1.5, near_fraction=0.9,
-                         target_r0=-0.5)
+    bad = ScenarioConfig(population=-1, adoption_fraction=1.5, near_fraction=0.9)
     with pytest.raises(InvalidConfig) as err:
         bad.validate()
     text = str(err.value)
     assert "population" in text
-    assert "target_r0" in text
     assert "adoption_fraction" in text
     assert "mix" in text
 
@@ -551,6 +550,60 @@ def test_calibration_rejects_bad_target_before_any_probe(monkeypatch, target):
     monkeypatch.setattr(simnet, "run", probe)
     with pytest.raises(InvalidConfig, match="target_r0"):
         calibrate_p_transmit(FAST, target_r0=target)
+
+
+def _fake_probes(monkeypatch, r0_of_p):
+    """Replace `simnet.run` by `r0_of_p(config.p_transmit)` and return the
+    configs of every run, in call order."""
+    calls = []
+
+    def fake_run(config, seed=None, record_events=False):
+        calls.append(config)
+        return SimpleNamespace(empirical_r0=r0_of_p(config.p_transmit))
+
+    monkeypatch.setattr(simnet, "run", fake_run)
+    return calls
+
+
+def test_calibration_bisects_to_target(monkeypatch):
+    cfg = replace(FAST, course_days=9, adoption_fraction=0.5)
+    calls = _fake_probes(monkeypatch, lambda p: 2000 * p)
+    assert calibrate_p_transmit(cfg, target_r0=2.15) == 0.00109375
+    probes = [calls[i:i + 20] for i in range(0, len(calls), 20)]
+    assert [probe[0].p_transmit for probe in probes] == [
+        0.02, 0.01, 0.005, 0.0025, 0.00125, 0.000625, 0.0009375, 0.00109375]
+    for probe in probes:
+        assert len(probe) == 20
+        assert {c.p_transmit for c in probe} == {probe[0].p_transmit}
+        assert all(c.days == cfg.course_days + 1 for c in probe)
+        assert all(c.adoption_fraction == 0 for c in probe)
+        assert [c.seed for c in probe] == [cfg.seed * 100003 + k for k in range(20)]
+
+
+def test_calibration_gives_up_at_p_one(monkeypatch):
+    calls = _fake_probes(monkeypatch, lambda p: 0.0)
+    with pytest.raises(simnet.NoConvergence, match="p=1"):
+        calibrate_p_transmit(FAST, target_r0=2.15)
+    assert sorted({c.p_transmit for c in calls}) == [
+        0.02, 0.04, 0.08, 0.16, 0.32, 0.64, 1.0]
+    assert len(calls) == 7 * 20
+
+
+@pytest.mark.parametrize("latency, course", [(3, 8), (0, 5), (0, 1), (7, 4)])
+def test_probe_length_keeps_r0(latency, course):
+    # A calibration probe stops after day course_days, the last day an index
+    # case can transmit; running on to latency + course + 2 days must not
+    # change what it measures.
+    cfg = ScenarioConfig(population=200, seed=8, index_cases=4, p_transmit=0.03,
+                         adoption_fraction=0.0, latency_days=latency,
+                         symptom_onset_days=latency + 1, course_days=course)
+    values = []
+    for seed in range(5):
+        short = run(replace(cfg, days=course + 1, seed=seed))
+        long = run(replace(cfg, days=latency + course + 2, seed=seed))
+        assert short.empirical_r0 == long.empirical_r0
+        values.append(short.empirical_r0)
+    assert any(values) == (latency < course)
 
 
 def test_r0_estimate_monotone_in_contact_rate():
