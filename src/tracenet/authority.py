@@ -27,6 +27,9 @@ ALG_ED25519 = 0x01
 
 ERASE_MARGIN_DAYS = 1
 
+# One list entry on the wire: u32 BE date, then the rdi.
+_ENTRY = struct.Struct(f">I{RDI_BYTES}s")
+
 
 class Malformed(ValueError):
     pass
@@ -86,23 +89,17 @@ def deserialize_list(data: bytes) -> SignedCarrierList:
         raise Malformed(f"unsupported format version {data[5]:#04x}")
     algorithm = data[6]
     epoch_date, count = struct.unpack(">II", data[7:15])
-    entry_size = 4 + RDI_BYTES
-    entries_end = header_len + count * entry_size
+    entries_end = header_len + count * _ENTRY.size
     if len(data) < entries_end + 2:
         raise Malformed("entry count disagrees with body length")
-    entries = []
-    off = header_len
-    for _ in range(count):
-        (date,) = struct.unpack(">I", data[off : off + 4])
-        entries.append((date, data[off + 4 : off + entry_size]))
-        off += entry_size
+    entries = tuple(_ENTRY.iter_unpack(data[header_len:entries_end]))
     (sig_len,) = struct.unpack(">H", data[entries_end : entries_end + 2])
     sig_start = entries_end + 2
     if len(data) != sig_start + sig_len:
         raise Malformed("signature length disagrees with payload")
     return SignedCarrierList(
         epoch_date=epoch_date,
-        entries=tuple(entries),
+        entries=entries,
         signature=data[sig_start:],
         algorithm=algorithm,
     )
@@ -111,7 +108,8 @@ def deserialize_list(data: bytes) -> SignedCarrierList:
 def verify_list(lst: SignedCarrierList, public_key) -> bool:
     """True iff the signature validates over the canonical serialization.
 
-    Returns False (never raises) on malformed input or the wrong key.
+    Returns False (never raises) on malformed input or the wrong key,
+    including an epoch or entry date that is not an int in u32 range.
     """
     try:
         if lst.algorithm != ALG_ED25519:
@@ -121,7 +119,7 @@ def verify_list(lst: SignedCarrierList, public_key) -> bool:
         body = canonical_body(lst.epoch_date, lst.entries, lst.algorithm)
         public_key.verify(lst.signature, body)
         return True
-    except (InvalidSignature, ValueError, TypeError):
+    except (InvalidSignature, ValueError, TypeError, struct.error):
         return False
 
 

@@ -70,10 +70,14 @@ class MailboxMessage:
     body: dict = field(default_factory=dict)
 
 
+# `json.dumps` with these options builds a new encoder on every call.
+_BODY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def serialize_message(msg: MailboxMessage) -> bytes:
     """Length-prefixed wire form: u16 BE payload length, 16-byte token,
     1 kind byte, JSON body."""
-    body = json.dumps(msg.body, sort_keys=True, separators=(",", ":")).encode()
+    body = _BODY_ENCODER.encode(msg.body).encode()
     payload = msg.token + bytes([msg.kind]) + body
     return struct.pack(">H", len(payload)) + payload
 

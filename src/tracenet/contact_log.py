@@ -24,6 +24,12 @@ has untracked a past day's dict, no later write touches it, so the
 collector's young passes walk only the day being written. `records` is a
 read-only flat view keyed by `(date, rdi)`, for code that wants the log as
 one mapping.
+
+Most contacts give one span per pair per day, so `observe_span` stores a
+span on a key the log does not hold yet in closed form: every tick of it is
+new, and the value is `(w, 0, 0, start, 2**w - 1)` with the `w` counted
+ticks in the span's class slot. Only a span on a key the log already holds
+is folded into the stored value, by first claim.
 """
 
 from __future__ import annotations
@@ -44,6 +50,11 @@ MINUTES_PER_TICK = 0.5
 
 DEFAULT_RETENTION_DAYS = 21
 CATEGORY1_THRESHOLD_MINUTES = 15.0
+
+# Bound once: an attribute lookup on the enum class costs more than the
+# compare that `observe_span` makes with it.
+_NEAR = DistanceClass.NEAR
+_MID = DistanceClass.MID
 
 HISTORY_CSV_HEADER = (
     "date,rdi_hex,near_ticks,mid_ticks,far_ticks,first_tick,last_tick,bucket_count"
@@ -169,7 +180,9 @@ class ContactLog:
             return self
         if not 0 <= start_tick < TICKS_PER_DAY:
             raise ValueError(f"start_tick out of range: {start_tick}")
-        width = min(n_ticks, TICKS_PER_DAY - start_tick)
+        width = TICKS_PER_DAY - start_tick
+        if n_ticks < width:
+            width = n_ticks
         day = self.days.get(date)
         if day is None:
             # The span counts at least one tick, so the new day is not left
@@ -177,19 +190,25 @@ class ContactLog:
             day = self.days[date] = {}
         rec = day.get(rdi)
         if rec is None:
-            near = mid = far = mask = 0
+            # A fresh key: every tick of the span is new.
+            mask = (1 << width) - 1
+            if cls == _NEAR:
+                day[rdi] = (width, 0, 0, start_tick, mask)
+            elif cls == _MID:
+                day[rdi] = (0, width, 0, start_tick, mask)
+            else:
+                day[rdi] = (0, 0, width, start_tick, mask)
+            return self
+        near, mid, far, first, mask = rec
+        if start_tick < first:
+            mask <<= first - start_tick
             first = start_tick
-        else:
-            near, mid, far, first, mask = rec
-            if start_tick < first:
-                mask <<= first - start_tick
-                first = start_tick
         span = ((1 << width) - 1) << (start_tick - first)
         new_count = (span & ~mask).bit_count()
         if new_count:
-            if cls == DistanceClass.NEAR:
+            if cls == _NEAR:
                 near += new_count
-            elif cls == DistanceClass.MID:
+            elif cls == _MID:
                 mid += new_count
             else:
                 far += new_count

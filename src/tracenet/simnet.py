@@ -486,27 +486,31 @@ class World:
 
         A device's identifier is fixed for the day, so each beacon goes
         through the codec once per device, and each distance class is
-        estimated from its representative power once per day. Events are
+        estimated from its representative power once per day. Each device's
+        `observe_span` is looked up once per day too, through the class, so
+        a wrapper set on `ContactLog` still sees every call. Events are
         applied in their sampled order, because overlapping spans of one
-        pair resolve by first claim.
+        pair resolve by first claim; the `contact` lines follow in the same
+        order.
         """
         rdis = {}
-        logs = {}
+        observe = {}
         for agent, dev in self.devices.items():
             rdis[agent] = decode_beacon(encode_beacon(dev.current))
-            logs[agent] = dev.log
+            observe[agent] = dev.log.observe_span
         observed = [estimate_distance_class(CLASS_RSSI_DBM[c], TX_POWER_DBM)
                     for c in DistanceClass]
         both = self.adopter[src] & self.adopter[dst]
-        events = self.events if self.record_events else None
-        for a, b, c, s, d in zip(src[both].tolist(), dst[both].tolist(),
-                                 cls[both].tolist(), start[both].tolist(),
-                                 dur[both].tolist()):
+        rows = list(zip(src[both].tolist(), dst[both].tolist(),
+                        cls[both].tolist(), start[both].tolist(),
+                        dur[both].tolist()))
+        for a, b, c, s, d in rows:
             obs = observed[c]
-            logs[a].observe_span(rdis[b], obs, day, s, d)
-            logs[b].observe_span(rdis[a], obs, day, s, d)
-            if events is not None:
-                events.append(f"{day},{s},contact,{a},{b},{c}:{d}")
+            observe[a](rdis[b], obs, day, s, d)
+            observe[b](rdis[a], obs, day, s, d)
+        if self.record_events:
+            self.events += [f"{day},{s},contact,{a},{b},{c}:{d}"
+                            for a, b, c, s, d in rows]
 
     def _run_due_tests(self, day):
         cfg = self.config

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -156,6 +157,25 @@ def test_verify_tolerates_garbage_key():
     state, _ = make_state()
     lst = state.publish(0)
     assert not verify_list(lst, b"\x00" * 7)
+
+
+@pytest.mark.parametrize("change", [
+    {"entries": ((-1, bytes(16)),)},
+    {"entries": ((2**32, bytes(16)),)},
+    {"entries": ((3.5, bytes(16)),)},
+    {"entries": (("3", bytes(16)),)},
+    {"epoch_date": -1},
+    {"epoch_date": 2**32},
+    {"epoch_date": 3.5},
+], ids=["date_negative", "date_past_u32", "date_float", "date_str",
+        "epoch_negative", "epoch_past_u32", "epoch_float"])
+def test_verify_returns_false_on_dates_the_codec_cannot_pack(change):
+    state, pub = make_state()
+    state.register_carrier([], 0, own_identifiers=own_ids(random.Random(12), [0]),
+                           today=0)
+    lst = state.publish(0)
+    assert verify_list(lst, pub)
+    assert verify_list(replace(lst, **change), pub) is False
 
 
 def test_serialize_round_trip_random_lists():

@@ -195,6 +195,54 @@ def test_observe_span_equals_repeated_observe(spans):
     assert forward.records == reverse.records
 
 
+def per_tick_reference(spans, date=4):
+    """A log built by one observe call per counted tick of each span."""
+    log = ContactLog()
+    for start, n, cls in spans:
+        for tick in range(start, min(start + n, 2880)):
+            log.observe([(X, cls)], date, tick)
+    return log
+
+
+@pytest.mark.parametrize("cls", [NEAR, MID, FAR])
+@pytest.mark.parametrize("start,n", [
+    (0, 1), (100, 37), (0, 2880), (2879, 1),
+    (2870, 10), (2870, 11), (2870, 500), (5, 10**6),
+])
+def test_fresh_span_is_stored_in_closed_form(cls, start, n):
+    # A span on a key the log does not hold yet, including one that runs
+    # past tick 2879, stores what counting its ticks one by one stores.
+    log = ContactLog().observe_span(X, cls, 4, start, n)
+    assert log.days == per_tick_reference([(start, n, cls)]).days
+    width = min(n, 2880 - start)
+    rec = log.record(4, X)
+    assert (rec.near_ticks, rec.mid_ticks, rec.far_ticks) == tuple(
+        width if c == cls else 0 for c in (NEAR, MID, FAR))
+    assert rec.ticks == ((1 << width) - 1) << start
+
+
+@pytest.mark.parametrize("n", [0, -1, -2880])
+def test_empty_span_stores_nothing_and_creates_no_day(n):
+    log = ContactLog().observe_span(Y, NEAR, 3, 10, 5)
+    for cls in (NEAR, MID, FAR):
+        log.observe_span(X, cls, 4, 10, n)
+        log.observe_span(X, cls, 3, 10, n)
+    assert log.days == ContactLog().observe_span(Y, NEAR, 3, 10, 5).days
+
+
+@pytest.mark.parametrize("spans", [
+    [(100, 20, NEAR), (110, 20, MID)],  # second span starts inside the first
+    [(110, 20, MID), (100, 20, NEAR)],  # second span starts before the first
+    [(100, 5, FAR), (2000, 900, NEAR)],  # disjoint; the second is clipped
+    [(0, 2880, MID), (0, 2880, NEAR)],  # nothing new for the second
+])
+def test_second_span_on_a_key_folds_by_first_claim(spans):
+    log = ContactLog()
+    for start, n, cls in spans:
+        log.observe_span(X, cls, 4, start, n)
+    assert log.days == per_tick_reference(spans).days
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tracenet import simnet
 from tracenet.casework import CaseState
+from tracenet.contact_log import ContactLog
 from tracenet.ident import (
     DistanceClass,
     decode_beacon,
@@ -284,6 +285,27 @@ def test_beacons_flow_through_real_codec(monkeypatch):
         # One codec pass per device per day, not one per contact event.
         assert calls["decode"] == len(world.devices)
     assert any(dev.log.records for dev in world.devices.values())
+
+
+def test_one_observe_span_call_per_logged_span(monkeypatch):
+    # Each adopter-to-adopter contact is one span per partner, logged with
+    # one call that a wrapper set on the class sees. The benchmark's traced
+    # run relies on this count.
+    calls = []
+    real_observe_span = ContactLog.observe_span
+
+    def counting_observe_span(self, *args):
+        calls.append(args)
+        return real_observe_span(self, *args)
+
+    monkeypatch.setattr(ContactLog, "observe_span", counting_observe_span)
+    world = World(replace(FAST, population=40, adoption_fraction=0.7),
+                  record_events=True)
+    for _ in range(4):
+        world.step_day()
+    contacts = sum(",contact," in line for line in world.events)
+    assert contacts
+    assert len(calls) == 2 * contacts
 
 
 def _exchange_one_event_at_a_time(world, day, src, dst, cls, start, dur):
