@@ -147,19 +147,28 @@ class AuthorityState:
         history predates it the upload is rejected as stale. The first
         registration of a (date, rdi) wins, so duplicate uploads never
         refresh its publication window.
+
+        Raises ValueError, before any entry is added, when an own
+        identifier or a traced record holds an rdi that is not `RDI_BYTES`
+        long: the list codec could not carry it.
         """
         history = list(history)
+        own_identifiers = list(own_identifiers)
         usable = [rec for rec in history if rec.date >= infectious_start]
         if history and not usable:
             raise StaleHistory(
                 f"all {len(history)} records predate infectious_start {infectious_start}"
             )
+        traced = usable if self.trace_contact_derived else []
+        rdis = [rdi for _, rdi in own_identifiers] + [rec.foreign_rdi for rec in traced]
+        for rdi in rdis:
+            if len(rdi) != RDI_BYTES:
+                raise ValueError(f"rdi must be {RDI_BYTES} bytes, got {len(rdi)}")
         for date, rdi in own_identifiers:
             if date >= infectious_start:
                 self.entries.setdefault((date, rdi), today)
-        if self.trace_contact_derived:
-            for rec in usable:
-                self.entries.setdefault((rec.date, rec.foreign_rdi), today)
+        for rec in traced:
+            self.entries.setdefault((rec.date, rec.foreign_rdi), today)
         return self
 
     def publish(self, epoch_date: int) -> SignedCarrierList:

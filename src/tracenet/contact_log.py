@@ -5,31 +5,34 @@ into 720 two-minute buckets. A record accumulates per-class tick counts for
 one foreign identifier on one date; face-to-face time is the near+mid tick
 count at half a minute per tick.
 
-A log stores each record as a plain tuple of ints, `(near, mid, far,
-first_tick, mask)`, where bit i of `mask` is set once tick `first_tick + i`
-has been counted, so bit 0 is always set. That is the record's only tick
-state, and two logs that counted the same ticks hold equal tuples. Tuples of
-ints drop out of the garbage collector's tracking, so a large log adds
-nothing to each collection pass. Only this module knows the layout: other
-code reads a stored value through `as_record` and `first_tick_of`, which
-give the `ContactRecord` boundary form with its absolute mask (bit t for
-tick t). The history CSV carries no mask, so an upload does not disclose
-30-second ticks; a parsed row gets the lowest mask a device could have
-counted for it.
+A log stores each record as one plain int that packs four 12-bit fields
+(2880 < 4096) under the record's tick mask:
+
+    mask << 48 | first_tick << 36 | far << 24 | mid << 12 | near
+
+Bit i of `mask` is set once tick `first_tick + i` has been counted, so bit 0
+is always set. That is the record's only tick state, and two logs that
+counted the same ticks hold equal ints. An int, unlike a tuple, is never
+tracked by the garbage collector, and a dict that holds only bytes keys and
+int values is never tracked either: writing to a log starts no young
+collection, and no collection pass walks a log however large it grows. Only
+this module knows the layout: other code reads a stored value through
+`as_record` and `first_tick_of`, which give the `ContactRecord` boundary form
+with its absolute mask (bit t for tick t). The history CSV carries no mask,
+so an upload does not disclose 30-second ticks; a parsed row gets the lowest
+mask a device could have counted for it.
 
 A log is partitioned by date, `{date: {rdi: value}}`, since the date is
-the unit the protocol stores, expires and matches by: a write folds into
-the one dict for its date, and `prune` drops whole days. Once a collection
-has untracked a past day's dict, no later write touches it, so the
-collector's young passes walk only the day being written. `records` is a
+the unit the protocol stores, expires and matches by: a write goes into the
+one dict for its date, and `prune` drops whole days. `records` is a
 read-only flat view keyed by `(date, rdi)`, for code that wants the log as
 one mapping.
 
 Most contacts give one span per pair per day, so `observe_span` stores a
 span on a key the log does not hold yet in closed form: every tick of it is
-new, and the value is `(w, 0, 0, start, 2**w - 1)` with the `w` counted
-ticks in the span's class slot. Only a span on a key the log already holds
-is folded into the stored value, by first claim.
+new, and the value is `(2**w - 1) << 48 | start << 36 | w << 12 * cls`,
+with the `w` counted ticks in the span's class field. Only a span on a key
+the log already holds is folded into the stored value, by first claim.
 """
 
 from __future__ import annotations
@@ -51,10 +54,18 @@ MINUTES_PER_TICK = 0.5
 DEFAULT_RETENTION_DAYS = 21
 CATEGORY1_THRESHOLD_MINUTES = 15.0
 
-# Bound once: an attribute lookup on the enum class costs more than the
-# compare that `observe_span` makes with it.
-_NEAR = DistanceClass.NEAR
-_MID = DistanceClass.MID
+# A stored value's fields (see the module docstring): the near, mid and far
+# counts at `_COUNT_BITS * cls`, the first tick above them, and the mask
+# above all four. A field is read from the value's low bits, so reading one
+# copies no part of a long mask.
+_COUNT_BITS = 12
+_FIELD = (1 << _COUNT_BITS) - 1
+_FIRST_SHIFT = 3 * _COUNT_BITS
+_MASK_SHIFT = 4 * _COUNT_BITS
+_MASK_ONE = 1 << _MASK_SHIFT
+_COUNTS = (1 << _FIRST_SHIFT) - 1
+_FIRST = _FIELD << _FIRST_SHIFT
+_FIELDS = _MASK_ONE - 1
 
 HISTORY_CSV_HEADER = (
     "date,rdi_hex,near_ticks,mid_ticks,far_ticks,first_tick,last_tick,bucket_count"
@@ -134,12 +145,15 @@ def classify(record: ContactRecord) -> Category:
 
 class ContactLog:
     """A device's contact records, partitioned by date: `days` maps each
-    date to `{foreign rdi: value}`, and holds no empty day. `records` is
-    the same log as a read-only flat mapping keyed by `(date, rdi)`."""
+    date to `{foreign rdi: value}`, and holds no empty day. Each value is
+    one int packing the record's three class counts, its first tick and its
+    tick mask, so neither a value nor a day dict is ever tracked by the
+    garbage collector. `records` is the same log as a read-only flat
+    mapping keyed by `(date, rdi)`."""
 
     def __init__(self, retention_days: int = DEFAULT_RETENTION_DAYS):
-        # date -> {rdi: (near, mid, far, first_tick, mask)}; see the module
-        # docstring.
+        # date -> {rdi: mask << 48 | first_tick << 36 | far << 24 | mid << 12
+        # | near}; see the module docstring for why an int.
         self.days: dict = {}
         self.retention_days = retention_days
 
@@ -188,31 +202,25 @@ class ContactLog:
             # The span counts at least one tick, so the new day is not left
             # empty.
             day = self.days[date] = {}
+        shift = _COUNT_BITS * cls
         rec = day.get(rdi)
         if rec is None:
             # A fresh key: every tick of the span is new.
-            mask = (1 << width) - 1
-            if cls == _NEAR:
-                day[rdi] = (width, 0, 0, start_tick, mask)
-            elif cls == _MID:
-                day[rdi] = (0, width, 0, start_tick, mask)
-            else:
-                day[rdi] = (0, 0, width, start_tick, mask)
+            # (2**width - 1) << 48 plus the fields, which stay below 2**48.
+            day[rdi] = (1 << _MASK_SHIFT + width) - (
+                _MASK_ONE - (start_tick << _FIRST_SHIFT | width << shift))
             return self
-        near, mid, far, first, mask = rec
+        first = (rec & _FIRST) >> _FIRST_SHIFT
+        mask = rec >> _MASK_SHIFT
         if start_tick < first:
             mask <<= first - start_tick
             first = start_tick
         span = ((1 << width) - 1) << (start_tick - first)
         new_count = (span & ~mask).bit_count()
         if new_count:
-            if cls == _NEAR:
-                near += new_count
-            elif cls == _MID:
-                mid += new_count
-            else:
-                far += new_count
-            day[rdi] = (near, mid, far, first, mask | span)
+            # A key counts each tick once, so no count field passes 2880.
+            day[rdi] = ((mask | span) << _MASK_SHIFT | first << _FIRST_SHIFT
+                        | (rec & _COUNTS) + (new_count << shift))
         return self
 
     def prune(self, today: int) -> "ContactLog":
@@ -261,15 +269,18 @@ class RecordsView(Mapping):
         return sum(map(len, self._days.values()))
 
 
-def as_record(date: int, rdi: bytes, value) -> ContactRecord:
+def as_record(date: int, rdi: bytes, value: int) -> ContactRecord:
     """The boundary form of the value a log stores for (date, rdi)."""
-    near, mid, far, first, mask = value
-    return ContactRecord(rdi, date, near, mid, far, mask << first)
+    fields = value & _FIELDS
+    return ContactRecord(
+        rdi, date, fields & _FIELD, fields >> _COUNT_BITS & _FIELD,
+        fields >> 2 * _COUNT_BITS & _FIELD,
+        value >> _MASK_SHIFT << (fields >> _FIRST_SHIFT))
 
 
-def first_tick_of(value) -> int:
+def first_tick_of(value: int) -> int:
     """The first counted tick of a value a log stores."""
-    return value[3]
+    return (value & _FIRST) >> _FIRST_SHIFT
 
 
 def records_to_csv(records) -> str:
@@ -377,11 +388,25 @@ def records_from_csv(text: str):
 
 def log_from_records(records) -> ContactLog:
     """Build a ContactLog from pre-accumulated records (e.g. a parsed CSV),
-    each stored in the log's value form. Every record must hold a counted
-    tick, as each one a device logs or `records_from_csv` returns does."""
+    each stored in the log's value form.
+
+    Raises ValueError on a record no device logs, which the value's 12-bit
+    count fields might not hold: one with no counted tick, a tick outside
+    the day, or class counts that do not add up to its counted ticks. Each
+    record a device logs or `records_from_csv` returns is accepted.
+    """
     log = ContactLog()
     for rec in records:
+        ticks = rec.ticks
+        counts = (rec.near_ticks, rec.mid_ticks, rec.far_ticks)
+        if (not 0 < ticks < 1 << TICKS_PER_DAY or min(counts) < 0
+                or sum(counts) != ticks.bit_count()):
+            raise ValueError(
+                f"no device logs this record: date {rec.date}, rdi "
+                f"{rec.foreign_rdi.hex()}")
         first = rec.first_tick
         log.days.setdefault(rec.date, {})[rec.foreign_rdi] = (
-            rec.near_ticks, rec.mid_ticks, rec.far_ticks, first, rec.ticks >> first)
+            ticks >> first << _MASK_SHIFT | first << _FIRST_SHIFT
+            | rec.far_ticks << 2 * _COUNT_BITS | rec.mid_ticks << _COUNT_BITS
+            | rec.near_ticks)
     return log

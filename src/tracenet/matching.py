@@ -24,9 +24,9 @@ class UnverifiedList(ValueError):
 class Hit:
     rdi: bytes
     date: int
-    # The very value the log stores for (date, rdi), not a copy; read it
-    # through `contact_record`.
-    record: tuple
+    # The very value the log stores for (date, rdi): one packed int whose
+    # layout only `contact_log` knows; read it through `contact_record`.
+    record: int
 
     def contact_record(self) -> ContactRecord:
         """The matched record in its boundary form."""

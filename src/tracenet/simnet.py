@@ -501,16 +501,17 @@ class World:
         observed = [estimate_distance_class(CLASS_RSSI_DBM[c], TX_POWER_DBM)
                     for c in DistanceClass]
         both = self.adopter[src] & self.adopter[dst]
-        rows = list(zip(src[both].tolist(), dst[both].tolist(),
-                        cls[both].tolist(), start[both].tolist(),
-                        dur[both].tolist()))
-        for a, b, c, s, d in rows:
+        columns = (src[both].tolist(), dst[both].tolist(), cls[both].tolist(),
+                   start[both].tolist(), dur[both].tolist())
+        # Both passes zip the columns: zip reuses its result tuple, so the
+        # day keeps no tracked object per event for the garbage collector.
+        for a, b, c, s, d in zip(*columns):
             obs = observed[c]
             observe[a](rdis[b], obs, day, s, d)
             observe[b](rdis[a], obs, day, s, d)
         if self.record_events:
             self.events += [f"{day},{s},contact,{a},{b},{c}:{d}"
-                            for a, b, c, s, d in rows]
+                            for a, b, c, s, d in zip(*columns)]
 
     def _run_due_tests(self, day):
         cfg = self.config

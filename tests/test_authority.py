@@ -80,6 +80,22 @@ def test_contact_derived_entries_follow_policy_flag():
     assert (12, rec.foreign_rdi) not in off.entries
 
 
+def test_register_rejects_rdis_the_list_codec_cannot_carry():
+    # A 15-byte and a 17-byte rdi on one date: were they entered, the signed
+    # list would verify but read back as different entries.
+    state, pub = make_state()
+    history = [contact(3, bytes([1]) * 15), contact(3, bytes([2]) * 17)]
+    with pytest.raises(ValueError, match="rdi must be 16 bytes"):
+        state.register_carrier(history, 0, today=3)
+    with pytest.raises(ValueError, match="rdi must be 16 bytes"):
+        state.register_carrier([], 0, own_identifiers=[(3, bytes(16)), (3, bytes(15))],
+                               today=3)
+    assert state.entries == {}
+    lst = state.publish(3)
+    assert verify_list(lst, pub)
+    assert deserialize_list(serialize_list(lst)) == lst
+
+
 def test_untraced_contact_identifiers_are_not_stored():
     state, _ = make_state(trace_contact_derived=False)
     rng = random.Random(15)

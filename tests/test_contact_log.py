@@ -274,8 +274,9 @@ def test_tick_mask_matches_plain_set_oracle(spans):
 
 
 def test_stored_records_are_not_tracked_by_the_garbage_collector():
-    # A log holds no object the collector must walk on each pass, however
-    # large it grows.
+    # A log holds no object the collector must walk, however large it
+    # grows: each value is an int, so no write makes a day dict tracked,
+    # today's included, and no collection is needed to untrack one.
     rng = random.Random(5)
     log = ContactLog()
     for _ in range(200):
@@ -283,16 +284,75 @@ def test_stored_records_are_not_tracked_by_the_garbage_collector():
                          rng.randrange(3), rng.randrange(2880), rng.randrange(1, 60))
     log.observe_span(X, NEAR, 0, 100, 10)
     log.observe_span(X, MID, 0, 50, 10)
-    gc.collect()
-    past = list(log.days.values())
-    assert len(past) == 3
-    assert not any(gc.is_tracked(day) for day in past)
-    assert not any(gc.is_tracked(rdi) for day in past for rdi in day)
-    assert not any(gc.is_tracked(value) for day in past for value in day.values())
-    # A write to a new date re-tracks only that date's dict, so the young
-    # passes that follow do not walk the past days again.
     log.observe_span(Y, FAR, 3, 0, 5)
-    assert not any(gc.is_tracked(day) for day in past)
+    days = list(log.days.values())
+    assert len(days) == 4
+    assert not any(gc.is_tracked(day) for day in days)
+    assert not any(gc.is_tracked(rdi) for day in days for rdi in day)
+    assert not any(gc.is_tracked(value) for day in days for value in day.values())
+
+
+# Spans that fill a stored value's fields to their bounds.
+PACKED_FIELD_SPANS = {
+    "full-day-near": [(0, 2880, NEAR)],
+    "full-day-mid": [(0, 2880, MID)],
+    "full-day-far": [(0, 2880, FAR)],
+    "all-classes-full-day": [(1000, 1000, MID), (0, 1000, NEAR), (2000, 880, FAR)],
+    "last-tick": [(2879, 1, NEAR)],
+    "first-tick-2879-to-0": [(2879, 1, MID), (0, 1, FAR)],
+    "first-tick-2879-to-0-full-day": [(2879, 5, FAR), (0, 2880, NEAR)],
+}
+
+
+def spans_log(spans, date=4):
+    log = ContactLog()
+    for start, n, cls in spans:
+        log.observe_span(X, cls, date, start, n)
+    return log
+
+
+@pytest.mark.parametrize("spans", PACKED_FIELD_SPANS.values(), ids=PACKED_FIELD_SPANS)
+def test_packed_fields_hold_their_bounds(spans):
+    log = spans_log(spans)
+    reference = per_tick_reference(spans)
+    assert log.days == reference.days
+    rec = log.record(4, X)
+    assert rec == reference.record(4, X)
+    ticks = set()
+    counts = {NEAR: 0, MID: 0, FAR: 0}
+    for start, n, cls in spans:
+        span = set(range(start, min(start + n, 2880)))
+        counts[cls] += len(span - ticks)
+        ticks |= span
+    assert (rec.near_ticks, rec.mid_ticks, rec.far_ticks) == (
+        counts[NEAR], counts[MID], counts[FAR])
+    assert rec.ticks == sum(1 << t for t in ticks)
+
+
+@pytest.mark.parametrize("spans", PACKED_FIELD_SPANS.values(), ids=PACKED_FIELD_SPANS)
+def test_packed_fields_survive_the_history_csv(spans):
+    log = spans_log(spans)
+    records = log.export_history(4, 4)
+    assert records == per_tick_reference(spans).export_history(4, 4)
+    text = records_to_csv(records)
+    parsed = records_from_csv(text)
+    assert records_to_csv(parsed) == text
+    assert log_from_records(records).days == log.days
+    # Each of these logs counts the lowest ticks its row allows, so the log
+    # rebuilt from the CSV stores the very value the device stored.
+    assert log_from_records(parsed).days == log.days
+
+
+@pytest.mark.parametrize("change", [
+    {"near_ticks": 4096, "ticks": (1 << 4096) - 1},
+    {"near_ticks": 3, "ticks": 0b11},
+    {"near_ticks": -1, "mid_ticks": 3, "ticks": 0b11},
+    {"near_ticks": 0, "ticks": 0},
+], ids=["past-the-day", "counts-over-ticks", "negative-count", "no-tick"])
+def test_log_from_records_rejects_a_record_no_device_logs(change):
+    rec = ContactRecord(foreign_rdi=X, date=3, **change)
+    with pytest.raises(ValueError, match="no device logs"):
+        log_from_records([rec])
 
 
 @settings(max_examples=60, deadline=None)

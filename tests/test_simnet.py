@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -308,6 +309,36 @@ def test_one_observe_span_call_per_logged_span(monkeypatch):
     assert len(calls) == 2 * contacts
 
 
+def test_traced_day_leaves_no_tracked_object_per_span(monkeypatch):
+    # The beacon pass keeps no tracked object per event, and a log stores
+    # none per record, so a traced day allocates O(devices) objects for the
+    # garbage collector to walk, during the pass and after it, not O(spans).
+    cfg = replace(FAST, population=200, adoption_fraction=1.0, contacts_per_day=20.0)
+    world = World(cfg, record_events=True)
+    for _ in range(2):
+        world.step_day()
+    counts = []  # net new tracked objects at each observe_span call
+    real_observe_span = ContactLog.observe_span
+
+    def counting_observe_span(self, *args):
+        counts.append(gc.get_count()[0] - before)
+        return real_observe_span(self, *args)
+
+    monkeypatch.setattr(ContactLog, "observe_span", counting_observe_span)
+    bound = 2 * len(world.devices) + 100
+    gc.collect()
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        world.step_day()
+        after = gc.get_count()[0]
+    finally:
+        gc.enable()
+    assert len(counts) > 10 * bound
+    assert max(counts) < bound
+    assert after - before < bound
+
+
 def _exchange_one_event_at_a_time(world, day, src, dst, cls, start, dur):
     """Per-event, per-tick reference for World._exchange_beacons: the codec
     runs for each beacon, the class is estimated for each event, and every
@@ -345,8 +376,8 @@ def test_daily_beacon_pass_matches_per_event_reference(monkeypatch):
     for agent, dev in batched.devices.items():
         records = dev.log.records
         assert records
-        # Stored values are canonical: equal tuples mean equal counts and
-        # the same counted ticks.
+        # Stored values are canonical: equal ints mean equal counts and the
+        # same counted ticks.
         assert records == reference.devices[agent].log.records
     assert batched.events == reference.events
     assert batched.metrics == reference.metrics
