@@ -205,37 +205,47 @@ class Device:
 class EventWorkspace:
     """The buffers one World writes each day's contact events into.
 
-    An untraced 10k-agent day draws about 80k events. Event-sized arrays
-    allocated and freed every day go back to the system and are faulted in
-    again the next day, which took about a third of the sampler's time. So
-    the sampler and the transmission step write into these buffers, which are
-    reused from day to day. When a day has more events than they hold,
-    they are replaced by buffers a quarter larger than that day needs.
-    Only the partners and start ticks are fresh arrays each day, because
-    `Generator.integers` takes no `out=`.
+    An untraced 10k-agent day draws about 80k events, of which a few hundred
+    matter in a calibration run. Event-sized arrays allocated and freed
+    every day go back to the system and are faulted in again the next day,
+    which took about a third of the sampler's time. So the sampler writes
+    into these buffers, which are reused from day to day. They come in two
+    groups. The partner buffers (`DRAWN`) are sized by the count of events
+    drawn, and the attribute buffers (`MATTER`) by the count of events that
+    matter. When a day needs more than a group holds, that group is replaced
+    by buffers a quarter larger than the day needs. Only the partner and
+    start-tick draws are fresh arrays each day, because `Generator.integers`
+    takes no `out=`, and so are the partners of the events that matter when
+    some events do not.
     """
 
     HEADROOM = 1.25
+    DRAWN = (("src", np.int64), ("mask", bool), ("both", bool),
+             ("matters", bool), ("src_role", np.int8), ("dst_role", np.int8))
+    MATTER = (("transmit", bool), ("uniform", np.float64),  # each float draw in turn
+              ("drop", bool), ("flag", bool), ("dur", np.int64), ("cls", np.int64),
+              ("latest", np.int64))  # last start tick that fits
 
     def __init__(self):
-        self._allocate(0)
+        self.capacity = self.matter_capacity = 0
+        self._allocate(self.DRAWN, 0)
+        self._allocate(self.MATTER, 0)
 
     def reserve(self, m):
-        """Make every buffer hold at least `m` events."""
+        """Make the partner buffers hold at least `m` events."""
         if m > self.capacity:
-            self._allocate(int(m * self.HEADROOM))
+            self.capacity = int(m * self.HEADROOM)
+            self._allocate(self.DRAWN, self.capacity)
 
-    def _allocate(self, cap):
-        self.capacity = cap
-        self.src = np.empty(cap, dtype=np.int64)
-        self.cls = np.empty(cap, dtype=np.int64)
-        self.dur = np.empty(cap, dtype=np.int64)
-        self.latest = np.empty(cap, dtype=np.int64)  # last start tick that fits
-        self.uniform = np.empty(cap, dtype=np.float64)  # each float draw in turn
-        self.drop = np.empty(cap, dtype=bool)
-        self.mask = np.empty(cap, dtype=bool)  # scratch
-        self.src_role = np.empty(cap, dtype=np.int8)
-        self.dst_role = np.empty(cap, dtype=np.int8)
+    def reserve_matter(self, k):
+        """Make the attribute buffers hold at least `k` events."""
+        if k > self.matter_capacity:
+            self.matter_capacity = int(k * self.HEADROOM)
+            self._allocate(self.MATTER, self.matter_capacity)
+
+    def _allocate(self, buffers, cap):
+        for name, dtype in buffers:
+            setattr(self, name, np.empty(cap, dtype=dtype))
 
 
 @dataclass
@@ -279,13 +289,17 @@ class MetricsReport:
             raise ValueError("bad metrics CSV header")
         series = {key: [] for key in SERIES}
         summary = {}
+        in_summary = False  # the summary block ends the file
         for lineno, line in enumerate(lines[1:], start=2):
             if line.startswith("#"):
+                in_summary = True
                 body = line.lstrip("# ").strip()
                 if "=" in body:
                     key, _, value = body.partition("=")
                     summary[key] = value
                 continue
+            if in_summary:
+                raise ValueError(f"line {lineno}: day row after the summary")
             parts = line.split(",")
             try:
                 row = [int(value) for value in parts]
@@ -298,10 +312,13 @@ class MetricsReport:
                     f"integers, got {line!r}")
             for key, value in zip(series, row[1:]):
                 series[key].append(value)
+        counts = {key: int(summary[key])
+                  for key in ("population", "days", "latency_days")}
+        for key, value in counts.items():
+            if value < 0:
+                raise ValueError(f"{key} must be >= 0, got {value}")
         return cls(
-            population=int(summary["population"]),
-            days=int(summary["days"]),
-            latency_days=int(summary["latency_days"]),
+            **counts,
             attack_rate=float(summary["attack_rate"]),
             empirical_r0=float(summary["empirical_r0"]),
             extinction_day=int(summary["extinction_day"]),
@@ -404,17 +421,27 @@ class World:
     # -- daily step -------------------------------------------------------
 
     def _sample_events(self):
-        """Draw the day's contact events as parallel int64 arrays
-        `(src, dst, cls, start, dur)`, in sampled order. They may be views
+        """Draw the day's contact events that matter as parallel int64 arrays
+        `(src, dst, cls, start, dur)`, in sampled order, and a bool array
+        `transmit` marking the events that can transmit. They may be views
         into this World's `workspace`, so they hold only until the next
         call. A population below two has no pairs and draws no events.
 
-        The generator is drawn in this order: contacts per agent (poisson),
-        then once per sampled event partners (integers), the quarantine-leak
-        uniforms (random), durations (standard_exponential, or geometric),
-        distance classes (random) and start ticks (integers). That order is
-        the stream contract `tests/test_pin.py` guards, so a change to it
-        changes every run's outputs.
+        An event matters when both partners are adopters, so both devices
+        log it, or when the partners' `TRANSMISSION_ROLE`s XOR to 3, so it
+        can transmit. No other event changes a run, so none other is
+        returned, and none other is given attributes.
+
+        The generator is drawn in this order: contacts per agent (poisson)
+        and partners (integers) for every event, then for each event that
+        matters the quarantine-leak uniforms (random), durations
+        (standard_exponential, or geometric), distance classes (random) and
+        start ticks (integers). The attributes are i.i.d. and independent of
+        the partners, so giving them to the events that matter only leaves
+        the law of a run unchanged. At full adoption every event matters, so
+        the stream is that of a sampler that gives every event attributes.
+        That order is the stream contract `tests/test_pin.py` guards, so a
+        change to it changes every run's outputs.
 
         The class and duration draws are numpy's own `choice(3, p=...)` and
         `geometric` without their per-call overhead: a uniform compared
@@ -427,7 +454,7 @@ class World:
         n = cfg.population
         if n < 2 or cfg.contacts_per_day == 0:
             empty = np.zeros(0, dtype=np.int64)
-            return empty, empty, empty, empty, empty
+            return empty, empty, empty, empty, empty, np.zeros(0, dtype=bool)
         rng = self.nprng
         ws = self.workspace
         lam = np.where(self.quarantined,
@@ -445,19 +472,33 @@ class World:
         src[np.cumsum(sent) - sent] = np.diff(senders, prepend=0)
         np.cumsum(src, out=src)
         dst = rng.integers(0, n, m, dtype=np.int64)
-        mask = ws.mask[:m]
-        clash = np.equal(dst, src, out=mask)
+        clash = np.equal(dst, src, out=ws.mask[:m])
         dst[clash] = (dst[clash] + 1) % n
-        # An event with a quarantined partner happens with the leak
-        # probability; the draw is made whether or not anyone is quarantined.
         # (`take` writes to `out` directly in "clip" mode, and every index is
         # in range; in its default mode it fills a temporary first.)
-        uniform = ws.uniform[:m]
+        role = TRANSMISSION_ROLE[self.health]
+        roles = np.take(role, src, out=ws.src_role[:m], mode="clip")
+        roles ^= np.take(role, dst, out=ws.dst_role[:m], mode="clip")
+        matters = np.equal(roles, 3, out=ws.matters[:m])
+        if self.devices:
+            both = np.take(self.adopter, src, out=ws.both[:m], mode="clip")
+            both &= np.take(self.adopter, dst, out=ws.mask[:m], mode="clip")
+            matters |= both
+        k = int(np.count_nonzero(matters))
+        if k < m:  # else, as at full adoption, the gather would copy every event
+            idx = np.flatnonzero(matters)
+            src, dst, roles = src[idx], dst[idx], roles[idx]
+        ws.reserve_matter(k)
+        transmit = np.equal(roles, 3, out=ws.transmit[:k])
+        flag = ws.flag[:k]
+        # An event with a quarantined partner happens with the leak
+        # probability; the draw is made whether or not anyone is quarantined.
+        uniform = ws.uniform[:k]
         rng.random(out=uniform)
-        drop = np.take(self.quarantined, dst, out=ws.drop[:m], mode="clip")
-        drop &= np.greater_equal(uniform, cfg.quarantine_leak, out=mask)
+        drop = np.take(self.quarantined, dst, out=ws.drop[:k], mode="clip")
+        drop &= np.greater_equal(uniform, cfg.quarantine_leak, out=flag)
         p = 1.0 / cfg.duration_mean_ticks
-        dur = ws.dur[:m]
+        dur = ws.dur[:k]
         if p < 1 / 3:
             rng.standard_exponential(out=uniform)
             np.divide(uniform, -math.log1p(-p), out=uniform)
@@ -465,19 +506,19 @@ class World:
             np.minimum(uniform, TICKS_PER_DAY, out=uniform)
             np.copyto(dur, uniform, casting="unsafe")
         else:
-            np.minimum(rng.geometric(p, m), TICKS_PER_DAY, out=dur)
+            np.minimum(rng.geometric(p, k), TICKS_PER_DAY, out=dur)
         cdf = np.cumsum([cfg.near_fraction, cfg.mid_fraction, cfg.far_fraction])
         cdf /= cdf[-1]
         rng.random(out=uniform)
-        cls = np.greater_equal(uniform, cdf[0], out=ws.cls[:m])
-        cls += np.greater_equal(uniform, cdf[1], out=mask)
-        start = rng.integers(0, TICKS_PER_DAY, m, dtype=np.int64)
-        np.minimum(start, np.subtract(TICKS_PER_DAY, dur, out=ws.latest[:m]),
+        cls = np.greater_equal(uniform, cdf[0], out=ws.cls[:k])
+        cls += np.greater_equal(uniform, cdf[1], out=flag)
+        start = rng.integers(0, TICKS_PER_DAY, k, dtype=np.int64)
+        np.minimum(start, np.subtract(TICKS_PER_DAY, dur, out=ws.latest[:k]),
                    out=start)
         if not drop.any():
-            return src, dst, cls, start, dur
+            return src, dst, cls, start, dur, transmit
         keep = ~drop
-        return src[keep], dst[keep], cls[keep], start[keep], dur[keep]
+        return src[keep], dst[keep], cls[keep], start[keep], dur[keep], transmit[keep]
 
     def _exchange_beacons(self, day, src, dst, cls, start, dur):
         """Both devices of every adopter-to-adopter contact event today log
@@ -625,19 +666,15 @@ class World:
             dev.handled.difference_update([k for k in dev.handled if k[0] < cutoff])
 
         # 2. contact events: beacon logging and disease transmission. The
-        #    codec runs once per device and distance classing once per
-        #    class; the day's events are then logged in sampled order.
-        src, dst, cls, start, dur = self._sample_events()
+        #    sampler returns only the events that matter and marks those
+        #    that can transmit. The codec runs once per device and distance
+        #    classing once per class; the day's events are then logged in
+        #    sampled order.
+        src, dst, cls, start, dur, transmit = self._sample_events()
         if len(src):
             if self.devices:
                 self._exchange_beacons(day, src, dst, cls, start, dur)
-            # An event can transmit when its partners' roles XOR to 3.
-            m = len(src)
-            ws = self.workspace
-            role = TRANSMISSION_ROLE[self.health]
-            src_role = np.take(role, src, out=ws.src_role[:m], mode="clip")
-            src_role ^= np.take(role, dst, out=ws.dst_role[:m], mode="clip")
-            idx = np.flatnonzero(np.equal(src_role, 3, out=ws.mask[:m]))
+            idx = np.flatnonzero(transmit)
             if len(idx):
                 near = np.where(cls[idx] == 0, dur[idx], 0)
                 mid = np.where(cls[idx] == 1, dur[idx], 0)

@@ -286,7 +286,17 @@ METRICS = (
     (METRICS.replace("1,0,1,0,0,0", "1,0,1"), "line 3:"),
     (METRICS.replace("1,0,1,0,0,0", "1,0,1,0,0,0,0,0"), "line 3:"),
     (METRICS.replace("1,0,1,0,0,0", "2,0,1,0,0,0"), "line 3: expected day 1"),
-], ids=["header", "short-row", "long-row", "day-out-of-order"])
+    (METRICS.replace("population=10", "population=-10"),
+     "population must be >= 0, got -10"),
+    (METRICS.replace("days=2", "days=-2"), "days must be >= 0, got -2"),
+    (METRICS.replace("latency_days=3", "latency_days=-3"),
+     "latency_days must be >= 0, got -3"),
+    (METRICS + "2,0,1,0,0,0\n", "line 12: day row after the summary"),
+    (METRICS.replace("# population=10", "2,0,1,0,0,0\n# population=10"),
+     "line 5: day row after the summary"),
+], ids=["header", "short-row", "long-row", "day-out-of-order", "negative-population",
+        "negative-days", "negative-latency", "row-after-summary",
+        "row-inside-summary"])
 def test_report_rejects_malformed_csv(tmp_path, capsys, text, detail):
     path = tmp_path / "metrics.csv"
     path.write_text(text)

@@ -28,8 +28,8 @@ PINS = {
     ),
     "partial_adoption_delayed_tests": (
         replace(BASE, adoption_fraction=0.6, test_delay_days=2),
-        "ab810d4113192966b0b1222398eadcea9fa9266dda4ad35742718399701678f8",
-        "96afe1bc543e269d9fcfc18d315dd1792381a10dd94d116b845d74ba9e696ff8",
+        "384ce30b96ef0984c0efc05b32158466d90295c7fd46e4eab53327bdcedead55",
+        "c99dd1fb566c7efcb9712cf6835c9b06eaa12eccbd95033dd408eaf2973b338a",
     ),
 }
 

@@ -142,9 +142,11 @@ def test_no_agent_returns_to_susceptible():
 
 
 def test_quarantine_reduces_contact_rate():
+    # At full adoption every drawn event matters, so the sampler returns
+    # each one the leak keeps.
     cfg = ScenarioConfig(population=400, days=1, seed=8, index_cases=0,
                          contacts_per_day=10.0, quarantine_leak=0.05,
-                         adoption_fraction=0.0)
+                         adoption_fraction=1.0)
     world = World(cfg)
     world.quarantined[:200] = True
     src, dst, *_ = world._sample_events()
@@ -232,24 +234,147 @@ def test_sample_events_matches_reference_stream(duration_mean_ticks, cfg,
         assert capacities[1] > capacities[0]
 
 
+def _mattering(world, src, dst):
+    """Which of the events `(src, dst)` can transmit, and which matter: both
+    partners are adopters, or the event can transmit."""
+    role = simnet.TRANSMISSION_ROLE[world.health]
+    transmit = (role[src] ^ role[dst]) == 3
+    return transmit, transmit | (world.adopter[src] & world.adopter[dst])
+
+
+def _set_health(world, seed):
+    """A fixed mix of health states, infectious agents among them."""
+    codes = np.random.default_rng(seed).choice(
+        [simnet.SUSCEPTIBLE, simnet.EXPOSED, simnet.INFECTIOUS,
+         simnet.SYMPTOMATIC, simnet.REMOVED],
+        world.config.population, p=[0.8, 0.05, 0.05, 0.05, 0.05])
+    world.health[:] = codes
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=st.builds(
+    ScenarioConfig, index_cases=st.just(0),
+    population=st.sampled_from([2, 3, 50, 400]),
+    seed=st.integers(0, 2**16),
+    adoption_fraction=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    contacts_per_day=st.sampled_from([3.0, 8.0]),
+    duration_mean_ticks=st.sampled_from([2.0, 12.0])))
+def test_sampler_returns_the_reference_partners_that_matter(cfg):
+    # With no agent quarantined the reference keeps every event it draws,
+    # and both samplers draw the counts and partners first, so on equal
+    # seeds the sampler returns exactly the reference's events that matter.
+    world, reference = World(cfg), World(cfg)
+    _set_health(world, cfg.seed)
+    _set_health(reference, cfg.seed)
+    src, dst, _, _, _, transmit = world._sample_events()
+    want_src, want_dst, *_ = reference_sample_events(reference)
+    can_transmit, matters = _mattering(reference, want_src, want_dst)
+    assert np.array_equal(src, want_src[matters])
+    assert np.array_equal(dst, want_dst[matters])
+    assert np.array_equal(transmit, can_transmit[matters])
+    if cfg.adoption_fraction == 1.0:
+        assert matters.all()
+
+
+# Each law check compares a statistic of the sampler with the reference's on
+# independent seeds; the bound is four standard errors of the difference.
+def _within_four_standard_errors(new, ref):
+    new, ref = np.asarray(new, dtype=float), np.asarray(ref, dtype=float)
+    se = np.sqrt(new.var(ddof=1) / len(new) + ref.var(ddof=1) / len(ref))
+    assert abs(new.mean() - ref.mean()) < 4 * se, (new.mean(), ref.mean(), se)
+
+
+@pytest.mark.parametrize("duration_mean_ticks", [2.0, 12.0])
+def test_sampler_keeps_the_reference_law_on_fixed_states(duration_mean_ticks):
+    # One World state, with a tenth of the agents quarantined, is sampled
+    # 300 times by each sampler. Compared per event that matters: each
+    # distance class's share, the duration and the start tick. Compared per
+    # day: each infectious agent's count of events that can transmit.
+    cfg = ScenarioConfig(population=2000, seed=4, index_cases=0,
+                         adoption_fraction=0.3, quarantine_leak=0.2,
+                         duration_mean_ticks=duration_mean_ticks)
+    world = World(cfg)
+    _set_health(world, 4)
+    world.quarantined[:] = np.random.default_rng(5).random(cfg.population) < 0.1
+    infectious = np.flatnonzero(simnet.TRANSMISSION_ROLE[world.health] == 1)
+    quarantined = world.quarantined[infectious]
+    assert quarantined.any() and not quarantined.all()
+    days = 300
+
+    def sample(sampler, first_seed):
+        per_event = {"cls": [], "dur": [], "start": []}
+        per_agent = []
+        for seed in range(first_seed, first_seed + days):
+            world.nprng = np.random.default_rng(seed)
+            src, dst, cls, start, dur, *_ = sampler(world)
+            transmit, matters = _mattering(world, src, dst)
+            for name, values in (("cls", cls), ("dur", dur), ("start", start)):
+                per_event[name].append(values[matters])
+            per_agent.append(
+                np.bincount(src[transmit], minlength=cfg.population)[infectious]
+                + np.bincount(dst[transmit], minlength=cfg.population)[infectious])
+        return ({name: np.concatenate(v) for name, v in per_event.items()},
+                np.array(per_agent))
+
+    events, transmitting = sample(World._sample_events, 0)
+    ref_events, ref_transmitting = sample(reference_sample_events, days)
+    for c in range(3):
+        _within_four_standard_errors(events["cls"] == c, ref_events["cls"] == c)
+    _within_four_standard_errors(events["dur"], ref_events["dur"])
+    _within_four_standard_errors(events["start"], ref_events["start"])
+    _within_four_standard_errors(transmitting.sum(axis=1), ref_transmitting.sum(axis=1))
+    for j in range(len(infectious)):
+        _within_four_standard_errors(transmitting[:, j], ref_transmitting[:, j])
+
+
+@pytest.mark.slow
+def test_sampler_keeps_the_reference_epidemic(monkeypatch):
+    # 200 untraced runs with the sampler and 200 with the reference, on
+    # disjoint seeds: the mean R0 of the index cases and the mean attack
+    # rate agree.
+    cfg = ScenarioConfig(population=300, days=60, index_cases=3,
+                         adoption_fraction=0.0, p_transmit=0.001)
+    runs = 200
+    new = [run(cfg, seed=seed) for seed in range(runs)]
+
+    def reference_with_transmit(world):
+        src, dst, cls, start, dur = reference_sample_events(world)
+        transmit, _ = _mattering(world, src, dst)
+        return src, dst, cls, start, dur, transmit
+
+    monkeypatch.setattr(World, "_sample_events", reference_with_transmit)
+    ref = [run(cfg, seed=seed) for seed in range(runs, 2 * runs)]
+    _within_four_standard_errors([r.empirical_r0 for r in new],
+                                 [r.empirical_r0 for r in ref])
+    _within_four_standard_errors([r.attack_rate for r in new],
+                                 [r.attack_rate for r in ref])
+
+
 def test_untraced_day_allocates_under_three_event_arrays():
     # After its first day a World writes the day's events into its reused
     # workspace. The only event-sized arrays a day allocates are then the
     # partner and start-tick draws, which Generator.integers cannot write
-    # in place.
+    # in place. The unit is the day's drawn events, the sum of the Poisson
+    # counts, of which the sampler returns only those that matter.
     cfg = ScenarioConfig(population=2000, days=10, seed=11, index_cases=20,
                          latency_days=0, adoption_fraction=0.0)
     world = World(cfg)
     world.step_day()
-    sample = world._sample_events
-    events = []
+    drawn = []
 
-    def counted():
-        arrays = sample()
-        events.append(len(arrays[0]))
-        return arrays
+    class CountingGenerator:
+        def __init__(self, rng):
+            self.rng = rng
 
-    world._sample_events = counted
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def poisson(self, lam):
+            counts = self.rng.poisson(lam)
+            drawn.append(int(counts.sum()))
+            return counts
+
+    world.nprng = CountingGenerator(world.nprng)
     tracemalloc.start()
     try:
         world.step_day()
@@ -257,7 +382,7 @@ def test_untraced_day_allocates_under_three_event_arrays():
     finally:
         tracemalloc.stop()
     assert world.metrics["new_infections"][-1] > 0  # transmission step ran
-    assert peak < 3 * 8 * events[0], f"peak {peak / (8 * events[0]):.2f} event arrays"
+    assert peak < 3 * 8 * drawn[0], f"peak {peak / (8 * drawn[0]):.2f} event arrays"
 
 
 def test_one_agent_world_has_no_contacts():
