@@ -202,50 +202,9 @@ class Device:
     handled: set = field(default_factory=set)  # (date, rdi) hits already acted on
 
 
-class EventWorkspace:
-    """The buffers one World writes each day's contact events into.
-
-    An untraced 10k-agent day draws about 80k events, of which a few hundred
-    matter in a calibration run. Event-sized arrays allocated and freed
-    every day go back to the system and are faulted in again the next day,
-    which took about a third of the sampler's time. So the sampler writes
-    into these buffers, which are reused from day to day. They come in two
-    groups. The partner buffers (`DRAWN`) are sized by the count of events
-    drawn, and the attribute buffers (`MATTER`) by the count of events that
-    matter. When a day needs more than a group holds, that group is replaced
-    by buffers a quarter larger than the day needs. Only the partner and
-    start-tick draws are fresh arrays each day, because `Generator.integers`
-    takes no `out=`, and so are the partners of the events that matter when
-    some events do not.
-    """
-
-    HEADROOM = 1.25
-    DRAWN = (("src", np.int64), ("mask", bool), ("both", bool),
-             ("matters", bool), ("src_role", np.int8), ("dst_role", np.int8))
-    MATTER = (("transmit", bool), ("uniform", np.float64),  # each float draw in turn
-              ("drop", bool), ("flag", bool), ("dur", np.int64), ("cls", np.int64),
-              ("latest", np.int64))  # last start tick that fits
-
-    def __init__(self):
-        self.capacity = self.matter_capacity = 0
-        self._allocate(self.DRAWN, 0)
-        self._allocate(self.MATTER, 0)
-
-    def reserve(self, m):
-        """Make the partner buffers hold at least `m` events."""
-        if m > self.capacity:
-            self.capacity = int(m * self.HEADROOM)
-            self._allocate(self.DRAWN, self.capacity)
-
-    def reserve_matter(self, k):
-        """Make the attribute buffers hold at least `k` events."""
-        if k > self.matter_capacity:
-            self.matter_capacity = int(k * self.HEADROOM)
-            self._allocate(self.MATTER, self.matter_capacity)
-
-    def _allocate(self, buffers, cap):
-        for name, dtype in buffers:
-            setattr(self, name, np.empty(cap, dtype=dtype))
+def _first_day_without_cases(active_cases) -> int:
+    """The extinction day: the first day that ends with no active case, or -1."""
+    return next((d for d, value in enumerate(active_cases) if value == 0), -1)
 
 
 @dataclass
@@ -317,13 +276,24 @@ class MetricsReport:
         for key, value in counts.items():
             if value < 0:
                 raise ValueError(f"{key} must be >= 0, got {value}")
-        return cls(
-            **counts,
-            attack_rate=float(summary["attack_rate"]),
-            empirical_r0=float(summary["empirical_r0"]),
-            extinction_day=int(summary["extinction_day"]),
-            **series,
-        )
+        rows = len(series["active_cases"])
+        if rows != counts["days"]:
+            raise ValueError(f"days={counts['days']} but {rows} day rows")
+        attack_rate = float(summary["attack_rate"])
+        if not 0.0 <= attack_rate <= 1.0:
+            raise ValueError(f"attack_rate must be in [0, 1], got {attack_rate}")
+        empirical_r0 = float(summary["empirical_r0"])
+        if not (math.isfinite(empirical_r0) and empirical_r0 >= 0):
+            raise ValueError(f"empirical_r0 must be in [0, inf), got {empirical_r0}")
+        extinction_day = int(summary["extinction_day"])
+        expected = _first_day_without_cases(series["active_cases"])
+        if extinction_day != expected:
+            raise ValueError(f"extinction_day must be {expected}, got {extinction_day}")
+        if int(summary["extinction"]) != int(extinction_day >= 0):
+            raise ValueError(f"extinction={summary['extinction']} but "
+                             f"extinction_day={extinction_day}")
+        return cls(**counts, attack_rate=attack_rate, empirical_r0=empirical_r0,
+                   extinction_day=extinction_day, **series)
 
 
 class World:
@@ -340,7 +310,7 @@ class World:
         self.nprng = np.random.default_rng(self.rng.getrandbits(63))
         self.record_events = record_events
         self.events = []
-        self.workspace = EventWorkspace()
+        self.src_buffer = np.empty(0, dtype=np.int64)
 
         n = config.population
         self.health = np.full(n, SUSCEPTIBLE, dtype=np.int8)
@@ -424,8 +394,8 @@ class World:
         """Draw the day's contact events that matter as parallel int64 arrays
         `(src, dst, cls, start, dur)`, in sampled order, and a bool array
         `transmit` marking the events that can transmit. They may be views
-        into this World's `workspace`, so they hold only until the next
-        call. A population below two has no pairs and draws no events.
+        into `src_buffer`, the one array kept between calls, so they hold only
+        until the next call. A population below two has no pairs and draws no events.
 
         An event matters when both partners are adopters, so both devices
         log it, or when the partners' `TRANSMISSION_ROLE`s XOR to 3, so it
@@ -456,65 +426,50 @@ class World:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty, empty, empty, empty, np.zeros(0, dtype=bool)
         rng = self.nprng
-        ws = self.workspace
         lam = np.where(self.quarantined,
                        cfg.contacts_per_day * cfg.quarantine_leak,
                        cfg.contacts_per_day)
         counts = rng.poisson(lam)
         m = int(counts.sum())
-        ws.reserve(m)
+        # Reused: at 10k agents `src` is 640 KB, faulted in again if allocated daily.
+        if m > len(self.src_buffer):
+            self.src_buffer = np.empty(int(m * 1.25), dtype=np.int64)
         # Each sender's id repeated `counts` times, built in place: the id
         # step from the previous sender at its first event, then a running sum.
         senders = np.flatnonzero(counts)
         sent = counts[senders]
-        src = ws.src[:m]
+        src = self.src_buffer[:m]
         src.fill(0)
         src[np.cumsum(sent) - sent] = np.diff(senders, prepend=0)
         np.cumsum(src, out=src)
         dst = rng.integers(0, n, m, dtype=np.int64)
-        clash = np.equal(dst, src, out=ws.mask[:m])
+        clash = dst == src
         dst[clash] = (dst[clash] + 1) % n
-        # (`take` writes to `out` directly in "clip" mode, and every index is
-        # in range; in its default mode it fills a temporary first.)
         role = TRANSMISSION_ROLE[self.health]
-        roles = np.take(role, src, out=ws.src_role[:m], mode="clip")
-        roles ^= np.take(role, dst, out=ws.dst_role[:m], mode="clip")
-        matters = np.equal(roles, 3, out=ws.matters[:m])
+        transmit = (role[src] ^ role[dst]) == 3
+        matters = transmit
         if self.devices:
-            both = np.take(self.adopter, src, out=ws.both[:m], mode="clip")
-            both &= np.take(self.adopter, dst, out=ws.mask[:m], mode="clip")
-            matters |= both
+            matters = transmit | (self.adopter[src] & self.adopter[dst])
         k = int(np.count_nonzero(matters))
         if k < m:  # else, as at full adoption, the gather would copy every event
             idx = np.flatnonzero(matters)
-            src, dst, roles = src[idx], dst[idx], roles[idx]
-        ws.reserve_matter(k)
-        transmit = np.equal(roles, 3, out=ws.transmit[:k])
-        flag = ws.flag[:k]
+            src, dst, transmit = src[idx], dst[idx], transmit[idx]
         # An event with a quarantined partner happens with the leak
         # probability; the draw is made whether or not anyone is quarantined.
-        uniform = ws.uniform[:k]
-        rng.random(out=uniform)
-        drop = np.take(self.quarantined, dst, out=ws.drop[:k], mode="clip")
-        drop &= np.greater_equal(uniform, cfg.quarantine_leak, out=flag)
+        drop = self.quarantined[dst] & (rng.random(k) >= cfg.quarantine_leak)
         p = 1.0 / cfg.duration_mean_ticks
-        dur = ws.dur[:k]
         if p < 1 / 3:
-            rng.standard_exponential(out=uniform)
-            np.divide(uniform, -math.log1p(-p), out=uniform)
-            np.ceil(uniform, out=uniform)
-            np.minimum(uniform, TICKS_PER_DAY, out=uniform)
-            np.copyto(dur, uniform, casting="unsafe")
+            # Clipped before the int cast, which a long mean's draws overflow.
+            ticks = np.ceil(rng.standard_exponential(k) / -math.log1p(-p))
+            dur = np.minimum(ticks, TICKS_PER_DAY).astype(np.int64)
         else:
-            np.minimum(rng.geometric(p, k), TICKS_PER_DAY, out=dur)
+            dur = np.minimum(rng.geometric(p, k), TICKS_PER_DAY)
         cdf = np.cumsum([cfg.near_fraction, cfg.mid_fraction, cfg.far_fraction])
         cdf /= cdf[-1]
-        rng.random(out=uniform)
-        cls = np.greater_equal(uniform, cdf[0], out=ws.cls[:k])
-        cls += np.greater_equal(uniform, cdf[1], out=flag)
+        uniform = rng.random(k)
+        cls = (uniform >= cdf[0]).astype(np.int64) + (uniform >= cdf[1])
         start = rng.integers(0, TICKS_PER_DAY, k, dtype=np.int64)
-        np.minimum(start, np.subtract(TICKS_PER_DAY, dur, out=ws.latest[:k]),
-                   out=start)
+        np.minimum(start, TICKS_PER_DAY - dur, out=start)
         if not drop.any():
             return src, dst, cls, start, dur, transmit
         keep = ~drop
@@ -770,15 +725,13 @@ def finalize_report(world: World) -> MetricsReport:
     attack_rate = ever_infected / n if n else 0.0
     caused = world.index_infections.values()
     empirical_r0 = sum(caused) / len(caused) if caused else 0.0
-    extinction_day = next(
-        (d for d, value in enumerate(world.metrics["active_cases"]) if value == 0), -1)
     return MetricsReport(
         population=n,
         days=cfg.days,
         latency_days=cfg.latency_days,
         attack_rate=attack_rate,
         empirical_r0=empirical_r0,
-        extinction_day=extinction_day,
+        extinction_day=_first_day_without_cases(world.metrics["active_cases"]),
         events=world.events,
         **world.metrics,
     )

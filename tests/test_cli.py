@@ -294,9 +294,23 @@ METRICS = (
     (METRICS + "2,0,1,0,0,0\n", "line 12: day row after the summary"),
     (METRICS.replace("# population=10", "2,0,1,0,0,0\n# population=10"),
      "line 5: day row after the summary"),
+    (METRICS.replace("days=2", "days=50"), "days=50 but 2 day rows"),
+    (METRICS.replace("attack_rate=0.100000", "attack_rate=7.5"),
+     "attack_rate must be in [0, 1], got 7.5"),
+    (METRICS.replace("empirical_r0=0.000000", "empirical_r0=nan"),
+     "empirical_r0 must be in [0, inf), got nan"),
+    (METRICS.replace("empirical_r0=0.000000", "empirical_r0=-0.5"),
+     "empirical_r0 must be in [0, inf), got -0.5"),
+    (METRICS.replace("extinction_day=-1", "extinction_day=40"),
+     "extinction_day must be -1, got 40"),
+    (METRICS.replace("1,0,1,0,0,0", "1,0,0,0,0,0"), "extinction_day must be 1, got -1"),
+    (METRICS.replace("extinction=0", "extinction=1"),
+     "extinction=1 but extinction_day=-1"),
 ], ids=["header", "short-row", "long-row", "day-out-of-order", "negative-population",
         "negative-days", "negative-latency", "row-after-summary",
-        "row-inside-summary"])
+        "row-inside-summary", "row-count", "attack-rate-above-one", "r0-nan",
+        "r0-negative", "extinction-day-past-rows", "extinction-day-not-first-empty",
+        "extinction-flag"])
 def test_report_rejects_malformed_csv(tmp_path, capsys, text, detail):
     path = tmp_path / "metrics.csv"
     path.write_text(text)

@@ -211,7 +211,7 @@ def test_sample_events_matches_reference_stream(duration_mean_ticks, cfg,
     # On equal seeds the sampler returns exactly the reference's arrays, day
     # after day, and leaves the generator where the reference leaves it. The
     # first day has every agent quarantined and the second none, so at a low
-    # leak the second day outgrows the workspace the first day sized.
+    # leak the second day outgrows the buffer the first day sized.
     cfg = replace(cfg, duration_mean_ticks=duration_mean_ticks)
     n = cfg.population
     masks = [np.ones(n, dtype=bool), np.zeros(n, dtype=bool)] + [
@@ -228,10 +228,22 @@ def test_sample_events_matches_reference_stream(duration_mean_ticks, cfg,
             assert np.array_equal(g, w)
         assert (world.nprng.bit_generator.state
                 == reference.nprng.bit_generator.state)
-        capacities.append(world.workspace.capacity)
+        capacities.append(len(world.src_buffer))
     if n >= 50 and cfg.contacts_per_day and cfg.quarantine_leak <= 0.05:
         # At least 50 agents draw about 20 times more events unquarantined.
         assert capacities[1] > capacities[0]
+
+
+def test_sample_events_clips_durations_longer_than_a_day():
+    # At a mean this long every inverted exponential draw is far past the
+    # int64 range, so the clip to one day must come before the int cast.
+    cfg = ScenarioConfig(population=50, seed=3, index_cases=0,
+                         duration_mean_ticks=1e300)
+    src, _, _, start, dur, _ = World(cfg)._sample_events()
+    assert len(src) > 0
+    assert ((dur >= 1) & (dur <= simnet.TICKS_PER_DAY)).all()
+    assert (start >= 0).all()
+    assert (start + dur <= simnet.TICKS_PER_DAY).all()
 
 
 def _mattering(world, src, dst):
@@ -351,11 +363,11 @@ def test_sampler_keeps_the_reference_epidemic(monkeypatch):
 
 
 def test_untraced_day_allocates_under_three_event_arrays():
-    # After its first day a World writes the day's events into its reused
-    # workspace. The only event-sized arrays a day allocates are then the
-    # partner and start-tick draws, which Generator.integers cannot write
-    # in place. The unit is the day's drawn events, the sum of the Poisson
-    # counts, of which the sampler returns only those that matter.
+    # After its first day a World writes the day's senders into its reused
+    # buffer. The partner draw is then the only other int64 array as long
+    # as the day's draws: the masks and roles over every drawn event take a
+    # byte an event, and only the events that matter get attributes. The
+    # unit is the day's drawn events, the sum of the Poisson counts.
     cfg = ScenarioConfig(population=2000, days=10, seed=11, index_cases=20,
                          latency_days=0, adoption_fraction=0.0)
     world = World(cfg)
