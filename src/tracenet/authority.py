@@ -171,15 +171,20 @@ class AuthorityState:
             self.entries.setdefault((rec.date, rec.foreign_rdi), today)
         return self
 
-    def publish(self, epoch_date: int) -> SignedCarrierList:
-        """Sign and publish the entries added this epoch and the one before."""
-        if self.signing_key is None:
-            raise ValueError("no signing key")
-        entries = sorted(
+    def list_entries(self, epoch_date: int) -> list:
+        """The `(date, rdi)` entries added this epoch and the one before, in
+        canonical order: what the list published on `epoch_date` carries."""
+        return sorted(
             (date, rdi)
             for (date, rdi), added in self.entries.items()
             if added in (epoch_date, epoch_date - 1)
         )
+
+    def publish(self, epoch_date: int) -> SignedCarrierList:
+        """Sign and publish the entries added this epoch and the one before."""
+        if self.signing_key is None:
+            raise ValueError("no signing key")
+        entries = self.list_entries(epoch_date)
         body = canonical_body(epoch_date, entries)
         signature = self.signing_key.sign(body)
         return SignedCarrierList(

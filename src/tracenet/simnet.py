@@ -310,7 +310,6 @@ class World:
         self.nprng = np.random.default_rng(self.rng.getrandbits(63))
         self.record_events = record_events
         self.events = []
-        self.src_buffer = np.empty(0, dtype=np.int64)
 
         n = config.population
         self.health = np.full(n, SUSCEPTIBLE, dtype=np.int8)
@@ -392,26 +391,51 @@ class World:
 
     def _sample_events(self):
         """Draw the day's contact events that matter as parallel int64 arrays
-        `(src, dst, cls, start, dur)`, in sampled order, and a bool array
-        `transmit` marking the events that can transmit. They may be views
-        into `src_buffer`, the one array kept between calls, so they hold only
-        until the next call. A population below two has no pairs and draws no events.
+        `(src, dst, cls, start, dur)` and a bool array `transmit` marking the
+        events that can transmit. A population below two has no pairs and
+        draws no events.
 
-        An event matters when both partners are adopters, so both devices
-        log it, or when the partners' `TRANSMISSION_ROLE`s XOR to 3, so it
-        can transmit. No other event changes a run, so none other is
-        returned, and none other is given attributes.
+        Each agent sends a Poisson count of events a day, at
+        `contacts_per_day` scaled by the leak while it is quarantined, each
+        to a uniform partner; a self-draw moves to the next agent. An event
+        matters when both partners are adopters, so both devices log it, or
+        when the partners' `TRANSMISSION_ROLE`s XOR to 3, so it can transmit.
+        No other event changes a run. Call an agent active when it is an
+        adopter or infectious. The day's process is split by sender into two
+        independent Poisson processes, and only these are drawn:
 
-        The generator is drawn in this order: contacts per agent (poisson)
-        and partners (integers) for every event, then for each event that
-        matters the quarantine-leak uniforms (random), durations
-        (standard_exponential, or geometric), distance classes (random) and
-        start ticks (integers). The attributes are i.i.d. and independent of
-        the partners, so giving them to the events that matter only leaves
-        the law of a run unchanged. At full adoption every event matters, so
-        the stream is that of a sampler that gives every event attributes.
-        That order is the stream contract `tests/test_pin.py` guards, so a
-        change to it changes every run's outputs.
+        1. Every active agent's outgoing events: a count per agent and a
+           partner per event, as for every agent before the split. The
+           events that matter are kept.
+        2. Every infectious agent's incoming events from susceptible senders
+           that are not active. A sender that is not active is neither an
+           adopter nor infectious, so this is the only way its event can
+           matter, and every such event can transmit. They reach receiver
+           `b` at rate `(W + w[b-1]) / n`, where `W` is the summed rate of
+           those senders and `w[b-1]` the rate of `b - 1` if it is one,
+           whose self-draws also land on `b`. Each event's sender is drawn
+           in proportion to its rate, `b - 1` counting twice.
+
+        The generator is drawn in this order: part 1's counts (poisson) and
+        partners (integers), part 2's counts (poisson) and senders (random),
+        then for every returned event the quarantine-leak uniforms (random),
+        durations (standard_exponential, or geometric), distance classes
+        (random) and start ticks (integers). The attributes are i.i.d. and
+        independent of the partners, so giving them to the returned events
+        only leaves the law of a run unchanged. At full adoption every agent
+        is active: part 2 has no sender, its Poisson rates are zero, numpy
+        draws nothing for them, and the stream is that of a sampler that
+        draws every event and gives each attributes. That order is the
+        stream contract `tests/test_pin.py` guards, so a change to it
+        changes every run's outputs.
+
+        Events are returned part 1 first, in sender order, then part 2, in
+        receiver order. A target that two transmitting events infect on one
+        day is credited to the first (step 2 of `step_day`). Putting part 1
+        first favours no infector: every infector is active, and its event
+        with a susceptible partner in the same quarantine state is outgoing
+        or incoming with equal chance, so credit stays exchangeable between
+        infectors.
 
         The class and duration draws are numpy's own `choice(3, p=...)` and
         `geometric` without their per-call overhead: a uniform compared
@@ -429,31 +453,39 @@ class World:
         lam = np.where(self.quarantined,
                        cfg.contacts_per_day * cfg.quarantine_leak,
                        cfg.contacts_per_day)
-        counts = rng.poisson(lam)
-        m = int(counts.sum())
-        # Reused: at 10k agents `src` is 640 KB, faulted in again if allocated daily.
-        if m > len(self.src_buffer):
-            self.src_buffer = np.empty(int(m * 1.25), dtype=np.int64)
-        # Each sender's id repeated `counts` times, built in place: the id
-        # step from the previous sender at its first event, then a running sum.
-        senders = np.flatnonzero(counts)
-        sent = counts[senders]
-        src = self.src_buffer[:m]
-        src.fill(0)
-        src[np.cumsum(sent) - sent] = np.diff(senders, prepend=0)
-        np.cumsum(src, out=src)
+        role = TRANSMISSION_ROLE[self.health]
+        infectious = role == 1
+        # 1. Active agents' outgoing events.
+        senders = np.flatnonzero(self.adopter | infectious)
+        src = np.repeat(senders, rng.poisson(lam[senders]))
+        m = len(src)
         dst = rng.integers(0, n, m, dtype=np.int64)
         clash = dst == src
         dst[clash] = (dst[clash] + 1) % n
-        role = TRANSMISSION_ROLE[self.health]
         transmit = (role[src] ^ role[dst]) == 3
         matters = transmit
         if self.devices:
             matters = transmit | (self.adopter[src] & self.adopter[dst])
-        k = int(np.count_nonzero(matters))
-        if k < m:  # else, as at full adoption, the gather would copy every event
-            idx = np.flatnonzero(matters)
-            src, dst, transmit = src[idx], dst[idx], transmit[idx]
+        if np.count_nonzero(matters) < m:  # else, as at full adoption, skip the copy
+            src, dst, transmit = src[matters], dst[matters], transmit[matters]
+        # 2. Infectious agents' incoming events from inactive susceptible
+        #    senders. `weight` becomes the running sum of those senders'
+        #    rates, so a uniform below its total picks one by search; zero
+        #    rates leave it flat, and a right-sided search never picks them.
+        receivers = np.flatnonzero(infectious)
+        weight = np.where((role == 2) & ~self.adopter, lam, 0.0)
+        before = (receivers - 1) % n
+        mass = weight[before]
+        np.cumsum(weight, out=weight)
+        mass += weight[-1]
+        incoming = rng.poisson(mass / n)
+        pick = rng.random(int(incoming.sum())) * np.repeat(mass, incoming)
+        src = np.concatenate((src, np.where(pick < weight[-1],
+                                            np.searchsorted(weight, pick, side="right"),
+                                            np.repeat(before, incoming))))
+        dst = np.concatenate((dst, np.repeat(receivers, incoming)))
+        transmit = np.concatenate((transmit, np.ones(len(pick), dtype=bool)))
+        k = len(src)
         # An event with a quarantined partner happens with the leak
         # probability; the draw is made whether or not anyone is quarantined.
         drop = self.quarantined[dst] & (rng.random(k) >= cfg.quarantine_leak)
@@ -671,9 +703,13 @@ class World:
         # 5. run tests due today.
         tests_used += self._run_due_tests(day)
 
-        # 6. daily signed publication.
-        lst = self.authority.publish(day)
-        self._log_event(day, "publish", "-", "-", f"entries={len(lst.entries)}")
+        # 6. daily publication, signed only when a device will read it.
+        if self.devices:
+            lst = self.authority.publish(day)
+            list_size = len(lst.entries)
+        else:
+            list_size = len(self.authority.list_entries(day))
+        self._log_event(day, "publish", "-", "-", f"entries={list_size}")
 
         # 7. every device matches the day's list against its own log, in
         #    ascending agent order; new hits open inquiries, which are
@@ -696,7 +732,7 @@ class World:
         self.metrics["active_cases"].append(active)
         self.metrics["quarantined"].append(int(np.count_nonzero(self.quarantined)))
         self.metrics["tests_used"].append(tests_used)
-        self.metrics["list_size"].append(len(lst.entries))
+        self.metrics["list_size"].append(list_size)
         self.day += 1
         return self
 

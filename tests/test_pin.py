@@ -28,8 +28,8 @@ PINS = {
     ),
     "partial_adoption_delayed_tests": (
         replace(BASE, adoption_fraction=0.6, test_delay_days=2),
-        "384ce30b96ef0984c0efc05b32158466d90295c7fd46e4eab53327bdcedead55",
-        "c99dd1fb566c7efcb9712cf6835c9b06eaa12eccbd95033dd408eaf2973b338a",
+        "ee0de0d1285f551812f52e316eecf71c4255089bad603a4f5ea8fd55a0a4e90b",
+        "48d7b9a65385dd43910ef63b1435b23e1b8904577803c5ebe877fa6f7592df36",
     ),
 }
 

@@ -208,16 +208,15 @@ sampler_configs = st.builds(
 @given(cfg=sampler_configs, quarantined_share=st.sampled_from([0.0, 0.1, 0.5, 1.0]))
 def test_sample_events_matches_reference_stream(duration_mean_ticks, cfg,
                                                 quarantined_share):
-    # On equal seeds the sampler returns exactly the reference's arrays, day
-    # after day, and leaves the generator where the reference leaves it. The
-    # first day has every agent quarantined and the second none, so at a low
-    # leak the second day outgrows the buffer the first day sized.
+    # At full adoption, on equal seeds, the sampler returns exactly the
+    # reference's arrays, day after day, and leaves the generator where the
+    # reference leaves it. The first day has every agent quarantined and the
+    # second none.
     cfg = replace(cfg, duration_mean_ticks=duration_mean_ticks)
     n = cfg.population
     masks = [np.ones(n, dtype=bool), np.zeros(n, dtype=bool)] + [
         np.random.default_rng(day).random(n) < quarantined_share for day in range(3)]
     world, reference = World(cfg), World(cfg)
-    capacities = []
     for mask in masks:
         world.quarantined[:] = mask
         reference.quarantined[:] = mask
@@ -228,10 +227,6 @@ def test_sample_events_matches_reference_stream(duration_mean_ticks, cfg,
             assert np.array_equal(g, w)
         assert (world.nprng.bit_generator.state
                 == reference.nprng.bit_generator.state)
-        capacities.append(len(world.src_buffer))
-    if n >= 50 and cfg.contacts_per_day and cfg.quarantine_leak <= 0.05:
-        # At least 50 agents draw about 20 times more events unquarantined.
-        assert capacities[1] > capacities[0]
 
 
 def test_sample_events_clips_durations_longer_than_a_day():
@@ -268,24 +263,24 @@ def _set_health(world, seed):
     ScenarioConfig, index_cases=st.just(0),
     population=st.sampled_from([2, 3, 50, 400]),
     seed=st.integers(0, 2**16),
-    adoption_fraction=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
     contacts_per_day=st.sampled_from([3.0, 8.0]),
     duration_mean_ticks=st.sampled_from([2.0, 12.0])))
 def test_sampler_returns_the_reference_partners_that_matter(cfg):
-    # With no agent quarantined the reference keeps every event it draws,
-    # and both samplers draw the counts and partners first, so on equal
-    # seeds the sampler returns exactly the reference's events that matter.
+    # At full adoption every agent is active, so with infectious agents
+    # among them the sampler still draws only the active senders' events:
+    # on equal seeds it returns exactly the reference's events, every one of
+    # which matters, and draws nothing for incoming events.
     world, reference = World(cfg), World(cfg)
     _set_health(world, cfg.seed)
     _set_health(reference, cfg.seed)
     src, dst, _, _, _, transmit = world._sample_events()
     want_src, want_dst, *_ = reference_sample_events(reference)
     can_transmit, matters = _mattering(reference, want_src, want_dst)
-    assert np.array_equal(src, want_src[matters])
-    assert np.array_equal(dst, want_dst[matters])
-    assert np.array_equal(transmit, can_transmit[matters])
-    if cfg.adoption_fraction == 1.0:
-        assert matters.all()
+    assert matters.all()
+    assert np.array_equal(src, want_src)
+    assert np.array_equal(dst, want_dst)
+    assert np.array_equal(transmit, can_transmit)
+    assert world.nprng.bit_generator.state == reference.nprng.bit_generator.state
 
 
 # Each law check compares a statistic of the sampler with the reference's on
@@ -296,14 +291,16 @@ def _within_four_standard_errors(new, ref):
     assert abs(new.mean() - ref.mean()) < 4 * se, (new.mean(), ref.mean(), se)
 
 
+@pytest.mark.parametrize("adoption_fraction", [0.0, 0.3])
 @pytest.mark.parametrize("duration_mean_ticks", [2.0, 12.0])
-def test_sampler_keeps_the_reference_law_on_fixed_states(duration_mean_ticks):
+def test_sampler_keeps_the_reference_law_on_fixed_states(duration_mean_ticks,
+                                                         adoption_fraction):
     # One World state, with a tenth of the agents quarantined, is sampled
     # 300 times by each sampler. Compared per event that matters: each
     # distance class's share, the duration and the start tick. Compared per
     # day: each infectious agent's count of events that can transmit.
     cfg = ScenarioConfig(population=2000, seed=4, index_cases=0,
-                         adoption_fraction=0.3, quarantine_leak=0.2,
+                         adoption_fraction=adoption_fraction, quarantine_leak=0.2,
                          duration_mean_ticks=duration_mean_ticks)
     world = World(cfg)
     _set_health(world, 4)
@@ -339,6 +336,45 @@ def test_sampler_keeps_the_reference_law_on_fixed_states(duration_mean_ticks):
         _within_four_standard_errors(transmitting[:, j], ref_transmitting[:, j])
 
 
+@pytest.mark.parametrize("adoption_fraction", [0.0, 0.5])
+def test_sampler_keeps_the_reference_law_per_pair(adoption_fraction):
+    # Five agents: one infectious, the agent before it a susceptible sender
+    # that is not active, and another such sender quarantined. Each ordered
+    # pair's count of transmitting events a day is compared over 3000 days
+    # per sampler: the pair from the agent before carries the self-draw
+    # shift, and the quarantined agent's pairs carry the leak both ways.
+    n = 5
+    cfg = ScenarioConfig(population=n, seed=6, index_cases=0,
+                         adoption_fraction=adoption_fraction, quarantine_leak=0.3)
+    world = World(cfg)
+    free = np.flatnonzero(~world.adopter)
+    before = free[0]
+    infectious = (before + 1) % n
+    quarantined = next(a for a in free if a not in (before, infectious))
+    world.health[infectious] = simnet.INFECTIOUS
+    world.quarantined[quarantined] = True
+    days = 3000
+
+    def sample(sampler, first_seed):
+        per_pair = []
+        for seed in range(first_seed, first_seed + days):
+            world.nprng = np.random.default_rng(seed)
+            src, dst, *_ = sampler(world)
+            transmit, _ = _mattering(world, src, dst)
+            per_pair.append(np.bincount(src[transmit] * n + dst[transmit],
+                                        minlength=n * n))
+        return np.array(per_pair)
+
+    pairs = sample(World._sample_events, 0)
+    ref_pairs = sample(reference_sample_events, days)
+    for pair in range(n * n):
+        a, b = divmod(pair, n)
+        if a != b and infectious in (a, b):
+            _within_four_standard_errors(pairs[:, pair], ref_pairs[:, pair])
+        else:
+            assert not pairs[:, pair].any() and not ref_pairs[:, pair].any()
+
+
 @pytest.mark.slow
 def test_sampler_keeps_the_reference_epidemic(monkeypatch):
     # 200 untraced runs with the sampler and 200 with the reference, on
@@ -362,31 +398,15 @@ def test_sampler_keeps_the_reference_epidemic(monkeypatch):
                                  [r.attack_rate for r in ref])
 
 
-def test_untraced_day_allocates_under_three_event_arrays():
-    # After its first day a World writes the day's senders into its reused
-    # buffer. The partner draw is then the only other int64 array as long
-    # as the day's draws: the masks and roles over every drawn event take a
-    # byte an event, and only the events that matter get attributes. The
-    # unit is the day's drawn events, the sum of the Poisson counts.
+def test_untraced_day_allocates_under_eight_population_arrays():
+    # An untraced day draws only the events that can transmit, a few per
+    # infectious agent, so what it allocates scales with the population, not
+    # with every agent's contacts: its peak stays under eight int64 arrays
+    # over the agents.
     cfg = ScenarioConfig(population=2000, days=10, seed=11, index_cases=20,
                          latency_days=0, adoption_fraction=0.0)
     world = World(cfg)
     world.step_day()
-    drawn = []
-
-    class CountingGenerator:
-        def __init__(self, rng):
-            self.rng = rng
-
-        def __getattr__(self, name):
-            return getattr(self.rng, name)
-
-        def poisson(self, lam):
-            counts = self.rng.poisson(lam)
-            drawn.append(int(counts.sum()))
-            return counts
-
-    world.nprng = CountingGenerator(world.nprng)
     tracemalloc.start()
     try:
         world.step_day()
@@ -394,7 +414,33 @@ def test_untraced_day_allocates_under_three_event_arrays():
     finally:
         tracemalloc.stop()
     assert world.metrics["new_infections"][-1] > 0  # transmission step ran
-    assert peak < 3 * 8 * drawn[0], f"peak {peak / (8 * drawn[0]):.2f} event arrays"
+    n = cfg.population
+    assert peak < 8 * 8 * n, f"peak {peak / n:.1f} bytes per agent"
+
+
+class _CountingKey:
+    """A signing key that counts its signatures."""
+
+    def __init__(self, key):
+        self.key = key
+        self.signatures = 0
+
+    def sign(self, data):
+        self.signatures += 1
+        return self.key.sign(data)
+
+
+@pytest.mark.parametrize("adoption_fraction, signed", [(0.0, 0), (1.0, 6)])
+def test_day_list_is_signed_only_when_a_device_reads_it(adoption_fraction, signed):
+    # Six days, each with a publish line; a traced run signs once a day and
+    # a run with no device to read the list never signs.
+    world = World(replace(FAST, adoption_fraction=adoption_fraction),
+                  record_events=True)
+    key = world.authority.signing_key = _CountingKey(world.authority.signing_key)
+    for _ in range(6):
+        world.step_day()
+    assert key.signatures == signed
+    assert sum(",publish," in line for line in world.events) == 6
 
 
 def test_one_agent_world_has_no_contacts():
