@@ -4,6 +4,13 @@ The published artifact is a canonical binary serialization of (date, rdi)
 entries for the current epoch and the one before, with a detached Ed25519
 signature. The authority stores no names, device addresses or locations:
 only identifiers, dates, and anonymous case records.
+
+The signed bytes of a list are `lst.body`: `canonical_body` of its fields,
+computed at most once per list object. A list from `publish` carries the
+body it was signed over, and a list from `deserialize_list` the bytes its
+entries were decoded from, so neither re-encodes to verify or serialize.
+A list built any other way (including `dataclasses.replace`) encodes its
+own fields on first use.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -48,6 +56,12 @@ class SignedCarrierList:
     signature: bytes
     algorithm: int = ALG_ED25519
 
+    @cached_property
+    def body(self) -> bytes:
+        """The bytes the signature covers (not a field: equality, hashing
+        and repr ignore it)."""
+        return canonical_body(self.epoch_date, self.entries, self.algorithm)
+
 
 def generate_keypair(rng=None):
     """Return (private_key, raw_public_bytes). With `rng` the key is derived
@@ -75,11 +89,22 @@ def canonical_body(epoch_date: int, entries, algorithm: int = ALG_ED25519) -> by
 
 
 def serialize_list(lst: SignedCarrierList) -> bytes:
-    body = canonical_body(lst.epoch_date, lst.entries, lst.algorithm)
-    return body + struct.pack(">H", len(lst.signature)) + lst.signature
+    return lst.body + struct.pack(">H", len(lst.signature)) + lst.signature
+
+
+def _with_body(lst: SignedCarrierList, body: bytes) -> SignedCarrierList:
+    """Seed `lst.body` with bytes known to equal canonical_body of its fields."""
+    object.__setattr__(lst, "body", body)
+    return lst
 
 
 def deserialize_list(data: bytes) -> SignedCarrierList:
+    """Decode a list from any bytes-like object. The decoded list's `body`
+    is the slice of `data` its header and entries came from: the checks
+    below pin the magic and version, the algorithm byte is kept and the
+    entry layout is a bijection, so that slice is its canonical body."""
+    if not isinstance(data, bytes):
+        data = memoryview(data).tobytes()
     header_len = 5 + 2 + 4 + 4
     if len(data) < header_len:
         raise Malformed("truncated header")
@@ -97,27 +122,31 @@ def deserialize_list(data: bytes) -> SignedCarrierList:
     sig_start = entries_end + 2
     if len(data) != sig_start + sig_len:
         raise Malformed("signature length disagrees with payload")
-    return SignedCarrierList(
+    lst = SignedCarrierList(
         epoch_date=epoch_date,
         entries=entries,
         signature=data[sig_start:],
         algorithm=algorithm,
     )
+    return _with_body(lst, data[:entries_end])
 
 
 def verify_list(lst: SignedCarrierList, public_key) -> bool:
     """True iff the signature validates over the canonical serialization.
 
-    Returns False (never raises) on malformed input or the wrong key,
-    including an epoch or entry date that is not an int in u32 range.
+    `public_key` is an Ed25519PublicKey or its 32 raw bytes in any
+    bytes-like object. Returns False (never raises) on malformed input or
+    the wrong key, including a key of any other type and an epoch or entry
+    date that is not an int in u32 range.
     """
     try:
         if lst.algorithm != ALG_ED25519:
             return False
-        if isinstance(public_key, (bytes, bytearray)):
-            public_key = Ed25519PublicKey.from_public_bytes(bytes(public_key))
-        body = canonical_body(lst.epoch_date, lst.entries, lst.algorithm)
-        public_key.verify(lst.signature, body)
+        if not isinstance(public_key, Ed25519PublicKey):
+            # memoryview, not bytes(): bytes(n) of an int would allocate n bytes.
+            public_key = Ed25519PublicKey.from_public_bytes(
+                memoryview(public_key).tobytes())
+        public_key.verify(lst.signature, lst.body)
         return True
     except (InvalidSignature, ValueError, TypeError, struct.error):
         return False
@@ -184,12 +213,11 @@ class AuthorityState:
         """Sign and publish the entries added this epoch and the one before."""
         if self.signing_key is None:
             raise ValueError("no signing key")
-        entries = self.list_entries(epoch_date)
+        entries = tuple(self.list_entries(epoch_date))
         body = canonical_body(epoch_date, entries)
-        signature = self.signing_key.sign(body)
-        return SignedCarrierList(
-            epoch_date=epoch_date, entries=tuple(entries), signature=signature
-        )
+        lst = SignedCarrierList(epoch_date=epoch_date, entries=entries,
+                                signature=self.signing_key.sign(body))
+        return _with_body(lst, body)
 
     def erase_expired(self, epoch_date: int) -> "AuthorityState":
         """Delete non-public data older than the publication margin.

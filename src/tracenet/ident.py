@@ -7,6 +7,7 @@ of broadcasts from the same device are unlinkable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -15,6 +16,9 @@ BEACON_MAGIC = b"C0F1D19"
 BEACON_VERSION = 0x01
 BEACON_LENGTH = 24
 RDI_BYTES = 16
+
+# The 8 bytes every beacon starts with.
+_BEACON_HEADER = BEACON_MAGIC + bytes([BEACON_VERSION])
 
 # Distance class boundaries in meters (inclusive at the near side).
 NEAR_MAX_M = 2.0
@@ -76,7 +80,7 @@ def rotate_if_needed(current: DailyIdentifier, now: int, rng) -> DailyIdentifier
 
 def encode_beacon(ident: DailyIdentifier) -> bytes:
     """Encode the 24-byte beacon payload: magic | version | rdi."""
-    return BEACON_MAGIC + bytes([BEACON_VERSION]) + ident.rdi
+    return _BEACON_HEADER + ident.rdi
 
 
 def decode_beacon(payload: bytes) -> bytes:
@@ -108,8 +112,14 @@ def estimate_distance_m(rssi_dbm: float, tx_power_dbm: float) -> float:
         return math.inf
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def estimate_distance_class(rssi_dbm: float, tx_power_dbm: float) -> DistanceClass:
-    """Map received power to a proximity class (boundaries inclusive below)."""
+    """Map received power to a proximity class (boundaries inclusive below).
+
+    Cached: a pure function of its arguments, and received powers repeat
+    (radios report whole dBm), so 256 entries hold every power a run sees.
+    `typed` keeps an int and an equal float apart, so each call returns
+    exactly what the uncached function would."""
     d = estimate_distance_m(rssi_dbm, tx_power_dbm)
     if d <= NEAR_MAX_M:
         return DistanceClass.NEAR

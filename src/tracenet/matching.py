@@ -6,8 +6,8 @@ daily, so a date mismatch means a different broadcast period entirely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .contact_log import ContactRecord, as_record, first_tick_of
 
@@ -20,8 +20,11 @@ class UnverifiedList(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Hit:
+class Hit(NamedTuple):
+    """One matched log record. A hit is a named tuple: immutable, built
+    positionally in the matchers' loops, and equal to the plain tuple
+    `(rdi, date, record)`."""
+
     rdi: bytes
     date: int
     # The very value the log stores for (date, rdi): one packed int whose
@@ -53,7 +56,7 @@ def match_contacts(log, index: frozenset):
     so a check costs O(list), not O(log)."""
     days = log.days
     hits = [
-        Hit(rdi=rdi, date=date, record=value)
+        Hit(rdi, date, value)
         for date, rdi in index
         if (value := days.get(date, _NO_DAY).get(rdi)) is not None
     ]
@@ -68,6 +71,6 @@ def brute_force_match(log, lst):
     for (rec_date, rec_rdi), value in log.records.items():
         for date, rdi in entries:
             if rec_date == date and rec_rdi == rdi:
-                hits.append(Hit(rdi=rdi, date=date, record=value))
+                hits.append(Hit(rdi, date, value))
                 break  # duplicate entries still yield one hit per record
     return _sorted_hits(hits)

@@ -1,7 +1,9 @@
 import random
+import struct
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tracenet.authority import (
     ALG_ED25519,
@@ -9,6 +11,7 @@ from tracenet.authority import (
     Malformed,
     SignedCarrierList,
     StaleHistory,
+    canonical_body,
     deserialize_list,
     generate_keypair,
     serialize_list,
@@ -147,19 +150,38 @@ def test_entries_sorted_canonically():
     assert list(lst.entries) == sorted(lst.entries)
 
 
-def test_verify_rejects_tampered_entries():
+def published_list():
     state, pub = make_state()
-    rng = random.Random(8)
-    state.register_carrier([], 0, own_identifiers=own_ids(rng, [0, 1]), today=0)
-    lst = state.publish(0)
+    state.register_carrier([], 0, own_identifiers=own_ids(random.Random(8), [0, 1]),
+                           today=0)
+    return state.publish(0), pub
+
+
+@pytest.mark.parametrize("source", ["published", "decoded"])
+def test_verify_rejects_tampered_entries(source):
+    lst, pub = published_list()
+    if source == "decoded":
+        lst = deserialize_list(serialize_list(lst))
     date, rdi = lst.entries[0]
-    tampered = SignedCarrierList(
-        epoch_date=lst.epoch_date,
-        entries=((date + 1, rdi),) + lst.entries[1:],
-        signature=lst.signature,
-    )
     assert verify_list(lst, pub)
-    assert not verify_list(tampered, pub)
+    # `replace` builds a new list, which signs over its own fields rather
+    # than the bytes its source was published or decoded with.
+    for tampered in (replace(lst, entries=((date + 1, rdi),) + lst.entries[1:]),
+                     replace(lst, epoch_date=lst.epoch_date + 1)):
+        assert tampered.body != lst.body
+        assert not verify_list(tampered, pub)
+
+
+def test_body_is_the_canonical_encoding_and_not_a_field():
+    lst, _ = published_list()
+    decoded = deserialize_list(serialize_list(lst))
+    fresh = SignedCarrierList(lst.epoch_date, lst.entries, lst.signature)
+    for each in (lst, decoded, fresh):
+        assert each.body == canonical_body(lst.epoch_date, lst.entries)
+    # Equality, hashing and repr see the four fields only.
+    assert lst == decoded == fresh
+    assert hash(lst) == hash(decoded) == hash(fresh)
+    assert repr(lst) == repr(fresh) and "body" not in repr(lst)
 
 
 def test_verify_rejects_wrong_key():
@@ -169,10 +191,23 @@ def test_verify_rejects_wrong_key():
     assert not verify_list(lst, other_pub)
 
 
-def test_verify_tolerates_garbage_key():
-    state, _ = make_state()
-    lst = state.publish(0)
-    assert not verify_list(lst, b"\x00" * 7)
+@pytest.mark.parametrize("key", [
+    b"\x00" * 7,
+    bytes(32).hex(),
+    None,
+    7,
+    memoryview(b"\x00" * 7),
+    [0] * 32,
+], ids=["short_bytes", "hex_str", "none", "int", "short_memoryview", "list"])
+def test_verify_tolerates_garbage_key(key):
+    lst, _ = published_list()
+    assert verify_list(lst, key) is False
+
+
+@pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+def test_verify_accepts_raw_key_in_any_bytes_like(wrap):
+    lst, pub = published_list()
+    assert verify_list(lst, wrap(pub)) is True
 
 
 @pytest.mark.parametrize("change", [
@@ -207,6 +242,41 @@ def test_serialize_round_trip_random_lists():
             signature=rng.randbytes(64),
         )
         assert deserialize_list(serialize_list(lst)) == lst
+
+
+# Round trip of any well-formed encoding, whatever the entries' order or
+# repeats: the decoded body is canonical_body of the decoded fields, and
+# re-serializing gives back the input bytes.
+@settings(max_examples=200, deadline=None)
+@given(
+    epoch=st.integers(0, 2**32 - 1),
+    algorithm=st.integers(0, 255),
+    entries=st.lists(st.tuples(st.integers(0, 2**32 - 1),
+                               st.binary(min_size=16, max_size=16)), max_size=8),
+    repeats=st.integers(0, 3),
+    signature=st.binary(max_size=80),
+)
+def test_decoded_body_is_canonical(epoch, algorithm, entries, repeats, signature):
+    entries = tuple(entries + entries[:repeats])
+    data = (canonical_body(epoch, entries, algorithm)
+            + struct.pack(">H", len(signature)) + signature)
+    lst = deserialize_list(data)
+    assert (lst.epoch_date, lst.entries, lst.algorithm, lst.signature) == \
+        (epoch, entries, algorithm, signature)
+    assert lst.body == canonical_body(epoch, entries, algorithm)
+    assert serialize_list(lst) == data
+
+
+@pytest.mark.parametrize("wrap", [bytearray, memoryview])
+def test_deserialize_accepts_mutable_buffers(wrap):
+    lst, pub = published_list()
+    data = serialize_list(lst)
+    expected = deserialize_list(data)
+    decoded = deserialize_list(wrap(bytearray(data)))
+    assert decoded == expected
+    assert hash(decoded) == hash(expected)
+    assert type(decoded.signature) is bytes and type(decoded.body) is bytes
+    assert verify_list(decoded, pub)
 
 
 def test_deserialize_rejects_truncation():

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from tracenet.ident import (
     BEACON_LENGTH,
     BEACON_MAGIC,
+    NEAR_MAX_M,
     BadMagic,
     DailyIdentifier,
     DistanceClass,
@@ -143,6 +144,44 @@ def test_distance_class_monotone_in_power_drop(tx, rssi_a, rssi_b):
     lo, hi = sorted((rssi_a, rssi_b))
     # Weaker received signal (more path loss) never looks nearer.
     assert estimate_distance_class(lo, tx) >= estimate_distance_class(hi, tx)
+
+
+def class_edge(tx, uncached):
+    """The adjacent floats (nearer, farther) where the uncached class of a
+    received power, at transmit power `tx`, changes; found by bisection."""
+    def edges(near_cls):
+        nearer, farther = float(tx), -1000.0
+        while math.nextafter(farther, math.inf) != nearer:
+            mid = (nearer + farther) / 2
+            if uncached(mid, tx) <= near_cls:
+                nearer = mid
+            else:
+                farther = mid
+        return [nearer, farther]
+    return edges(DistanceClass.NEAR) + edges(DistanceClass.MID)
+
+
+def test_cached_distance_class_equals_uncached():
+    uncached = estimate_distance_class.__wrapped__
+    # At transmit power 0 this power is exactly 2 m away.
+    exact_near = -6.020599913279624
+    assert estimate_distance_m(exact_near, 0) == NEAR_MAX_M
+    powers = [exact_near, math.inf, -math.inf, math.nan, -0.0, 0.0]
+    powers += class_edge(0, uncached) + class_edge(-59, uncached)
+    powers += list(range(-130, 1)) + [p + 0.5 for p in range(-130, 1)]
+    powers += [float(p) for p in range(-130, 1)]
+    for rssi in powers:
+        for tx_power in (0, -59, -59.0, math.inf, -math.inf, math.nan):
+            # Twice: the first call may fill the cache, the second reads it.
+            for _ in range(2):
+                assert estimate_distance_class(rssi, tx_power) == \
+                    uncached(rssi, tx_power)
+
+
+def test_distance_class_cache_is_bounded():
+    for k in range(1000):
+        estimate_distance_class(-k / 7, -59)
+    assert estimate_distance_class.cache_info().currsize <= 256
 
 
 def test_cross_day_bits_look_independent():

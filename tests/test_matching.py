@@ -7,6 +7,7 @@ from tracenet.authority import SignedCarrierList
 from tracenet.contact_log import ContactLog
 from tracenet.ident import DistanceClass
 from tracenet.matching import (
+    Hit,
     UnverifiedList,
     brute_force_match,
     build_index,
@@ -106,6 +107,7 @@ def test_oracle_equivalence_randomized(seed):
     )
     fast = match_contacts(log, build_index(lst, verified=True))
     slow = brute_force_match(log, lst)
+    assert fast == slow
     assert hit_keys(fast) == hit_keys(slow)
     assert [(h.date, h.rdi) for h in fast] == [(h.date, h.rdi) for h in slow]
     # Hits carry the values the log stores, not copies.
@@ -124,3 +126,13 @@ def test_rematching_across_epochs_accumulates_hits():
     hits2 = hit_keys(match_contacts(log, build_index(epoch2, verified=True)))
     assert hits1 | hits2 == {(1, X), (2, Y)}
     assert hits1 <= hits2
+
+
+def test_hit_is_an_immutable_named_tuple():
+    log = make_log([(5, X)])
+    (hit,) = match_contacts(log, build_index(make_list([(5, X)]), verified=True))
+    assert hit == Hit(rdi=X, date=5, record=log.records[5, X])
+    assert hit == (X, 5, log.records[5, X])
+    assert hit.contact_record().foreign_rdi == X
+    with pytest.raises(AttributeError):
+        hit.date = 6
