@@ -14,6 +14,9 @@ Carrier on a positive test, or AwaitingTest2 after a first negative and
 Released after a second negative spaced at least an incubation period.
 Illegal or duplicate messages are audited no-ops: the mailbox is
 asynchronous and replays are expected.
+
+The category decision, either way, erases the inquiry's summary and
+evidence; a case's history fields are tuples that each step rebinds.
 """
 
 from __future__ import annotations
@@ -107,11 +110,11 @@ class CaseRecord:
     token: bytes
     state: CaseState = CaseState.IDLE
     category: Category = None
-    test_results: list = field(default_factory=list)  # [(result, date)]
+    test_results: tuple = ()  # ((result, date), ...)
     resolution_epoch: int = None
     summary: dict = None
-    evidence: list = field(default_factory=list)
-    audit: list = field(default_factory=list)
+    evidence: tuple = ()
+    audit: tuple = ()
     incubation_days: int = DEFAULT_INCUBATION_DAYS
     lookback_days: int = DEFAULT_LOOKBACK_DAYS
 
@@ -182,7 +185,7 @@ def _summary_record(summary: dict, evidence) -> ContactRecord:
     near = int(summary.get("near_ticks", 0))
     mid = int(summary.get("mid_ticks", 0))
     far = int(summary.get("far_ticks", 0))
-    for item in evidence or []:
+    for item in evidence:
         reassess = item.get("reassess") if isinstance(item, dict) else None
         if reassess == "far":
             far += near + mid
@@ -196,18 +199,13 @@ def _summary_record(summary: dict, evidence) -> ContactRecord:
     )
 
 
-def _drop(case: CaseRecord, today) -> None:
-    # Erase everything the inquiry carried; the drop leaves no payload.
-    case.state = CaseState.DROPPED
-    case.summary = None
-    case.evidence = []
-    case.resolution_epoch = today
-
-
 def _decide(case: CaseRecord, category: Category, traced_categories, today):
-    """Drop an open inquiry or order its test, by decided category."""
+    """Close an open inquiry, erasing its payload: drop it or order its test."""
+    case.summary = None
+    case.evidence = ()
     if category == Category.UNCRITICAL or category not in traced_categories:
-        _drop(case, today)
+        case.state = CaseState.DROPPED
+        case.resolution_epoch = today
         return case, [MailboxMessage(case.token, MessageKind.DROP, {})]
     case.category = category
     case.state = CaseState.AWAITING_TEST1
@@ -219,8 +217,8 @@ def categorize(case: CaseRecord, record_summary: dict,
                traced_categories=ALL_CATEGORIES, today: int = None):
     """Decide the category of an open inquiry.
 
-    Uncritical (or a category the authority is not tracing) drops the case
-    and erases its data; otherwise a test is ordered.
+    Uncritical (or a category the authority is not tracing) drops the case;
+    otherwise a test is ordered. Both erase the inquiry's payload.
     """
     if case.state != CaseState.INQUIRY_OPEN:
         raise WrongState(f"categorize in state {case.state}")
@@ -235,7 +233,7 @@ def step(case: CaseRecord, message: MailboxMessage, today: int = None):
     fail: they leave the case unchanged and record an audit entry.
     """
     def illegal(reason):
-        case.audit.append(f"{message.kind.name} in {case.state.value}: {reason}")
+        case.audit += (f"{message.kind.name} in {case.state.value}: {reason}",)
         return case, []
 
     if not isinstance(message.body, dict):
@@ -252,7 +250,7 @@ def step(case: CaseRecord, message: MailboxMessage, today: int = None):
     if kind == MessageKind.CATEGORIZATION_EVIDENCE:
         if case.state != CaseState.INQUIRY_OPEN:
             return illegal("no open inquiry")
-        case.evidence.append(dict(message.body))
+        case.evidence += (dict(message.body),)
         return case, []
     if kind == MessageKind.CATEGORY_DECISION:
         if case.state != CaseState.INQUIRY_OPEN:
@@ -277,7 +275,7 @@ def step(case: CaseRecord, message: MailboxMessage, today: int = None):
         # negative dated at least an incubation period after the first
         # releases the person.
         if result == "positive":
-            case.test_results.append((result, date))
+            case.test_results += ((result, date),)
             case.state = CaseState.CARRIER
             case.resolution_epoch = date
             return case, [MailboxMessage(case.token, MessageKind.HISTORY_REQUEST,
@@ -285,14 +283,14 @@ def step(case: CaseRecord, message: MailboxMessage, today: int = None):
         if result != "negative":
             return illegal(f"unknown test result {result!r}")
         if case.state == CaseState.AWAITING_TEST1:
-            case.test_results.append((result, date))
+            case.test_results += ((result, date),)
             case.state = CaseState.AWAITING_TEST2
             return case, []
         first_negative = max(d for r, d in case.test_results if r == "negative")
         if date < first_negative + case.incubation_days:
             return illegal(f"retest at {date} before {first_negative} + "
                            f"{case.incubation_days}")
-        case.test_results.append((result, date))
+        case.test_results += ((result, date),)
         case.state = CaseState.RELEASED
         case.resolution_epoch = date
         return case, [MailboxMessage(case.token, MessageKind.RELEASE, {})]
@@ -301,12 +299,12 @@ def step(case: CaseRecord, message: MailboxMessage, today: int = None):
             return illegal("no history requested")
         # The records go to AuthorityState.register_carrier, which keeps
         # only the identifiers it publishes; the case notes the upload.
-        case.audit.append("history uploaded")
+        case.audit += ("history uploaded",)
         return case, []
     if kind == MessageKind.DROP:
         if case.state != CaseState.INQUIRY_OPEN:
             return illegal("nothing to drop")
-        _drop(case, today)
+        _decide(case, Category.UNCRITICAL, ALL_CATEGORIES, today)
         return case, []
     # TEST_ORDER, HISTORY_REQUEST and RELEASE are authority-to-device
     # notifications; receiving one on a case is always a protocol violation.

@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import math
 import random
+import re
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -202,6 +203,18 @@ class Device:
     handled: set = field(default_factory=set)  # (date, rdi) hits already acted on
 
 
+_CSV_INT = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def _csv_int(name: str, text: str) -> int:
+    """Parse one integer field of a metrics CSV. Only the form `to_csv`
+    writes is accepted: ASCII digits, an optional minus, and no plus, space,
+    underscore or leading zero."""
+    if not _CSV_INT.fullmatch(text):
+        raise ValueError(f"{name} must be a decimal integer, got {text!r}")
+    return int(text)
+
+
 def _first_day_without_cases(active_cases) -> int:
     """The extinction day: the first day that ends with no active case, or -1."""
     return next((d for d, value in enumerate(active_cases) if value == 0), -1)
@@ -261,17 +274,18 @@ class MetricsReport:
                 raise ValueError(f"line {lineno}: day row after the summary")
             parts = line.split(",")
             try:
-                row = [int(value) for value in parts]
+                row = [_csv_int(name, value)
+                       for name, value in zip(("day",) + SERIES, parts)]
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
             day = len(series[SERIES[0]])
-            if len(row) != len(series) + 1 or row[0] != day:
+            if len(parts) != len(series) + 1 or row[0] != day or min(row) < 0:
                 raise ValueError(
                     f"line {lineno}: expected day {day} and {len(series)} "
-                    f"integers, got {line!r}")
+                    f"integers >= 0, got {line!r}")
             for key, value in zip(series, row[1:]):
                 series[key].append(value)
-        counts = {key: int(summary[key])
+        counts = {key: _csv_int(key, summary[key])
                   for key in ("population", "days", "latency_days")}
         for key, value in counts.items():
             if value < 0:
@@ -285,11 +299,11 @@ class MetricsReport:
         empirical_r0 = float(summary["empirical_r0"])
         if not (math.isfinite(empirical_r0) and empirical_r0 >= 0):
             raise ValueError(f"empirical_r0 must be in [0, inf), got {empirical_r0}")
-        extinction_day = int(summary["extinction_day"])
+        extinction_day = _csv_int("extinction_day", summary["extinction_day"])
         expected = _first_day_without_cases(series["active_cases"])
         if extinction_day != expected:
             raise ValueError(f"extinction_day must be {expected}, got {extinction_day}")
-        if int(summary["extinction"]) != int(extinction_day >= 0):
+        if _csv_int("extinction", summary["extinction"]) != int(extinction_day >= 0):
             raise ValueError(f"extinction={summary['extinction']} but "
                              f"extinction_day={extinction_day}")
         return cls(**counts, attack_rate=attack_rate, empirical_r0=empirical_r0,
@@ -646,8 +660,8 @@ class World:
             dev.id_history[day] = dev.current.rdi
             dev.log.prune(day)
             cutoff = day - cfg.retention_days
-            for old in [d for d in dev.id_history if d < cutoff]:
-                del dev.id_history[old]
+            # Each day adds one key, from day 0, so only `cutoff - 1` ages out.
+            dev.id_history.pop(cutoff - 1, None)
             # The pruned log holds no record of these dates, so they can
             # never match again.
             dev.handled.difference_update([k for k in dev.handled if k[0] < cutoff])

@@ -264,9 +264,12 @@ def assert_case_safe(case):
         spacing = negatives[-1] - negatives[0]
         assert spacing >= case.incubation_days, \
             f"released with negatives only {spacing} days apart"
-    if case.state == CaseState.DROPPED:
-        assert case.summary is None, "dropped case kept its contact summary"
-        assert case.evidence == [], "dropped case kept evidence payloads"
+    if case.state != CaseState.INQUIRY_OPEN:
+        # The category decision closes the inquiry and erases its payload.
+        assert case.summary is None, \
+            f"{case.state.value} case kept its contact summary"
+        assert case.evidence == (), \
+            f"{case.state.value} case kept evidence payloads"
 
 
 def test_criterion_08_casework_safety_exhaustive():
@@ -295,6 +298,15 @@ def test_criterion_08_casework_safety_exhaustive():
             break
     elapsed = time.monotonic() - started
     assert elapsed < 60.0, f"exhaustive enumeration took {elapsed:.1f}s"
+    # What the authority stores of a test-ordered case carries no summary.
+    state = AuthorityState(signing_key=generate_keypair(random.Random(8))[0])
+    case = CaseRecord(token=token)
+    casework.step(case, alphabet[0], today=0)
+    state.cases[token] = case
+    _, out = casework.categorize(case, case.summary, today=0)
+    assert [m.kind for m in out] == [MessageKind.TEST_ORDER]
+    text = state.serialize_state()
+    assert '"summary": null' in text and '"evidence": []' in text
     ok(8, "casework safety",
        f"{explored} transitions, {len(visited)} states, {elapsed:.1f}s")
 

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -101,7 +102,7 @@ def test_categorize_far_only_drops_and_erases():
     case, msgs = categorize(case, {"near_ticks": 0, "mid_ticks": 0, "far_ticks": 120})
     assert case.state == CaseState.DROPPED
     assert [m.kind for m in msgs] == [MessageKind.DROP]
-    assert case.summary is None and case.evidence == []
+    assert case.summary is None and case.evidence == ()
 
 
 def test_categorize_untraced_category_drops():
@@ -162,8 +163,30 @@ def test_premature_retest_is_audited_noop():
     case, msgs = send_result(case, "negative", date=9)
     assert case.state == CaseState.AWAITING_TEST2
     assert msgs == []
-    assert case.test_results == [("negative", 7)]
+    assert case.test_results == (("negative", 7),)
     assert len(case.audit) == 1
+
+
+def test_stored_cases_add_at_most_two_tracked_objects_each():
+    # A decided case keeps no inquiry payload and no list, so a stored case
+    # awaiting its retest leaves little more than its own record for the
+    # garbage collector to traverse.
+    rng = random.Random(2)
+    summary = hit_summary(make_hit().contact_record())
+    cases = {}
+    gc.collect()
+    before = len(gc.get_objects())
+    for _ in range(2_000):
+        case = CaseRecord(token=rng.randbytes(16))
+        step(case, MailboxMessage(case.token, MessageKind.OPEN_INQUIRY, summary),
+             today=0)
+        categorize(case, case.summary, today=0)
+        send_result(case, "negative", date=7)
+        cases[case.token] = case
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    assert all(c.state == CaseState.AWAITING_TEST2 for c in cases.values())
+    assert added <= 2 * len(cases), f"{added / len(cases):.2f} per case"
 
 
 def test_retest_exactly_at_incubation_boundary_releases():
@@ -179,7 +202,7 @@ def test_result_in_wrong_state_is_audited_noop():
     case, msgs = send_result(case, "negative", date=1)
     assert case.state == CaseState.INQUIRY_OPEN
     assert msgs == []
-    assert case.test_results == []
+    assert case.test_results == ()
     assert len(case.audit) == 1
 
 
@@ -189,9 +212,9 @@ def test_unknown_result_is_audited_noop():
     case, msgs = send_result(case, "inconclusive", date=7)
     assert case.state == CaseState.AWAITING_TEST1
     assert msgs == []
-    assert case.test_results == []
-    assert case.audit == ["TEST_RESULT in awaiting_test1: unknown test result "
-                          "'inconclusive'"]
+    assert case.test_results == ()
+    assert case.audit == ("TEST_RESULT in awaiting_test1: unknown test result "
+                          "'inconclusive'",)
 
 
 def test_step_illegal_pair_is_audited_noop():
@@ -234,7 +257,7 @@ def test_step_open_inquiry_rejects_what_is_not_a_hit_summary(body):
     assert case.state == CaseState.IDLE
     assert case.summary is None
     assert msgs == []
-    assert case.audit == ["OPEN_INQUIRY in idle: not a hit summary"]
+    assert case.audit == ("OPEN_INQUIRY in idle: not a hit summary",)
 
 
 @pytest.mark.parametrize("kind", list(MessageKind))
@@ -255,7 +278,7 @@ def test_step_bad_test_result_date_is_audited_noop(date):
                                            {"result": "positive", "date": date}))
     assert case.state == CaseState.AWAITING_TEST1
     assert msgs == []
-    assert case.test_results == []
+    assert case.test_results == ()
     assert len(case.audit) == 1
 
 

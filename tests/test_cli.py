@@ -306,11 +306,34 @@ METRICS = (
     (METRICS.replace("1,0,1,0,0,0", "1,0,0,0,0,0"), "extinction_day must be 1, got -1"),
     (METRICS.replace("extinction=0", "extinction=1"),
      "extinction=1 but extinction_day=-1"),
+    # Counts in a form `to_csv` never writes.
+    (METRICS.replace("0,1,1,0,0,0", "0,-7,1_0, +3,-2,0"),
+     "line 2: active_cases must be a decimal integer, got '1_0'"),
+    (METRICS.replace("1,0,1,0,0,0", "1,-7,1,0,0,0"),
+     "line 3: expected day 1 and 5 integers >= 0"),
+    (METRICS.replace("1,0,1,0,0,0", "1,0,1, +3,0,0"),
+     "line 3: quarantined must be a decimal integer, got ' +3'"),
+    (METRICS.replace("1,0,1,0,0,0", "1,0,01,0,0,0"),
+     "line 3: active_cases must be a decimal integer, got '01'"),
+    (METRICS.replace("1,0,1,0,0,0", "01,0,1,0,0,0"),
+     "line 3: day must be a decimal integer, got '01'"),
+    (METRICS.replace("population=10", "population=1_0"),
+     "population must be a decimal integer, got '1_0'"),
+    (METRICS.replace("days=2", "days=+2"), "days must be a decimal integer, got '+2'"),
+    (METRICS.replace("latency_days=3", "latency_days= 3"),
+     "latency_days must be a decimal integer, got ' 3'"),
+    (METRICS.replace("extinction_day=-1", "extinction_day=-01"),
+     "extinction_day must be a decimal integer, got '-01'"),
+    (METRICS.replace("extinction=0", "extinction=+0"),
+     "extinction must be a decimal integer, got '+0'"),
 ], ids=["header", "short-row", "long-row", "day-out-of-order", "negative-population",
         "negative-days", "negative-latency", "row-after-summary",
         "row-inside-summary", "row-count", "attack-rate-above-one", "r0-nan",
         "r0-negative", "extinction-day-past-rows", "extinction-day-not-first-empty",
-        "extinction-flag"])
+        "extinction-flag", "noncanonical-row", "negative-count", "signed-count",
+        "leading-zero-count", "leading-zero-day", "underscore-population",
+        "signed-days", "spaced-latency", "leading-zero-extinction-day",
+        "signed-extinction-flag"])
 def test_report_rejects_malformed_csv(tmp_path, capsys, text, detail):
     path = tmp_path / "metrics.csv"
     path.write_text(text)
