@@ -4,10 +4,18 @@ A hit device either quarantines silently (nothing is ever sent) or opens a
 token-addressed inquiry. The token is fresh randomness, unrelated to any
 identifier, so the mailbox exchange never reveals who is talking.
 
-An inquiry's body is a hit summary (`hit_summary`): the one contact record
-that matched a carrier, reduced to its carrier day (`date`), the carrier's
-identifier, its face-to-face minutes and its near/mid/far tick counts. The
-authority categorizes the case from those counts alone.
+An inquiry's body is a hit summary (`hit_summary`): the carrier day (`date`)
+of the one contact record that matched a carrier, and that record's
+near/mid/far tick counts. Nothing else leaves the device: not the carrier's
+identifier, which would link the inquiry to a published carrier-day, and no
+duration beyond the counts. The authority categorizes the case from those
+counts alone.
+
+On the wire each message kind has one fixed body layout (`_BODIES`): a few
+integers and bytes, no keys and no text. The decoder checks only that the
+bytes fit the layout, so a frame it accepts re-encodes to the same bytes;
+values that fit but make no sense, such as tick counts past one day, reach
+`step`, which audits them.
 
 Case evolution: Idle -> InquiryOpen -> (Dropped | AwaitingTest1) ->
 Carrier on a positive test, or AwaitingTest2 after a first negative and
@@ -21,12 +29,12 @@ evidence; a case's history fields are tuples that each step rebinds.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from typing import NamedTuple
 
-from .contact_log import TICKS_PER_DAY, Category, ContactRecord, classify
+from .contact_log import TICKS_PER_DAY, Category, classify_face_ticks, counts_of
 
 TOKEN_BYTES = 16
 DEFAULT_INCUBATION_DAYS = 5
@@ -73,34 +81,116 @@ class MailboxMessage:
     body: dict = field(default_factory=dict)
 
 
-# `json.dumps` with these options builds a new encoder on every call.
-_BODY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# Each kind's body: its `struct` layout, the fields it packs in order, and
+# for each one-byte field the strings that byte indexes; every other field is
+# an int. This table is the only code that knows body bytes.
+_CATEGORIES = tuple(c.value for c in Category)
+_BODIES = {
+    MessageKind.OPEN_INQUIRY: (
+        "IHHH", ("date", "near_ticks", "mid_ticks", "far_ticks"), {}),
+    MessageKind.CATEGORIZATION_EVIDENCE: (
+        "B", ("reassess",), {"reassess": ("near", "far")}),
+    MessageKind.CATEGORY_DECISION: (
+        "B", ("category",), {"category": _CATEGORIES}),
+    # A test is ordered only for category 1 or 2.
+    MessageKind.TEST_ORDER: (
+        "B", ("category",), {"category": _CATEGORIES[:2]}),
+    MessageKind.TEST_RESULT: (
+        "BI", ("result", "date"), {"result": ("negative", "positive")}),
+    MessageKind.HISTORY_REQUEST: ("i", ("from_date",), {}),
+    MessageKind.HISTORY_UPLOAD: ("", (), {}),
+    MessageKind.RELEASE: ("", (), {}),
+    MessageKind.DROP: ("", (), {}),
+}
+
+
+class _Frame(NamedTuple):
+    """One kind's whole frame as a single `struct`: u16 BE payload length,
+    token, kind byte, then the body."""
+
+    kind: MessageKind
+    codec: struct.Struct
+    names: tuple
+    # (field position, strings) for each one-byte field: the byte is the
+    # index of the field's string.
+    choices: tuple
+
+
+# Keyed by kind; an IntEnum hashes as its int, so the kind byte finds it too.
+_FRAMES = {
+    kind: _Frame(kind, struct.Struct(f">H{TOKEN_BYTES}sB{layout}"), names,
+                 tuple((names.index(name), strings) for name, strings in choices.items()))
+    for kind, (layout, names, choices) in _BODIES.items()
+}
 
 
 def serialize_message(msg: MailboxMessage) -> bytes:
-    """Length-prefixed wire form: u16 BE payload length, 16-byte token,
-    1 kind byte, JSON body."""
-    body = _BODY_ENCODER.encode(msg.body).encode()
-    payload = msg.token + bytes([msg.kind]) + body
-    return struct.pack(">H", len(payload)) + payload
+    """The message's frame: u16 BE payload length, 16-byte token, kind
+    byte, then the kind's fixed body layout (`_BODIES`).
+
+    Raises ValueError on a message that does not fit: a token that is not
+    16 bytes, or a body that is not a dict with exactly the kind's fields,
+    each an int in its layout's range (not a bool) or one of its byte's
+    strings.
+    """
+    frame = _FRAMES.get(msg.kind)
+    if frame is None:
+        raise ValueError(f"unknown message kind {msg.kind!r}")
+    kind, codec, names, choices = frame
+    token, body = msg.token, msg.body
+    if type(token) is not bytes or len(token) != TOKEN_BYTES:
+        raise ValueError(f"token must be {TOKEN_BYTES} bytes, got {token!r}")
+    if type(body) is not dict or len(body) != len(names):
+        raise ValueError(f"{kind.name} body must have fields {names}")
+    try:
+        values = [body[name] for name in names]
+    except KeyError as exc:
+        raise ValueError(f"{kind.name} body must have fields {names}") from exc
+    for i, strings in choices:
+        if values[i] not in strings:
+            raise ValueError(f"{kind.name} {names[i]} must be one of {strings}, "
+                             f"got {values[i]!r}")
+        values[i] = strings.index(values[i])
+    for value in values:
+        if type(value) is not int:
+            raise ValueError(f"{kind.name} body holds {value!r}, not an int")
+    try:
+        return codec.pack(codec.size - 2, token, kind, *values)
+    except struct.error as exc:
+        raise ValueError(f"{kind.name} body does not fit: {exc}") from exc
 
 
 def deserialize_message(data: bytes, offset: int = 0):
-    """Decode one message at `offset`; returns (message, next_offset)."""
-    if len(data) < offset + 2:
-        raise ValueError("truncated length prefix")
-    (length,) = struct.unpack(">H", data[offset : offset + 2])
-    start = offset + 2
-    end = start + length
-    if len(data) < end or length < TOKEN_BYTES + 1:
-        raise ValueError("truncated message payload")
-    token = data[start : start + TOKEN_BYTES]
-    kind = MessageKind(data[start + TOKEN_BYTES])
-    try:
-        body = json.loads(data[start + TOKEN_BYTES + 1 : end] or b"{}")
-    except RecursionError as exc:
-        raise ValueError("message body nests too deeply") from exc
-    return MailboxMessage(token=token, kind=kind, body=body), end
+    """Decode one frame at `offset`; returns (message, next_offset).
+
+    Raises ValueError on bytes that do not fit a frame `serialize_message`
+    writes: an unknown kind byte, a length prefix other than the kind's
+    layout holds, too few bytes, or a byte field past its strings. So an
+    accepted frame re-encodes to the same bytes.
+    """
+    kind_at = offset + 2 + TOKEN_BYTES
+    if len(data) <= kind_at:
+        raise ValueError("truncated message header")
+    frame = _FRAMES.get(data[kind_at])
+    if frame is None:
+        raise ValueError(f"unknown message kind {data[kind_at]}")
+    kind, codec, names, choices = frame
+    end = offset + codec.size
+    if len(data) < end:
+        raise ValueError(f"truncated {kind.name} message")
+    fields = codec.unpack_from(data, offset)
+    if fields[0] != codec.size - 2:
+        raise ValueError(f"{kind.name} payload is {codec.size - 2} bytes, "
+                         f"the frame says {fields[0]}")
+    values = fields[3:]
+    if choices:
+        values = list(values)
+        for i, strings in choices:
+            if values[i] >= len(strings):
+                raise ValueError(f"{kind.name} {names[i]} byte {values[i]} is "
+                                 f"not one of {strings}")
+            values[i] = strings[values[i]]
+    return MailboxMessage(fields[1], kind, dict(zip(names, values))), end
 
 
 @dataclass
@@ -123,17 +213,13 @@ def new_token(rng) -> bytes:
     return rng.randbytes(TOKEN_BYTES)
 
 
-def hit_summary(record) -> dict:
-    """Minimal disclosure for an inquiry: the carrier-day and duration and
-    distance breakdown, nothing else."""
-    return {
-        "date": record.date,
-        "rdi": record.foreign_rdi.hex(),
-        "duration_minutes": record.face_to_face_minutes,
-        "near_ticks": record.near_ticks,
-        "mid_ticks": record.mid_ticks,
-        "far_ticks": record.far_ticks,
-    }
+def hit_summary(hit) -> dict:
+    """The inquiry body for a `matching.Hit`: the carrier-day and the
+    matched record's near, mid and far tick counts, read straight from the
+    value the log stores. The carrier's identifier stays on the device."""
+    near, mid, far = counts_of(hit.record)
+    return {"date": hit.date, "near_ticks": near, "mid_ticks": mid,
+            "far_ticks": far}
 
 
 def on_hits(hits, preference: str, rng):
@@ -160,7 +246,7 @@ def on_hits(hits, preference: str, rng):
             MailboxMessage(
                 token=new_token(rng),
                 kind=MessageKind.OPEN_INQUIRY,
-                body=hit_summary(hit.contact_record()),
+                body=hit_summary(hit),
             )
         )
     return CaseState.INQUIRY_OPEN, messages
@@ -177,26 +263,6 @@ def _is_hit_summary(body: dict) -> bool:
             return False
         total += count
     return total <= TICKS_PER_DAY and type(body.get("date", 0)) is int
-
-
-def _summary_record(summary: dict, evidence) -> ContactRecord:
-    """Rebuild a classification input from an inquiry summary, applying any
-    evidence-driven distance reassessment."""
-    near = int(summary.get("near_ticks", 0))
-    mid = int(summary.get("mid_ticks", 0))
-    far = int(summary.get("far_ticks", 0))
-    for item in evidence:
-        reassess = item.get("reassess") if isinstance(item, dict) else None
-        if reassess == "far":
-            far += near + mid
-            near = mid = 0
-        elif reassess == "near":
-            near += far
-            far = 0
-    return ContactRecord(
-        foreign_rdi=bytes(16), date=int(summary.get("date", 0)),
-        near_ticks=near, mid_ticks=mid, far_ticks=far,
-    )
 
 
 def _decide(case: CaseRecord, category: Category, traced_categories, today):
@@ -222,7 +288,19 @@ def categorize(case: CaseRecord, record_summary: dict,
     """
     if case.state != CaseState.INQUIRY_OPEN:
         raise WrongState(f"categorize in state {case.state}")
-    category = classify(_summary_record(record_summary, case.evidence))
+    near = int(record_summary.get("near_ticks", 0))
+    mid = int(record_summary.get("mid_ticks", 0))
+    far = int(record_summary.get("far_ticks", 0))
+    # Evidence reassesses the distance of every tick: to far, which leaves
+    # no face-to-face tick, or to near, which makes every tick one.
+    face_ticks = near + mid
+    for item in case.evidence:
+        reassess = item.get("reassess") if isinstance(item, dict) else None
+        if reassess == "far":
+            face_ticks = 0
+        elif reassess == "near":
+            face_ticks = near + mid + far
+    category = classify_face_ticks(face_ticks)
     return _decide(case, category, traced_categories, today)
 
 

@@ -17,8 +17,9 @@ tracked by the garbage collector, and a dict that holds only bytes keys and
 int values is never tracked either: writing to a log starts no young
 collection, and no collection pass walks a log however large it grows. Only
 this module knows the layout: other code reads a stored value through
-`as_record` and `first_tick_of`, which give the `ContactRecord` boundary form
-with its absolute mask (bit t for tick t). The history CSV carries no mask,
+`as_record`, which gives the `ContactRecord` boundary form with its
+absolute mask (bit t for tick t), or through `counts_of` and
+`first_tick_of`, which read single fields. The history CSV carries no mask,
 so an upload does not disclose 30-second ticks; a parsed row gets the lowest
 mask a device could have counted for it.
 
@@ -128,19 +129,24 @@ class ContactRecord:
         return (self.near_ticks + self.mid_ticks) * MINUTES_PER_TICK
 
 
-def classify(record: ContactRecord) -> Category:
-    """Categorize a contact by accumulated face-to-face minutes.
+def classify_face_ticks(face_ticks: int) -> Category:
+    """Categorize a contact by its face-to-face (near + mid) tick count.
 
-    Exactly at the threshold is Category 2: Category 1 requires strictly
-    more than `CATEGORY1_THRESHOLD_MINUTES`. Far-only contacts are
-    uncritical.
+    Exactly at the threshold (30 ticks, 15 minutes) is Category 2: Category
+    1 requires strictly more than `CATEGORY1_THRESHOLD_MINUTES`. A contact
+    with no face-to-face tick (far only) is uncritical.
     """
-    face_ticks = record.near_ticks + record.mid_ticks
     if face_ticks == 0:
         return Category.UNCRITICAL
     if face_ticks * MINUTES_PER_TICK > CATEGORY1_THRESHOLD_MINUTES:
         return Category.CATEGORY1
     return Category.CATEGORY2
+
+
+def classify(record: ContactRecord) -> Category:
+    """Categorize a contact record by its accumulated face-to-face minutes
+    (`classify_face_ticks`)."""
+    return classify_face_ticks(record.near_ticks + record.mid_ticks)
 
 
 class ContactLog:
@@ -276,6 +282,13 @@ def as_record(date: int, rdi: bytes, value: int) -> ContactRecord:
         rdi, date, fields & _FIELD, fields >> _COUNT_BITS & _FIELD,
         fields >> 2 * _COUNT_BITS & _FIELD,
         value >> _MASK_SHIFT << (fields >> _FIRST_SHIFT))
+
+
+def counts_of(value: int) -> tuple:
+    """The (near, mid, far) tick counts of a value a log stores."""
+    counts = value & _COUNTS
+    return (counts & _FIELD, counts >> _COUNT_BITS & _FIELD,
+            counts >> 2 * _COUNT_BITS)
 
 
 def first_tick_of(value: int) -> int:

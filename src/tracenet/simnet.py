@@ -204,6 +204,8 @@ class Device:
 
 
 _CSV_INT = re.compile(r"0|-?[1-9][0-9]*")
+# The `%.6f` form `to_csv` writes for a rate, which is never negative.
+_CSV_RATE = re.compile(r"(0|[1-9][0-9]*)\.[0-9]{6}")
 
 
 def _csv_int(name: str, text: str) -> int:
@@ -299,6 +301,10 @@ class MetricsReport:
         empirical_r0 = float(summary["empirical_r0"])
         if not (math.isfinite(empirical_r0) and empirical_r0 >= 0):
             raise ValueError(f"empirical_r0 must be in [0, inf), got {empirical_r0}")
+        for key in ("attack_rate", "empirical_r0"):
+            if not _CSV_RATE.fullmatch(summary[key]):
+                raise ValueError(
+                    f"{key} must be written as %.6f, got {summary[key]!r}")
         extinction_day = _csv_int("extinction_day", summary["extinction_day"])
         expected = _first_day_without_cases(series["active_cases"])
         if extinction_day != expected:

@@ -2,6 +2,7 @@ import gc
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from tracenet.casework import (
     CaseRecord,
@@ -17,7 +18,14 @@ from tracenet.casework import (
     serialize_message,
     step,
 )
-from tracenet.contact_log import Category, ContactRecord, log_from_records
+from tracenet.contact_log import (
+    TICKS_PER_DAY,
+    Category,
+    ContactRecord,
+    classify,
+    classify_face_ticks,
+    log_from_records,
+)
 from tracenet.matching import Hit
 
 
@@ -33,7 +41,7 @@ def open_case(summary=None, rng=None):
     rng = rng or random.Random(0)
     case = CaseRecord(token=rng.randbytes(16))
     msg = MailboxMessage(case.token, MessageKind.OPEN_INQUIRY,
-                         summary or hit_summary(make_hit().contact_record()))
+                         summary or hit_summary(make_hit()))
     case, _ = step(case, msg, today=0)
     assert case.state == CaseState.INQUIRY_OPEN
     return case
@@ -56,9 +64,61 @@ def test_negotiate_opens_minimal_inquiry():
     assert len(messages) == 1
     msg = messages[0]
     assert msg.kind == MessageKind.OPEN_INQUIRY
-    assert set(msg.body) == {
-        "date", "rdi", "duration_minutes", "near_ticks", "mid_ticks", "far_ticks"
+    # The carrier-day and three tick counts, nothing else: no identifier
+    # that links the inquiry to a published carrier-day.
+    assert msg.body == {"date": 3, "near_ticks": 40, "mid_ticks": 0,
+                        "far_ticks": 0}
+
+
+@st.composite
+def logged_hits(draw):
+    """A hit on a record a log holds: 1 to 2880 counted ticks in one run."""
+    near, mid = draw(st.integers(0, 960)), draw(st.integers(0, 960))
+    far = draw(st.integers(0 if near + mid else 1, 960))
+    first = draw(st.integers(0, TICKS_PER_DAY - (near + mid + far)))
+    rdi, date = draw(st.binary(min_size=16, max_size=16)), draw(st.integers(0, 2**32 - 1))
+    rec = ContactRecord(rdi, date, near, mid, far,
+                        ticks=((1 << near + mid + far) - 1) << first)
+    return Hit(rdi, date, log_from_records([rec]).records[date, rdi])
+
+
+@given(logged_hits())
+def test_inquiry_body_carries_the_hit_record_counts(hit):
+    record = hit.contact_record()
+    assert hit_summary(hit) == {
+        "date": record.date, "near_ticks": record.near_ticks,
+        "mid_ticks": record.mid_ticks, "far_ticks": record.far_ticks,
     }
+    _, (msg,) = on_hits([hit], "negotiate", random.Random(0))
+    assert msg.body == hit_summary(hit)
+
+
+@pytest.mark.parametrize("face_ticks,category", [
+    (0, Category.UNCRITICAL), (1, Category.CATEGORY2), (30, Category.CATEGORY2),
+    (31, Category.CATEGORY1), (TICKS_PER_DAY, Category.CATEGORY1),
+])
+def test_face_tick_threshold(face_ticks, category):
+    # 30 ticks are exactly 15 minutes: category 1 needs strictly more.
+    assert classify_face_ticks(face_ticks) == category
+
+
+@example(15, 15, 0)
+@example(16, 15, 2849)
+@example(0, 0, TICKS_PER_DAY)
+@given(st.integers(0, TICKS_PER_DAY), st.integers(0, TICKS_PER_DAY),
+       st.integers(0, TICKS_PER_DAY))
+def test_counts_and_records_classify_the_same(near, mid, far):
+    record = ContactRecord(bytes(16), 0, near, mid, far)
+    category = classify(record)
+    assert classify_face_ticks(near + mid) == category
+    # The authority's decision on the same counts.
+    case = CaseRecord(token=bytes(16), state=CaseState.INQUIRY_OPEN)
+    categorize(case, {"date": 0, "near_ticks": near, "mid_ticks": mid,
+                      "far_ticks": far})
+    if category == Category.UNCRITICAL:
+        assert case.state == CaseState.DROPPED
+    else:
+        assert case.category == category
 
 
 def test_one_inquiry_per_distinct_carrier_day():
@@ -172,7 +232,7 @@ def test_stored_cases_add_at_most_two_tracked_objects_each():
     # awaiting its retest leaves little more than its own record for the
     # garbage collector to traverse.
     rng = random.Random(2)
-    summary = hit_summary(make_hit().contact_record())
+    summary = hit_summary(make_hit())
     cases = {}
     gc.collect()
     before = len(gc.get_objects())
@@ -332,12 +392,26 @@ def test_step_premature_retest_is_audited_noop():
     assert msgs == []
 
 
+ONE_OF_EACH_KIND = {
+    MessageKind.OPEN_INQUIRY: {"date": 3, "near_ticks": 40, "mid_ticks": 2,
+                               "far_ticks": 7},
+    MessageKind.CATEGORIZATION_EVIDENCE: {"reassess": "far"},
+    MessageKind.CATEGORY_DECISION: {"category": "uncritical"},
+    MessageKind.TEST_ORDER: {"category": "category2"},
+    MessageKind.TEST_RESULT: {"result": "positive", "date": 9},
+    MessageKind.HISTORY_REQUEST: {"from_date": -2},
+    MessageKind.HISTORY_UPLOAD: {},
+    MessageKind.RELEASE: {},
+    MessageKind.DROP: {},
+}
+
+
 def test_message_serialization_round_trip():
     rng = random.Random(5)
     offset = 0
     messages = [
-        MailboxMessage(rng.randbytes(16), kind, {"n": i})
-        for i, kind in enumerate(MessageKind)
+        MailboxMessage(rng.randbytes(16), kind, ONE_OF_EACH_KIND[kind])
+        for kind in MessageKind
     ]
     blob = b"".join(serialize_message(m) for m in messages)
     out = []
@@ -345,6 +419,41 @@ def test_message_serialization_round_trip():
         msg, offset = deserialize_message(blob, offset)
         out.append(msg)
     assert out == messages
+
+
+@pytest.mark.parametrize("kind,body", [
+    (MessageKind.OPEN_INQUIRY, {"date": 3, "near_ticks": 40, "mid_ticks": 0}),
+    (MessageKind.OPEN_INQUIRY, {"date": 3, "near_ticks": 40, "mid_ticks": 0,
+                                "far_ticks": 0, "rdi": "00" * 16}),
+    (MessageKind.OPEN_INQUIRY, {"date": -1, "near_ticks": 0, "mid_ticks": 0,
+                                "far_ticks": 0}),
+    (MessageKind.OPEN_INQUIRY, {"date": 3, "near_ticks": 2**16, "mid_ticks": 0,
+                                "far_ticks": 0}),
+    (MessageKind.OPEN_INQUIRY, {"date": 3.0, "near_ticks": 0, "mid_ticks": 0,
+                                "far_ticks": 0}),
+    (MessageKind.OPEN_INQUIRY, {"date": True, "near_ticks": 0, "mid_ticks": 0,
+                                "far_ticks": 0}),
+    (MessageKind.TEST_RESULT, {"result": "inconclusive", "date": 3}),
+    (MessageKind.TEST_RESULT, {"result": ["positive"], "date": 3}),
+    (MessageKind.TEST_RESULT, {"result": "positive", "date": "x"}),
+    (MessageKind.TEST_ORDER, {"category": "uncritical"}),
+    (MessageKind.CATEGORY_DECISION, {"category": "category9"}),
+    (MessageKind.CATEGORY_DECISION, "category1"),
+    (MessageKind.CATEGORIZATION_EVIDENCE, {"reassess": "mid"}),
+    (MessageKind.HISTORY_REQUEST, {"from_date": 2**31}),
+    (MessageKind.DROP, {"reason": "none"}),
+    (MessageKind.RELEASE, {"x": "y" * 70_000}),
+    (MessageKind.OPEN_INQUIRY, ["date", 3]),
+], ids=repr)
+def test_serialize_rejects_body_that_does_not_fit(kind, body):
+    with pytest.raises(ValueError):
+        serialize_message(MailboxMessage(bytes(16), kind, body))
+
+
+@pytest.mark.parametrize("token", [bytes(15), bytes(17), bytearray(16), "0" * 16])
+def test_serialize_rejects_token_that_is_not_16_bytes(token):
+    with pytest.raises(ValueError):
+        serialize_message(MailboxMessage(token, MessageKind.DROP, {}))
 
 
 def test_message_deserialize_rejects_truncation():

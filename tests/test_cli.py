@@ -206,8 +206,7 @@ def test_replay_reports_final_states(tmp_path, capsys):
     messages = [
         casework.MailboxMessage(
             token_a, casework.MessageKind.OPEN_INQUIRY,
-            {"date": 3, "rdi": "00" * 16, "duration_minutes": 20.0,
-             "near_ticks": 40, "mid_ticks": 0, "far_ticks": 0},
+            {"date": 3, "near_ticks": 40, "mid_ticks": 0, "far_ticks": 0},
         ),
         casework.MailboxMessage(
             token_a, casework.MessageKind.CATEGORY_DECISION,
@@ -231,15 +230,19 @@ def test_replay_reports_final_states(tmp_path, capsys):
 
 
 def test_replay_audits_bad_category_decision(tmp_path, capsys):
+    # Every category byte that decodes names a category, so the decision
+    # the authority cannot take is one on a case already decided.
     token = bytes([3]) * 16
     messages = [
         casework.MailboxMessage(
             token, casework.MessageKind.OPEN_INQUIRY,
-            {"date": 3, "rdi": "00" * 16, "duration_minutes": 20.0,
-             "near_ticks": 40, "mid_ticks": 0, "far_ticks": 0},
+            {"date": 3, "near_ticks": 40, "mid_ticks": 0, "far_ticks": 0},
         ),
         casework.MailboxMessage(
-            token, casework.MessageKind.CATEGORY_DECISION, {"category": "category9"},
+            token, casework.MessageKind.CATEGORY_DECISION, {"category": "uncritical"},
+        ),
+        casework.MailboxMessage(
+            token, casework.MessageKind.CATEGORY_DECISION, {"category": "category1"},
         ),
     ]
     trace = tmp_path / "mailbox.bin"
@@ -247,7 +250,58 @@ def test_replay_audits_bad_category_decision(tmp_path, capsys):
     code, out, err = run_cli(["replay", "--trace", str(trace)], capsys)
     assert code == 0
     assert err == ""
-    assert out.strip() == f"{token.hex()},inquiry_open,-,tests=0,audit=1"
+    assert out.strip() == f"{token.hex()},dropped,-,tests=0,audit=1"
+
+
+def test_replay_audits_counts_past_one_day(tmp_path, capsys):
+    # The counts fit their u16 fields, so the frame decodes; they sum past
+    # 2880 ticks, so `step` audits the inquiry.
+    token = bytes([5]) * 16
+    trace = tmp_path / "mailbox.bin"
+    trace.write_bytes(casework.serialize_message(casework.MailboxMessage(
+        token, casework.MessageKind.OPEN_INQUIRY,
+        {"date": 3, "near_ticks": 2000, "mid_ticks": 0, "far_ticks": 881})))
+    code, out, err = run_cli(["replay", "--trace", str(trace)], capsys)
+    assert code == 0
+    assert err == ""
+    assert out.strip() == f"{token.hex()},idle,-,tests=0,audit=1"
+
+
+def frame(kind, body: bytes, token=bytes([6]) * 16) -> bytes:
+    """A frame around raw body bytes, with a length prefix that fits them."""
+    payload = token + bytes([kind]) + body
+    return len(payload).to_bytes(2, "big") + payload
+
+
+def assert_replay_refuses(trace, data, capsys):
+    trace.write_bytes(data)
+    code, out, err = run_cli(["replay", "--trace", str(trace)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: malformed trace: ")
+    assert err.count("\n") == 1
+
+
+K = casework.MessageKind
+
+
+@pytest.mark.parametrize("data", [
+    frame(K.CATEGORY_DECISION, b"\x03"),  # past the three categories
+    frame(K.TEST_ORDER, b"\x02"),  # no test is ordered for "uncritical"
+    frame(K.TEST_RESULT, b"\x02" + bytes(4)),  # neither negative nor positive
+    frame(K.CATEGORIZATION_EVIDENCE, b"\x02"),  # neither near nor far
+    frame(K.OPEN_INQUIRY, bytes(9)),  # one byte short
+    frame(K.OPEN_INQUIRY, bytes(11)),  # one byte long
+    frame(K.DROP, b"\x00"),  # DROP has an empty body
+    frame(K.HISTORY_REQUEST, bytes(3)),
+    frame(0, b""),  # no such kind
+    frame(10, b""),
+    frame(K.DROP, b"") + frame(K.TEST_RESULT, b"\x01\x00"),  # a good frame first
+], ids=["decision-byte", "order-byte", "result-byte", "reassess-byte", "short-inquiry",
+        "long-inquiry", "drop-body", "short-history-request", "kind-0", "kind-10",
+        "second-frame"])
+def test_replay_rejects_body_that_does_not_fit(tmp_path, capsys, data):
+    assert_replay_refuses(tmp_path / "mailbox.bin", data, capsys)
 
 
 def test_replay_rejects_garbage_trace(tmp_path, capsys):
@@ -326,6 +380,17 @@ METRICS = (
      "extinction_day must be a decimal integer, got '-01'"),
     (METRICS.replace("extinction=0", "extinction=+0"),
      "extinction must be a decimal integer, got '+0'"),
+    # Rates in a form `to_csv` never writes, though float() reads them.
+    (METRICS.replace("attack_rate=0.100000", "attack_rate= 0.1_0"),
+     "attack_rate must be written as %.6f, got ' 0.1_0'"),
+    (METRICS.replace("empirical_r0=0.000000", "empirical_r0=+1_0.5"),
+     "empirical_r0 must be written as %.6f, got '+1_0.5'"),
+    (METRICS.replace("attack_rate=0.100000", "attack_rate=0.1"),
+     "attack_rate must be written as %.6f, got '0.1'"),
+    (METRICS.replace("empirical_r0=0.000000", "empirical_r0=1e-3"),
+     "empirical_r0 must be written as %.6f, got '1e-3'"),
+    (METRICS.replace("empirical_r0=0.000000", "empirical_r0=00.500000"),
+     "empirical_r0 must be written as %.6f, got '00.500000'"),
 ], ids=["header", "short-row", "long-row", "day-out-of-order", "negative-population",
         "negative-days", "negative-latency", "row-after-summary",
         "row-inside-summary", "row-count", "attack-rate-above-one", "r0-nan",
@@ -333,7 +398,8 @@ METRICS = (
         "extinction-flag", "noncanonical-row", "negative-count", "signed-count",
         "leading-zero-count", "leading-zero-day", "underscore-population",
         "signed-days", "spaced-latency", "leading-zero-extinction-day",
-        "signed-extinction-flag"])
+        "signed-extinction-flag", "underscore-attack-rate", "signed-r0",
+        "short-attack-rate", "exponent-r0", "leading-zero-r0"])
 def test_report_rejects_malformed_csv(tmp_path, capsys, text, detail):
     path = tmp_path / "metrics.csv"
     path.write_text(text)
@@ -385,14 +451,13 @@ def test_state_json_survives_cli_roundtrip(signed_setup):
     (casework.MessageKind.TEST_RESULT, {"result": "positive", "date": "x"}),
 ])
 def test_replay_audits_malformed_body(tmp_path, capsys, kind, body):
+    # These bodies are not their kind's fields: the encoder refuses each
+    # message, and replay refuses a frame that carries its JSON text.
     token = bytes([4]) * 16
-    trace = tmp_path / "mailbox.bin"
-    trace.write_bytes(casework.serialize_message(
-        casework.MailboxMessage(token, kind, body)))
-    code, out, err = run_cli(["replay", "--trace", str(trace)], capsys)
-    assert code == 0
-    assert err == ""
-    assert out.strip() == f"{token.hex()},idle,-,tests=0,audit=1"
+    with pytest.raises(ValueError):
+        casework.serialize_message(casework.MailboxMessage(token, kind, body))
+    data = frame(kind, json.dumps(body).encode(), token)
+    assert_replay_refuses(tmp_path / "mailbox.bin", data, capsys)
 
 
 @pytest.mark.parametrize("line, detail", [

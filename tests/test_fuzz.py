@@ -9,9 +9,11 @@ from dataclasses import fields
 from hypothesis import example, given, settings, strategies as st
 
 from tracenet import authority, casework
+from tracenet.casework import MailboxMessage, MessageKind
 from tracenet.cli import main
 from tracenet.contact_log import (
     HISTORY_CSV_HEADER,
+    Category,
     ContactLog,
     ContactRecord,
     MalformedHistory,
@@ -37,13 +39,53 @@ def objects_with(keys):
                            json_values, max_size=4)
 
 
-frames = st.builds(
-    lambda token, kind, body: casework.serialize_message(
-        casework.MailboxMessage(token, kind, body)),
-    st.sampled_from([bytes(16), bytes([1]) * 16]),
-    st.sampled_from(casework.MessageKind),
-    json_values | objects_with(["result", "date", "category", "near_ticks"]),
-)
+dates = st.integers(0, 20) | st.integers(0, 2**32 - 1)
+# Tick counts that fit their u16 fields; many sum past one day, which the
+# decoder accepts and `step` audits.
+ticks = st.integers(0, 2880) | st.integers(0, 2**16 - 1)
+BODIES = {
+    MessageKind.OPEN_INQUIRY: st.fixed_dictionaries(
+        {"date": dates, "near_ticks": ticks, "mid_ticks": ticks, "far_ticks": ticks}),
+    MessageKind.CATEGORIZATION_EVIDENCE: st.fixed_dictionaries(
+        {"reassess": st.sampled_from(["near", "far"])}),
+    MessageKind.CATEGORY_DECISION: st.fixed_dictionaries(
+        {"category": st.sampled_from([c.value for c in Category])}),
+    MessageKind.TEST_ORDER: st.fixed_dictionaries(
+        {"category": st.sampled_from(["category1", "category2"])}),
+    MessageKind.TEST_RESULT: st.fixed_dictionaries(
+        {"result": st.sampled_from(["negative", "positive"]), "date": dates}),
+    MessageKind.HISTORY_REQUEST: st.fixed_dictionaries(
+        {"from_date": st.integers(-5, 20) | st.integers(-2**31, 2**31 - 1)}),
+    MessageKind.HISTORY_UPLOAD: st.just({}),
+    MessageKind.RELEASE: st.just({}),
+    MessageKind.DROP: st.just({}),
+}
+messages = st.sampled_from(MessageKind).flatmap(
+    lambda kind: st.builds(MailboxMessage, st.sampled_from([bytes(16), bytes([1]) * 16]),
+                           st.just(kind), BODIES[kind]))
+KIND_AT = 2 + casework.TOKEN_BYTES
+
+
+def mutate_frame(frame, how, pos, byte):
+    """Flip one bit, insert or delete one byte, or overwrite the kind byte
+    (with another kind's, or with one that names no kind)."""
+    data = bytearray(frame)
+    if how == "flip":
+        data[pos % len(data)] ^= 1 << byte % 8
+    elif how == "insert":
+        data.insert(pos % (len(data) + 1), byte)
+    elif how == "delete":
+        del data[pos % len(data)]
+    else:
+        data[KIND_AT] = byte % 11
+    return bytes(data)
+
+
+valid_frames = messages.map(casework.serialize_message)
+mutated_frames = st.builds(
+    mutate_frame, valid_frames, st.sampled_from(["flip", "insert", "delete", "kind"]),
+    st.integers(0, 40), st.integers(0, 255))
+frames = valid_frames | mutated_frames
 traces = st.binary(max_size=64) | st.builds(
     lambda parts, tail: b"".join(parts) + tail,
     st.lists(frames, max_size=6), st.binary(max_size=4),
@@ -136,6 +178,25 @@ def test_deserialize_message_raises_only_value_error(data):
         except ValueError:
             return
         assert isinstance(msg, casework.MailboxMessage)
+
+
+@FUZZ
+@given(messages)
+def test_mailbox_message_round_trips(msg):
+    frame = casework.serialize_message(msg)
+    assert casework.deserialize_message(frame) == (msg, len(frame))
+
+
+@FUZZ
+@given(mutated_frames)
+def test_mailbox_decoder_accepts_only_what_the_encoder_writes(data):
+    try:
+        msg, end = casework.deserialize_message(data)
+    except ValueError:
+        return
+    # The frame at the front re-encodes to the same bytes; whatever follows
+    # it is the next frame's.
+    assert casework.serialize_message(msg) == data[:end]
 
 
 def mutate(fields, how, pos, text):
