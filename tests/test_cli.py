@@ -391,6 +391,22 @@ METRICS = (
      "empirical_r0 must be written as %.6f, got '1e-3'"),
     (METRICS.replace("empirical_r0=0.000000", "empirical_r0=00.500000"),
      "empirical_r0 must be written as %.6f, got '00.500000'"),
+    # Values `to_csv` would write, laid out in a way it never does.
+    (METRICS + "# foo=bar\n", "line 12: to_csv writes '', got '# foo=bar\\n'"),
+    (METRICS.replace("# days=2\n", "# days=5\n# days=2\n"),
+     "line 6: to_csv writes '# days=2\\n', got '# days=5\\n'"),
+    (METRICS.replace("# summary\n", ""),
+     "line 4: to_csv writes '# summary\\n', got '# population=10\\n'"),
+    (METRICS.replace("# population=", "## population="), "'population'"),
+    (METRICS.replace("# days=2\n# latency_days=3\n", "# latency_days=3\n# days=2\n"),
+     "line 6: to_csv writes '# days=2\\n', got '# latency_days=3\\n'"),
+    (METRICS.replace("# days=2\n", "# days=2 \n"),
+     "days must be a decimal integer, got '2 '"),
+    (METRICS.replace("# days=2\n", "#days=2\n"), "'days'"),
+    (METRICS.replace("# days=2\n", "# days=2\n# a comment\n"),
+     "line 7: to_csv writes '# latency_days=3\\n', got '# a comment\\n'"),
+    (METRICS[:-1],
+     "line 11: to_csv writes '# extinction_day=-1\\n', got '# extinction_day=-1'"),
 ], ids=["header", "short-row", "long-row", "day-out-of-order", "negative-population",
         "negative-days", "negative-latency", "row-after-summary",
         "row-inside-summary", "row-count", "attack-rate-above-one", "r0-nan",
@@ -399,7 +415,10 @@ METRICS = (
         "leading-zero-count", "leading-zero-day", "underscore-population",
         "signed-days", "spaced-latency", "leading-zero-extinction-day",
         "signed-extinction-flag", "underscore-attack-rate", "signed-r0",
-        "short-attack-rate", "exponent-r0", "leading-zero-r0"])
+        "short-attack-rate", "exponent-r0", "leading-zero-r0", "extra-summary-key",
+        "repeated-summary-key", "missing-summary-line", "double-hash",
+        "reordered-summary", "trailing-space", "no-space-after-hash", "comment-in-summary",
+        "no-final-newline"])
 def test_report_rejects_malformed_csv(tmp_path, capsys, text, detail):
     path = tmp_path / "metrics.csv"
     path.write_text(text)

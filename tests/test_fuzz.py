@@ -21,7 +21,13 @@ from tracenet.contact_log import (
     records_to_csv,
 )
 from tracenet.ident import DistanceClass
-from tracenet.simnet import InvalidConfig, ScenarioConfig, config_from_file
+from tracenet.simnet import (
+    SERIES,
+    InvalidConfig,
+    MetricsReport,
+    ScenarioConfig,
+    config_from_file,
+)
 
 FUZZ = settings(max_examples=100, deadline=None)
 
@@ -274,3 +280,63 @@ def test_records_from_csv_any_text(text):
 def test_history_csv_written_by_a_device_round_trips(records):
     text = records_to_csv(records)
     assert records_to_csv(records_from_csv(text)) == text
+
+
+def metrics_report(rows, population, latency_days, attack_rate, r0):
+    """A report as `finalize_report` could write it: the extinction day is
+    the first day with no active case."""
+    series = {key: [row[i] for row in rows] for i, key in enumerate(SERIES)}
+    active = series["active_cases"]
+    return MetricsReport(
+        population=population, days=len(rows), latency_days=latency_days,
+        attack_rate=attack_rate, empirical_r0=r0,
+        extinction_day=next((d for d, n in enumerate(active) if n == 0), -1),
+        **series)
+
+
+def mutate_lines(text, edits):
+    """Apply each edit to the text's characters or to its lines: insert a
+    piece, delete one, or swap one with the next."""
+    for unit, how, pos, piece in edits:
+        parts = list(text) if unit == "char" else text.splitlines(True)
+        pos %= len(parts) + 1
+        if how == "insert":
+            parts.insert(pos, piece if unit == "char" else piece + "\n")
+        elif how == "delete":
+            del parts[pos:pos + 1]
+        else:
+            parts[pos:pos + 2] = parts[pos:pos + 2][::-1]
+        text = "".join(parts)
+    return text
+
+
+metrics_texts = st.builds(
+    metrics_report,
+    st.lists(st.tuples(*[st.integers(0, 12)] * len(SERIES)), max_size=4),
+    st.integers(0, 100), st.integers(0, 5),
+    st.integers(0, 10**6).map(lambda k: k / 10**6), st.floats(0, 50),
+).map(MetricsReport.to_csv)
+metrics_edits = st.lists(st.tuples(
+    st.sampled_from(["char", "line"]), st.sampled_from(["insert", "delete", "swap"]),
+    st.integers(0, 400),
+    # A character or line a metrics CSV could hold, or any text.
+    st.sampled_from(["0", "1", "-", ",", "#", " ", "=", ".", "\n", "\r", "# summary",
+                     "# days=0", "# foo=bar", "0,0,0,0,0,0"])
+    | st.text(max_size=3),
+), min_size=1, max_size=3)
+
+
+@FUZZ
+@given(st.builds(mutate_lines, metrics_texts, metrics_edits))
+def test_metrics_csv_reader_accepts_only_what_to_csv_writes(text):
+    try:
+        report = MetricsReport.from_csv(text)
+    except (ValueError, KeyError):
+        return
+    assert report.to_csv() == text
+
+
+@FUZZ
+@given(metrics_texts)
+def test_metrics_csv_written_by_to_csv_round_trips(text):
+    assert MetricsReport.from_csv(text).to_csv() == text

@@ -8,6 +8,7 @@ from tracenet.ident import (
     BEACON_LENGTH,
     BEACON_MAGIC,
     NEAR_MAX_M,
+    RDI_BYTES,
     BadMagic,
     DailyIdentifier,
     DistanceClass,
@@ -34,6 +35,18 @@ def test_generation_stream_advances():
     a = generate_daily_identifier(rng, 100)
     b = generate_daily_identifier(rng, 100)
     assert a.rdi != b.rdi
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 1000])
+def test_one_wide_draw_equals_k_identifier_draws(k):
+    # The simulator draws a day's identifiers for k devices as one
+    # `randbytes(16 * k)` and slices it; that must be the same stream as k
+    # identifiers drawn one by one, and leave the generator in the same state.
+    wide, single = random.Random(29), random.Random(29)
+    blob = wide.randbytes(RDI_BYTES * k)
+    rdis = [generate_daily_identifier(single, 3).rdi for _ in range(k)]
+    assert [blob[i * RDI_BYTES:(i + 1) * RDI_BYTES] for i in range(k)] == rdis
+    assert wide.getstate() == single.getstate()
 
 
 def test_no_collisions_in_ten_thousand_draws():

@@ -1,4 +1,4 @@
-"""Behaviour pin: SHA-256 of `metrics.csv` and `events.log` for two small
+"""Behaviour pin: SHA-256 of `metrics.csv` and `events.log` for three small
 seeded scenarios.
 
 For a given (config, seed) these two files are the simulator's contract, so
@@ -30,6 +30,13 @@ PINS = {
         replace(BASE, adoption_fraction=0.6, test_delay_days=2),
         "ee0de0d1285f551812f52e316eecf71c4255089bad603a4f5ea8fd55a0a4e90b",
         "48d7b9a65385dd43910ef63b1435b23e1b8904577803c5ebe877fa6f7592df36",
+    ),
+    # Published contact-derived entries make many more hits (13,416 against
+    # 2,869 at full adoption), so the acted-on hit bookkeeping is pinned too.
+    "contact_derived": (
+        replace(BASE, trace_contact_derived=True),
+        "873e090f007bee80d68af26e3630863b87d725953d40c45eb88c6f01c9d67918",
+        "967db2d12fa1925134dee8ac951c05013cb8f5e7e0af78f13302226481d23331",
     ),
 }
 

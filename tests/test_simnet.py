@@ -11,6 +11,7 @@ from tracenet import simnet
 from tracenet.casework import CaseState
 from tracenet.contact_log import ContactLog
 from tracenet.ident import (
+    DailyIdentifier,
     DistanceClass,
     decode_beacon,
     encode_beacon,
@@ -534,7 +535,8 @@ def _exchange_one_event_at_a_time(world, day, src, dst, cls, start, dur):
         observed = estimate_distance_class(rssi, simnet.TX_POWER_DBM)
         s, d = int(start[i]), int(dur[i])
         for rx, tx in ((a, b), (b, a)):
-            rdi = decode_beacon(encode_beacon(world.devices[tx].current))
+            ident = DailyIdentifier(world.devices[tx].id_history[day], day)
+            rdi = decode_beacon(encode_beacon(ident))
             for tick in range(s, s + d):
                 world.devices[rx].log.observe([(rdi, observed)], day, tick)
         if world.record_events:
@@ -624,7 +626,7 @@ def test_pending_case_tests_track_awaiting_cases(overrides):
         ever_pending |= bool(pending)
         cutoff = world.day - 1 - cfg.retention_days
         for dev in world.devices.values():
-            assert all(date >= cutoff for date, _ in dev.handled)
+            assert all(date >= cutoff for date in dev.handled)
     assert ever_pending
     assert any(dev.handled for dev in world.devices.values())
 
@@ -688,7 +690,8 @@ def test_simulator_is_a_well_behaved_casework_client(cfg):
 def test_long_run_keeps_device_state_inside_the_retention_window():
     # `run` stops at extinction, so the world is stepped directly: over 120
     # days a device keeps at most the window's dates of records, identifiers
-    # and acted-on hits, however long the epidemic lasts.
+    # and acted-on hits, however long the epidemic lasts. Every acted-on hit
+    # is still a record of the log, so the hits can age out by date with it.
     cfg = ScenarioConfig(population=300, days=120, seed=1, index_cases=3,
                          p_transmit=0.01, retention_days=7)
     world = World(cfg)
@@ -701,7 +704,9 @@ def test_long_run_keeps_device_state_inside_the_retention_window():
             assert len(dates) <= cfg.retention_days + 1
             assert all(cutoff <= date <= day for date in dates)
             assert all(cutoff <= date <= day for date in dev.id_history)
-            assert all(cutoff <= date <= day for date, _ in dev.handled)
+            assert all(cutoff <= date <= day for date in dev.handled)
+            assert all((date, rdi) in dev.log.records
+                       for date, rdis in dev.handled.items() for rdi in rdis)
             full_windows += len(dates) == cfg.retention_days + 1
             late_hits += day > 2 * cfg.retention_days and bool(dev.handled)
     assert full_windows and late_hits
