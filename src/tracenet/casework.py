@@ -284,13 +284,18 @@ def categorize(case: CaseRecord, record_summary: dict,
     """Decide the category of an open inquiry.
 
     Uncritical (or a category the authority is not tracing) drops the case;
-    otherwise a test is ordered. Both erase the inquiry's payload.
+    otherwise a test is ordered. Both erase the inquiry's payload. A summary
+    that `step(OPEN_INQUIRY)` would refuse is an audited no-op: the inquiry
+    stays open and nothing is sent.
     """
     if case.state != CaseState.INQUIRY_OPEN:
         raise WrongState(f"categorize in state {case.state}")
-    near = int(record_summary.get("near_ticks", 0))
-    mid = int(record_summary.get("mid_ticks", 0))
-    far = int(record_summary.get("far_ticks", 0))
+    if not (isinstance(record_summary, dict) and _is_hit_summary(record_summary)):
+        case.audit += (f"categorize in {case.state.value}: not a hit summary",)
+        return case, []
+    near = record_summary.get("near_ticks", 0)
+    mid = record_summary.get("mid_ticks", 0)
+    far = record_summary.get("far_ticks", 0)
     # Evidence reassesses the distance of every tick: to far, which leaves
     # no face-to-face tick, or to near, which makes every tick one.
     face_ticks = near + mid

@@ -95,7 +95,7 @@ def cmd_simulate(args) -> int:
     atomic_write(os.path.join(args.out, "metrics.csv"), report.to_csv())
     atomic_write(
         os.path.join(args.out, "events.log"),
-        "".join(line + "\n" for line in report.events),
+        "".join(day + "\n" for day in report.events),
     )
     print(f"wrote {args.out}/metrics.csv and {args.out}/events.log")
     print(f"attack_rate={report.attack_rate:.6f} extinction={int(report.extinction)}")
@@ -190,7 +190,7 @@ def cmd_report(args) -> int:
     with open(args.metrics) as fh:
         try:
             report = simnet.MetricsReport.from_csv(fh.read())
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise DomainError(f"malformed metrics CSV: {exc}") from exc
     peak_active = max(report.active_cases, default=0)
     total_tests = sum(report.tests_used)

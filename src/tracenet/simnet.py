@@ -51,6 +51,9 @@ CLASS_RSSI_DBM = {
 # The per-day series of metrics.csv, in column order.
 SERIES = ("new_infections", "active_cases", "quarantined", "tests_used", "list_size")
 METRICS_CSV_HEADER = ",".join(("day",) + SERIES)
+# The `# key=value` lines of its summary block, in the order to_csv writes them.
+SUMMARY_KEYS = ("population", "days", "latency_days", "attack_rate",
+                "empirical_r0", "extinction", "extinction_day")
 
 
 class InvalidConfig(ValueError):
@@ -231,6 +234,8 @@ class MetricsReport:
     attack_rate: float
     empirical_r0: float
     extinction_day: int  # -1 when the epidemic never died out
+    # One text per stepped day: that day's event lines joined by "\n", with
+    # no trailing newline. events.log is each text followed by "\n".
     events: list = field(default_factory=list, repr=False)
 
     @property
@@ -281,6 +286,9 @@ class MetricsReport:
                     f"integers >= 0, got {line!r}")
             for key, value in zip(series, row[1:]):
                 series[key].append(value)
+        for key in SUMMARY_KEYS:
+            if key not in summary:
+                raise ValueError(f"no '# {key}=' line in the summary")
         counts = {key: _csv_int(key, summary[key])
                   for key in ("population", "days", "latency_days")}
         for key, value in counts.items():
@@ -318,7 +326,13 @@ class MetricsReport:
 
 
 class World:
-    """All mutable simulation state for one run."""
+    """All mutable simulation state for one run.
+
+    With `record_events`, each element of `events` is one stepped day's
+    event lines joined by "\n", with no trailing newline. The lines are
+    gathered in `day_lines` while the day runs; every day logs a `publish`
+    line, so no day's text is empty.
+    """
 
     def __init__(self, config: ScenarioConfig, seed: int = None,
                  record_events: bool = False):
@@ -331,6 +345,7 @@ class World:
         self.nprng = np.random.default_rng(self.rng.getrandbits(63))
         self.record_events = record_events
         self.events = []
+        self.day_lines = []
 
         n = config.population
         self.health = np.full(n, SUSCEPTIBLE, dtype=np.int8)
@@ -372,7 +387,7 @@ class World:
     def _log_event(self, day, kind, subject, obj, detail):
         """Log a day-resolved event; its tick column is 0."""
         if self.record_events:
-            self.events.append(f"{day},0,{kind},{subject},{obj},{detail}")
+            self.day_lines.append(f"{day},0,{kind},{subject},{obj},{detail}")
 
     def _schedule_test(self, due_day, kind, agent, token):
         self.pending_tests.setdefault(due_day, []).append((kind, agent, token))
@@ -540,7 +555,7 @@ class World:
         through the class, so a wrapper set on `ContactLog` still sees every
         call. Events are applied in their sampled order, because overlapping
         spans of one pair resolve by first claim; the `contact` lines follow
-        in the same order.
+        in the same order, formatted as one text with a single `%`.
         """
         rdis = {}
         observe = {}
@@ -551,17 +566,17 @@ class World:
         observed = [estimate_distance_class(CLASS_RSSI_DBM[c], TX_POWER_DBM)
                     for c in DistanceClass]
         both = self.adopter[src] & self.adopter[dst]
-        columns = (src[both].tolist(), dst[both].tolist(), cls[both].tolist(),
-                   start[both].tolist(), dur[both].tolist())
-        # Both passes zip the columns: zip reuses its result tuple, so the
-        # day keeps no tracked object per event for the garbage collector.
-        for a, b, c, s, d in zip(*columns):
+        table = np.stack((start, src, dst, cls, dur), axis=1)[both]
+        # The pass zips the columns: zip reuses its result tuple, so the day
+        # keeps no tracked object per event for the garbage collector.
+        for s, a, b, c, d in zip(*table.T.tolist()):
             obs = observed[c]
             observe[a](rdis[b], obs, day, s, d)
             observe[b](rdis[a], obs, day, s, d)
-        if self.record_events:
-            self.events += [f"{day},{s},contact,{a},{b},{c}:{d}"
-                            for a, b, c, s, d in zip(*columns)]
+        if self.record_events and len(table):
+            line = f"{day},%d,contact,%d,%d,%d:%d"
+            self.day_lines.append(
+                "\n".join([line] * len(table)) % tuple(table.ravel().tolist()))
 
     def _run_due_tests(self, day):
         cfg = self.config
@@ -751,6 +766,9 @@ class World:
         self.metrics["quarantined"].append(int(np.count_nonzero(self.quarantined)))
         self.metrics["tests_used"].append(tests_used)
         self.metrics["list_size"].append(list_size)
+        if self.record_events:
+            self.events.append("\n".join(self.day_lines))
+            self.day_lines.clear()
         self.day += 1
         return self
 

@@ -111,11 +111,14 @@ def test_counts_and_records_classify_the_same(near, mid, far):
     record = ContactRecord(bytes(16), 0, near, mid, far)
     category = classify(record)
     assert classify_face_ticks(near + mid) == category
-    # The authority's decision on the same counts.
+    # The authority's decision on the same counts. No record of one day
+    # holds more ticks than the day has, so such a summary is refused.
     case = CaseRecord(token=bytes(16), state=CaseState.INQUIRY_OPEN)
-    categorize(case, {"date": 0, "near_ticks": near, "mid_ticks": mid,
-                      "far_ticks": far})
-    if category == Category.UNCRITICAL:
+    _, msgs = categorize(case, {"date": 0, "near_ticks": near, "mid_ticks": mid,
+                                "far_ticks": far})
+    if near + mid + far > TICKS_PER_DAY:
+        assert msgs == [] and case.state == CaseState.INQUIRY_OPEN
+    elif category == Category.UNCRITICAL:
         assert case.state == CaseState.DROPPED
     else:
         assert case.category == category
@@ -187,6 +190,24 @@ def test_categorize_wrong_state_raises():
     case = CaseRecord(token=bytes(16))
     with pytest.raises(WrongState):
         categorize(case, {"near_ticks": 1})
+
+
+@pytest.mark.parametrize("summary", [
+    {"near_ticks": "40"},
+    {"near_ticks": 40.9},
+    {"near_ticks": True},
+    {"near_ticks": -40, "mid_ticks": 50},
+    {"near_ticks": 10**6},
+], ids=["text", "float", "bool", "negative", "past-one-day"])
+def test_categorize_audits_a_summary_open_inquiry_would_refuse(summary):
+    # The same check as step(OPEN_INQUIRY): the inquiry stays open, no test
+    # is ordered, and the refusal is audited.
+    case = open_case()
+    case, msgs = categorize(case, summary)
+    assert msgs == []
+    assert case.state == CaseState.INQUIRY_OPEN
+    assert case.category is None
+    assert case.audit == ("categorize in inquiry_open: not a hit summary",)
 
 
 def send_result(case, result, date):

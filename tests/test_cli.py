@@ -397,16 +397,19 @@ METRICS = (
      "line 6: to_csv writes '# days=2\\n', got '# days=5\\n'"),
     (METRICS.replace("# summary\n", ""),
      "line 4: to_csv writes '# summary\\n', got '# population=10\\n'"),
-    (METRICS.replace("# population=", "## population="), "'population'"),
+    (METRICS.replace("# population=", "## population="),
+     "no '# population=' line in the summary"),
     (METRICS.replace("# days=2\n# latency_days=3\n", "# latency_days=3\n# days=2\n"),
      "line 6: to_csv writes '# days=2\\n', got '# latency_days=3\\n'"),
     (METRICS.replace("# days=2\n", "# days=2 \n"),
      "days must be a decimal integer, got '2 '"),
-    (METRICS.replace("# days=2\n", "#days=2\n"), "'days'"),
+    (METRICS.replace("# days=2\n", "#days=2\n"), "no '# days=' line in the summary"),
     (METRICS.replace("# days=2\n", "# days=2\n# a comment\n"),
      "line 7: to_csv writes '# latency_days=3\\n', got '# a comment\\n'"),
     (METRICS[:-1],
      "line 11: to_csv writes '# extinction_day=-1\\n', got '# extinction_day=-1'"),
+    (METRICS.replace("# attack_rate=0.100000\n", ""),
+     "no '# attack_rate=' line in the summary"),
 ], ids=["header", "short-row", "long-row", "day-out-of-order", "negative-population",
         "negative-days", "negative-latency", "row-after-summary",
         "row-inside-summary", "row-count", "attack-rate-above-one", "r0-nan",
@@ -418,7 +421,7 @@ METRICS = (
         "short-attack-rate", "exponent-r0", "leading-zero-r0", "extra-summary-key",
         "repeated-summary-key", "missing-summary-line", "double-hash",
         "reordered-summary", "trailing-space", "no-space-after-hash", "comment-in-summary",
-        "no-final-newline"])
+        "no-final-newline", "missing-rate-line"])
 def test_report_rejects_malformed_csv(tmp_path, capsys, text, detail):
     path = tmp_path / "metrics.csv"
     path.write_text(text)

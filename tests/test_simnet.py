@@ -1,4 +1,5 @@
 import gc
+import sys
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -32,6 +33,11 @@ from tracenet.simnet import (
 
 FAST = ScenarioConfig(population=120, days=15, seed=3, index_cases=2,
                       p_transmit=0.02)
+
+
+def event_lines(events):
+    """The event log's lines, from its one text per stepped day."""
+    return [line for text in events for line in text.split("\n")]
 
 
 def test_config_validation_names_offending_fields():
@@ -441,7 +447,7 @@ def test_day_list_is_signed_only_when_a_device_reads_it(adoption_fraction, signe
     for _ in range(6):
         world.step_day()
     assert key.signatures == signed
-    assert sum(",publish," in line for line in world.events) == 6
+    assert sum(",publish," in line for line in event_lines(world.events)) == 6
 
 
 def test_one_agent_world_has_no_contacts():
@@ -488,7 +494,7 @@ def test_one_observe_span_call_per_logged_span(monkeypatch):
                   record_events=True)
     for _ in range(4):
         world.step_day()
-    contacts = sum(",contact," in line for line in world.events)
+    contacts = sum(",contact," in line for line in event_lines(world.events))
     assert contacts
     assert len(calls) == 2 * contacts
 
@@ -523,10 +529,11 @@ def test_traced_day_leaves_no_tracked_object_per_span(monkeypatch):
     assert after - before < bound
 
 
-def _exchange_one_event_at_a_time(world, day, src, dst, cls, start, dur):
+def _exchange_one_event_at_a_time(world, lines, day, src, dst, cls, start, dur):
     """Per-event, per-tick reference for World._exchange_beacons: the codec
-    runs for each beacon, the class is estimated for each event, and every
-    tick of a span is a separate observe call."""
+    runs for each beacon, the class is estimated for each event, every tick
+    of a span is a separate observe call, and each `contact` line is its own
+    string appended to `lines`."""
     for i in range(len(src)):
         a, b = int(src[i]), int(dst[i])
         if not (world.adopter[a] and world.adopter[b]):
@@ -539,8 +546,7 @@ def _exchange_one_event_at_a_time(world, day, src, dst, cls, start, dur):
             rdi = decode_beacon(encode_beacon(ident))
             for tick in range(s, s + d):
                 world.devices[rx].log.observe([(rdi, observed)], day, tick)
-        if world.record_events:
-            world.events.append(f"{day},{s},contact,{a},{b},{int(cls[i])}:{d}")
+        lines.append(f"{day},{s},contact,{a},{b},{int(cls[i])}:{d}")
 
 
 def test_daily_beacon_pass_matches_per_event_reference(monkeypatch):
@@ -551,9 +557,11 @@ def test_daily_beacon_pass_matches_per_event_reference(monkeypatch):
                          p_transmit=0.01)
     batched = World(cfg, record_events=True)
     reference = World(cfg, record_events=True)
+    # The reference's lines join into the same day text as the batched pass.
     monkeypatch.setattr(
         reference, "_exchange_beacons",
-        lambda *args: _exchange_one_event_at_a_time(reference, *args))
+        lambda *args: _exchange_one_event_at_a_time(reference, reference.day_lines,
+                                                    *args))
     for _ in range(cfg.days):
         batched.step_day()
         reference.step_day()
@@ -568,12 +576,45 @@ def test_daily_beacon_pass_matches_per_event_reference(monkeypatch):
     assert batched.metrics == reference.metrics
     # Both partners of a contact log each other's spans in the same order,
     # so they store equal values for the day.
-    contacts = [line.split(",") for line in batched.events if ",contact," in line]
+    contacts = [line.split(",") for line in event_lines(batched.events)
+                if ",contact," in line]
     assert contacts
     for day, _, _, a, b, _ in contacts:
         day, dev_a, dev_b = int(day), batched.devices[int(a)], batched.devices[int(b)]
         assert (dev_a.log.records[day, dev_b.id_history[day]]
                 == dev_b.log.records[day, dev_a.id_history[day]])
+
+
+def test_event_log_is_one_text_per_stepped_day(monkeypatch):
+    # World.events keeps one string per stepped day, its lines joined by
+    # "\n" with no trailing newline, so the log costs one object a day, not
+    # one per line. A one-line-per-string reference logs the same text.
+    cfg = replace(FAST, population=200, adoption_fraction=0.8, index_cases=3)
+    days = 6
+    world = World(cfg, record_events=True)
+    reference = World(cfg)
+    lines = []
+    monkeypatch.setattr(
+        reference, "_log_event",
+        lambda day, kind, subject, obj, detail:
+            lines.append(f"{day},0,{kind},{subject},{obj},{detail}"))
+    monkeypatch.setattr(
+        reference, "_exchange_beacons",
+        lambda *args: _exchange_one_event_at_a_time(reference, lines, *args))
+    for _ in range(days):
+        world.step_day()
+        reference.step_day()
+    assert len(world.events) == days
+    assert len(lines) > 10 * days
+    text = "\n".join(world.events)
+    assert text == "\n".join(lines)
+    assert [t.split(",", 1)[0] for t in world.events] == [str(d) for d in range(days)]
+    assert sum(map(sys.getsizeof, world.events)) <= len(text) + 100 * days
+    # A lone agent has no contact, but every day still logs its publish line.
+    lone = World(ScenarioConfig(population=1, days=3, seed=1), record_events=True)
+    for _ in range(3):
+        lone.step_day()
+    assert lone.events == [f"{d},0,publish,-,-,entries=0" for d in range(3)]
 
 
 def test_trace_through_nonadopter_index_case():
@@ -658,11 +699,10 @@ def test_simulator_is_a_well_behaved_casework_client(cfg):
     world = World(cfg, record_events=True)
     awaiting = (CaseState.AWAITING_TEST1, CaseState.AWAITING_TEST2)
     for day in range(cfg.days):
-        logged = len(world.events)
         world.step_day()
         for case in world.authority.cases.values():
             assert [e for e in case.audit if e != "history uploaded"] == []
-        today = [line.split(",") for line in world.events[logged:]]
+        today = [line.split(",") for line in world.events[-1].split("\n")]
         tests = [f for f in today if f[2] == "test"]
         assert world.metrics["tests_used"][-1] == len(tests)
 
@@ -722,7 +762,7 @@ def test_empirical_r0_counts_infections_by_index_agents(seed):
     for _ in range(cfg.days):
         world.step_day()
     report = simnet.finalize_report(world)
-    rows = [line.split(",") for line in report.events]
+    rows = [line.split(",") for line in event_lines(report.events)]
     caused = sum(1 for f in rows if f[2] == "infect" and f[3] in index)
     assert len(index) == cfg.index_cases
     assert report.empirical_r0 == caused / len(index)
