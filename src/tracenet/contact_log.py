@@ -38,9 +38,6 @@ the log already holds is folded into the stored value, by first claim.
 
 from __future__ import annotations
 
-import io
-import csv
-import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
@@ -296,17 +293,17 @@ def first_tick_of(value: int) -> int:
     return (value & _FIRST) >> _FIRST_SHIFT
 
 
+def _history_row(rec: ContactRecord) -> str:
+    """A record's history CSV row, without its line end."""
+    return (f"{rec.date},{rec.foreign_rdi.hex()},{rec.near_ticks},"
+            f"{rec.mid_ticks},{rec.far_ticks},{rec.first_tick},{rec.last_tick},"
+            f"{len(rec.buckets)}")
+
+
 def records_to_csv(records) -> str:
     """Serialize contact records to the history CSV format (LF-terminated)."""
-    buf = io.StringIO()
-    buf.write(HISTORY_CSV_HEADER + "\n")
-    for rec in records:
-        buf.write(
-            f"{rec.date},{rec.foreign_rdi.hex()},{rec.near_ticks},"
-            f"{rec.mid_ticks},{rec.far_ticks},{rec.first_tick},{rec.last_tick},"
-            f"{len(rec.buckets)}\n"
-        )
-    return buf.getvalue()
+    return "".join([HISTORY_CSV_HEADER + "\n"]
+                   + [_history_row(rec) + "\n" for rec in records])
 
 
 def _lowest_mask(counts, first: int, last: int, bucket_count: int):
@@ -338,64 +335,54 @@ def _lowest_mask(counts, first: int, last: int, bucket_count: int):
     return mask
 
 
-_DECIMAL = re.compile(r"0|[1-9][0-9]*")
-
-
-def _history_int(name: str, text: str) -> int:
-    """Parse one integer field of a history row. Only ASCII digits without
-    sign, spaces, underscores or a leading zero are accepted, so every
-    accepted field is written back as it was read."""
-    if not _DECIMAL.fullmatch(text):
-        raise ValueError(f"{name} must be a decimal integer >= 0, got {text!r}")
-    return int(text)
-
-
 def records_from_csv(text: str):
-    """Parse history CSV. The file carries no tick mask, so each row gets
-    the lowest mask a device could have counted for it; its first and last
-    tick and bucket count are the row's, and `records_to_csv` writes the
-    row back as it was read.
+    """Parse history CSV; `records_to_csv` is its only grammar. A row is
+    read with `int` and `rdi_from_hex`, checked for what a device can log,
+    and accepted only if `_history_row` writes the parsed record back as
+    the row. The file carries no tick mask, so each row gets the lowest
+    mask a device could have counted for it.
 
-    Raises MalformedHistory, naming the line, on a bad header or a row that
-    is short, long, or holds a non-hex rdi or an integer field not written
-    as `str` writes a non-negative int (a sign, space, underscore, leading
-    zero or non-ASCII digit); on a row no device can write: a tick outside
-    the day, `first_tick > last_tick`, more ticks than `[first_tick,
-    last_tick]` holds, or a `bucket_count` those ticks cannot fill; and on a
-    second row for the same (date, rdi), since a device logs one record per
-    key.
+    Raises MalformedHistory, naming the line, on a bad header, a missing
+    final newline, a row that does not read as 8 fields or holds a negative
+    one, a row no device logs (see `_lowest_mask`), a row written back
+    differently, and a second row for a (date, rdi), which a device logs
+    once.
     """
-    reader = csv.DictReader(io.StringIO(text))
-    expected = HISTORY_CSV_HEADER.split(",")
+    names = HISTORY_CSV_HEADER.split(",")
+    lines = text.split("\n")
+    if lines[0] != HISTORY_CSV_HEADER:
+        raise MalformedHistory(f"line 1: bad header: {lines[0]!r}")
+    if lines[-1]:
+        raise MalformedHistory(f"line {len(lines)}: no final newline")
     out = []
     seen = set()
-    try:
-        if reader.fieldnames != expected:
+    for lineno, line in enumerate(lines[1:-1], start=2):
+        fields = line.split(",")
+        if len(fields) != len(names):
             raise MalformedHistory(
-                f"line 1: bad header: {reader.fieldnames}")
-        for row in reader:
-            if None in row or None in row.values():
-                raise MalformedHistory(
-                    f"line {reader.line_num}: expected {len(expected)} fields")
-            try:
-                rdi = rdi_from_hex(row["rdi_hex"])
-                date, near, mid, far, first, last, buckets = (
-                    _history_int(name, row[name])
-                    for name in expected if name != "rdi_hex")
-            except ValueError as exc:
-                raise MalformedHistory(f"line {reader.line_num}: {exc}") from exc
-            ticks = _lowest_mask((near, mid, far), first, last, buckets)
-            if ticks is None:
-                raise MalformedHistory(
-                    f"line {reader.line_num}: no device logs these ticks")
-            if (date, rdi) in seen:
-                raise MalformedHistory(
-                    f"line {reader.line_num}: second row for date {date}, "
-                    f"rdi {row['rdi_hex']}")
-            seen.add((date, rdi))
-            out.append(ContactRecord(rdi, date, near, mid, far, ticks))
-    except csv.Error as exc:
-        raise MalformedHistory(f"line {reader.line_num}: {exc}") from exc
+                f"line {lineno}: expected {len(names)} fields, got {len(fields)}")
+        try:
+            rdi = rdi_from_hex(fields[1])
+            values = [int(value) for i, value in enumerate(fields) if i != 1]
+        except ValueError as exc:
+            raise MalformedHistory(f"line {lineno}: {exc}") from exc
+        for name, value in zip(names[:1] + names[2:], values):
+            if value < 0:
+                raise MalformedHistory(f"line {lineno}: {name} must be >= 0, got {value}")
+        date, near, mid, far, first, last, buckets = values
+        ticks = _lowest_mask((near, mid, far), first, last, buckets)
+        if ticks is None:
+            raise MalformedHistory(f"line {lineno}: no device logs these ticks")
+        rec = ContactRecord(rdi, date, near, mid, far, ticks)
+        written = _history_row(rec)
+        if written != line:
+            raise MalformedHistory(
+                f"line {lineno}: records_to_csv writes {written!r}, got {line!r}")
+        if (date, rdi) in seen:
+            raise MalformedHistory(
+                f"line {lineno}: second row for date {date}, rdi {fields[1]}")
+        seen.add((date, rdi))
+        out.append(rec)
     return out
 
 

@@ -133,8 +133,9 @@ _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 def rdi_from_hex(text: str) -> bytes:
     """Parse an rdi written as exactly 32 hex digits. Unlike
-    `bytes.fromhex`, whitespace between the digits is rejected, so only
-    text that `bytes.hex` could have written (up to letter case) parses."""
+    `bytes.fromhex`, whitespace between the digits is rejected. Either case
+    parses, which the state JSON keeps; the history CSV reader then refuses
+    any rdi that `bytes.hex` would not write back as it was read."""
     if len(text) != 2 * RDI_BYTES or not _HEX_DIGITS.issuperset(text):
         raise ValueError(f"rdi must be {2 * RDI_BYTES} hex digits")
     return bytes.fromhex(text)

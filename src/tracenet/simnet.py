@@ -11,7 +11,6 @@ from __future__ import annotations
 import io
 import math
 import random
-import re
 from dataclasses import dataclass, field, fields, replace
 from itertools import zip_longest
 
@@ -202,20 +201,6 @@ class Device:
     handled: dict = field(default_factory=dict)  # date -> {rdi} hits acted on
 
 
-_CSV_INT = re.compile(r"0|-?[1-9][0-9]*")
-# The `%.6f` form `to_csv` writes for a rate, which is never negative.
-_CSV_RATE = re.compile(r"(0|[1-9][0-9]*)\.[0-9]{6}")
-
-
-def _csv_int(name: str, text: str) -> int:
-    """Parse one integer field of a metrics CSV. Only the form `to_csv`
-    writes is accepted: ASCII digits, an optional minus, and no plus, space,
-    underscore or leading zero."""
-    if not _CSV_INT.fullmatch(text):
-        raise ValueError(f"{name} must be a decimal integer, got {text!r}")
-    return int(text)
-
-
 def _first_day_without_cases(active_cases) -> int:
     """The extinction day: the first day that ends with no active case, or -1."""
     return next((d for d, value in enumerate(active_cases) if value == 0), -1)
@@ -259,64 +244,58 @@ class MetricsReport:
 
     @classmethod
     def from_csv(cls, text: str) -> "MetricsReport":
+        """Parse a metrics CSV. Values are read with `int` and `float` and
+        checked only for what `to_csv` cannot check; then the text must be
+        what `to_csv` writes for them, or the first line that differs raises
+        `line N: to_csv writes X, got Y`. Every error is a ValueError."""
         lines = text.splitlines()
         if not lines or lines[0] != METRICS_CSV_HEADER:
             raise ValueError("bad metrics CSV header")
         series = {key: [] for key in SERIES}
         summary = {}
-        in_summary = False  # the summary block ends the file
         for lineno, line in enumerate(lines[1:], start=2):
             if line.startswith("#"):
-                in_summary = True
                 key, _, value = line[2:].partition("=")
                 summary[key] = value
                 continue
-            if in_summary:
-                raise ValueError(f"line {lineno}: day row after the summary")
             parts = line.split(",")
+            if len(parts) != len(series) + 1:
+                raise ValueError(
+                    f"line {lineno}: expected {len(series) + 1} fields, got {line!r}")
             try:
-                row = [_csv_int(name, value)
-                       for name, value in zip(("day",) + SERIES, parts)]
+                row = [int(value) for value in parts]
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
-            day = len(series[SERIES[0]])
-            if len(parts) != len(series) + 1 or row[0] != day or min(row) < 0:
-                raise ValueError(
-                    f"line {lineno}: expected day {day} and {len(series)} "
-                    f"integers >= 0, got {line!r}")
+            if min(row) < 0:
+                raise ValueError(f"line {lineno}: expected integers >= 0, got {line!r}")
             for key, value in zip(series, row[1:]):
                 series[key].append(value)
         for key in SUMMARY_KEYS:
             if key not in summary:
                 raise ValueError(f"no '# {key}=' line in the summary")
-        counts = {key: _csv_int(key, summary[key])
-                  for key in ("population", "days", "latency_days")}
+        try:
+            counts = {key: int(summary[key])
+                      for key in ("population", "days", "latency_days")}
+            attack_rate = float(summary["attack_rate"])
+            empirical_r0 = float(summary["empirical_r0"])
+            extinction_day = int(summary["extinction_day"])
+        except ValueError as exc:
+            raise ValueError(f"summary: {exc}") from exc
         for key, value in counts.items():
             if value < 0:
                 raise ValueError(f"{key} must be >= 0, got {value}")
         rows = len(series["active_cases"])
         if rows != counts["days"]:
             raise ValueError(f"days={counts['days']} but {rows} day rows")
-        attack_rate = float(summary["attack_rate"])
         if not 0.0 <= attack_rate <= 1.0:
             raise ValueError(f"attack_rate must be in [0, 1], got {attack_rate}")
-        empirical_r0 = float(summary["empirical_r0"])
         if not (math.isfinite(empirical_r0) and empirical_r0 >= 0):
             raise ValueError(f"empirical_r0 must be in [0, inf), got {empirical_r0}")
-        for key in ("attack_rate", "empirical_r0"):
-            if not _CSV_RATE.fullmatch(summary[key]):
-                raise ValueError(
-                    f"{key} must be written as %.6f, got {summary[key]!r}")
-        extinction_day = _csv_int("extinction_day", summary["extinction_day"])
         expected = _first_day_without_cases(series["active_cases"])
         if extinction_day != expected:
             raise ValueError(f"extinction_day must be {expected}, got {extinction_day}")
-        if _csv_int("extinction", summary["extinction"]) != int(extinction_day >= 0):
-            raise ValueError(f"extinction={summary['extinction']} but "
-                             f"extinction_day={extinction_day}")
         report = cls(**counts, attack_rate=attack_rate, empirical_r0=empirical_r0,
                      extinction_day=extinction_day, **series)
-        # The values passed; the layout must be the one to_csv writes.
         written = report.to_csv().splitlines(True)
         for lineno, (got, want) in enumerate(
                 zip_longest(text.splitlines(True), written, fillvalue=""), 1):

@@ -339,15 +339,16 @@ METRICS = (
     ("this,is,not\na,metrics,file\n", "bad metrics CSV header"),
     (METRICS.replace("1,0,1,0,0,0", "1,0,1"), "line 3:"),
     (METRICS.replace("1,0,1,0,0,0", "1,0,1,0,0,0,0,0"), "line 3:"),
-    (METRICS.replace("1,0,1,0,0,0", "2,0,1,0,0,0"), "line 3: expected day 1"),
+    (METRICS.replace("1,0,1,0,0,0", "2,0,1,0,0,0"),
+     "line 3: to_csv writes '1,0,1,0,0,0\\n', got '2,0,1,0,0,0\\n'"),
     (METRICS.replace("population=10", "population=-10"),
      "population must be >= 0, got -10"),
     (METRICS.replace("days=2", "days=-2"), "days must be >= 0, got -2"),
     (METRICS.replace("latency_days=3", "latency_days=-3"),
      "latency_days must be >= 0, got -3"),
-    (METRICS + "2,0,1,0,0,0\n", "line 12: day row after the summary"),
+    (METRICS + "2,0,1,0,0,0\n", "days=2 but 3 day rows"),
     (METRICS.replace("# population=10", "2,0,1,0,0,0\n# population=10"),
-     "line 5: day row after the summary"),
+     "days=2 but 3 day rows"),
     (METRICS.replace("days=2", "days=50"), "days=50 but 2 day rows"),
     (METRICS.replace("attack_rate=0.100000", "attack_rate=7.5"),
      "attack_rate must be in [0, 1], got 7.5"),
@@ -355,42 +356,50 @@ METRICS = (
      "empirical_r0 must be in [0, inf), got nan"),
     (METRICS.replace("empirical_r0=0.000000", "empirical_r0=-0.5"),
      "empirical_r0 must be in [0, inf), got -0.5"),
+    # `to_csv` writes these back unchanged: only the range checks refuse them.
+    (METRICS.replace("empirical_r0=0.000000", "empirical_r0=inf"),
+     "empirical_r0 must be in [0, inf), got inf"),
+    (METRICS.replace("attack_rate=0.100000", "attack_rate=nan"),
+     "attack_rate must be in [0, 1], got nan"),
     (METRICS.replace("extinction_day=-1", "extinction_day=40"),
      "extinction_day must be -1, got 40"),
     (METRICS.replace("1,0,1,0,0,0", "1,0,0,0,0,0"), "extinction_day must be 1, got -1"),
     (METRICS.replace("extinction=0", "extinction=1"),
-     "extinction=1 but extinction_day=-1"),
+     "line 10: to_csv writes '# extinction=0\\n', got '# extinction=1\\n'"),
     # Counts in a form `to_csv` never writes.
     (METRICS.replace("0,1,1,0,0,0", "0,-7,1_0, +3,-2,0"),
-     "line 2: active_cases must be a decimal integer, got '1_0'"),
+     "line 2: expected integers >= 0, got '0,-7,1_0, +3,-2,0'"),
     (METRICS.replace("1,0,1,0,0,0", "1,-7,1,0,0,0"),
-     "line 3: expected day 1 and 5 integers >= 0"),
+     "line 3: expected integers >= 0, got '1,-7,1,0,0,0'"),
     (METRICS.replace("1,0,1,0,0,0", "1,0,1, +3,0,0"),
-     "line 3: quarantined must be a decimal integer, got ' +3'"),
+     "line 3: to_csv writes '1,0,1,3,0,0\\n', got '1,0,1, +3,0,0\\n'"),
     (METRICS.replace("1,0,1,0,0,0", "1,0,01,0,0,0"),
-     "line 3: active_cases must be a decimal integer, got '01'"),
+     "line 3: to_csv writes '1,0,1,0,0,0\\n', got '1,0,01,0,0,0\\n'"),
     (METRICS.replace("1,0,1,0,0,0", "01,0,1,0,0,0"),
-     "line 3: day must be a decimal integer, got '01'"),
+     "line 3: to_csv writes '1,0,1,0,0,0\\n', got '01,0,1,0,0,0\\n'"),
     (METRICS.replace("population=10", "population=1_0"),
-     "population must be a decimal integer, got '1_0'"),
-    (METRICS.replace("days=2", "days=+2"), "days must be a decimal integer, got '+2'"),
+     "line 5: to_csv writes '# population=10\\n', got '# population=1_0\\n'"),
+    (METRICS.replace("days=2", "days=+2"),
+     "line 6: to_csv writes '# days=2\\n', got '# days=+2\\n'"),
     (METRICS.replace("latency_days=3", "latency_days= 3"),
-     "latency_days must be a decimal integer, got ' 3'"),
+     "line 7: to_csv writes '# latency_days=3\\n', got '# latency_days= 3\\n'"),
     (METRICS.replace("extinction_day=-1", "extinction_day=-01"),
-     "extinction_day must be a decimal integer, got '-01'"),
+     "line 11: to_csv writes '# extinction_day=-1\\n', got '# extinction_day=-01\\n'"),
     (METRICS.replace("extinction=0", "extinction=+0"),
-     "extinction must be a decimal integer, got '+0'"),
+     "line 10: to_csv writes '# extinction=0\\n', got '# extinction=+0\\n'"),
     # Rates in a form `to_csv` never writes, though float() reads them.
     (METRICS.replace("attack_rate=0.100000", "attack_rate= 0.1_0"),
-     "attack_rate must be written as %.6f, got ' 0.1_0'"),
+     "line 8: to_csv writes '# attack_rate=0.100000\\n', got '# attack_rate= 0.1_0\\n'"),
     (METRICS.replace("empirical_r0=0.000000", "empirical_r0=+1_0.5"),
-     "empirical_r0 must be written as %.6f, got '+1_0.5'"),
+     "line 9: to_csv writes '# empirical_r0=10.500000\\n', "
+     "got '# empirical_r0=+1_0.5\\n'"),
     (METRICS.replace("attack_rate=0.100000", "attack_rate=0.1"),
-     "attack_rate must be written as %.6f, got '0.1'"),
+     "line 8: to_csv writes '# attack_rate=0.100000\\n', got '# attack_rate=0.1\\n'"),
     (METRICS.replace("empirical_r0=0.000000", "empirical_r0=1e-3"),
-     "empirical_r0 must be written as %.6f, got '1e-3'"),
+     "line 9: to_csv writes '# empirical_r0=0.001000\\n', got '# empirical_r0=1e-3\\n'"),
     (METRICS.replace("empirical_r0=0.000000", "empirical_r0=00.500000"),
-     "empirical_r0 must be written as %.6f, got '00.500000'"),
+     "line 9: to_csv writes '# empirical_r0=0.500000\\n', "
+     "got '# empirical_r0=00.500000\\n'"),
     # Values `to_csv` would write, laid out in a way it never does.
     (METRICS + "# foo=bar\n", "line 12: to_csv writes '', got '# foo=bar\\n'"),
     (METRICS.replace("# days=2\n", "# days=5\n# days=2\n"),
@@ -402,7 +411,7 @@ METRICS = (
     (METRICS.replace("# days=2\n# latency_days=3\n", "# latency_days=3\n# days=2\n"),
      "line 6: to_csv writes '# days=2\\n', got '# latency_days=3\\n'"),
     (METRICS.replace("# days=2\n", "# days=2 \n"),
-     "days must be a decimal integer, got '2 '"),
+     "line 6: to_csv writes '# days=2\\n', got '# days=2 \\n'"),
     (METRICS.replace("# days=2\n", "#days=2\n"), "no '# days=' line in the summary"),
     (METRICS.replace("# days=2\n", "# days=2\n# a comment\n"),
      "line 7: to_csv writes '# latency_days=3\\n', got '# a comment\\n'"),
@@ -413,9 +422,10 @@ METRICS = (
 ], ids=["header", "short-row", "long-row", "day-out-of-order", "negative-population",
         "negative-days", "negative-latency", "row-after-summary",
         "row-inside-summary", "row-count", "attack-rate-above-one", "r0-nan",
-        "r0-negative", "extinction-day-past-rows", "extinction-day-not-first-empty",
-        "extinction-flag", "noncanonical-row", "negative-count", "signed-count",
-        "leading-zero-count", "leading-zero-day", "underscore-population",
+        "r0-negative", "r0-inf", "attack-rate-nan", "extinction-day-past-rows",
+        "extinction-day-not-first-empty", "extinction-flag", "noncanonical-row",
+        "negative-count", "signed-count", "leading-zero-count", "leading-zero-day",
+        "underscore-population",
         "signed-days", "spaced-latency", "leading-zero-extinction-day",
         "signed-extinction-flag", "underscore-attack-rate", "signed-r0",
         "short-attack-rate", "exponent-r0", "leading-zero-r0", "extra-summary-key",
@@ -633,6 +643,13 @@ def history(*rows):
     (history(HISTORY_CSV_HEADER, GOOD_ROW, GOOD_ROW.replace("4,0,0,8,11", "1,0,0,8,8")),
      "line 3: second row"),
     (b"\xff\xfe", "'utf-8' codec can't decode"),
+    # A csv module reader takes each of these; records_to_csv writes none of them.
+    (history(HISTORY_CSV_HEADER, GOOD_ROW.replace("ab", "AB")),
+     f"line 2: records_to_csv writes '{GOOD_ROW}', got '{GOOD_ROW.replace('ab', 'AB')}'"),
+    (history(HISTORY_CSV_HEADER, GOOD_ROW.replace(",8,", ',"8",')),
+     "line 2: invalid literal for int()"),
+    (history(HISTORY_CSV_HEADER, "", GOOD_ROW), "line 2: expected 8 fields, got 1"),
+    (history(HISTORY_CSV_HEADER, GOOD_ROW)[:-1], "line 2: no final newline"),
 ])
 def test_match_rejects_malformed_history(signed_setup, tmp_path, capsys,
                                          data, detail):
@@ -650,6 +667,25 @@ def test_match_rejects_malformed_history(signed_setup, tmp_path, capsys,
     assert out == ""
     assert err.startswith(f"error: malformed history: {detail}")
     assert err.count("\n") == 1
+
+
+def test_match_reads_crlf_history(signed_setup, tmp_path, capsys):
+    """`match` opens the history in text mode, so CRLF line ends arrive as
+    the LF ends `records_to_csv` writes."""
+    _, pub, state_path, key_path, list_path, ids = signed_setup
+    run_cli(["genlist", "--state", str(state_path), "--epoch", "7",
+             "--key", str(key_path), "--out", str(list_path)], capsys)
+    date, rdi = ids[0]
+    log_path = tmp_path / "history.csv"
+    log_path.write_bytes(
+        f"{HISTORY_CSV_HEADER}\r\n{date},{rdi.hex()},40,0,0,0,39,10\r\n".encode())
+    code, out, _ = run_cli(
+        ["match", "--log", str(log_path), "--list", str(list_path),
+         "--pubkey", pub.hex()],
+        capsys,
+    )
+    assert code == 0
+    assert [line.split(",")[-1] for line in out.splitlines()[1:]] == ["category1"]
 
 
 @pytest.mark.parametrize("epoch", ["-1", str(2**32)])

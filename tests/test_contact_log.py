@@ -413,6 +413,12 @@ def history_row(counts_and_ticks, rdi_hex=X.hex(), date="3"):
     return f"{date},{rdi_hex},{counts_and_ticks}"
 
 
+def writes(counts_and_ticks, date="3"):
+    """The start of the message for a row `records_to_csv` writes back as
+    this one."""
+    return f"records_to_csv writes '{history_row(counts_and_ticks, date=date)}', got"
+
+
 @pytest.mark.parametrize("row,detail", [
     pytest.param(history_row("-1,2,0,40,41,1"), "near_ticks must be",
                  id="negative-count"),
@@ -433,20 +439,20 @@ def history_row(counts_and_ticks, rdi_hex=X.hex(), date="3"):
     pytest.param(history_row("1,0,0,40,40,1", rdi_hex=" ".join(["ab"] * 16)),
                  "rdi must be 32 hex digits", id="rdi-with-spaces"),
     # int() takes each of these, and the row would be written back changed.
-    pytest.param(history_row("10,0,0,40,49,3", date=" +3"), "date must be",
+    pytest.param(history_row("10,0,0,40,49,3", date=" +3"), writes("10,0,0,40,49,3"),
                  id="signed-date"),
-    pytest.param(history_row("1_0,0,0,40,49,3"), "near_ticks must be",
+    pytest.param(history_row("1_0,0,0,40,49,3"), writes("10,0,0,40,49,3"),
                  id="underscore-count"),
-    pytest.param(history_row("10,0,0,4_0,49,3"), "first_tick must be",
+    pytest.param(history_row("10,0,0,4_0,49,3"), writes("10,0,0,40,49,3"),
                  id="underscore-tick"),
-    pytest.param(history_row("1,0,0,40,40,1", date="\uff13"), "date must be",
+    pytest.param(history_row("1,0,0,40,40,1", date="\uff13"), writes("1,0,0,40,40,1"),
                  id="full-width-date"),
-    pytest.param(history_row("1,0,0,040,40,1"), "first_tick must be",
+    pytest.param(history_row("1,0,0,040,40,1"), writes("1,0,0,40,40,1"),
                  id="leading-zero-tick"),
-    pytest.param(history_row("1,0,0,40,40,01"), "bucket_count must be",
+    pytest.param(history_row("1,0,0,40,40,01"), writes("1,0,0,40,40,1"),
                  id="leading-zero-buckets"),
-    pytest.param(history_row("1,0,0,40,40,1", date="-0"), "date must be",
-                 id="negative-zero-date"),
+    pytest.param(history_row("1,0,0,40,40,1", date="-0"),
+                 writes("1,0,0,40,40,1", date="0"), id="negative-zero-date"),
 ])
 def test_history_csv_rejects_row_no_device_writes(row, detail):
     text = f"{HISTORY_CSV_HEADER}\n{row}\n"
@@ -454,6 +460,12 @@ def test_history_csv_rejects_row_no_device_writes(row, detail):
         records_from_csv(text)
 
 
-def test_history_csv_rejects_bad_header():
-    with pytest.raises(ValueError):
-        records_from_csv("not,a,header\n1,2,3\n")
+@pytest.mark.parametrize("text", [
+    "not,a,header\n1,2,3\n",
+    f"{HISTORY_CSV_HEADER}\r{history_row('1,0,0,40,40,1')}\r",
+    f"{HISTORY_CSV_HEADER}\r\n{history_row('1,0,0,40,40,1')}\r\n",
+    "",
+], ids=["wrong-header", "cr-only", "crlf", "empty"])
+def test_history_csv_rejects_bad_header(text):
+    with pytest.raises(MalformedHistory, match="^line 1: bad header"):
+        records_from_csv(text)

@@ -1,8 +1,6 @@
 """Fuzz the decoders and the replay command: any input yields a result or
 the module's domain error, never another exception."""
 
-import csv
-import io
 import json
 from dataclasses import fields
 
@@ -15,7 +13,6 @@ from tracenet.contact_log import (
     HISTORY_CSV_HEADER,
     Category,
     ContactLog,
-    ContactRecord,
     MalformedHistory,
     records_from_csv,
     records_to_csv,
@@ -248,31 +245,27 @@ history_rows = st.builds(
 )
 
 
-def row_fields(text):
-    """Each line's fields as text, the rdi in lower case; blank lines,
-    which the parser skips, are left out."""
-    rdi = HISTORY_CSV_HEADER.split(",").index("rdi_hex")
-    return [[value.lower() if i == rdi else value for i, value in enumerate(row)]
-            for row in csv.reader(io.StringIO(text)) if row]
+GOOD_ROW = f"6,{'ab' * 16},4,0,0,8,11,1"
 
 
 @FUZZ
-@example(f"{HISTORY_CSV_HEADER}\n +3,{'ab' * 16},1_0,0,0,4_0,49,3")
+@example(f"{HISTORY_CSV_HEADER}\n +3,{'ab' * 16},1_0,0,0,4_0,49,3\n")
+# A csv module reader takes each of these; records_to_csv writes none of them.
+@example(f"{HISTORY_CSV_HEADER}\r\n{GOOD_ROW}\r\n")
+@example(f"{HISTORY_CSV_HEADER}\n{GOOD_ROW.replace('ab', 'AB')}\n")
+@example(HISTORY_CSV_HEADER + "\n" + GOOD_ROW.replace(",8,", ',"8",') + "\n")
+@example(f"{HISTORY_CSV_HEADER}\n\n{GOOD_ROW}\n")
+@example(f"{HISTORY_CSV_HEADER}\n{GOOD_ROW}")
 @given(st.text()
        | st.lists(history_rows, max_size=4).map(
-           lambda rows: "\n".join([HISTORY_CSV_HEADER, *rows])))
+           lambda rows: "".join(f"{line}\n" for line in [HISTORY_CSV_HEADER, *rows])))
 def test_records_from_csv_any_text(text):
     try:
         records = records_from_csv(text)
     except MalformedHistory:
         return
-    assert all(isinstance(rec, ContactRecord) for rec in records)
-    # Every accepted row is written back field for field as it was read,
-    # bucket_count included (the rdi up to letter case), and the written
-    # text re-parses to equal records.
-    canonical = records_to_csv(records)
-    assert row_fields(canonical) == row_fields(text)
-    assert records_from_csv(canonical) == records
+    # The writer is the grammar: every accepted text is what it writes.
+    assert records_to_csv(records) == text
 
 
 @FUZZ
