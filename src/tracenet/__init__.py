@@ -17,7 +17,7 @@ from .ident import (
 )
 from .contact_log import Category, ContactLog, ContactRecord, classify
 from .authority import AuthorityState, SignedCarrierList, verify_list
-from .matching import Hit, brute_force_match, build_index, match_contacts
+from .matching import brute_force_match, build_index, match_contacts
 from .casework import CaseRecord, CaseState, MailboxMessage, MessageKind, on_hits
 from .simnet import MetricsReport, ScenarioConfig, World, run
 
@@ -36,7 +36,6 @@ __all__ = [
     "AuthorityState",
     "SignedCarrierList",
     "verify_list",
-    "Hit",
     "brute_force_match",
     "build_index",
     "match_contacts",

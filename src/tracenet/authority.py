@@ -189,7 +189,7 @@ class AuthorityState:
                 f"all {len(history)} records predate infectious_start {infectious_start}"
             )
         traced = usable if self.trace_contact_derived else []
-        rdis = [rdi for _, rdi in own_identifiers] + [rec.foreign_rdi for rec in traced]
+        rdis = [rdi for _, rdi in own_identifiers] + [rec.rdi for rec in traced]
         for rdi in rdis:
             if len(rdi) != RDI_BYTES:
                 raise ValueError(f"rdi must be {RDI_BYTES} bytes, got {len(rdi)}")
@@ -197,7 +197,7 @@ class AuthorityState:
             if date >= infectious_start:
                 self.entries.setdefault((date, rdi), today)
         for rec in traced:
-            self.entries.setdefault((rec.date, rec.foreign_rdi), today)
+            self.entries.setdefault((rec.date, rec.rdi), today)
         return self
 
     def list_entries(self, epoch_date: int) -> list:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import NamedTuple
 
-from .contact_log import TICKS_PER_DAY, Category, classify_face_ticks, counts_of
+from .contact_log import TICKS_PER_DAY, Category, classify_face_ticks
 
 TOKEN_BYTES = 16
 DEFAULT_INCUBATION_DAYS = 5
@@ -214,12 +214,11 @@ def new_token(rng) -> bytes:
 
 
 def hit_summary(hit) -> dict:
-    """The inquiry body for a `matching.Hit`: the carrier-day and the
-    matched record's near, mid and far tick counts, read straight from the
-    value the log stores. The carrier's identifier stays on the device."""
-    near, mid, far = counts_of(hit.record)
-    return {"date": hit.date, "near_ticks": near, "mid_ticks": mid,
-            "far_ticks": far}
+    """The inquiry body for a hit, the `ContactRecord` that matching
+    returns: the carrier-day and the record's near, mid and far tick
+    counts. The carrier's identifier stays on the device."""
+    return {"date": hit.date, "near_ticks": hit.near_ticks,
+            "mid_ticks": hit.mid_ticks, "far_ticks": hit.far_ticks}
 
 
 def on_hits(hits, preference: str, rng):

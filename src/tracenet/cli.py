@@ -158,10 +158,9 @@ def cmd_match(args) -> int:
     hits = matching.match_contacts(log, index)
     print("date,rdi_hex,duration_minutes,category")
     for hit in hits:
-        record = hit.contact_record()
         print(
             f"{hit.date},{hit.rdi.hex()},"
-            f"{record.face_to_face_minutes:.1f},{classify(record).value}"
+            f"{hit.face_to_face_minutes:.1f},{classify(hit).value}"
         )
     return 0
 

@@ -16,12 +16,15 @@ counted the same ticks hold equal ints. An int, unlike a tuple, is never
 tracked by the garbage collector, and a dict that holds only bytes keys and
 int values is never tracked either: writing to a log starts no young
 collection, and no collection pass walks a log however large it grows. Only
-this module knows the layout: other code reads a stored value through
-`as_record`, which gives the `ContactRecord` boundary form with its
-absolute mask (bit t for tick t), or through `counts_of` and
-`first_tick_of`, which read single fields. The history CSV carries no mask,
-so an upload does not disclose 30-second ticks; a parsed row gets the lowest
-mask a device could have counted for it.
+this module knows the layout: other code holds a stored value in a
+`ContactRecord`, the named tuple `(rdi, date, record)` whose `record` is
+the very int the log stores, and reads its fields through the record's
+properties: `near_ticks`, `mid_ticks`, `far_ticks`, `first_tick`,
+`last_tick`, `ticks` (the absolute mask, bit t for tick t), `bucket_count`,
+`total_ticks` and `face_to_face_minutes`. A count or the first tick is read
+from the value's low bits, so it copies no part of a long mask. The history
+CSV carries no mask, so an upload does not disclose 30-second ticks; a
+parsed row gets the lowest mask a device could have counted for it.
 
 A log is partitioned by date, `{date: {rdi: value}}`, since the date is
 the unit the protocol stores, expires and matches by: a write goes into the
@@ -39,8 +42,8 @@ the log already holds is folded into the stored value, by first claim.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .ident import DistanceClass, rdi_from_hex
 
@@ -63,7 +66,8 @@ _MASK_SHIFT = 4 * _COUNT_BITS
 _MASK_ONE = 1 << _MASK_SHIFT
 _COUNTS = (1 << _FIRST_SHIFT) - 1
 _FIRST = _FIELD << _FIRST_SHIFT
-_FIELDS = _MASK_ONE - 1
+# Bit `TICKS_PER_BUCKET * b` set for every bucket b of the day.
+_BUCKET_STARTS = int("0001" * BUCKETS_PER_DAY, 2)
 
 HISTORY_CSV_HEADER = (
     "date,rdi_hex,near_ticks,mid_ticks,far_ticks,first_tick,last_tick,bucket_count"
@@ -84,38 +88,51 @@ class Category(Enum):
     UNCRITICAL = "uncritical"
 
 
-@dataclass(slots=True)
-class ContactRecord:
+class ContactRecord(NamedTuple):
     """Accumulated observations of one foreign identifier on one date: the
-    boundary form of a stored log value, for export, the history CSV and
-    hit reactions."""
+    value a log stores for `(date, rdi)`, read through properties."""
 
-    foreign_rdi: bytes
+    rdi: bytes
     date: int
-    near_ticks: int = 0
-    mid_ticks: int = 0
-    far_ticks: int = 0
-    # Bit t is set once tick t has been counted: the stored value's mask
-    # shifted up by its first tick. Not exported.
-    ticks: int = field(default=0, repr=False)
+    # The very value the log stores: one packed int whose layout only this
+    # module knows (see the module docstring).
+    record: int
+
+    @property
+    def near_ticks(self) -> int:
+        return self.record & _FIELD
+
+    @property
+    def mid_ticks(self) -> int:
+        return (self.record & _COUNTS) >> _COUNT_BITS & _FIELD
+
+    @property
+    def far_ticks(self) -> int:
+        return (self.record & _COUNTS) >> 2 * _COUNT_BITS
 
     @property
     def first_tick(self) -> int:
-        """Lowest counted tick; -1 when none is counted."""
-        t = self.ticks
-        return (t & -t).bit_length() - 1
+        """Lowest counted tick."""
+        return (self.record & _FIRST) >> _FIRST_SHIFT
 
     @property
     def last_tick(self) -> int:
-        """Highest counted tick; -1 when none is counted."""
-        return self.ticks.bit_length() - 1
+        """Highest counted tick: the mask's bit 0 is the first tick."""
+        return self.first_tick + self.record.bit_length() - 1 - _MASK_SHIFT
 
     @property
-    def buckets(self) -> frozenset:
-        """Indices of the two-minute buckets holding a counted tick."""
-        bucket_bits = (1 << TICKS_PER_BUCKET) - 1
-        return frozenset(b for b in range(BUCKETS_PER_DAY)
-                         if self.ticks >> (b * TICKS_PER_BUCKET) & bucket_bits)
+    def ticks(self) -> int:
+        """The counted ticks as an absolute mask: bit t for tick t."""
+        return self.record >> _MASK_SHIFT << self.first_tick
+
+    @property
+    def bucket_count(self) -> int:
+        """The number of two-minute buckets holding a counted tick. After
+        the fold, bit 4b of `t` is set when any tick of bucket b is."""
+        t = self.ticks
+        t |= t >> 1
+        t |= t >> 2
+        return (t & _BUCKET_STARTS).bit_count()
 
     @property
     def total_ticks(self) -> int:
@@ -165,9 +182,8 @@ class ContactLog:
         return RecordsView(self.days)
 
     def record(self, date: int, rdi: bytes) -> ContactRecord:
-        """The record for (date, rdi) in its boundary form; KeyError when
-        the log holds none."""
-        return as_record(date, rdi, self.days[date][rdi])
+        """The record for (date, rdi); KeyError when the log holds none."""
+        return ContactRecord(rdi, date, self.days[date][rdi])
 
     def observe(self, sightings, date: int, tick: int) -> "ContactLog":
         """Record one monitoring tick's sightings.
@@ -234,7 +250,8 @@ class ContactLog:
         return self
 
     def export_history(self, from_date: int, to_date: int):
-        """Records in [from_date, to_date], sorted by (date, first_tick).
+        """Records in [from_date, to_date], sorted by (date, first_tick,
+        rdi).
 
         The export carries no device identity by construction: records hold
         only foreign identifiers and timing counts.
@@ -242,12 +259,12 @@ class ContactLog:
         if from_date > to_date:
             raise EmptyRange(f"from_date {from_date} > to_date {to_date}")
         out = [
-            as_record(date, rdi, value)
+            ContactRecord(rdi, date, value)
             for date, day in self.days.items()
             if from_date <= date <= to_date
             for rdi, value in day.items()
         ]
-        out.sort(key=lambda r: (r.date, r.first_tick, r.foreign_rdi))
+        out.sort(key=lambda r: (r.date, r.first_tick, r.rdi))
         return out
 
 
@@ -272,32 +289,11 @@ class RecordsView(Mapping):
         return sum(map(len, self._days.values()))
 
 
-def as_record(date: int, rdi: bytes, value: int) -> ContactRecord:
-    """The boundary form of the value a log stores for (date, rdi)."""
-    fields = value & _FIELDS
-    return ContactRecord(
-        rdi, date, fields & _FIELD, fields >> _COUNT_BITS & _FIELD,
-        fields >> 2 * _COUNT_BITS & _FIELD,
-        value >> _MASK_SHIFT << (fields >> _FIRST_SHIFT))
-
-
-def counts_of(value: int) -> tuple:
-    """The (near, mid, far) tick counts of a value a log stores."""
-    counts = value & _COUNTS
-    return (counts & _FIELD, counts >> _COUNT_BITS & _FIELD,
-            counts >> 2 * _COUNT_BITS)
-
-
-def first_tick_of(value: int) -> int:
-    """The first counted tick of a value a log stores."""
-    return (value & _FIRST) >> _FIRST_SHIFT
-
-
 def _history_row(rec: ContactRecord) -> str:
     """A record's history CSV row, without its line end."""
-    return (f"{rec.date},{rec.foreign_rdi.hex()},{rec.near_ticks},"
+    return (f"{rec.date},{rec.rdi.hex()},{rec.near_ticks},"
             f"{rec.mid_ticks},{rec.far_ticks},{rec.first_tick},{rec.last_tick},"
-            f"{len(rec.buckets)}")
+            f"{rec.bucket_count}")
 
 
 def records_to_csv(records) -> str:
@@ -333,6 +329,13 @@ def _lowest_mask(counts, first: int, last: int, bucket_count: int):
         mask |= low
         free ^= low
     return mask
+
+
+def _pack(near: int, mid: int, far: int, first: int, ticks: int) -> int:
+    """The value a log stores for these counts and an absolute tick mask
+    whose lowest set bit is `first`."""
+    return (ticks >> first << _MASK_SHIFT | first << _FIRST_SHIFT
+            | far << 2 * _COUNT_BITS | mid << _COUNT_BITS | near)
 
 
 def records_from_csv(text: str):
@@ -373,7 +376,7 @@ def records_from_csv(text: str):
         ticks = _lowest_mask((near, mid, far), first, last, buckets)
         if ticks is None:
             raise MalformedHistory(f"line {lineno}: no device logs these ticks")
-        rec = ContactRecord(rdi, date, near, mid, far, ticks)
+        rec = ContactRecord(rdi, date, _pack(near, mid, far, first, ticks))
         written = _history_row(rec)
         if written != line:
             raise MalformedHistory(
@@ -387,26 +390,21 @@ def records_from_csv(text: str):
 
 
 def log_from_records(records) -> ContactLog:
-    """Build a ContactLog from pre-accumulated records (e.g. a parsed CSV),
-    each stored in the log's value form.
+    """Build a ContactLog from records (e.g. a parsed CSV), each storing its
+    `record` value.
 
-    Raises ValueError on a record no device logs, which the value's 12-bit
-    count fields might not hold: one with no counted tick, a tick outside
-    the day, or class counts that do not add up to its counted ticks. Each
-    record a device logs or `records_from_csv` returns is accepted.
+    Raises ValueError on a value no device logs: one whose mask has bit 0
+    clear (no counted tick is its first), whose mask runs past tick 2879,
+    or whose class counts do not add up to its counted ticks. Each record a
+    device logs or `records_from_csv` returns is accepted.
     """
     log = ContactLog()
     for rec in records:
-        ticks = rec.ticks
-        counts = (rec.near_ticks, rec.mid_ticks, rec.far_ticks)
-        if (not 0 < ticks < 1 << TICKS_PER_DAY or min(counts) < 0
-                or sum(counts) != ticks.bit_count()):
+        mask = rec.record >> _MASK_SHIFT
+        if not (mask > 0 and mask & 1
+                and rec.first_tick + mask.bit_length() <= TICKS_PER_DAY
+                and rec.total_ticks == mask.bit_count()):
             raise ValueError(
-                f"no device logs this record: date {rec.date}, rdi "
-                f"{rec.foreign_rdi.hex()}")
-        first = rec.first_tick
-        log.days.setdefault(rec.date, {})[rec.foreign_rdi] = (
-            ticks >> first << _MASK_SHIFT | first << _FIRST_SHIFT
-            | rec.far_ticks << 2 * _COUNT_BITS | rec.mid_ticks << _COUNT_BITS
-            | rec.near_ticks)
+                f"no device logs this record: date {rec.date}, rdi {rec.rdi.hex()}")
+        log.days.setdefault(rec.date, {})[rec.rdi] = rec.record
     return log

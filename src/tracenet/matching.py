@@ -1,15 +1,17 @@
 """Device-side matching of the local contact log against a published list.
 
 A hit requires the identifier AND the date to agree: identifiers rotate
-daily, so a date mismatch means a different broadcast period entirely.
+daily, so a date mismatch means a different broadcast period entirely. Each
+hit is the matched `ContactRecord`, `(rdi, date, record)`, holding the very
+value the log stores; its counts and ticks are read through the record's
+properties.
 """
 
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import NamedTuple
 
-from .contact_log import ContactRecord, as_record, first_tick_of
+from .contact_log import ContactRecord
 
 
 # The day dict of a date the log holds no record of.
@@ -18,22 +20,6 @@ _NO_DAY = MappingProxyType({})
 
 class UnverifiedList(ValueError):
     pass
-
-
-class Hit(NamedTuple):
-    """One matched log record. A hit is a named tuple: immutable, built
-    positionally in the matchers' loops, and equal to the plain tuple
-    `(rdi, date, record)`."""
-
-    rdi: bytes
-    date: int
-    # The very value the log stores for (date, rdi): one packed int whose
-    # layout only `contact_log` knows; read it through `contact_record`.
-    record: int
-
-    def contact_record(self) -> ContactRecord:
-        """The matched record in its boundary form."""
-        return as_record(self.date, self.rdi, self.record)
 
 
 def build_index(lst, verified: bool) -> frozenset:
@@ -46,7 +32,7 @@ def build_index(lst, verified: bool) -> frozenset:
 
 
 def _sorted_hits(hits):
-    hits.sort(key=lambda h: (h.date, first_tick_of(h.record), h.rdi))
+    hits.sort(key=lambda h: (h.date, h.first_tick, h.rdi))
     return hits
 
 
@@ -56,7 +42,7 @@ def match_contacts(log, index: frozenset):
     so a check costs O(list), not O(log)."""
     days = log.days
     hits = [
-        Hit(rdi, date, value)
+        ContactRecord(rdi, date, value)
         for date, rdi in index
         if (value := days.get(date, _NO_DAY).get(rdi)) is not None
     ]
@@ -71,6 +57,6 @@ def brute_force_match(log, lst):
     for (rec_date, rec_rdi), value in log.records.items():
         for date, rdi in entries:
             if rec_date == date and rec_rdi == rdi:
-                hits.append(Hit(rdi, date, value))
+                hits.append(ContactRecord(rdi, date, value))
                 break  # duplicate entries still yield one hit per record
     return _sorted_hits(hits)

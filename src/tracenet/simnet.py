@@ -399,7 +399,7 @@ class World:
         # The carrier's own upload must not trigger inquiries back at the
         # carrier when contact-derived entries get published.
         for rec in history:
-            dev.handled.setdefault(rec.date, set()).add(rec.foreign_rdi)
+            dev.handled.setdefault(rec.date, set()).add(rec.rdi)
         self._log_event(day, "register", agent, "-", f"records={len(history)}")
 
     # -- daily step -------------------------------------------------------

@@ -22,11 +22,12 @@ from tracenet.authority import (
     verify_list,
 )
 from tracenet.casework import CaseRecord, CaseState, MailboxMessage, MessageKind
-from tracenet.contact_log import Category, ContactLog, ContactRecord, classify
+from tracenet.contact_log import Category, ContactLog, classify
 from tracenet.ident import (
     BEACON_MAGIC,
     BadMagic,
     DailyIdentifier,
+    DistanceClass,
     UnsupportedVersion,
     WrongLength,
     decode_beacon,
@@ -165,8 +166,14 @@ def test_criterion_04_beacon_codec():
 
 def test_criterion_05_category_boundaries():
     def record(near=0, mid=0, far=0):
-        return ContactRecord(foreign_rdi=bytes(16), date=0, near_ticks=near,
-                             mid_ticks=mid, far_ticks=far)
+        # The record a device logs after seeing one rdi near, then mid,
+        # then far, in one run of ticks from tick 0.
+        log = ContactLog()
+        start = 0
+        for cls, n in zip(DistanceClass, (near, mid, far)):
+            log.observe_span(bytes(16), cls, 0, start, n)
+            start += n
+        return log.record(0, bytes(16))
 
     assert classify(record(near=31)) == Category.CATEGORY1  # 15.5 min
     assert classify(record(near=29)) == Category.CATEGORY2  # 14.5 min
@@ -181,7 +188,7 @@ def test_criterion_06_storage_bound():
     rdis = [bytes([i]) * 16 for i in range(6)]
     for tick in range(1440):  # 12 hours of 30-second ticks
         log.observe([(rdi, 0) for rdi in rdis], date=0, tick=tick)
-    total = sum(len(log.record(*key).buckets) for key in log.records)
+    total = sum(log.record(*key).bucket_count for key in log.records)
     assert total == 2160
     ok(6, "storage bound", "6 neighbors for 12h is exactly 2160 bucket-entries")
 
@@ -362,8 +369,9 @@ def test_criterion_11_erasure_margin():
     key, _ = generate_keypair(rng)
     state = AuthorityState(signing_key=key)
     for epoch in range(3, 8):
-        history = [ContactRecord(foreign_rdi=rng.randbytes(16), date=epoch,
-                                 near_ticks=10, ticks=(1 << 10) - 1)]
+        rdi = rng.randbytes(16)
+        history = [ContactLog().observe_span(rdi, DistanceClass.NEAR, epoch, 0, 10)
+                   .record(epoch, rdi)]
         ids = [(epoch, rng.randbytes(16))]
         state.register_carrier(history, 0, own_identifiers=ids, today=epoch)
         case = CaseRecord(token=rng.randbytes(16), state=CaseState.DROPPED,

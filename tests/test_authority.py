@@ -17,7 +17,8 @@ from tracenet.authority import (
     serialize_list,
     verify_list,
 )
-from tracenet.contact_log import ContactRecord
+from tracenet.contact_log import ContactLog
+from tracenet.ident import DistanceClass
 
 
 def make_state(trace_contact_derived=True, seed=0):
@@ -27,8 +28,8 @@ def make_state(trace_contact_derived=True, seed=0):
 
 
 def contact(date, rdi, near=10):
-    return ContactRecord(foreign_rdi=rdi, date=date, near_ticks=near,
-                         ticks=(1 << near) - 1)
+    """The record a device logs after seeing `rdi` near for `near` ticks."""
+    return ContactLog().observe_span(rdi, DistanceClass.NEAR, date, 0, near).record(date, rdi)
 
 
 def own_ids(rng, days):
@@ -68,8 +69,8 @@ def test_register_ignores_records_before_infectious_start():
     old = contact(5, rng.randbytes(16))
     fresh = contact(12, rng.randbytes(16))
     state.register_carrier([old, fresh], 10, today=14)
-    assert (12, fresh.foreign_rdi) in state.entries
-    assert (5, old.foreign_rdi) not in state.entries
+    assert (12, fresh.rdi) in state.entries
+    assert (5, old.rdi) not in state.entries
 
 
 def test_contact_derived_entries_follow_policy_flag():
@@ -77,10 +78,10 @@ def test_contact_derived_entries_follow_policy_flag():
     rec = contact(12, rng.randbytes(16))
     on, _ = make_state(trace_contact_derived=True)
     on.register_carrier([rec], 10, today=14)
-    assert (12, rec.foreign_rdi) in on.entries
+    assert (12, rec.rdi) in on.entries
     off, _ = make_state(trace_contact_derived=False)
     off.register_carrier([rec], 10, today=14)
-    assert (12, rec.foreign_rdi) not in off.entries
+    assert (12, rec.rdi) not in off.entries
 
 
 def test_register_rejects_rdis_the_list_codec_cannot_carry():
@@ -107,7 +108,7 @@ def test_untraced_contact_identifiers_are_not_stored():
     state.register_carrier(history, 10, own_identifiers=ids, today=12)
     dump = state.serialize_state()
     for rec in history:
-        assert rec.foreign_rdi.hex() not in dump
+        assert rec.rdi.hex() not in dump
     for _, rdi in ids:
         assert rdi.hex() in dump
 

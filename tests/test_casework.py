@@ -21,20 +21,26 @@ from tracenet.casework import (
 from tracenet.contact_log import (
     TICKS_PER_DAY,
     Category,
-    ContactRecord,
+    ContactLog,
     classify,
     classify_face_ticks,
-    log_from_records,
 )
-from tracenet.matching import Hit
+from tracenet.ident import DistanceClass
+
+
+def logged_record(date, rdi, near, mid, far, first=0):
+    """The record a device logs after seeing `rdi` near, then mid, then
+    far, in one run of ticks from `first`."""
+    log = ContactLog()
+    start = first
+    for cls, n in zip(DistanceClass, (near, mid, far)):
+        log.observe_span(rdi, cls, date, start, n)
+        start += n
+    return log.record(date, rdi)
 
 
 def make_hit(date=3, rdi=bytes([7]) * 16, near=40, mid=0, far=0):
-    rec = ContactRecord(foreign_rdi=rdi, date=date, near_ticks=near,
-                        mid_ticks=mid, far_ticks=far,
-                        ticks=(1 << near + mid + far) - 1)
-    log = log_from_records([rec])
-    return Hit(rdi=rdi, date=date, record=log.records[date, rdi])
+    return logged_record(date, rdi, near, mid, far)
 
 
 def open_case(summary=None, rng=None):
@@ -77,17 +83,14 @@ def logged_hits(draw):
     far = draw(st.integers(0 if near + mid else 1, 960))
     first = draw(st.integers(0, TICKS_PER_DAY - (near + mid + far)))
     rdi, date = draw(st.binary(min_size=16, max_size=16)), draw(st.integers(0, 2**32 - 1))
-    rec = ContactRecord(rdi, date, near, mid, far,
-                        ticks=((1 << near + mid + far) - 1) << first)
-    return Hit(rdi, date, log_from_records([rec]).records[date, rdi])
+    return logged_record(date, rdi, near, mid, far, first)
 
 
 @given(logged_hits())
 def test_inquiry_body_carries_the_hit_record_counts(hit):
-    record = hit.contact_record()
     assert hit_summary(hit) == {
-        "date": record.date, "near_ticks": record.near_ticks,
-        "mid_ticks": record.mid_ticks, "far_ticks": record.far_ticks,
+        "date": hit.date, "near_ticks": hit.near_ticks,
+        "mid_ticks": hit.mid_ticks, "far_ticks": hit.far_ticks,
     }
     _, (msg,) = on_hits([hit], "negotiate", random.Random(0))
     assert msg.body == hit_summary(hit)
@@ -108,11 +111,12 @@ def test_face_tick_threshold(face_ticks, category):
 @given(st.integers(0, TICKS_PER_DAY), st.integers(0, TICKS_PER_DAY),
        st.integers(0, TICKS_PER_DAY))
 def test_counts_and_records_classify_the_same(near, mid, far):
-    record = ContactRecord(bytes(16), 0, near, mid, far)
-    category = classify(record)
-    assert classify_face_ticks(near + mid) == category
-    # The authority's decision on the same counts. No record of one day
-    # holds more ticks than the day has, so such a summary is refused.
+    category = classify_face_ticks(near + mid)
+    # No record of one day holds more ticks than the day has.
+    if 0 < near + mid + far <= TICKS_PER_DAY:
+        assert classify(logged_record(0, bytes(16), near, mid, far)) == category
+    # The authority's decision on the same counts; a summary of more ticks
+    # than a day has is refused.
     case = CaseRecord(token=bytes(16), state=CaseState.INQUIRY_OPEN)
     _, msgs = categorize(case, {"date": 0, "near_ticks": near, "mid_ticks": mid,
                                 "far_ticks": far})

@@ -1,8 +1,9 @@
 import gc
+import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tracenet.contact_log import (
     HISTORY_CSV_HEADER,
@@ -32,7 +33,7 @@ def test_observe_base_case():
     rec = log.record(0, X)
     assert rec.near_ticks == 1
     assert rec.mid_ticks == rec.far_ticks == 0
-    assert rec.buckets == {0}
+    assert rec.bucket_count == 1
     assert rec.first_tick == rec.last_tick == 0
 
 
@@ -63,7 +64,9 @@ def test_observe_one_increment_per_tick():
 def test_last_tick_of_day_is_bucket_719():
     log = ContactLog()
     log.observe([(X, NEAR)], date=0, tick=2879)
-    assert log.record(0, X).buckets == {719}
+    rec = log.record(0, X)
+    assert rec.last_tick // 4 == 719
+    assert rec.bucket_count == 1
 
 
 def test_tick_out_of_range_rejected():
@@ -80,8 +83,25 @@ def test_six_neighbors_twelve_hours_storage_bound():
         log.observe([(rdi, NEAR) for rdi in rdis], date=0, tick=tick)
     assert len(log.records) == 6
     for rdi in rdis:
-        assert len(log.record(0, rdi).buckets) == 360
-    assert sum(len(log.record(*key).buckets) for key in log.records) == 2160
+        assert log.record(0, rdi).bucket_count == 360
+    assert sum(log.record(*key).bucket_count for key in log.records) == 2160
+
+
+def logged_record(near=0, mid=0, far=0):
+    """The record a device logs for X on date 0 after seeing it near, then
+    mid, then far, in one run of ticks from tick 0."""
+    log = ContactLog()
+    start = 0
+    for cls, n in ((NEAR, near), (MID, mid), (FAR, far)):
+        log.observe_span(X, cls, 0, start, n)
+        start += n
+    return log.record(0, X)
+
+
+def packed(mask, first, near=0, mid=0, far=0):
+    """A stored value laid out by hand: the mask above the first tick
+    above the far, mid and near counts, in 12-bit fields."""
+    return mask << 48 | first << 36 | far << 24 | mid << 12 | near
 
 
 @pytest.mark.parametrize(
@@ -97,8 +117,8 @@ def test_six_neighbors_twelve_hours_storage_bound():
     ],
 )
 def test_classification_boundaries(near, mid, far, expected):
-    rec = ContactRecord(foreign_rdi=X, date=0, near_ticks=near,
-                        mid_ticks=mid, far_ticks=far)
+    # No device logs a record with no tick: its value has every field 0.
+    rec = logged_record(near, mid, far) if near + mid + far else ContactRecord(X, 0, 0)
     assert classify(rec) == expected
 
 
@@ -134,7 +154,7 @@ def test_export_history_filters_and_sorts():
     log.observe([(Y, NEAR)], date=6, tick=3)
     log.observe([(X, NEAR)], date=7, tick=1)
     out = log.export_history(6, 7)
-    assert [(r.date, r.foreign_rdi) for r in out] == [(6, Y), (7, X)]
+    assert [(r.date, r.rdi) for r in out] == [(6, Y), (7, X)]
     assert log.export_history(8, 9) == []
 
 
@@ -180,7 +200,7 @@ def test_observe_span_equals_repeated_observe(spans):
     a = batched.record(0, X)
     b = single.record(0, X)
     assert (a.near_ticks, a.mid_ticks, a.far_ticks) == (b.near_ticks, b.mid_ticks, b.far_ticks)
-    assert a.buckets == b.buckets
+    assert (a.ticks, a.bucket_count) == (b.ticks, b.bucket_count)
     assert (a.first_tick, a.last_tick) == (b.first_tick, b.last_tick)
     assert batched.records == single.records
     # With one class, the counted ticks alone fix the record. Replayed in
@@ -269,8 +289,33 @@ def test_tick_mask_matches_plain_set_oracle(spans):
     rec = log.record(0, X)
     assert (rec.near_ticks, rec.mid_ticks, rec.far_ticks) == (
         counts[NEAR], counts[MID], counts[FAR])
-    assert rec.buckets == {t // 4 for t in ticks}
+    assert rec.ticks == sum(1 << t for t in ticks)
+    assert rec.bucket_count == len({t // 4 for t in ticks})
     assert (rec.first_tick, rec.last_tick) == (min(ticks), max(ticks))
+
+
+@settings(max_examples=200, deadline=None)
+@example([(3, 2, NEAR)])  # straddles buckets 0 and 1
+@example([(2879, 1, FAR)])  # the day's last tick, alone in bucket 719
+@example([(0, 2880, MID)])  # every tick of the day
+@example([(2876, 4, NEAR), (0, 1, MID), (7, 2, FAR)])
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=2879),  # start tick
+            st.integers(min_value=1, max_value=9) | st.integers(min_value=1, max_value=2880),
+            st.sampled_from([NEAR, MID, FAR]),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_bucket_count_equals_the_set_of_buckets_reference(spans):
+    ticks = set()
+    for start, n, _ in spans:
+        ticks |= set(range(start, min(start + n, 2880)))
+    rec = spans_log(spans).record(4, X)
+    assert rec.bucket_count == len({t // 4 for t in ticks})
 
 
 def test_stored_records_are_not_tracked_by_the_garbage_collector():
@@ -343,16 +388,21 @@ def test_packed_fields_survive_the_history_csv(spans):
     assert log_from_records(parsed).days == log.days
 
 
-@pytest.mark.parametrize("change", [
-    {"near_ticks": 4096, "ticks": (1 << 4096) - 1},
-    {"near_ticks": 3, "ticks": 0b11},
-    {"near_ticks": -1, "mid_ticks": 3, "ticks": 0b11},
-    {"near_ticks": 0, "ticks": 0},
-], ids=["past-the-day", "counts-over-ticks", "negative-count", "no-tick"])
-def test_log_from_records_rejects_a_record_no_device_logs(change):
-    rec = ContactRecord(foreign_rdi=X, date=3, **change)
+@pytest.mark.parametrize("value", [
+    packed(0b110, 10, near=2),
+    packed(0b11, 2879, near=2),
+    packed(0b11, 10, near=2, far=1),
+    0,
+], ids=["mask-bit-0-clear", "mask-past-tick-2879", "counts-over-ticks", "no-tick"])
+def test_log_from_records_rejects_a_record_no_device_logs(value):
     with pytest.raises(ValueError, match="no device logs"):
-        log_from_records([rec])
+        log_from_records([ContactRecord(X, 3, value)])
+
+
+def test_log_from_records_accepts_a_record_from_a_log():
+    log = ContactLog().observe_span(X, MID, 3, 2877, 5).observe_span(X, FAR, 3, 10, 3)
+    rec = log.record(3, X)
+    assert log_from_records([rec]).days == log.days == {3: {X: rec.record}}
 
 
 @settings(max_examples=60, deadline=None)
@@ -369,18 +419,16 @@ def test_log_from_records_rejects_a_record_no_device_logs(change):
 def test_observe_monotone_and_bucket_consistent(observations):
     log = ContactLog()
     prev_total = 0
-    prev_buckets = set()
+    prev_buckets = 0
     for tick, cls in observations:
         log.observe([(X, cls)], 0, tick)
         rec = log.record(0, X)
         assert rec.total_ticks >= prev_total
-        assert rec.buckets >= prev_buckets
+        assert rec.bucket_count >= prev_buckets
         prev_total = rec.total_ticks
-        prev_buckets = set(rec.buckets)
-        assert 1 <= len(rec.buckets) <= rec.total_ticks <= 4 * len(rec.buckets)
+        prev_buckets = rec.bucket_count
+        assert 1 <= rec.bucket_count <= rec.total_ticks <= 4 * rec.bucket_count
         assert rec.first_tick <= rec.last_tick
-        assert rec.first_tick // 4 in rec.buckets
-        assert rec.last_tick // 4 in rec.buckets
 
 
 def test_history_csv_round_trip():
@@ -395,8 +443,8 @@ def test_history_csv_round_trip():
     records = log.export_history(0, 10)
     text = records_to_csv(records)
     parsed = records_from_csv(text)
-    assert [(r.date, r.foreign_rdi, r.near_ticks, r.mid_ticks, r.far_ticks,
-             len(r.buckets)) for r in parsed] == [
+    assert [(r.date, r.rdi, r.near_ticks, r.mid_ticks, r.far_ticks,
+             r.bucket_count) for r in parsed] == [
         (3, X, 2, 0, 0, 1),
         (4, Y, 0, 0, 1, 1),
         (5, Y, 4, 6, 0, 3),
@@ -404,6 +452,29 @@ def test_history_csv_round_trip():
     assert records_to_csv(parsed) == text
     rebuilt = log_from_records(parsed)
     assert set(rebuilt.records) == {(3, X), (4, Y), (5, Y)}
+
+
+def seeded_history(seed=25, n_spans=2600):
+    """About 2,000 records a device exports after logging random spans
+    over 21 days: a pool of 200 rdis, so about a quarter of the spans fold
+    into a record the log already holds."""
+    rng = random.Random(seed)
+    rdis = [rng.randbytes(16) for _ in range(200)]
+    log = ContactLog()
+    for _ in range(n_spans):
+        log.observe_span(rng.choice(rdis), DistanceClass(rng.randrange(3)),
+                         rng.randrange(21), rng.randrange(2880),
+                         1 + int(rng.expovariate(1 / 60)))
+    return log.export_history(0, 20)
+
+
+def test_history_csv_bytes_are_pinned():
+    records = seeded_history()
+    text = records_to_csv(records)
+    assert len(records) == 1904
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8df312b0e00419b678ff90aeb5f9a7fd1864b4aebe8f037f47ae4fc6ecfb4436")
+    assert records_to_csv(records_from_csv(text)) == text
 
 
 NO_DEVICE_LOGS = "no device logs"

@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tracenet.authority import SignedCarrierList
-from tracenet.contact_log import ContactLog
+from tracenet.contact_log import ContactLog, ContactRecord
 from tracenet.ident import DistanceClass
 from tracenet.matching import (
-    Hit,
     UnverifiedList,
     brute_force_match,
     build_index,
@@ -82,7 +81,7 @@ def test_hits_sorted_by_date_then_first_tick():
     log.observe([(X, NEAR)], 1, tick=500)
     lst = make_list([(1, X), (2, X), (2, Y)])
     hits = match_contacts(log, build_index(lst, verified=True))
-    assert [(h.date, h.contact_record().first_tick) for h in hits] == [(1, 500), (2, 5), (2, 100)]
+    assert [(h.date, h.first_tick) for h in hits] == [(1, 500), (2, 5), (2, 100)]
 
 
 def random_case(rng, n_log, n_list, overlap):
@@ -131,8 +130,9 @@ def test_rematching_across_epochs_accumulates_hits():
 def test_hit_is_an_immutable_named_tuple():
     log = make_log([(5, X)])
     (hit,) = match_contacts(log, build_index(make_list([(5, X)]), verified=True))
-    assert hit == Hit(rdi=X, date=5, record=log.records[5, X])
+    assert type(hit) is ContactRecord
+    assert hit == ContactRecord(rdi=X, date=5, record=log.records[5, X])
     assert hit == (X, 5, log.records[5, X])
-    assert hit.contact_record().foreign_rdi == X
+    assert hit == log.record(5, X)
     with pytest.raises(AttributeError):
         hit.date = 6
