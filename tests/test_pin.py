@@ -1,4 +1,4 @@
-"""Behaviour pin: SHA-256 of `metrics.csv` and `events.log` for three small
+"""Behaviour pin: SHA-256 of `metrics.csv` and `events.log` for six small
 seeded scenarios.
 
 For a given (config, seed) these two files are the simulator's contract, so
@@ -7,7 +7,11 @@ change that alters them on purpose (for example by removing an RNG draw)
 re-pins here and says why in CHANGES.md.
 
 The short retention window makes log pruning, case erasure and the daily
-bookkeeping around them run inside a 30-day scenario.
+bookkeeping around them run inside a 30-day scenario. The last three pins
+cover the branches of the event stream that the first three never take: a
+run with no device, which publishes unsigned and stops early; contacts short
+enough that durations are drawn by `geometric`; and one agent, which draws
+no events.
 """
 
 import hashlib
@@ -38,6 +42,22 @@ PINS = {
         "873e090f007bee80d68af26e3630863b87d725953d40c45eb88c6f01c9d67918",
         "967db2d12fa1925134dee8ac951c05013cb8f5e7e0af78f13302226481d23331",
     ),
+    # 55 of 60 days are stepped, so the series ends in padding zeros.
+    "untraced_early_stop": (
+        replace(BASE, adoption_fraction=0.0, p_transmit=0.004, days=60),
+        "d351f70fb2d1fab45bacf8dc7fa18d2fe79aadb901b394a60dc0090d98ed0dc9",
+        "870f646ce698aaa8415d9fa77e1d084092ad1a1a8658a8c6a3695d7adf83f603",
+    ),
+    "short_contacts": (
+        replace(BASE, duration_mean_ticks=2.0),
+        "49a79faa2dfecd46abfef6a960752fc70f0ed17b05b16d3ab0b8c9fc2e9018e3",
+        "c61d0a9725e522193d70d38e3968c6299b07a437c1b513487431991efdaafb73",
+    ),
+    "single_agent": (
+        replace(BASE, population=1),
+        "c0ece39709a2b05b4751fa0bb084f3fbf24d4834eb5144ab56ccfb1adf106715",
+        "f117a898288f21d65e540ebce28ed929322394dccad79b924057a70a157afc70",
+    ),
 }
 
 
@@ -52,3 +72,8 @@ def test_outputs_match_pinned_hashes(name):
     # The same text `tracenet simulate` writes to metrics.csv and events.log.
     assert _sha256(report.to_csv()) == metrics_sha
     assert _sha256("".join(line + "\n" for line in report.events)) == events_sha
+
+
+def test_untraced_pin_stops_early():
+    config = PINS["untraced_early_stop"][0]
+    assert len(run(config, record_events=True).events) < config.days
