@@ -9,7 +9,9 @@ of the one contact record that matched a carrier, and that record's
 near/mid/far tick counts. Nothing else leaves the device: not the carrier's
 identifier, which would link the inquiry to a published carrier-day, and no
 duration beyond the counts. The authority categorizes the case from those
-counts alone.
+counts alone. `step` refuses, as an audited no-op, an inquiry body with any
+other field and evidence other than a reassessment to near or far, so the
+authority stores no identifier that an in-process caller puts in a body.
 
 On the wire each message kind has one fixed body layout (`_BODIES`): a few
 integers and bytes, no keys and no text. The decoder checks only that the
@@ -251,10 +253,19 @@ def on_hits(hits, preference: str, rng):
     return CaseState.INQUIRY_OPEN, messages
 
 
+_SUMMARY_KEYS = frozenset(_BODIES[MessageKind.OPEN_INQUIRY][1])
+_EVIDENCE_BODIES = ({"reassess": "near"}, {"reassess": "far"})
+
+
 def _is_hit_summary(body: dict) -> bool:
-    """Whether an inquiry body can be categorized: each tick count present
-    is a non-negative int (not a bool), together they fit in one day, and a
-    date, if present, is an int. Missing keys count as 0."""
+    """Whether an inquiry body can be categorized: it holds no key but the
+    date and the three tick counts that `hit_summary` writes, each tick
+    count present is a non-negative int (not a bool), together they fit in
+    one day, and a date, if present, is an int. Missing keys count as 0. So
+    the authority never keeps an identifier or any other field a body
+    carries."""
+    if not _SUMMARY_KEYS.issuperset(body):
+        return False
     total = 0
     for key in ("near_ticks", "mid_ticks", "far_ticks"):
         count = body.get(key, 0)
@@ -299,11 +310,7 @@ def categorize(case: CaseRecord, record_summary: dict,
     # no face-to-face tick, or to near, which makes every tick one.
     face_ticks = near + mid
     for item in case.evidence:
-        reassess = item.get("reassess") if isinstance(item, dict) else None
-        if reassess == "far":
-            face_ticks = 0
-        elif reassess == "near":
-            face_ticks = near + mid + far
+        face_ticks = near + mid + far if item["reassess"] == "near" else 0
     category = classify_face_ticks(face_ticks)
     return _decide(case, category, traced_categories, today)
 
@@ -311,16 +318,24 @@ def categorize(case: CaseRecord, record_summary: dict,
 def step(case: CaseRecord, message: MailboxMessage, today: int = None):
     """Total transition function over (case, message).
 
-    Illegal pairs, malformed bodies, duplicates and premature retests never
-    fail: they leave the case unchanged and record an audit entry.
+    Illegal pairs, malformed bodies, unknown kinds, duplicates and premature
+    retests never fail: they leave the case unchanged and record an audit
+    entry. A plain int kind is read as the `MessageKind` it equals.
     """
+    try:
+        kind = _FRAMES[message.kind].kind
+    except (KeyError, TypeError):  # not a kind, or not hashable
+        kind = None
+
     def illegal(reason):
-        case.audit += (f"{message.kind.name} in {case.state.value}: {reason}",)
+        name = kind.name if kind is not None else f"kind {message.kind!r}"
+        case.audit += (f"{name} in {case.state.value}: {reason}",)
         return case, []
 
+    if kind is None:
+        return illegal("unknown kind")
     if not isinstance(message.body, dict):
         return illegal("body is not an object")
-    kind = message.kind
     if kind == MessageKind.OPEN_INQUIRY:
         if case.state != CaseState.IDLE:
             return illegal("already open")
@@ -332,6 +347,8 @@ def step(case: CaseRecord, message: MailboxMessage, today: int = None):
     if kind == MessageKind.CATEGORIZATION_EVIDENCE:
         if case.state != CaseState.INQUIRY_OPEN:
             return illegal("no open inquiry")
+        if message.body not in _EVIDENCE_BODIES:
+            return illegal("not a reassessment to near or far")
         case.evidence += (dict(message.body),)
         return case, []
     if kind == MessageKind.CATEGORY_DECISION:

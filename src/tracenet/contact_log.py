@@ -6,25 +6,28 @@ one foreign identifier on one date; face-to-face time is the near+mid tick
 count at half a minute per tick.
 
 A log stores each record as one plain int that packs four 12-bit fields
-(2880 < 4096) under the record's tick mask:
+(2880 < 4096) and one flag under the record's tick mask:
 
-    mask << 48 | first_tick << 36 | far << 24 | mid << 12 | near
+    mask << 49 | acted << 48 | first_tick << 36 | far << 24 | mid << 12 | near
 
 Bit i of `mask` is set once tick `first_tick + i` has been counted, so bit 0
-is always set. That is the record's only tick state, and two logs that
-counted the same ticks hold equal ints. An int, unlike a tuple, is never
-tracked by the garbage collector, and a dict that holds only bytes keys and
-int values is never tracked either: writing to a log starts no young
-collection, and no collection pass walks a log however large it grows. Only
-this module knows the layout: other code holds a stored value in a
-`ContactRecord`, the named tuple `(rdi, date, record)` whose `record` is
-the very int the log stores, and reads its fields through the record's
-properties: `near_ticks`, `mid_ticks`, `far_ticks`, `first_tick`,
+is always set. That is the record's only tick state. `acted` is set once the
+device has acted on the record as a carrier contact (`mark_acted`). It never
+leaves the device: the history CSV does not carry it, and an upload reads
+only a record's date, rdi, counts and ticks. Two logs that counted the same
+ticks hold equal ints until one of the devices acts on its record. An int,
+unlike a tuple, is never tracked by the garbage collector, and a dict that
+holds only bytes keys and int values is never tracked either: writing to a
+log starts no young collection, and no collection pass walks a log however
+large it grows. Only this module knows the layout: other code holds a stored
+value in a `ContactRecord`, the named tuple `(rdi, date, record)` whose
+`record` is the very int the log stores, and reads its fields through the
+record's properties: `near_ticks`, `mid_ticks`, `far_ticks`, `first_tick`,
 `last_tick`, `ticks` (the absolute mask, bit t for tick t), `bucket_count`,
-`total_ticks` and `face_to_face_minutes`. A count or the first tick is read
-from the value's low bits, so it copies no part of a long mask. The history
-CSV carries no mask, so an upload does not disclose 30-second ticks; a
-parsed row gets the lowest mask a device could have counted for it.
+`acted`, `total_ticks` and `face_to_face_minutes`. A count or the first tick
+is read from the value's low bits, so it copies no part of a long mask. The
+history CSV carries no mask, so an upload does not disclose 30-second ticks;
+a parsed row gets the lowest mask a device could have counted for it.
 
 A log is partitioned by date, `{date: {rdi: value}}`, since the date is
 the unit the protocol stores, expires and matches by: a write goes into the
@@ -34,9 +37,10 @@ one mapping.
 
 Most contacts give one span per pair per day, so `observe_span` stores a
 span on a key the log does not hold yet in closed form: every tick of it is
-new, and the value is `(2**w - 1) << 48 | start << 36 | w << 12 * cls`,
+new, and the value is `(2**w - 1) << 49 | start << 36 | w << 12 * cls`,
 with the `w` counted ticks in the span's class field. Only a span on a key
-the log already holds is folded into the stored value, by first claim.
+the log already holds is folded into the stored value, by first claim; the
+fold keeps the `acted` flag.
 """
 
 from __future__ import annotations
@@ -56,13 +60,14 @@ DEFAULT_RETENTION_DAYS = 21
 CATEGORY1_THRESHOLD_MINUTES = 15.0
 
 # A stored value's fields (see the module docstring): the near, mid and far
-# counts at `_COUNT_BITS * cls`, the first tick above them, and the mask
-# above all four. A field is read from the value's low bits, so reading one
-# copies no part of a long mask.
+# counts at `_COUNT_BITS * cls`, the first tick above them, the acted-on flag
+# above that, and the mask above all five. A field is read from the value's
+# low bits, so reading one copies no part of a long mask.
 _COUNT_BITS = 12
 _FIELD = (1 << _COUNT_BITS) - 1
 _FIRST_SHIFT = 3 * _COUNT_BITS
-_MASK_SHIFT = 4 * _COUNT_BITS
+_ACTED = 1 << 4 * _COUNT_BITS
+_MASK_SHIFT = 4 * _COUNT_BITS + 1
 _MASK_ONE = 1 << _MASK_SHIFT
 _COUNTS = (1 << _FIRST_SHIFT) - 1
 _FIRST = _FIELD << _FIRST_SHIFT
@@ -135,6 +140,12 @@ class ContactRecord(NamedTuple):
         return (t & _BUCKET_STARTS).bit_count()
 
     @property
+    def acted(self) -> bool:
+        """Whether the device has acted on the record
+        (`ContactLog.mark_acted`)."""
+        return bool(self.record & _ACTED)
+
+    @property
     def total_ticks(self) -> int:
         return self.near_ticks + self.mid_ticks + self.far_ticks
 
@@ -166,14 +177,15 @@ def classify(record: ContactRecord) -> Category:
 class ContactLog:
     """A device's contact records, partitioned by date: `days` maps each
     date to `{foreign rdi: value}`, and holds no empty day. Each value is
-    one int packing the record's three class counts, its first tick and its
-    tick mask, so neither a value nor a day dict is ever tracked by the
-    garbage collector. `records` is the same log as a read-only flat
-    mapping keyed by `(date, rdi)`."""
+    one int packing the record's three class counts, its first tick, whether
+    the device has acted on it, and its tick mask, so neither a value nor a
+    day dict is ever tracked by the garbage collector. `records` is the same
+    log as a read-only flat mapping keyed by `(date, rdi)`."""
 
     def __init__(self, retention_days: int = DEFAULT_RETENTION_DAYS):
-        # date -> {rdi: mask << 48 | first_tick << 36 | far << 24 | mid << 12
-        # | near}; see the module docstring for why an int.
+        # date -> {rdi: mask << 49 | acted << 48 | first_tick << 36
+        # | far << 24 | mid << 12 | near}; see the module docstring for why
+        # an int.
         self.days: dict = {}
         self.retention_days = retention_days
 
@@ -224,8 +236,9 @@ class ContactLog:
         shift = _COUNT_BITS * cls
         rec = day.get(rdi)
         if rec is None:
-            # A fresh key: every tick of the span is new.
-            # (2**width - 1) << 48 plus the fields, which stay below 2**48.
+            # A fresh key: every tick of the span is new, and it is not
+            # acted on. (2**width - 1) << 49 plus the fields, which stay
+            # below 2**48.
             day[rdi] = (1 << _MASK_SHIFT + width) - (
                 _MASK_ONE - (start_tick << _FIRST_SHIFT | width << shift))
             return self
@@ -239,8 +252,22 @@ class ContactLog:
         if new_count:
             # A key counts each tick once, so no count field passes 2880.
             day[rdi] = ((mask | span) << _MASK_SHIFT | first << _FIRST_SHIFT
-                        | (rec & _COUNTS) + (new_count << shift))
+                        | rec & _ACTED | (rec & _COUNTS) + (new_count << shift))
         return self
+
+    def mark_acted(self, records) -> list:
+        """Mark the log's value for each record's (date, rdi) as acted on,
+        and return, in order, the records whose value was not yet marked.
+        Each record must be one the log holds, such as a match or an export
+        of this log; a record given twice is returned once."""
+        out = []
+        for rec in records:
+            day = self.days[rec.date]
+            value = day[rec.rdi]
+            if not value & _ACTED:
+                day[rec.rdi] = value | _ACTED
+                out.append(rec)
+        return out
 
     def prune(self, today: int) -> "ContactLog":
         """Drop the days older than the retention window."""
@@ -307,7 +334,11 @@ def _lowest_mask(counts, first: int, last: int, bucket_count: int):
     ticks `first` and `last`, the first tick of each further bucket the row
     claims, then the remaining ticks from the front of the claimed buckets.
     None when no mask holds `sum(counts)` ticks from `first` to `last` in
-    `bucket_count` buckets. Every argument is a non-negative int."""
+    `bucket_count` buckets. Every argument is a non-negative int.
+
+    The remaining ticks are the free ticks below the shortest prefix that
+    holds enough of them, found by a binary search on its length: about a
+    dozen big-int operations, however many ticks the row holds."""
     if not first <= last < TICKS_PER_DAY:
         return None
     lo, hi = first // TICKS_PER_BUCKET, last // TICKS_PER_BUCKET
@@ -315,20 +346,26 @@ def _lowest_mask(counts, first: int, last: int, bucket_count: int):
     if not 0 <= further <= max(0, hi - lo - 1):
         return None
     bucket_bits = (1 << TICKS_PER_BUCKET) - 1
-    mask = 1 << first | 1 << last
-    claimed = bucket_bits << lo * TICKS_PER_BUCKET | bucket_bits << hi * TICKS_PER_BUCKET
-    for b in range(lo + 1, lo + 1 + further):
-        mask |= 1 << b * TICKS_PER_BUCKET
-        claimed |= bucket_bits << b * TICKS_PER_BUCKET
+    # The first ticks of buckets lo + 1 to lo + further.
+    starts = _BUCKET_STARTS & ((1 << (lo + 1 + further) * TICKS_PER_BUCKET)
+                               - (1 << (lo + 1) * TICKS_PER_BUCKET))
+    mask = 1 << first | 1 << last | starts
+    claimed = (bucket_bits << lo * TICKS_PER_BUCKET | bucket_bits << hi * TICKS_PER_BUCKET
+               | starts * bucket_bits)
     free = claimed & ((1 << last + 1) - (1 << first)) & ~mask
     need = sum(counts) - mask.bit_count()
     if not 0 <= need <= free.bit_count():
         return None
-    for _ in range(need):
-        low = free & -free
-        mask |= low
-        free ^= low
-    return mask
+    # The shortest prefix of `free` holding `need` ticks is `low` long: the
+    # prefix of length `high` holds enough, and none shorter than `low` does.
+    low, high = 0, last + 1
+    while low < high:
+        mid = (low + high) // 2
+        if (free & ((1 << mid) - 1)).bit_count() >= need:
+            high = mid
+        else:
+            low = mid + 1
+    return mask | free & ((1 << low) - 1)
 
 
 def _pack(near: int, mid: int, far: int, first: int, ticks: int) -> int:

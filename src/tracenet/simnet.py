@@ -196,9 +196,9 @@ def infection_probability(near_ticks, mid_ticks, p_transmit):
 
 @dataclass
 class Device:
-    id_history: dict = field(default_factory=dict)  # date -> rdi; today's is [day]
-    log: ContactLog = None
-    handled: dict = field(default_factory=dict)  # date -> {rdi} hits acted on
+    # The device's only state. Its own identifiers are `World.identifiers`,
+    # and the hits it acted on are marked in the log (`mark_acted`).
+    log: ContactLog
 
 
 def _first_day_without_cases(active_cases) -> int:
@@ -340,6 +340,10 @@ class World:
             a: Device(log=ContactLog(retention_days=config.retention_days))
             for a in adopters
         }
+        # {date: that day's one draw of identifiers}, over the retention
+        # window. The i-th device in `devices` order broadcasts bytes
+        # `RDI_BYTES * i` to `RDI_BYTES * (i + 1)` (`_identifier`).
+        self.identifiers = {}
         # Index agent -> infections it caused: the sample of empirical_r0.
         self.index_infections = {}
         for a in self.rng.sample(range(n), min(config.index_cases, n)):
@@ -378,6 +382,11 @@ class World:
             self.index_infections[infector] += 1
         self._log_event(day, "infect", infector, target, "")
 
+    def _identifier(self, date, i):
+        """The identifier that the i-th device in `devices` order broadcast
+        on `date`."""
+        return self.identifiers[date][RDI_BYTES * i:RDI_BYTES * (i + 1)]
+
     def _register_positive(self, agent, day):
         """Carrier registration: the device uploads its contact history and
         its own broadcast identifiers for the lookback window."""
@@ -387,9 +396,11 @@ class World:
             return  # no device, nothing to upload
         start = day - self.config.lookback_days
         history = dev.log.export_history(start, day)
-        own = sorted(
-            (date, rdi) for date, rdi in dev.id_history.items() if date >= start
-        )
+        # Devices are keyed in agent order, so the adopters below `agent`
+        # give its position. The table is written in ascending date order.
+        i = int(np.count_nonzero(self.adopter[:agent]))
+        own = [(date, self._identifier(date, i))
+               for date in self.identifiers if date >= start]
         try:
             self.authority.register_carrier(
                 history, start, own_identifiers=own, today=day
@@ -398,8 +409,7 @@ class World:
             return
         # The carrier's own upload must not trigger inquiries back at the
         # carrier when contact-derived entries get published.
-        for rec in history:
-            dev.handled.setdefault(rec.date, set()).add(rec.rdi)
+        dev.log.mark_acted(history)
         self._log_event(day, "register", agent, "-", f"records={len(history)}")
 
     # -- daily step -------------------------------------------------------
@@ -527,20 +537,21 @@ class World:
         each other through the real beacon codec and contact log, and each
         such event adds a `contact` line to the event log.
 
-        A device's identifier is fixed for the day, `id_history[day]`, so
-        each beacon goes through the codec once per device, and each
-        distance class is estimated from its representative power once per
-        day. Each device's `observe_span` is looked up once per day too,
-        through the class, so a wrapper set on `ContactLog` still sees every
-        call. Events are applied in their sampled order, because overlapping
-        spans of one pair resolve by first claim; the `contact` lines follow
-        in the same order, formatted as one text with a single `%`.
+        A device's identifier is fixed for the day, its slice of
+        `identifiers[day]`, so each beacon goes through the codec once per
+        device, and each distance class is estimated from its
+        representative power once per day. Each device's `observe_span` is
+        looked up once per day too, through the class, so a wrapper set on
+        `ContactLog` still sees every call. Events are applied in their
+        sampled order, because overlapping spans of one pair resolve by
+        first claim; the `contact` lines follow in the same order,
+        formatted as one text with a single `%`.
         """
         rdis = {}
         observe = {}
-        for agent, dev in self.devices.items():
+        for i, (agent, dev) in enumerate(self.devices.items()):
             rdis[agent] = decode_beacon(
-                encode_beacon(DailyIdentifier(dev.id_history[day], day)))
+                encode_beacon(DailyIdentifier(self._identifier(day, i), day)))
             observe[agent] = dev.log.observe_span
         observed = [estimate_distance_class(CLASS_RSSI_DBM[c], TX_POWER_DBM)
                     for c in DistanceClass]
@@ -602,14 +613,11 @@ class World:
         if len(index) == 0:
             return
         for agent, dev in self.devices.items():
-            hits = matching.match_contacts(dev.log, index)
-            new = [h for h in hits if h.rdi not in dev.handled.get(h.date, ())]
+            new = dev.log.mark_acted(matching.match_contacts(dev.log, index))
             if not new:
                 continue
             for h in new:
-                dev.handled.setdefault(h.date, set()).add(h.rdi)
-                self._log_event(day, "hit", agent, "-",
-                                f"date={h.date}")
+                self._log_event(day, "hit", agent, "-", f"date={h.date}")
             if self.known_carrier[agent]:
                 continue  # already registered; no new inquiry needed
             _, msgs = casework.on_hits(new, "negotiate", self.rng)
@@ -654,15 +662,12 @@ class World:
         tests_used = 0
 
         # 1. identifier rotation, retention pruning. One draw holds every
-        #    device's identifier, in device order. Days step by one from 0 and
-        #    acted-on hits are dated in the pruned log, so only `aged` ages out.
-        fresh = self.rng.randbytes(RDI_BYTES * len(self.devices))
-        aged = day - cfg.retention_days - 1
-        for i, dev in enumerate(self.devices.values()):
-            dev.id_history[day] = fresh[i * RDI_BYTES:(i + 1) * RDI_BYTES]
+        #    device's identifier, in device order. Days step by one from 0,
+        #    so only one date of the table ages out.
+        self.identifiers[day] = self.rng.randbytes(RDI_BYTES * len(self.devices))
+        self.identifiers.pop(day - cfg.retention_days - 1, None)
+        for dev in self.devices.values():
             dev.log.prune(day)
-            dev.id_history.pop(aged, None)
-            dev.handled.pop(aged, None)
 
         # 2. contact events: beacon logging and disease transmission. The
         #    sampler returns only the events that matter and marks those

@@ -225,8 +225,7 @@ def test_criterion_07_signed_list_integrity():
 
 # --- criterion 8: exhaustive casework safety ---------------------------------
 
-SUMMARY_BODY = {"date": 3, "rdi": "00" * 16, "duration_minutes": 20.0,
-                "near_ticks": 40, "mid_ticks": 0, "far_ticks": 0}
+SUMMARY_BODY = {"date": 3, "near_ticks": 40, "mid_ticks": 0, "far_ticks": 0}
 TEST_DATES = (0, 4, 5, 9, 10)
 
 

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
+from tracenet.authority import AuthorityState, generate_keypair
 from tracenet.casework import (
     CaseRecord,
     CaseState,
@@ -202,7 +203,8 @@ def test_categorize_wrong_state_raises():
     {"near_ticks": True},
     {"near_ticks": -40, "mid_ticks": 50},
     {"near_ticks": 10**6},
-], ids=["text", "float", "bool", "negative", "past-one-day"])
+    {"near_ticks": 40, "rdi": "ab" * 16},
+], ids=["text", "float", "bool", "negative", "past-one-day", "identifier"])
 def test_categorize_audits_a_summary_open_inquiry_would_refuse(summary):
     # The same check as step(OPEN_INQUIRY): the inquiry stays open, no test
     # is ordered, and the refusal is audited.
@@ -332,6 +334,11 @@ def test_step_bad_category_decision_is_audited_noop(body):
     {"near_ticks": 10**9},
     {"near_ticks": 2000, "far_ticks": 881},
     {"near_ticks": True},
+    # The old JSON body: the carrier's identifier and a duration in minutes.
+    {"date": 3, "rdi": "ab" * 16, "duration_minutes": 20.0,
+     "near_ticks": 40, "mid_ticks": 0, "far_ticks": 0},
+    {"date": 3, "near_ticks": 40, "mid_ticks": 0, "far_ticks": 0, "rdi": "ab" * 16},
+    {"near_ticks": 40, "note": "x"},
 ], ids=repr)
 def test_step_open_inquiry_rejects_what_is_not_a_hit_summary(body):
     # Tick counts must be non-negative ints that fit in one day and the date
@@ -353,6 +360,65 @@ def test_step_non_object_body_is_audited_noop(kind, body):
     assert case.state == CaseState.INQUIRY_OPEN
     assert msgs == []
     assert len(case.audit) == 1
+
+
+@pytest.mark.parametrize("body", [
+    {"reassess": "sideways", "rdi": "ab" * 16},
+    {"reassess": "near", "rdi": "ab" * 16},
+    {"reassess": "sideways"},
+    {"reassess": ["far"]},
+    {},
+], ids=repr)
+def test_step_evidence_other_than_a_reassessment_is_audited_noop(body):
+    case = open_case()
+    case, msgs = step(case, MailboxMessage(case.token,
+                                           MessageKind.CATEGORIZATION_EVIDENCE, body))
+    assert msgs == []
+    assert case.state == CaseState.INQUIRY_OPEN
+    assert case.evidence == ()
+    assert case.audit == ("CATEGORIZATION_EVIDENCE in inquiry_open: "
+                          "not a reassessment to near or far",)
+
+
+def test_authority_keeps_no_identifier_an_inquiry_or_evidence_carries():
+    # The codec refuses these bodies; an in-process caller's are refused by
+    # step, so no identifier reaches the authority's stored state.
+    rdi = "ab" * 16
+    state = AuthorityState(signing_key=generate_keypair(random.Random(1))[0])
+    inquiry = CaseRecord(token=bytes(16))
+    step(inquiry, MailboxMessage(inquiry.token, MessageKind.OPEN_INQUIRY,
+                                 {**hit_summary(make_hit()), "rdi": rdi}))
+    evidence = open_case()
+    step(evidence, MailboxMessage(evidence.token, MessageKind.CATEGORIZATION_EVIDENCE,
+                                  {"reassess": "sideways", "rdi": rdi}))
+    state.cases = {inquiry.token: inquiry, evidence.token: evidence}
+    assert inquiry.summary is None and evidence.evidence == ()
+    assert rdi not in state.serialize_state()
+
+
+@pytest.mark.parametrize("kind,audit", [
+    (5, "TEST_RESULT in idle: no test pending"),
+    (99, "kind 99 in idle: unknown kind"),
+    (0, "kind 0 in idle: unknown kind"),
+    ("TEST_RESULT", "kind 'TEST_RESULT' in idle: unknown kind"),
+])
+def test_step_plain_kind_is_named_or_audited(kind, audit):
+    # A plain int kind is the MessageKind it equals; any other is audited.
+    case = CaseRecord(token=bytes(16))
+    case, msgs = step(case, MailboxMessage(bytes(16), kind,
+                                           {"result": "positive", "date": 1}))
+    assert msgs == []
+    assert case.state == CaseState.IDLE
+    assert case.audit == (audit,)
+
+
+def test_step_plain_int_kind_acts_as_its_message_kind():
+    case = open_case()
+    categorize(case, {"near_ticks": 40})
+    case, msgs = step(case, MailboxMessage(case.token, int(MessageKind.TEST_RESULT),
+                                           {"result": "positive", "date": 1}))
+    assert case.state == CaseState.CARRIER
+    assert [m.kind for m in msgs] == [MessageKind.HISTORY_REQUEST]
 
 
 @pytest.mark.parametrize("date", ["x", None, [5], 1e309, 7.9, "12", True])

@@ -12,6 +12,7 @@ from tracenet.contact_log import (
     ContactRecord,
     EmptyRange,
     MalformedHistory,
+    _lowest_mask,
     classify,
     log_from_records,
     records_from_csv,
@@ -98,10 +99,11 @@ def logged_record(near=0, mid=0, far=0):
     return log.record(0, X)
 
 
-def packed(mask, first, near=0, mid=0, far=0):
-    """A stored value laid out by hand: the mask above the first tick
-    above the far, mid and near counts, in 12-bit fields."""
-    return mask << 48 | first << 36 | far << 24 | mid << 12 | near
+def packed(mask, first, near=0, mid=0, far=0, acted=0):
+    """A stored value laid out by hand: the mask above the acted-on bit
+    above the first tick above the far, mid and near counts, in 12-bit
+    fields."""
+    return mask << 49 | acted << 48 | first << 36 | far << 24 | mid << 12 | near
 
 
 @pytest.mark.parametrize(
@@ -405,6 +407,62 @@ def test_log_from_records_accepts_a_record_from_a_log():
     assert log_from_records([rec]).days == log.days == {3: {X: rec.record}}
 
 
+def test_log_from_records_accepts_a_marked_record():
+    log = ContactLog().observe_span(X, MID, 3, 2877, 5).observe_span(X, FAR, 3, 10, 3)
+    log.mark_acted([log.record(3, X)])
+    rec = log.record(3, X)
+    assert rec.acted and rec.record == packed(
+        0b111 << 2877 - 10 | 0b111, 10, mid=3, far=3, acted=1)
+    assert log_from_records([rec]).days == log.days == {3: {X: rec.record}}
+
+
+def test_mark_acted_returns_the_records_not_yet_marked():
+    log = ContactLog().observe_span(X, NEAR, 3, 10, 5).observe_span(Y, FAR, 3, 40, 2)
+    x, y = log.record(3, X), log.record(3, Y)
+    assert not x.acted and not y.acted
+    assert log.mark_acted([x]) == [x]
+    assert log.record(3, X).acted and not log.record(3, Y).acted
+    # A record already marked, or given twice, is reported once.
+    assert log.mark_acted([x, y, y]) == [y]
+    assert log.mark_acted([x, y]) == []
+    assert log.record(3, X).record == x.record | packed(0, 0, acted=1)
+
+
+MARKED_FOLDS = {
+    "same-first-tick": [(100, 20, NEAR), (110, 20, MID)],
+    "earlier-first-tick": [(110, 20, MID), (100, 20, NEAR)],
+    "first-tick-2879-to-0": [(2879, 1, MID), (0, 2880, FAR)],
+    "nothing-new": [(0, 2880, MID), (0, 2880, NEAR)],
+}
+
+
+@pytest.mark.parametrize("spans", MARKED_FOLDS.values(), ids=MARKED_FOLDS)
+def test_a_fold_keeps_the_acted_bit(spans):
+    # The record is marked after its first span; a fold on its key keeps
+    # the bit, and counts and ticks as an unmarked log does.
+    (start, n, cls), rest = spans[0], spans[1:]
+    marked = ContactLog().observe_span(X, cls, 4, start, n)
+    marked.mark_acted([marked.record(4, X)])
+    for start, n, cls in rest:
+        marked.observe_span(X, cls, 4, start, n)
+    plain = spans_log(spans)
+    got, want = marked.record(4, X), plain.record(4, X)
+    assert got.acted and not want.acted
+    assert got.record == want.record | packed(0, 0, acted=1)
+    for prop in ("near_ticks", "mid_ticks", "far_ticks", "first_tick",
+                 "last_tick", "ticks", "bucket_count"):
+        assert getattr(got, prop) == getattr(want, prop)
+
+
+def test_history_csv_does_not_carry_the_acted_bit():
+    records = seeded_history()
+    log = log_from_records(records)
+    assert log.mark_acted(records[::3]) == records[::3]
+    marked = log.export_history(0, 20)
+    assert [rec.acted for rec in marked] == [i % 3 == 0 for i in range(len(records))]
+    assert records_to_csv(marked) == records_to_csv(records)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(
@@ -466,6 +524,50 @@ def seeded_history(seed=25, n_spans=2600):
                          rng.randrange(21), rng.randrange(2880),
                          1 + int(rng.expovariate(1 / 60)))
     return log.export_history(0, 20)
+
+
+def reference_lowest_mask(counts, first, last, bucket_count):
+    """`_lowest_mask` one tick at a time: the remaining ticks are taken
+    lowest first, one loop step each."""
+    if not first <= last < 2880:
+        return None
+    lo, hi = first // 4, last // 4
+    further = bucket_count - len({lo, hi})
+    if not 0 <= further <= max(0, hi - lo - 1):
+        return None
+    mask = 1 << first | 1 << last
+    claimed = 0b1111 << lo * 4 | 0b1111 << hi * 4
+    for b in range(lo + 1, lo + 1 + further):
+        mask |= 1 << b * 4
+        claimed |= 0b1111 << b * 4
+    free = claimed & ((1 << last + 1) - (1 << first)) & ~mask
+    need = sum(counts) - mask.bit_count()
+    if not 0 <= need <= free.bit_count():
+        return None
+    for _ in range(need):
+        low = free & -free
+        mask |= low
+        free ^= low
+    return mask
+
+
+def test_lowest_mask_equals_the_tick_at_a_time_reference():
+    rng = random.Random(14)
+    found = 0
+    for _ in range(5000):
+        first = rng.randrange(2880)
+        last = rng.randrange(first, min(2880, first + rng.choice([4, 40, 400, 2880])))
+        buckets = rng.randrange(last // 4 - first // 4 + 3)
+        counts = (rng.randrange(4 * buckets + 3), rng.randrange(3), 0)
+        mask = _lowest_mask(counts, first, last, buckets)
+        assert mask == reference_lowest_mask(counts, first, last, buckets)
+        found += mask is not None
+    # Both the rows a device logs and those it does not are compared.
+    assert 1000 < found < 4000
+    for rec in seeded_history():
+        row = ((rec.near_ticks, rec.mid_ticks, rec.far_ticks), rec.first_tick,
+               rec.last_tick, rec.bucket_count)
+        assert _lowest_mask(*row) == reference_lowest_mask(*row)
 
 
 def test_history_csv_bytes_are_pinned():

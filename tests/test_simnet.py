@@ -12,6 +12,7 @@ from tracenet import simnet
 from tracenet.casework import CaseState
 from tracenet.contact_log import ContactLog
 from tracenet.ident import (
+    RDI_BYTES,
     DailyIdentifier,
     DistanceClass,
     decode_beacon,
@@ -529,6 +530,19 @@ def test_traced_day_leaves_no_tracked_object_per_span(monkeypatch):
     assert after - before < bound
 
 
+def _acted_on(log):
+    """The (date, rdi) of each record the device has acted on."""
+    return [(date, rdi) for date, day in log.days.items() for rdi in day
+            if log.record(date, rdi).acted]
+
+
+def _own_identifier(world, agent, day):
+    """The identifier `agent`'s device broadcast on `day`: its slice of the
+    day's one draw, at the device's place in `world.devices`."""
+    i = list(world.devices).index(agent)
+    return world.identifiers[day][RDI_BYTES * i:RDI_BYTES * (i + 1)]
+
+
 def _exchange_one_event_at_a_time(world, lines, day, src, dst, cls, start, dur):
     """Per-event, per-tick reference for World._exchange_beacons: the codec
     runs for each beacon, the class is estimated for each event, every tick
@@ -542,7 +556,7 @@ def _exchange_one_event_at_a_time(world, lines, day, src, dst, cls, start, dur):
         observed = estimate_distance_class(rssi, simnet.TX_POWER_DBM)
         s, d = int(start[i]), int(dur[i])
         for rx, tx in ((a, b), (b, a)):
-            ident = DailyIdentifier(world.devices[tx].id_history[day], day)
+            ident = DailyIdentifier(_own_identifier(world, tx, day), day)
             rdi = decode_beacon(encode_beacon(ident))
             for tick in range(s, s + d):
                 world.devices[rx].log.observe([(rdi, observed)], day, tick)
@@ -575,14 +589,19 @@ def test_daily_beacon_pass_matches_per_event_reference(monkeypatch):
     assert batched.events == reference.events
     assert batched.metrics == reference.metrics
     # Both partners of a contact log each other's spans in the same order,
-    # so they store equal values for the day.
+    # so they store equal counts and ticks for the day; only a device acting
+    # on its record sets that record's `acted` apart.
     contacts = [line.split(",") for line in event_lines(batched.events)
                 if ",contact," in line]
     assert contacts
     for day, _, _, a, b, _ in contacts:
-        day, dev_a, dev_b = int(day), batched.devices[int(a)], batched.devices[int(b)]
-        assert (dev_a.log.records[day, dev_b.id_history[day]]
-                == dev_b.log.records[day, dev_a.id_history[day]])
+        day, a, b = int(day), int(a), int(b)
+        rec_a = batched.devices[a].log.record(day, _own_identifier(batched, b, day))
+        rec_b = batched.devices[b].log.record(day, _own_identifier(batched, a, day))
+        for prop in ("near_ticks", "mid_ticks", "far_ticks", "ticks"):
+            assert getattr(rec_a, prop) == getattr(rec_b, prop)
+        if not (rec_a.acted or rec_b.acted):
+            assert rec_a.record == rec_b.record
 
 
 def test_event_log_is_one_text_per_stepped_day(monkeypatch):
@@ -666,10 +685,11 @@ def test_pending_case_tests_track_awaiting_cases(overrides):
                            if case.state in awaiting}
         ever_pending |= bool(pending)
         cutoff = world.day - 1 - cfg.retention_days
+        assert all(date >= cutoff for date in world.identifiers)
         for dev in world.devices.values():
-            assert all(date >= cutoff for date in dev.handled)
+            assert all(date >= cutoff for date in dev.log.days)
     assert ever_pending
-    assert any(dev.handled for dev in world.devices.values())
+    assert any(_acted_on(dev.log) for dev in world.devices.values())
 
 
 small_worlds = st.builds(
@@ -719,9 +739,9 @@ def test_simulator_is_a_well_behaved_casework_client(cfg):
                                                        | set(carriers))
 
         cutoff = day - cfg.retention_days
+        assert all(date >= cutoff for date in world.identifiers)
         for dev in world.devices.values():
             assert all(date >= cutoff for date, _ in dev.log.records)
-            assert all(date >= cutoff for date in dev.id_history)
 
         [publish] = [f for f in today if f[2] == "publish"]
         assert publish[5] == f"entries={world.metrics['list_size'][-1]}"
@@ -729,9 +749,10 @@ def test_simulator_is_a_well_behaved_casework_client(cfg):
 
 def test_long_run_keeps_device_state_inside_the_retention_window():
     # `run` stops at extinction, so the world is stepped directly: over 120
-    # days a device keeps at most the window's dates of records, identifiers
-    # and acted-on hits, however long the epidemic lasts. Every acted-on hit
-    # is still a record of the log, so the hits can age out by date with it.
+    # days a device keeps at most the window's dates of records, and the
+    # world the window's dates of identifiers, however long the epidemic
+    # lasts. An acted-on hit is a bit of its record, so it ages out by date
+    # with the log.
     cfg = ScenarioConfig(population=300, days=120, seed=1, index_cases=3,
                          p_transmit=0.01, retention_days=7)
     world = World(cfg)
@@ -739,16 +760,13 @@ def test_long_run_keeps_device_state_inside_the_retention_window():
     for day in range(cfg.days):
         world.step_day()
         cutoff = day - cfg.retention_days
+        assert list(world.identifiers) == list(range(max(0, cutoff), day + 1))
         for dev in world.devices.values():
             dates = dev.log.days.keys()
             assert len(dates) <= cfg.retention_days + 1
             assert all(cutoff <= date <= day for date in dates)
-            assert all(cutoff <= date <= day for date in dev.id_history)
-            assert all(cutoff <= date <= day for date in dev.handled)
-            assert all((date, rdi) in dev.log.records
-                       for date, rdis in dev.handled.items() for rdi in rdis)
             full_windows += len(dates) == cfg.retention_days + 1
-            late_hits += day > 2 * cfg.retention_days and bool(dev.handled)
+            late_hits += day > 2 * cfg.retention_days and bool(_acted_on(dev.log))
     assert full_windows and late_hits
 
 
