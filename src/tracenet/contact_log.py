@@ -6,12 +6,15 @@ one foreign identifier on one date; face-to-face time is the near+mid tick
 count at half a minute per tick.
 
 A log stores each record as one plain int that packs four 12-bit fields
-(2880 < 4096) and one flag under the record's tick mask:
+(2880 < 4096) and one flag under the record's holes mask:
 
-    mask << 49 | acted << 48 | first_tick << 36 | far << 24 | mid << 12 | near
+    holes << 49 | acted << 48 | first_tick << 36 | far << 24 | mid << 12 | near
 
-Bit i of `mask` is set once tick `first_tick + i` has been counted, so bit 0
-is always set. That is the record's only tick state. `acted` is set once the
+The record spans the ticks from `first_tick` to its last counted tick, and
+bit i of `holes` is set when tick `first_tick + i` lies inside that span but
+was not counted. So the span's length is `near + mid + far` plus the number
+of holes, bit 0 of `holes` is always clear, and no hole is at or past the
+last tick. That is the record's only tick state. `acted` is set once the
 device has acted on the record as a carrier contact (`mark_acted`). It never
 leaves the device: the history CSV does not carry it, and an upload reads
 only a record's date, rdi, counts and ticks. Two logs that counted the same
@@ -25,7 +28,7 @@ value in a `ContactRecord`, the named tuple `(rdi, date, record)` whose
 record's properties: `near_ticks`, `mid_ticks`, `far_ticks`, `first_tick`,
 `last_tick`, `ticks` (the absolute mask, bit t for tick t), `bucket_count`,
 `acted`, `total_ticks` and `face_to_face_minutes`. A count or the first tick
-is read from the value's low bits, so it copies no part of a long mask. The
+is read from the value's low bits, so it copies no part of a holes mask. The
 history CSV carries no mask, so an upload does not disclose 30-second ticks;
 a parsed row gets the lowest mask a device could have counted for it.
 
@@ -37,10 +40,12 @@ one mapping.
 
 Most contacts give one span per pair per day, so `observe_span` stores a
 span on a key the log does not hold yet in closed form: every tick of it is
-new, and the value is `(2**w - 1) << 49 | start << 36 | w << 12 * cls`,
-with the `w` counted ticks in the span's class field. Only a span on a key
-the log already holds is folded into the stored value, by first claim; the
-fold keeps the `acted` flag.
+new and there is no hole, so the value is `start << 36 | w << 12 * cls`,
+with the `w` counted ticks in the span's class field. That is a small int
+below 2**48 however long the span, which numpy can also compute in int64.
+Only a span on a key the log already holds is folded into the stored value,
+by first claim; the fold decodes the holes into a tick mask and keeps the
+`acted` flag.
 """
 
 from __future__ import annotations
@@ -61,14 +66,13 @@ CATEGORY1_THRESHOLD_MINUTES = 15.0
 
 # A stored value's fields (see the module docstring): the near, mid and far
 # counts at `_COUNT_BITS * cls`, the first tick above them, the acted-on flag
-# above that, and the mask above all five. A field is read from the value's
-# low bits, so reading one copies no part of a long mask.
+# above that, and the holes mask above all five. A field is read from the
+# value's low bits, so reading one copies no part of a holes mask.
 _COUNT_BITS = 12
 _FIELD = (1 << _COUNT_BITS) - 1
 _FIRST_SHIFT = 3 * _COUNT_BITS
 _ACTED = 1 << 4 * _COUNT_BITS
-_MASK_SHIFT = 4 * _COUNT_BITS + 1
-_MASK_ONE = 1 << _MASK_SHIFT
+_HOLES_SHIFT = 4 * _COUNT_BITS + 1
 _COUNTS = (1 << _FIRST_SHIFT) - 1
 _FIRST = _FIELD << _FIRST_SHIFT
 # Bit `TICKS_PER_BUCKET * b` set for every bucket b of the day.
@@ -122,13 +126,13 @@ class ContactRecord(NamedTuple):
 
     @property
     def last_tick(self) -> int:
-        """Highest counted tick: the mask's bit 0 is the first tick."""
-        return self.first_tick + self.record.bit_length() - 1 - _MASK_SHIFT
+        """Highest counted tick: the span ends there."""
+        return self.first_tick + _length(self.record) - 1
 
     @property
     def ticks(self) -> int:
         """The counted ticks as an absolute mask: bit t for tick t."""
-        return self.record >> _MASK_SHIFT << self.first_tick
+        return _tick_mask(self.record) << self.first_tick
 
     @property
     def bucket_count(self) -> int:
@@ -152,6 +156,25 @@ class ContactRecord(NamedTuple):
     @property
     def face_to_face_minutes(self) -> float:
         return (self.near_ticks + self.mid_ticks) * MINUTES_PER_TICK
+
+
+def _length(value: int) -> int:
+    """The number of ticks a stored value spans: its counted ticks and its
+    holes."""
+    counts = value & _COUNTS
+    return ((counts & _FIELD) + (counts >> _COUNT_BITS & _FIELD)
+            + (counts >> 2 * _COUNT_BITS) + (value >> _HOLES_SHIFT).bit_count())
+
+
+def _tick_mask(value: int) -> int:
+    """A stored value's counted ticks, bit i for tick `first_tick + i`."""
+    return ((1 << _length(value)) - 1) ^ value >> _HOLES_SHIFT
+
+
+def _holes(mask: int) -> int:
+    """The holes of a tick mask whose bit 0 is set: its clear bits below
+    its highest set bit."""
+    return ((1 << mask.bit_length()) - 1) ^ mask
 
 
 def classify_face_ticks(face_ticks: int) -> Category:
@@ -178,14 +201,15 @@ class ContactLog:
     """A device's contact records, partitioned by date: `days` maps each
     date to `{foreign rdi: value}`, and holds no empty day. Each value is
     one int packing the record's three class counts, its first tick, whether
-    the device has acted on it, and its tick mask, so neither a value nor a
-    day dict is ever tracked by the garbage collector. `records` is the same
-    log as a read-only flat mapping keyed by `(date, rdi)`."""
+    the device has acted on it, and the uncounted ticks inside its span, so
+    neither a value nor a day dict is ever tracked by the garbage collector.
+    `records` is the same log as a read-only flat mapping keyed by
+    `(date, rdi)`."""
 
     def __init__(self, retention_days: int = DEFAULT_RETENTION_DAYS):
-        # date -> {rdi: mask << 49 | acted << 48 | first_tick << 36
-        # | far << 24 | mid << 12 | near}; see the module docstring for why
-        # an int.
+        # date -> {rdi: holes << 49 | acted << 48 | first_tick << 36
+        # | far << 24 | mid << 12 | near}; a record seen in one span has no
+        # holes and is a small int. See the module docstring for why an int.
         self.days: dict = {}
         self.retention_days = retention_days
 
@@ -236,14 +260,12 @@ class ContactLog:
         shift = _COUNT_BITS * cls
         rec = day.get(rdi)
         if rec is None:
-            # A fresh key: every tick of the span is new, and it is not
-            # acted on. (2**width - 1) << 49 plus the fields, which stay
-            # below 2**48.
-            day[rdi] = (1 << _MASK_SHIFT + width) - (
-                _MASK_ONE - (start_tick << _FIRST_SHIFT | width << shift))
+            # A fresh key: every tick of the span is new, so it has no
+            # hole, and it is not acted on.
+            day[rdi] = start_tick << _FIRST_SHIFT | width << shift
             return self
         first = (rec & _FIRST) >> _FIRST_SHIFT
-        mask = rec >> _MASK_SHIFT
+        mask = _tick_mask(rec)
         if start_tick < first:
             mask <<= first - start_tick
             first = start_tick
@@ -251,7 +273,7 @@ class ContactLog:
         new_count = (span & ~mask).bit_count()
         if new_count:
             # A key counts each tick once, so no count field passes 2880.
-            day[rdi] = ((mask | span) << _MASK_SHIFT | first << _FIRST_SHIFT
+            day[rdi] = (_holes(mask | span) << _HOLES_SHIFT | first << _FIRST_SHIFT
                         | rec & _ACTED | (rec & _COUNTS) + (new_count << shift))
         return self
 
@@ -371,7 +393,7 @@ def _lowest_mask(counts, first: int, last: int, bucket_count: int):
 def _pack(near: int, mid: int, far: int, first: int, ticks: int) -> int:
     """The value a log stores for these counts and an absolute tick mask
     whose lowest set bit is `first`."""
-    return (ticks >> first << _MASK_SHIFT | first << _FIRST_SHIFT
+    return (_holes(ticks >> first) << _HOLES_SHIFT | first << _FIRST_SHIFT
             | far << 2 * _COUNT_BITS | mid << _COUNT_BITS | near)
 
 
@@ -430,17 +452,18 @@ def log_from_records(records) -> ContactLog:
     """Build a ContactLog from records (e.g. a parsed CSV), each storing its
     `record` value.
 
-    Raises ValueError on a value no device logs: one whose mask has bit 0
-    clear (no counted tick is its first), whose mask runs past tick 2879,
-    or whose class counts do not add up to its counted ticks. Each record a
-    device logs or `records_from_csv` returns is accepted.
+    Raises ValueError on a value no device logs: one with no counted tick,
+    a hole at bit 0 (the first tick is counted) or at or past its last tick
+    (the last tick is counted), or a span that runs past tick 2879. Each
+    record a device logs or `records_from_csv` returns is accepted.
     """
     log = ContactLog()
     for rec in records:
-        mask = rec.record >> _MASK_SHIFT
-        if not (mask > 0 and mask & 1
-                and rec.first_tick + mask.bit_length() <= TICKS_PER_DAY
-                and rec.total_ticks == mask.bit_count()):
+        holes = rec.record >> _HOLES_SHIFT
+        length = _length(rec.record)
+        if not (0 < length and 0 <= holes and not holes & 1
+                and holes.bit_length() < length
+                and rec.first_tick + length <= TICKS_PER_DAY):
             raise ValueError(
                 f"no device logs this record: date {rec.date}, rdi {rec.rdi.hex()}")
         log.days.setdefault(rec.date, {})[rec.rdi] = rec.record

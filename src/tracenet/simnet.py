@@ -310,7 +310,9 @@ class World:
     With `record_events`, each element of `events` is one stepped day's
     event lines joined by "\n", with no trailing newline. The lines are
     gathered in `day_lines` while the day runs; every day logs a `publish`
-    line, so no day's text is empty.
+    line, so no day's text is empty. Such a world also holds `line_tables`,
+    the text of a `contact` line's columns by value (`_exchange_beacons`);
+    any other world holds None there.
     """
 
     def __init__(self, config: ScenarioConfig, seed: int = None,
@@ -327,6 +329,15 @@ class World:
         self.day_lines = []
 
         n = config.population
+        # The `contact` line's pieces: "<tick>,contact," by tick, "<agent>,"
+        # by agent, "<class>:" by class and "<duration>\n" by duration.
+        self.line_tables = None
+        if record_events:
+            self.line_tables = tuple(
+                np.array([fmt % v for v in range(size)], dtype=object)
+                for fmt, size in (("%d,contact,", TICKS_PER_DAY), ("%d,", n),
+                                  ("%d:", len(DistanceClass)),
+                                  ("%d\n", TICKS_PER_DAY + 1)))
         self.health = np.full(n, SUSCEPTIBLE, dtype=np.int8)
         self.day_infected = np.full(n, -1, dtype=np.int32)
         self.asymptomatic = self.nprng.random(n) < config.asymptomatic_fraction
@@ -544,8 +555,9 @@ class World:
         looked up once per day too, through the class, so a wrapper set on
         `ContactLog` still sees every call. Events are applied in their
         sampled order, because overlapping spans of one pair resolve by
-        first claim; the `contact` lines follow in the same order,
-        formatted as one text with a single `%`.
+        first claim; the `contact` lines follow in the same order. Each
+        column's text is looked up by value in its table in `line_tables`,
+        and one join of the gathered pieces makes the day's `contact` text.
         """
         rdis = {}
         observe = {}
@@ -564,9 +576,16 @@ class World:
             observe[a](rdis[b], obs, day, s, d)
             observe[b](rdis[a], obs, day, s, d)
         if self.record_events and len(table):
-            line = f"{day},%d,contact,%d,%d,%d:%d"
-            self.day_lines.append(
-                "\n".join([line] * len(table)) % tuple(table.ravel().tolist()))
+            ticks, agents, classes, durations = self.line_tables
+            pieces = np.empty((len(table), 6), dtype=object)
+            pieces[:, 0] = f"{day},"
+            pieces[:, 1] = ticks[table[:, 0]]
+            pieces[:, 2:4] = agents[table[:, 1:3]]
+            pieces[:, 4] = classes[table[:, 3]]
+            pieces[:, 5] = durations[table[:, 4]]
+            # The last line's end is dropped: `step_day` joins the day's
+            # texts by "\n".
+            self.day_lines.append("".join(pieces.ravel().tolist())[:-1])
 
     def _run_due_tests(self, day):
         cfg = self.config

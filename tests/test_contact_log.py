@@ -13,6 +13,7 @@ from tracenet.contact_log import (
     EmptyRange,
     MalformedHistory,
     _lowest_mask,
+    _pack,
     classify,
     log_from_records,
     records_from_csv,
@@ -100,10 +101,12 @@ def logged_record(near=0, mid=0, far=0):
 
 
 def packed(mask, first, near=0, mid=0, far=0, acted=0):
-    """A stored value laid out by hand: the mask above the acted-on bit
-    above the first tick above the far, mid and near counts, in 12-bit
-    fields."""
-    return mask << 49 | acted << 48 | first << 36 | far << 24 | mid << 12 | near
+    """A stored value laid out by hand from a tick mask relative to
+    `first`: the mask's holes (its clear bits below its highest set bit)
+    above the acted-on bit above the first tick above the far, mid and near
+    counts, in 12-bit fields."""
+    holes = ((1 << mask.bit_length()) - 1) & ~mask
+    return holes << 49 | acted << 48 | first << 36 | far << 24 | mid << 12 | near
 
 
 @pytest.mark.parametrize(
@@ -228,7 +231,7 @@ def per_tick_reference(spans, date=4):
 
 @pytest.mark.parametrize("cls", [NEAR, MID, FAR])
 @pytest.mark.parametrize("start,n", [
-    (0, 1), (100, 37), (0, 2880), (2879, 1),
+    (0, 1), (100, 37), (0, 2880), (2879, 1), (2879, 40),
     (2870, 10), (2870, 11), (2870, 500), (5, 10**6),
 ])
 def test_fresh_span_is_stored_in_closed_form(cls, start, n):
@@ -241,7 +244,11 @@ def test_fresh_span_is_stored_in_closed_form(cls, start, n):
     assert (rec.near_ticks, rec.mid_ticks, rec.far_ticks) == tuple(
         width if c == cls else 0 for c in (NEAR, MID, FAR))
     assert rec.ticks == ((1 << width) - 1) << start
-
+    # A record seen in one span has no hole: its value is the first tick
+    # and the clipped width in the span's class field, a small int below
+    # 2**48 however long the span.
+    assert rec.record == start << 36 | width << 12 * cls
+    assert rec.record < 2**48
 
 @pytest.mark.parametrize("n", [0, -1, -2880])
 def test_empty_span_stores_nothing_and_creates_no_day(n):
@@ -294,6 +301,8 @@ def test_tick_mask_matches_plain_set_oracle(spans):
     assert rec.ticks == sum(1 << t for t in ticks)
     assert rec.bucket_count == len({t // 4 for t in ticks})
     assert (rec.first_tick, rec.last_tick) == (min(ticks), max(ticks))
+    assert rec.record == _pack(counts[NEAR], counts[MID], counts[FAR],
+                               min(ticks), sum(1 << t for t in ticks))
 
 
 @settings(max_examples=200, deadline=None)
@@ -393,9 +402,14 @@ def test_packed_fields_survive_the_history_csv(spans):
 @pytest.mark.parametrize("value", [
     packed(0b110, 10, near=2),
     packed(0b11, 2879, near=2),
-    packed(0b11, 10, near=2, far=1),
+    packed(0b101, 2878, near=2),
+    # Holes written directly: no tick mask has a hole at or past its last
+    # tick.
+    0b10 << 49 | 10 << 36 | 1,
+    0b100 << 49 | 10 << 36 | 2,
     0,
-], ids=["mask-bit-0-clear", "mask-past-tick-2879", "counts-over-ticks", "no-tick"])
+], ids=["mask-bit-0-clear", "mask-past-tick-2879", "hole-past-tick-2879",
+        "hole-at-last-tick", "hole-past-last-tick", "no-tick"])
 def test_log_from_records_rejects_a_record_no_device_logs(value):
     with pytest.raises(ValueError, match="no device logs"):
         log_from_records([ContactRecord(X, 3, value)])

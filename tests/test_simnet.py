@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tracenet import simnet
 from tracenet.casework import CaseState
-from tracenet.contact_log import ContactLog
+from tracenet.contact_log import TICKS_PER_DAY, ContactLog
 from tracenet.ident import (
     RDI_BYTES,
     DailyIdentifier,
@@ -563,12 +563,30 @@ def _exchange_one_event_at_a_time(world, lines, day, src, dst, cls, start, dur):
         lines.append(f"{day},{s},contact,{a},{b},{int(cls[i])}:{d}")
 
 
+# Long contacts make overlapping spans of one pair on one day common, so
+# the first-claim order between events is exercised.
+LONG_CONTACTS = ScenarioConfig(population=60, days=5, seed=11, adoption_fraction=0.6,
+                               index_cases=3, duration_mean_ticks=300.0,
+                               p_transmit=0.01)
+
+
 def test_daily_beacon_pass_matches_per_event_reference(monkeypatch):
-    # Long contacts make overlapping spans of one pair on one day common,
-    # so the first-claim order between events is exercised.
-    cfg = ScenarioConfig(population=60, days=5, seed=11, adoption_fraction=0.6,
-                         index_cases=3, duration_mean_ticks=300.0,
-                         p_transmit=0.01)
+    _check_beacon_pass_against_reference(monkeypatch, LONG_CONTACTS)
+
+
+def test_daily_beacon_pass_matches_per_event_reference_on_acted_records(monkeypatch):
+    # Carriers register from day 1 and their contacts are traced too, so
+    # devices act on records inside the window: some compared pairs hold
+    # exactly one acted record, and still agree on counts and ticks.
+    cfg = replace(LONG_CONTACTS, latency_days=1, symptom_onset_days=1,
+                  trace_contact_derived=True)
+    assert _check_beacon_pass_against_reference(monkeypatch, cfg)
+
+
+def _check_beacon_pass_against_reference(monkeypatch, cfg):
+    """Step `cfg` with the batched beacon pass and with the per-event
+    reference, compare both worlds, and return the number of `contact`
+    lines whose partners hold records of which exactly one is acted on."""
     batched = World(cfg, record_events=True)
     reference = World(cfg, record_events=True)
     # The reference's lines join into the same day text as the batched pass.
@@ -594,14 +612,41 @@ def test_daily_beacon_pass_matches_per_event_reference(monkeypatch):
     contacts = [line.split(",") for line in event_lines(batched.events)
                 if ",contact," in line]
     assert contacts
+    one_acted = 0
     for day, _, _, a, b, _ in contacts:
         day, a, b = int(day), int(a), int(b)
         rec_a = batched.devices[a].log.record(day, _own_identifier(batched, b, day))
         rec_b = batched.devices[b].log.record(day, _own_identifier(batched, a, day))
         for prop in ("near_ticks", "mid_ticks", "far_ticks", "ticks"):
             assert getattr(rec_a, prop) == getattr(rec_b, prop)
-        if not (rec_a.acted or rec_b.acted):
+        if rec_a.acted == rec_b.acted:
             assert rec_a.record == rec_b.record
+        else:
+            one_acted += 1
+    return one_acted
+
+
+def test_contact_lines_name_agents_past_the_tick_tables(monkeypatch):
+    # The pinned worlds hold at most 120 agents. Here agent ids pass the
+    # size of the tick and duration tables (2880 and 2881 lines), and the
+    # day text still equals the per-event reference's f-strings.
+    cfg = ScenarioConfig(population=3000, days=2, seed=5, adoption_fraction=0.4,
+                         index_cases=3)
+    world = World(cfg, record_events=True)
+    reference = World(cfg, record_events=True)
+    monkeypatch.setattr(
+        reference, "_exchange_beacons",
+        lambda *args: _exchange_one_event_at_a_time(reference, reference.day_lines,
+                                                    *args))
+    for _ in range(cfg.days):
+        world.step_day()
+        reference.step_day()
+    assert world.events == reference.events
+    agents = {int(agent) for line in event_lines(world.events)
+              if ",contact," in line for agent in line.split(",")[3:5]}
+    assert max(agents) > TICKS_PER_DAY + 1
+    # A world that records no events builds no line tables.
+    assert World(cfg).line_tables is None
 
 
 def test_event_log_is_one_text_per_stepped_day(monkeypatch):
