@@ -158,6 +158,14 @@ class ContactRecord(NamedTuple):
         return (self.near_ticks + self.mid_ticks) * MINUTES_PER_TICK
 
 
+def record_order(rec: ContactRecord) -> tuple:
+    """The sort key of a record: `(date, first_tick, rdi)`, the order of an
+    export and of a device's hits. The first tick is read from the value's
+    low bits."""
+    rdi, date, value = rec
+    return date, (value & _FIRST) >> _FIRST_SHIFT, rdi
+
+
 def _length(value: int) -> int:
     """The number of ticks a stored value spans: its counted ticks and its
     holes."""
@@ -245,6 +253,13 @@ class ContactLog:
         `n_ticks` consecutive ticks. Within the day this equals `n_ticks`
         observe calls; a span that runs past tick 2879 is clipped at the end
         of the day, where observe would raise on the first tick beyond it."""
+        day = self.days.get(date)
+        if (day is not None and rdi not in day
+                and 0 <= start_tick and 0 < n_ticks <= TICKS_PER_DAY - start_tick):
+            # The usual span: a fresh key on a date the log holds, inside
+            # the day. It is stored in closed form, as below.
+            day[rdi] = start_tick << _FIRST_SHIFT | n_ticks << _COUNT_BITS * cls
+            return self
         if n_ticks <= 0:
             return self
         if not 0 <= start_tick < TICKS_PER_DAY:
@@ -252,7 +267,6 @@ class ContactLog:
         width = TICKS_PER_DAY - start_tick
         if n_ticks < width:
             width = n_ticks
-        day = self.days.get(date)
         if day is None:
             # The span counts at least one tick, so the new day is not left
             # empty.
@@ -294,8 +308,9 @@ class ContactLog:
     def prune(self, today: int) -> "ContactLog":
         """Drop the days older than the retention window."""
         cutoff = today - self.retention_days
-        for date in [d for d in self.days if d < cutoff]:
-            del self.days[date]
+        days = self.days
+        while days and (oldest := min(days)) < cutoff:
+            del days[oldest]
         return self
 
     def export_history(self, from_date: int, to_date: int):
@@ -313,7 +328,7 @@ class ContactLog:
             if from_date <= date <= to_date
             for rdi, value in day.items()
         ]
-        out.sort(key=lambda r: (r.date, r.first_tick, r.rdi))
+        out.sort(key=record_order)
         return out
 
 

@@ -1,5 +1,7 @@
 import gc
 import random
+from collections import OrderedDict
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -561,3 +563,59 @@ def test_messages_carry_no_identity():
         assert "agent" not in msg.body
         assert "identity" not in msg.body
         assert "name" not in msg.body
+
+
+def test_mailbox_message_refuses_attribute_assignment():
+    msg = MailboxMessage(bytes(16), MessageKind.DROP)
+    for name, value in (("token", bytes([1]) * 16), ("kind", MessageKind.RELEASE),
+                        ("body", {"reason": "x"}), ("sender", "agent 7")):
+        with pytest.raises(AttributeError):
+            setattr(msg, name, value)
+    assert msg == (bytes(16), MessageKind.DROP, {})
+
+
+def test_an_inquiry_round_leaves_every_body_unchanged():
+    default = MailboxMessage(bytes(16), MessageKind.DROP).body
+    assert default == {} and MailboxMessage(bytes(16), MessageKind.RELEASE).body is default
+    # A category-1 contact, whose case is tested positive and uploads, and a
+    # far-only contact, whose case is dropped.
+    hits = [make_hit(date=3, near=40), make_hit(date=4, rdi=bytes([8]) * 16, near=0, far=12)]
+    _, messages = on_hits(hits, "negotiate", random.Random(2))
+    given_bodies = [dict(msg.body) for msg in messages]
+    replies = []
+    for msg in messages:
+        decoded, _ = deserialize_message(serialize_message(msg))
+        assert decoded == msg
+        case, out = step(CaseRecord(token=decoded.token), decoded, today=5)
+        assert case.summary == decoded.body and case.summary is not decoded.body
+        case, out = categorize(case, case.summary, today=5)
+        replies += out
+        if case.state == CaseState.AWAITING_TEST1:
+            result = MailboxMessage(case.token, MessageKind.TEST_RESULT,
+                                    {"result": "positive", "date": 6})
+            case, out = step(case, result, today=6)
+            replies += out
+            assert result.body == {"result": "positive", "date": 6}
+            case, out = step(case, MailboxMessage(case.token, MessageKind.HISTORY_UPLOAD),
+                             today=6)
+            assert case.audit == ("history uploaded",) and out == []
+        assert decoded.body == msg.body
+    assert [msg.body for msg in messages] == given_bodies
+    assert [m.kind for m in replies] == [MessageKind.TEST_ORDER,
+                                         MessageKind.HISTORY_REQUEST, MessageKind.DROP]
+    assert replies[-1].body is default
+    assert default == {}
+
+
+@pytest.mark.parametrize("body", [
+    None,
+    (("category", "category1"),),
+    [("category", "category1")],
+    MappingProxyType({"category": "category1"}),
+    OrderedDict(category="category1"),
+], ids=repr)
+def test_serialize_refuses_a_body_that_is_not_a_dict(body):
+    with pytest.raises(ValueError, match="body must have fields"):
+        serialize_message(MailboxMessage(bytes(16), MessageKind.CATEGORY_DECISION, body))
+    assert serialize_message(MailboxMessage(bytes(16), MessageKind.CATEGORY_DECISION,
+                                            {"category": "category1"}))

@@ -1,10 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tracenet.authority import SignedCarrierList
-from tracenet.contact_log import ContactLog, ContactRecord
+from tracenet.contact_log import TICKS_PER_DAY, ContactLog, ContactRecord
 from tracenet.ident import DistanceClass
 from tracenet.matching import (
     UnverifiedList,
@@ -42,15 +42,16 @@ def test_build_index_requires_verification():
 
 def test_empty_index_matches_nothing():
     index = build_index(make_list([]), verified=True)
-    assert (0, X) not in index
+    assert index == {}
+    assert 0 not in index
     assert match_contacts(make_log([(0, X)]), index) == []
 
 
 def test_both_date_and_identifier_must_match():
     index = build_index(make_list([(5, X)]), verified=True)
-    assert (5, X) in index
-    assert (6, X) not in index
-    assert (5, Y) not in index
+    assert X in index[5]
+    assert 6 not in index
+    assert Y not in index[5]
 
 
 def test_duplicate_entries_have_set_semantics():
@@ -136,3 +137,35 @@ def test_hit_is_an_immutable_named_tuple():
     assert hit == log.record(5, X)
     with pytest.raises(AttributeError):
         hit.date = 6
+
+
+# A few dates and identifiers, so drawn lists often repeat an entry, and
+# out of order they often split one date into separate runs.
+LIST_DATES = st.integers(min_value=0, max_value=4)
+LIST_RDIS = st.sampled_from([bytes([i]) * 16 for i in range(1, 6)])
+SPANS = st.lists(st.tuples(LIST_DATES, LIST_RDIS,
+                           st.integers(min_value=0, max_value=TICKS_PER_DAY - 1),
+                           st.integers(min_value=1, max_value=60),
+                           st.sampled_from(list(DistanceClass))), max_size=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SPANS, st.lists(st.tuples(LIST_DATES, LIST_RDIS), max_size=30))
+@example([(1, X, 9, 1, NEAR), (2, Y, 5, 1, NEAR), (2, X, 7, 1, NEAR)],
+         [(2, Y), (1, X), (2, X)])  # unsorted: dates 2, 1, 2
+@example([(3, X, 0, 5, NEAR)], [(3, X), (3, X), (3, X)])  # a repeated entry
+@example([(1, X, 4, 1, NEAR), (1, Y, 2, 1, NEAR), (2, X, 0, 1, NEAR)],
+         [(1, X), (2, X), (1, Y)])  # date 1 in two separate runs
+def test_any_entry_order_matches_the_oracle(spans, entries):
+    log = ContactLog()
+    for date, rdi, start, n_ticks, cls in spans:
+        log.observe_span(rdi, cls, date, start, n_ticks)
+    lst = make_list(entries)
+    index = build_index(lst, verified=True)
+    # Each date's runs are merged into one set, however the list is ordered.
+    assert index == {date: frozenset(r for d, r in entries if d == date)
+                     for date, _ in entries}
+    hits = match_contacts(log, index)
+    assert hits == brute_force_match(log, lst)
+    for hit in hits:
+        assert hit.record is log.days[hit.date][hit.rdi]
