@@ -579,7 +579,8 @@ def test_an_inquiry_round_leaves_every_body_unchanged():
     assert default == {} and MailboxMessage(bytes(16), MessageKind.RELEASE).body is default
     # A category-1 contact, whose case is tested positive and uploads, and a
     # far-only contact, whose case is dropped.
-    hits = [make_hit(date=3, near=40), make_hit(date=4, rdi=bytes([8]) * 16, near=0, far=12)]
+    hits = [make_hit(date=3, near=40),
+            make_hit(date=4, rdi=bytes([8]) * 16, near=0, far=12)]
     _, messages = on_hits(hits, "negotiate", random.Random(2))
     given_bodies = [dict(msg.body) for msg in messages]
     replies = []

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tracenet.contact_log import (
+    HISTORY_CSV_HEADER,
+    TICKS_PER_DAY,
     _ACTED,
     _COUNT_BITS,
     _COUNTS,
     _FIRST,
     _FIRST_SHIFT,
     _HOLES_SHIFT,
-    HISTORY_CSV_HEADER,
-    TICKS_PER_DAY,
     Category,
     ContactLog,
     ContactRecord,
@@ -686,6 +686,7 @@ def test_prune_equals_the_reference(dates, today):
     reference_prune(ref, today)
     assert as_items(log) == as_items(ref)
     assert all(date >= today - 7 for date in log.days)
+
 
 def test_history_csv_bytes_are_pinned():
     records = seeded_history()

@@ -150,12 +150,12 @@ SPANS = st.lists(st.tuples(LIST_DATES, LIST_RDIS,
 
 
 @settings(max_examples=200, deadline=None)
-@given(SPANS, st.lists(st.tuples(LIST_DATES, LIST_RDIS), max_size=30))
 @example([(1, X, 9, 1, NEAR), (2, Y, 5, 1, NEAR), (2, X, 7, 1, NEAR)],
          [(2, Y), (1, X), (2, X)])  # unsorted: dates 2, 1, 2
 @example([(3, X, 0, 5, NEAR)], [(3, X), (3, X), (3, X)])  # a repeated entry
 @example([(1, X, 4, 1, NEAR), (1, Y, 2, 1, NEAR), (2, X, 0, 1, NEAR)],
          [(1, X), (2, X), (1, Y)])  # date 1 in two separate runs
+@given(SPANS, st.lists(st.tuples(LIST_DATES, LIST_RDIS), max_size=30))
 def test_any_entry_order_matches_the_oracle(spans, entries):
     log = ContactLog()
     for date, rdi, start, n_ticks, cls in spans:
