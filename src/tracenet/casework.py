@@ -6,8 +6,9 @@ identifier, so the mailbox exchange never reveals who is talking.
 
 Every message, either way, is a `MailboxMessage`: the named tuple `(token,
 kind, body)`, whose body is a dict of the kind's fields. It cannot be
-changed once built, and its default body is one empty dict that every
-body-less message shares, so no function here mutates a message's body.
+changed once built. A message built without a body gets the one empty dict
+that all such messages share, so nothing may mutate a message's body: no
+function here does, and each reply it builds is given a body of its own.
 
 An inquiry's body is a hit summary (`hit_summary`): the carrier day (`date`)
 of the one contact record that matched a carrier, and that record's
@@ -81,10 +82,26 @@ class MessageKind(IntEnum):
     DROP = 9
 
 
+# The members the inquiry path compares with, bound once as module globals.
+# Every function and default below reads these six by these names; only the
+# `_BODIES` table, which lists every kind, spells them through their class.
+# On CPython 3.11 the enum metaclass defines `__getattr__`, so every
+# attribute read on an enum class, such as `CaseState.IDLE`, takes the
+# interpreter's slow lookup hook: about 0.16 us against 0.03 us without it.
+# Opening and categorizing one inquiry made eight such reads.
+_IDLE = CaseState.IDLE
+_INQUIRY_OPEN = CaseState.INQUIRY_OPEN
+_AWAITING_TEST1 = CaseState.AWAITING_TEST1
+_OPEN_INQUIRY = MessageKind.OPEN_INQUIRY
+_TEST_ORDER = MessageKind.TEST_ORDER
+_UNCRITICAL = Category.UNCRITICAL
+
+
 class MailboxMessage(NamedTuple):
     """One mailbox message: the case's token, its kind, and its body (see
     the module docstring). A case keeps its own copy of any body it
-    stores."""
+    stores. A caller must not mutate `msg.body`: the default body is one
+    dict shared by every message built without a body."""
 
     token: bytes
     kind: MessageKind
@@ -203,25 +220,12 @@ def deserialize_message(data: bytes, offset: int = 0):
     return MailboxMessage(fields[1], kind, dict(zip(names, values))), end
 
 
-# The members the inquiry path compares with, bound once as module globals.
-# On CPython 3.11 the enum metaclass defines `__getattr__`, so every
-# attribute read on an enum class, such as `CaseState.IDLE`, takes the
-# interpreter's slow lookup hook: about 0.16 us against 0.03 us without it.
-# Opening and categorizing one inquiry made eight such reads.
-_IDLE = CaseState.IDLE
-_INQUIRY_OPEN = CaseState.INQUIRY_OPEN
-_AWAITING_TEST1 = CaseState.AWAITING_TEST1
-_OPEN_INQUIRY = MessageKind.OPEN_INQUIRY
-_TEST_ORDER = MessageKind.TEST_ORDER
-_UNCRITICAL = Category.UNCRITICAL
-
-
 @dataclass
 class CaseRecord:
     """Authority-side state for one anonymous inquiry."""
 
     token: bytes
-    state: CaseState = CaseState.IDLE
+    state: CaseState = _IDLE
     category: Category = None
     test_results: tuple = ()  # ((result, date), ...)
     resolution_epoch: int = None
@@ -230,10 +234,6 @@ class CaseRecord:
     audit: tuple = ()
     incubation_days: int = DEFAULT_INCUBATION_DAYS
     lookback_days: int = DEFAULT_LOOKBACK_DAYS
-
-
-def new_token(rng) -> bytes:
-    return rng.randbytes(TOKEN_BYTES)
 
 
 def hit_summary(hit) -> dict:
@@ -269,7 +269,7 @@ def on_hits(hits, preference: str, rng):
     return _INQUIRY_OPEN, messages
 
 
-_SUMMARY_KEYS = frozenset(_BODIES[MessageKind.OPEN_INQUIRY][1])
+_SUMMARY_KEYS = frozenset(_BODIES[_OPEN_INQUIRY][1])
 _EVIDENCE_BODIES = ({"reassess": "near"}, {"reassess": "far"})
 
 
@@ -298,7 +298,7 @@ def _decide(case: CaseRecord, category: Category, traced_categories, today):
     if category is _UNCRITICAL or category not in traced_categories:
         case.state = CaseState.DROPPED
         case.resolution_epoch = today
-        return case, [MailboxMessage(case.token, MessageKind.DROP)]
+        return case, [MailboxMessage(case.token, MessageKind.DROP, {})]
     case.category = category
     case.state = _AWAITING_TEST1
     return case, [MailboxMessage(case.token, _TEST_ORDER,
@@ -385,7 +385,7 @@ def step(case: CaseRecord, message: MailboxMessage, today: int = None):
             return _illegal(case, message, kind, "date is not an int")
         if (result, date) in case.test_results:
             return _illegal(case, message, kind, "duplicate test result")
-        if case.state not in (CaseState.AWAITING_TEST1, CaseState.AWAITING_TEST2):
+        if case.state not in (_AWAITING_TEST1, CaseState.AWAITING_TEST2):
             return _illegal(case, message, kind, "no test pending")
         # Positive makes the case a carrier and requests the contact history
         # for the lookback window. A first negative awaits a retest; a second
@@ -399,7 +399,7 @@ def step(case: CaseRecord, message: MailboxMessage, today: int = None):
                                          {"from_date": date - case.lookback_days})]
         if result != "negative":
             return _illegal(case, message, kind, f"unknown test result {result!r}")
-        if case.state == CaseState.AWAITING_TEST1:
+        if case.state is _AWAITING_TEST1:
             case.test_results += ((result, date),)
             case.state = CaseState.AWAITING_TEST2
             return case, []
@@ -410,7 +410,7 @@ def step(case: CaseRecord, message: MailboxMessage, today: int = None):
         case.test_results += ((result, date),)
         case.state = CaseState.RELEASED
         case.resolution_epoch = date
-        return case, [MailboxMessage(case.token, MessageKind.RELEASE)]
+        return case, [MailboxMessage(case.token, MessageKind.RELEASE, {})]
     if kind == MessageKind.HISTORY_UPLOAD:
         if case.state != CaseState.CARRIER:
             return _illegal(case, message, kind, "no history requested")
@@ -421,7 +421,7 @@ def step(case: CaseRecord, message: MailboxMessage, today: int = None):
     if kind == MessageKind.DROP:
         if case.state is not _INQUIRY_OPEN:
             return _illegal(case, message, kind, "nothing to drop")
-        _decide(case, Category.UNCRITICAL, ALL_CATEGORIES, today)
+        _decide(case, _UNCRITICAL, ALL_CATEGORIES, today)
         return case, []
     # TEST_ORDER, HISTORY_REQUEST and RELEASE are authority-to-device
     # notifications; receiving one on a case is always a protocol violation.

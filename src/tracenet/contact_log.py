@@ -253,13 +253,6 @@ class ContactLog:
         `n_ticks` consecutive ticks. Within the day this equals `n_ticks`
         observe calls; a span that runs past tick 2879 is clipped at the end
         of the day, where observe would raise on the first tick beyond it."""
-        day = self.days.get(date)
-        if (day is not None and rdi not in day
-                and 0 <= start_tick and 0 < n_ticks <= TICKS_PER_DAY - start_tick):
-            # The usual span: a fresh key on a date the log holds, inside
-            # the day. It is stored in closed form, as below.
-            day[rdi] = start_tick << _FIRST_SHIFT | n_ticks << _COUNT_BITS * cls
-            return self
         if n_ticks <= 0:
             return self
         if not 0 <= start_tick < TICKS_PER_DAY:
@@ -267,6 +260,7 @@ class ContactLog:
         width = TICKS_PER_DAY - start_tick
         if n_ticks < width:
             width = n_ticks
+        day = self.days.get(date)
         if day is None:
             # The span counts at least one tick, so the new day is not left
             # empty.
@@ -308,9 +302,8 @@ class ContactLog:
     def prune(self, today: int) -> "ContactLog":
         """Drop the days older than the retention window."""
         cutoff = today - self.retention_days
-        days = self.days
-        while days and (oldest := min(days)) < cutoff:
-            del days[oldest]
+        for date in [d for d in self.days if d < cutoff]:
+            del self.days[date]
         return self
 
     def export_history(self, from_date: int, to_date: int):

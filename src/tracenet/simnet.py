@@ -614,7 +614,7 @@ class World:
                         self._register_positive(agent, day)
                     casework.step(
                         case,
-                        MailboxMessage(token, MessageKind.HISTORY_UPLOAD),
+                        MailboxMessage(token, MessageKind.HISTORY_UPLOAD, {}),
                         today=day,
                     )
                 elif msg.kind == MessageKind.RELEASE:

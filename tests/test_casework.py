@@ -604,7 +604,8 @@ def test_an_inquiry_round_leaves_every_body_unchanged():
     assert [msg.body for msg in messages] == given_bodies
     assert [m.kind for m in replies] == [MessageKind.TEST_ORDER,
                                          MessageKind.HISTORY_REQUEST, MessageKind.DROP]
-    assert replies[-1].body is default
+    # Each reply has a body of its own, not the shared default.
+    assert all(reply.body is not default for reply in replies)
     assert default == {}
 
 

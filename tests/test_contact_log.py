@@ -7,22 +7,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from tracenet.contact_log import (
     HISTORY_CSV_HEADER,
-    TICKS_PER_DAY,
-    _ACTED,
-    _COUNT_BITS,
-    _COUNTS,
-    _FIRST,
-    _FIRST_SHIFT,
-    _HOLES_SHIFT,
     Category,
     ContactLog,
     ContactRecord,
     EmptyRange,
     MalformedHistory,
-    _holes,
     _lowest_mask,
     _pack,
-    _tick_mask,
     classify,
     log_from_records,
     records_from_csv,
@@ -591,101 +582,6 @@ def test_lowest_mask_equals_the_tick_at_a_time_reference():
         row = ((rec.near_ticks, rec.mid_ticks, rec.far_ticks), rec.first_tick,
                rec.last_tick, rec.bucket_count)
         assert _lowest_mask(*row) == reference_lowest_mask(*row)
-
-
-def reference_observe_span(log, rdi, cls, date, start_tick, n_ticks):
-    """`ContactLog.observe_span` as it was before its fresh-key fast path:
-    every span takes the general checks, then the closed form or the fold."""
-    if n_ticks <= 0:
-        return log
-    if not 0 <= start_tick < TICKS_PER_DAY:
-        raise ValueError(f"start_tick out of range: {start_tick}")
-    width = min(n_ticks, TICKS_PER_DAY - start_tick)
-    day = log.days.get(date)
-    if day is None:
-        day = log.days[date] = {}
-    shift = _COUNT_BITS * cls
-    rec = day.get(rdi)
-    if rec is None:
-        day[rdi] = start_tick << _FIRST_SHIFT | width << shift
-        return log
-    first = (rec & _FIRST) >> _FIRST_SHIFT
-    mask = _tick_mask(rec)
-    if start_tick < first:
-        mask <<= first - start_tick
-        first = start_tick
-    span = ((1 << width) - 1) << (start_tick - first)
-    new_count = (span & ~mask).bit_count()
-    if new_count:
-        day[rdi] = (_holes(mask | span) << _HOLES_SHIFT | first << _FIRST_SHIFT
-                    | rec & _ACTED | (rec & _COUNTS) + (new_count << shift))
-    return log
-
-
-def outcome(call):
-    """What a call did: None, or the type and text of what it raised."""
-    try:
-        call()
-    except ValueError as exc:
-        return type(exc), str(exc)
-    return None
-
-
-def as_items(log):
-    """A log's days and records, in insertion order."""
-    return [(date, list(day.items())) for date, day in log.days.items()]
-
-
-@settings(max_examples=300, deadline=None)
-@example([(3, X, NEAR, 10, 0), (3, X, NEAR, 10, 5), (3, Y, MID, -1, 0)])
-@example([(3, X, NEAR, 10, 5), (3, Y, FAR, 2880, 1), (4, Y, FAR, -1, 3)])
-@example([(3, X, NEAR, 2870, 40), (3, Y, MID, 2870, 40), (3, Y, NEAR, 0, 5)])
-@example([(3, X, NEAR, 0, -4), (3, X, MID, 0, 2880), (3, X, NEAR, 9, 1)])
-@given(st.lists(st.tuples(
-    st.integers(min_value=0, max_value=3),
-    st.sampled_from([X, Y, bytes(16)]),
-    st.sampled_from([NEAR, MID, FAR]),
-    st.one_of(st.integers(min_value=0, max_value=TICKS_PER_DAY - 1),
-              st.integers(min_value=2860, max_value=2900),
-              st.integers(min_value=-20, max_value=-1)),
-    st.one_of(st.integers(min_value=1, max_value=60),
-              st.integers(min_value=-3, max_value=0),
-              st.integers(min_value=2800, max_value=3000))), max_size=25))
-def test_observe_span_equals_the_reference(spans):
-    # Spans with no tick, starts outside the day, spans past tick 2879 and
-    # repeated keys, on held and unheld dates: each call raises what the
-    # reference raises, and both logs end equal, in the same order.
-    log, ref = ContactLog(), ContactLog()
-    for date, rdi, cls, start, n in spans:
-        assert outcome(lambda: log.observe_span(rdi, cls, date, start, n)) == \
-            outcome(lambda: reference_observe_span(ref, rdi, cls, date, start, n))
-    assert as_items(log) == as_items(ref)
-    assert all(log.days.values())
-
-
-def reference_prune(log, today):
-    """`ContactLog.prune` as it was: a list of every held date older than
-    the window, then one `del` each."""
-    cutoff = today - log.retention_days
-    for date in [d for d in log.days if d < cutoff]:
-        del log.days[date]
-    return log
-
-
-@settings(max_examples=200, deadline=None)
-@example([5, 1, 9, 3], 12)  # aged dates held out of order
-@example([30, 2, 29, 1], 30)  # the newest date first
-@given(st.lists(st.integers(min_value=0, max_value=40), max_size=20),
-       st.integers(min_value=-5, max_value=50))
-def test_prune_equals_the_reference(dates, today):
-    log, ref = ContactLog(retention_days=7), ContactLog(retention_days=7)
-    for date in dates:
-        for one in (log, ref):
-            one.observe_span(X, NEAR, date, 0, 1)
-    log.prune(today)
-    reference_prune(ref, today)
-    assert as_items(log) == as_items(ref)
-    assert all(date >= today - 7 for date in log.days)
 
 
 def test_history_csv_bytes_are_pinned():
