@@ -27,7 +27,8 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
-from .ident import RDI_BYTES
+from . import casework
+from .ident import RDI_BYTES, rdi_from_hex
 
 LIST_MAGIC = b"GACTC"
 LIST_VERSION = 0x01
@@ -243,8 +244,6 @@ class AuthorityState:
         """JSON snapshot of everything the authority stores (minus the
         signing key). Used by erasure and data-minimization checks and by
         the `genlist` CLI."""
-        from . import casework  # local import to avoid a cycle
-
         return json.dumps(
             {
                 "entries": [
@@ -273,8 +272,6 @@ def load_state_entries(text: str) -> AuthorityState:
     "source", a "retained_histories" list) are ignored. Raises Malformed on
     text that is not such a dump.
     """
-    from .ident import rdi_from_hex
-
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:

@@ -26,12 +26,18 @@ class DomainError(Exception):
 
 
 def atomic_write(path: str, data) -> None:
+    """Write `data` to a temporary file beside `path`, then rename it into
+    place. The file gets the mode a plain `open()` would give it, 0o666 less
+    the umask: `mkstemp` alone makes it owner-only."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     mode = "wb" if isinstance(data, (bytes, bytearray)) else "w"
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tracenet-")
     try:
         with os.fdopen(fd, mode) as fh:
             fh.write(data)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -17,7 +17,7 @@ from itertools import zip_longest
 import numpy as np
 
 from . import casework, matching
-from .authority import AuthorityState, StaleHistory, generate_keypair, verify_list
+from .authority import AuthorityState, generate_keypair, verify_list
 from .casework import CaseState, MailboxMessage, MessageKind
 from .contact_log import Category, ContactLog, TICKS_PER_DAY
 from .ident import (RDI_BYTES, DailyIdentifier, DistanceClass, decode_beacon,
@@ -399,28 +399,30 @@ class World:
         return self.identifiers[date][RDI_BYTES * i:RDI_BYTES * (i + 1)]
 
     def _register_positive(self, agent, day):
-        """Carrier registration: the device uploads its contact history and
-        its own broadcast identifiers for the lookback window."""
+        """Carrier registration, once per agent: the device uploads its
+        contact history and its own broadcast identifiers for the lookback
+        window. A call for a known carrier does nothing.
+
+        The agent always holds a device: self tests are scheduled only for
+        adopters and case tests only for device holders. The upload is
+        never stale: `export_history(start, day)` holds no record dated
+        before `start`, so `register_carrier` cannot raise `StaleHistory`.
+        """
+        if self.known_carrier[agent]:
+            return
         self.known_carrier[agent] = True
-        dev = self.devices.get(agent)
-        if dev is None:
-            return  # no device, nothing to upload
+        log = self.devices[agent].log
         start = day - self.config.lookback_days
-        history = dev.log.export_history(start, day)
+        history = log.export_history(start, day)
         # Devices are keyed in agent order, so the adopters below `agent`
         # give its position. The table is written in ascending date order.
         i = int(np.count_nonzero(self.adopter[:agent]))
         own = [(date, self._identifier(date, i))
                for date in self.identifiers if date >= start]
-        try:
-            self.authority.register_carrier(
-                history, start, own_identifiers=own, today=day
-            )
-        except StaleHistory:
-            return
+        self.authority.register_carrier(history, start, own_identifiers=own, today=day)
         # The carrier's own upload must not trigger inquiries back at the
         # carrier when contact-derived entries get published.
-        dev.log.mark_acted(history)
+        log.mark_acted(history)
         self._log_event(day, "register", agent, "-", f"records={len(history)}")
 
     # -- daily step -------------------------------------------------------
@@ -589,29 +591,24 @@ class World:
 
     def _run_due_tests(self, day):
         cfg = self.config
-        used = 0
-        for kind, agent, token in self.pending_tests.pop(day, ()):
+        tests = self.pending_tests.pop(day, ())
+        for kind, agent, token in tests:
             infected = EXPOSED <= self.health[agent] <= SYMPTOMATIC
             result = "positive" if infected else "negative"
+            self._log_event(day, "test", agent, "-", f"{kind}:{result}")
             if kind == "self":
-                used += 1
-                self._log_event(day, "test", agent, "-", f"self:{result}")
-                if infected and not self.known_carrier[agent]:
+                if infected:
                     self._register_positive(agent, day)
                 continue
-            case = self.authority.cases[token]
-            used += 1
-            self._log_event(day, "test", agent, "-", f"case:{result}")
             case, msgs = casework.step(
-                case,
+                self.authority.cases[token],
                 MailboxMessage(token, MessageKind.TEST_RESULT,
                                {"result": result, "date": day}),
                 today=day,
             )
             for msg in msgs:
                 if msg.kind == MessageKind.HISTORY_REQUEST:
-                    if not self.known_carrier[agent]:
-                        self._register_positive(agent, day)
+                    self._register_positive(agent, day)
                     casework.step(
                         case,
                         MailboxMessage(token, MessageKind.HISTORY_UPLOAD, {}),
@@ -620,10 +617,11 @@ class World:
                 elif msg.kind == MessageKind.RELEASE:
                     self._log_event(day, "release", agent, "-", "")
             # A retest is a new test event: due the next day at the earliest.
-            if case.state == CaseState.AWAITING_TEST2 and result == "negative":
+            # Only a negative result leaves the case awaiting a second test.
+            if case.state == CaseState.AWAITING_TEST2:
                 self._schedule_test(day + max(1, cfg.incubation_days),
                                     "case", agent, token)
-        return used
+        return len(tests)
 
     def _match_and_inquire(self, day, lst):
         cfg = self.config
@@ -631,14 +629,13 @@ class World:
         index = matching.build_index(lst, verified)
         if len(index) == 0:
             return
+        traced = cfg.traced_categories
         for agent, dev in self.devices.items():
             new = dev.log.mark_acted(matching.match_contacts(dev.log, index))
-            if not new:
-                continue
             for h in new:
                 self._log_event(day, "hit", agent, "-", f"date={h.date}")
-            if self.known_carrier[agent]:
-                continue  # already registered; no new inquiry needed
+            if not new or self.known_carrier[agent]:
+                continue  # a registered carrier needs no inquiry
             _, msgs = casework.on_hits(new, "negotiate", self.rng)
             for msg in msgs:
                 case = casework.CaseRecord(
@@ -649,8 +646,7 @@ class World:
                 case, _ = casework.step(case, msg, today=day)
                 self.authority.cases[msg.token] = case
                 case, out = casework.categorize(
-                    case, case.summary,
-                    traced_categories=cfg.traced_categories, today=day,
+                    case, case.summary, traced_categories=traced, today=day,
                 )
                 for m2 in out:
                     if m2.kind == MessageKind.TEST_ORDER:

@@ -1,10 +1,12 @@
 import json
+import os
 import random
+import stat
 
 import pytest
 
 from tracenet import authority as authority_mod
-from tracenet import casework
+from tracenet import casework, simnet
 from tracenet.cli import main
 from tracenet.contact_log import HISTORY_CSV_HEADER, ContactLog, records_to_csv
 from tracenet.ident import DistanceClass
@@ -527,7 +529,7 @@ def test_simulate_rejects_non_finite_value(tmp_path, capsys, key, value):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("population, value", [(20, "1e20"), (3, "1e12")])
+@pytest.mark.parametrize("population, value", [(20, "1e20"), (3, "1e12"), (20, "3000")])
 def test_simulate_rejects_contact_rate_above_one_per_tick(tmp_path, capsys,
                                                           population, value):
     path = tmp_path / "scenario.cfg"
@@ -539,6 +541,25 @@ def test_simulate_rejects_contact_rate_above_one_per_tick(tmp_path, capsys,
     assert code == 1
     assert out == ""
     assert err == f"error: contacts_per_day must be in [0, 2880], got {float(value)}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("line, problem", [
+    ("retention_days = -1", "retention_days must be >= 0, got -1"),
+    ("duration_mean_ticks = 0.5", "duration_mean_ticks must be >= 1, got 0.5"),
+    ("categories_traced = cat3",
+     "categories_traced must be 'cat1' or 'cat1+cat2', got 'cat3'"),
+])
+def test_simulate_rejects_out_of_range_value(tmp_path, capsys, line, problem):
+    path = tmp_path / "scenario.cfg"
+    path.write_text(f"population=20\ndays=3\n{line}\n")
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        ["simulate", "--config", str(path), "--out", str(out_dir)], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {problem}\n"
     assert not out_dir.exists()
 
 
@@ -701,3 +722,70 @@ def test_genlist_rejects_epoch_outside_u32(signed_setup, capsys, epoch):
     assert err.startswith("error: epoch must be in 0..4294967295")
     assert err.count("\n") == 1
     assert not list_path.exists()
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_outputs_get_the_mode_a_plain_write_gives(scenario_file, signed_setup,
+                                                  tmp_path, capsys, umask, mode):
+    _, _, state_path, key_path, list_path, _ = signed_setup
+    out_dir = tmp_path / "out"
+    previous = os.umask(umask)
+    try:
+        assert run_cli(["simulate", "--config", str(scenario_file),
+                        "--out", str(out_dir)], capsys)[0] == 0
+        assert run_cli(["genlist", "--state", str(state_path), "--epoch", "7",
+                        "--key", str(key_path), "--out", str(list_path)],
+                       capsys)[0] == 0
+    finally:
+        os.umask(previous)
+    for path in (out_dir / "metrics.csv", out_dir / "events.log", list_path):
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+
+
+def test_genlist_refuses_directory_as_out(signed_setup, tmp_path, capsys):
+    _, _, state_path, key_path, _, _ = signed_setup
+    out_dir = tmp_path / "lists"
+    out_dir.mkdir()
+    code, out, err = run_cli(
+        ["genlist", "--state", str(state_path), "--epoch", "7",
+         "--key", str(key_path), "--out", str(out_dir)],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert not list(tmp_path.glob(".tracenet-*"))
+    assert not any(out_dir.iterdir())
+
+
+def test_verify_rejects_non_hex_pubkey(signed_setup, capsys):
+    _, _, state_path, key_path, list_path, _ = signed_setup
+    run_cli(["genlist", "--state", str(state_path), "--epoch", "7",
+             "--key", str(key_path), "--out", str(list_path)], capsys)
+    code, out, err = run_cli(
+        ["verify", "--list", str(list_path), "--pubkey", "not-hex"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: bad public key hex:")
+    assert err.count("\n") == 1
+
+
+def test_report_prints_mean_effective_r(tmp_path, capsys):
+    days = 9
+    report = simnet.MetricsReport(
+        population=50, days=days, latency_days=1,
+        new_infections=[1, 2, 3, 2, 4, 3, 1, 2, 0], active_cases=[5] * days,
+        quarantined=[0] * days, tests_used=[0] * days, list_size=[0] * days,
+        attack_rate=0.36, empirical_r0=2.0, extinction_day=-1,
+    )
+    path = tmp_path / "metrics.csv"
+    path.write_text(report.to_csv())
+    code, out, _ = run_cli(["report", "--metrics", str(path)], capsys)
+    assert code == 0
+    series = simnet.estimate_R_effective(report)
+    assert series
+    mean_r = sum(r for _, r in series) / len(series)
+    assert out.splitlines()[-1] == f"mean_effective_R     {mean_r:.3f}"

@@ -60,12 +60,14 @@ def test_config_from_file(tmp_path):
         "seed=4  # inline comment\n"
         "adoption_fraction=0.5\n"
         "categories_traced=cat1\n"
+        "trace_contact_derived = yes\n"
     )
     cfg = config_from_file(path)
     assert cfg.population == 50
     assert cfg.days == 10
     assert cfg.seed == 4
     assert cfg.categories_traced == "cat1"
+    assert cfg.trace_contact_derived is True
 
 
 def test_config_from_file_rejects_unknown_key(tmp_path):
