@@ -1,4 +1,6 @@
+import copy
 import gc
+import hashlib
 import random
 from collections import OrderedDict
 from types import MappingProxyType
@@ -621,3 +623,81 @@ def test_serialize_refuses_a_body_that_is_not_a_dict(body):
         serialize_message(MailboxMessage(bytes(16), MessageKind.CATEGORY_DECISION, body))
     assert serialize_message(MailboxMessage(bytes(16), MessageKind.CATEGORY_DECISION,
                                             {"category": "category1"}))
+
+
+# --- transcript pin: every reachable case against every message ------------
+
+PIN_SUMMARY = {"date": 3, "near_ticks": 40, "mid_ticks": 0, "far_ticks": 0}
+
+
+def pin_alphabet(token):
+    """Criterion 8's message alphabet, then one malformed message of each
+    kind `step` refuses on its body or its kind."""
+    messages = [
+        MailboxMessage(token, MessageKind.OPEN_INQUIRY, PIN_SUMMARY),
+        MailboxMessage(token, MessageKind.CATEGORIZATION_EVIDENCE, {"reassess": "near"}),
+        MailboxMessage(token, MessageKind.CATEGORIZATION_EVIDENCE, {"reassess": "far"}),
+        MailboxMessage(token, MessageKind.TEST_ORDER, {}),
+        MailboxMessage(token, MessageKind.HISTORY_REQUEST, {}),
+        MailboxMessage(token, MessageKind.HISTORY_UPLOAD, {}),
+        MailboxMessage(token, MessageKind.RELEASE, {}),
+        MailboxMessage(token, MessageKind.DROP, {}),
+    ]
+    messages += [MailboxMessage(token, MessageKind.CATEGORY_DECISION,
+                                {"category": category.value}) for category in Category]
+    messages += [MailboxMessage(token, MessageKind.TEST_RESULT,
+                                {"result": result, "date": date})
+                 for result in ("positive", "negative") for date in (0, 4, 5, 9, 10)]
+    return messages + [
+        MailboxMessage(token, 99, {}),
+        MailboxMessage(token, MessageKind.TEST_RESULT, ["result", "positive"]),
+        MailboxMessage(token, MessageKind.OPEN_INQUIRY, {**PIN_SUMMARY, "rdi": "ab" * 16}),
+        MailboxMessage(token, MessageKind.TEST_RESULT, {"result": "positive", "date": "x"}),
+        MailboxMessage(token, MessageKind.TEST_RESULT, {"result": "maybe", "date": 5}),
+        MailboxMessage(token, MessageKind.CATEGORIZATION_EVIDENCE, {"reassess": "mid"}),
+    ]
+
+
+def pin_key(case):
+    """Criterion 8's case key, written so that its text is the same in every
+    interpreter: its evidence set is sorted."""
+    return (case.state.value, case.category and case.category.value,
+            case.test_results, case.resolution_epoch,
+            case.summary and tuple(sorted(case.summary.items())),
+            tuple(sorted({e["reassess"] for e in case.evidence})))
+
+
+def step_transcript():
+    """Step every case reachable in 8 steps with every message of
+    `pin_alphabet`: one line per transition, holding the case's key and the
+    message going in, and the successor's key, the replies and the audit
+    entries the step added coming out. Returns (lines, states)."""
+    token = bytes(16)
+    alphabet = pin_alphabet(token)
+    root = CaseRecord(token=token)
+    frontier = {pin_key(root): root}
+    visited = set(frontier)
+    lines = []
+    for _depth in range(8):
+        next_frontier = {}
+        for key, case in frontier.items():
+            for message in alphabet:
+                successor = copy.deepcopy(case)
+                successor, replies = step(successor, message, today=0)
+                successor_key = pin_key(successor)
+                lines.append(repr((key, message, successor_key, replies,
+                                   successor.audit[len(case.audit):])))
+                if successor_key not in visited:
+                    visited.add(successor_key)
+                    next_frontier[successor_key] = successor
+        frontier = next_frontier
+    return lines, len(visited)
+
+
+def test_step_transcript_is_pinned():
+    # What each (case, message) pair returns and audits, refusals included:
+    # which refusal fires first is part of the contract.
+    lines, states = step_transcript()
+    assert (len(lines), states) == (90 * 27, 90)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "3387e004875de1034d9ccf9c5b52b6dff84c5f7a207de4d4ac86d612bf1f9e8a"
