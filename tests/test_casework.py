@@ -2,12 +2,14 @@ import copy
 import gc
 import hashlib
 import random
+import sys
 from collections import OrderedDict
 from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from tracenet import casework
 from tracenet.authority import AuthorityState, generate_keypair
 from tracenet.casework import (
     CaseRecord,
@@ -631,8 +633,8 @@ PIN_SUMMARY = {"date": 3, "near_ticks": 40, "mid_ticks": 0, "far_ticks": 0}
 
 
 def pin_alphabet(token):
-    """Criterion 8's message alphabet, then one malformed message of each
-    kind `step` refuses on its body or its kind."""
+    """Criterion 8's message alphabet, then one malformed message for each
+    refusal `step` makes on a message's kind or body."""
     messages = [
         MailboxMessage(token, MessageKind.OPEN_INQUIRY, PIN_SUMMARY),
         MailboxMessage(token, MessageKind.CATEGORIZATION_EVIDENCE, {"reassess": "near"}),
@@ -655,6 +657,7 @@ def pin_alphabet(token):
         MailboxMessage(token, MessageKind.TEST_RESULT, {"result": "positive", "date": "x"}),
         MailboxMessage(token, MessageKind.TEST_RESULT, {"result": "maybe", "date": 5}),
         MailboxMessage(token, MessageKind.CATEGORIZATION_EVIDENCE, {"reassess": "mid"}),
+        MailboxMessage(token, MessageKind.CATEGORY_DECISION, {"category": "category9"}),
     ]
 
 
@@ -698,6 +701,32 @@ def test_step_transcript_is_pinned():
     # What each (case, message) pair returns and audits, refusals included:
     # which refusal fires first is part of the contract.
     lines, states = step_transcript()
-    assert (len(lines), states) == (90 * 27, 90)
+    assert (len(lines), states) == (90 * 28, 90)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "3387e004875de1034d9ccf9c5b52b6dff84c5f7a207de4d4ac86d612bf1f9e8a"
+    assert digest == "7a819614640556858e8d3ab4182856d18821f84f0d33260d4f8c4d0e401348ab"
+
+
+def test_transcript_runs_every_line_of_the_case_machine():
+    """The transcript executes every line of every `casework` function it
+    enters: `step`, the handler of each kind, `_decide` and what they call.
+    So a branch of the case machine that no input reaches fails here, and is
+    deleted rather than kept."""
+    ran = {}
+
+    def trace(frame, event, arg):
+        if frame.f_code.co_filename != casework.__file__:
+            return None
+        ran.setdefault(frame.f_code, set()).add(frame.f_lineno)
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        step_transcript()
+    finally:
+        sys.settrace(previous)
+    assert {step.__code__, casework._decide.__code__} <= ran.keys()
+    missed = {f"{code.co_name}:{line}"
+              for code, lines in ran.items() for _, _, line in code.co_lines()
+              if line is not None and line not in lines}
+    assert not missed, sorted(missed)
