@@ -82,18 +82,23 @@ class MessageKind(IntEnum):
     DROP = 9
 
 
-# The members the inquiry path compares with, bound once as module globals.
-# Every function and default below reads these six by these names; only the
-# `_BODIES` table, which lists every kind, spells them through their class.
+# The members the functions below read at run time, bound once as module
+# globals; only tables built at import spell members through their class.
 # On CPython 3.11 the enum metaclass defines `__getattr__`, so every
-# attribute read on an enum class, such as `CaseState.IDLE`, takes the
+# attribute read on an enum class, such as `CaseState.CARRIER`, takes the
 # interpreter's slow lookup hook: about 0.16 us against 0.03 us without it.
-# Opening and categorizing one inquiry made eight such reads.
-_IDLE = CaseState.IDLE
+_SELF_QUARANTINED = CaseState.SELF_QUARANTINED
 _INQUIRY_OPEN = CaseState.INQUIRY_OPEN
 _AWAITING_TEST1 = CaseState.AWAITING_TEST1
+_AWAITING_TEST2 = CaseState.AWAITING_TEST2
+_CARRIER = CaseState.CARRIER
+_RELEASED = CaseState.RELEASED
+_DROPPED = CaseState.DROPPED
 _OPEN_INQUIRY = MessageKind.OPEN_INQUIRY
 _TEST_ORDER = MessageKind.TEST_ORDER
+_HISTORY_REQUEST = MessageKind.HISTORY_REQUEST
+_RELEASE = MessageKind.RELEASE
+_DROP = MessageKind.DROP
 _UNCRITICAL = Category.UNCRITICAL
 
 
@@ -220,12 +225,12 @@ def deserialize_message(data: bytes, offset: int = 0):
     return MailboxMessage(fields[1], kind, dict(zip(names, values))), end
 
 
-@dataclass
+@dataclass(slots=True)
 class CaseRecord:
     """Authority-side state for one anonymous inquiry."""
 
     token: bytes
-    state: CaseState = _IDLE
+    state: CaseState = CaseState.IDLE
     category: Category = None
     test_results: tuple = ()  # ((result, date), ...)
     resolution_epoch: int = None
@@ -240,8 +245,8 @@ def hit_summary(hit) -> dict:
     """The inquiry body for a hit, the `ContactRecord` that matching
     returns: the carrier-day and the record's near, mid and far tick
     counts. The carrier's identifier stays on the device."""
-    return {"date": hit.date, "near_ticks": hit.near_ticks,
-            "mid_ticks": hit.mid_ticks, "far_ticks": hit.far_ticks}
+    near, mid, far = hit.tick_counts
+    return {"date": hit.date, "near_ticks": near, "mid_ticks": mid, "far_ticks": far}
 
 
 def on_hits(hits, preference: str, rng):
@@ -254,7 +259,7 @@ def on_hits(hits, preference: str, rng):
     if not hits:
         raise NoHits("no hits to act on")
     if preference == "quarantine_silently":
-        return CaseState.SELF_QUARANTINED, []
+        return _SELF_QUARANTINED, []
     if preference != "negotiate":
         raise ValueError(f"unknown preference {preference!r}")
     messages = []
@@ -292,17 +297,19 @@ def _is_hit_summary(body: dict) -> bool:
 
 
 def _decide(case: CaseRecord, category: Category, traced_categories, today):
-    """Close an open inquiry, erasing its payload: drop it or order its test."""
+    """Close an open inquiry, erasing its payload: drop it or order its test.
+    Returns its one reply, in a list."""
     case.summary = None
     case.evidence = ()
     if category is _UNCRITICAL or category not in traced_categories:
-        case.state = CaseState.DROPPED
+        case.state = _DROPPED
         case.resolution_epoch = today
-        return case, [MailboxMessage(case.token, MessageKind.DROP, {})]
+        return [MailboxMessage(case.token, _DROP, {})]
     case.category = category
     case.state = _AWAITING_TEST1
-    return case, [MailboxMessage(case.token, _TEST_ORDER,
-                                 {"category": category.value})]
+    # `_value_` is the member's own attribute; `.value` is a property that
+    # costs two Python calls.
+    return [MailboxMessage(case.token, _TEST_ORDER, {"category": category._value_})]
 
 
 def categorize(case: CaseRecord, record_summary: dict,
@@ -310,15 +317,17 @@ def categorize(case: CaseRecord, record_summary: dict,
     """Decide the category of an open inquiry.
 
     Uncritical (or a category the authority is not tracing) drops the case;
-    otherwise a test is ordered. Both erase the inquiry's payload. A summary
-    that `step(OPEN_INQUIRY)` would refuse is an audited no-op: the inquiry
-    stays open and nothing is sent.
+    otherwise a test is ordered. Both erase the inquiry's payload. The
+    case's own `summary`, which `step(OPEN_INQUIRY)` checked and copied, is
+    not checked again; any other summary that step would refuse is an
+    audited no-op: the inquiry stays open and nothing is sent.
     """
     if case.state is not _INQUIRY_OPEN:
         raise WrongState(f"categorize in state {case.state}")
-    if not (isinstance(record_summary, dict) and _is_hit_summary(record_summary)):
-        case.audit += (f"categorize in {case.state.value}: not a hit summary",)
-        return case, []
+    if record_summary is not case.summary or record_summary is None:
+        if not (isinstance(record_summary, dict) and _is_hit_summary(record_summary)):
+            case.audit += (f"categorize in {case.state.value}: not a hit summary",)
+            return case, []
     near = record_summary.get("near_ticks", 0)
     mid = record_summary.get("mid_ticks", 0)
     far = record_summary.get("far_ticks", 0)
@@ -328,16 +337,107 @@ def categorize(case: CaseRecord, record_summary: dict,
     for item in case.evidence:
         face_ticks = near + mid + far if item["reassess"] == "near" else 0
     category = classify_face_ticks(face_ticks)
-    return _decide(case, category, traced_categories, today)
+    return case, _decide(case, category, traced_categories, today)
 
 
-def _illegal(case: CaseRecord, message: MailboxMessage, kind, reason: str):
-    """`step`'s audited no-op: record why the message was refused, and
-    leave the case unchanged. `kind` is the message's `MessageKind`, or
-    None when it names none."""
-    name = kind.name if kind is not None else f"kind {message.kind!r}"
-    case.audit += (f"{name} in {case.state.value}: {reason}",)
-    return case, []
+# The handler of each device-to-authority kind: it runs once `step` has
+# found the case in one of the kind's states, and returns the replies, or
+# the reason it refuses the message.
+
+def _open_inquiry(case: CaseRecord, body: dict, today):
+    if not _is_hit_summary(body):
+        return "not a hit summary"
+    case.state = _INQUIRY_OPEN
+    case.summary = dict(body)
+    return []
+
+
+def _add_evidence(case: CaseRecord, body: dict, today):
+    if body not in _EVIDENCE_BODIES:
+        return "not a reassessment to near or far"
+    case.evidence += (dict(body),)
+    return []
+
+
+def _decide_category(case: CaseRecord, body: dict, today):
+    try:
+        category = Category(body.get("category"))
+    except ValueError as exc:
+        return str(exc)
+    return _decide(case, category, ALL_CATEGORIES, today)
+
+
+def _screen_test_result(case: CaseRecord, body: dict):
+    """A test result's checks before the case's state: the reason to refuse
+    it, or None. So a replayed result is named a duplicate in any state."""
+    date = body.get("date", 0)
+    if type(date) is not int:
+        return "date is not an int"
+    if (body.get("result"), date) in case.test_results:
+        return "duplicate test result"
+    return None
+
+
+def _test_result(case: CaseRecord, body: dict, today):
+    # Positive makes the case a carrier and requests the contact history for
+    # the lookback window. A first negative awaits a retest; a second
+    # negative dated at least an incubation period after the first releases
+    # the person.
+    result = body.get("result")
+    date = body.get("date", 0)
+    if result == "positive":
+        case.test_results += ((result, date),)
+        case.state = _CARRIER
+        case.resolution_epoch = date
+        return [MailboxMessage(case.token, _HISTORY_REQUEST,
+                               {"from_date": date - case.lookback_days})]
+    if result != "negative":
+        return f"unknown test result {result!r}"
+    if case.state is _AWAITING_TEST1:
+        case.test_results += ((result, date),)
+        case.state = _AWAITING_TEST2
+        return []
+    first_negative = max(d for r, d in case.test_results if r == "negative")
+    if date < first_negative + case.incubation_days:
+        return f"retest at {date} before {first_negative} + {case.incubation_days}"
+    case.test_results += ((result, date),)
+    case.state = _RELEASED
+    case.resolution_epoch = date
+    return [MailboxMessage(case.token, _RELEASE, {})]
+
+
+def _note_upload(case: CaseRecord, body: dict, today):
+    # The records go to AuthorityState.register_carrier, which keeps only
+    # the identifiers it publishes; the case notes the upload.
+    case.audit += ("history uploaded",)
+    return []
+
+
+def _drop(case: CaseRecord, body: dict, today):
+    _decide(case, _UNCRITICAL, ALL_CATEGORIES, today)
+    return []
+
+
+_OPEN = (_INQUIRY_OPEN,)
+# kind -> (name, screen, states, refusal, handler): the kind's name in audit
+# entries; the check, if any, that runs before the state check; the states
+# the kind is accepted in (tuples: an enum member hashes in Python, but
+# compares by identity in C); the refusal in any other state; the handler.
+# TEST_ORDER, HISTORY_REQUEST and RELEASE are authority-to-device
+# notifications, accepted in no state: receiving one on a case is always a
+# protocol violation.
+_STEPS = {kind: (kind.name, *row) for kind, row in {
+    MessageKind.OPEN_INQUIRY: (None, (CaseState.IDLE,), "already open", _open_inquiry),
+    MessageKind.CATEGORIZATION_EVIDENCE: (None, _OPEN, "no open inquiry", _add_evidence),
+    MessageKind.CATEGORY_DECISION: (None, _OPEN, "no open inquiry", _decide_category),
+    MessageKind.TEST_RESULT: (_screen_test_result, (_AWAITING_TEST1, _AWAITING_TEST2),
+                              "no test pending", _test_result),
+    MessageKind.HISTORY_UPLOAD: (None, (_CARRIER,), "no history requested", _note_upload),
+    MessageKind.DROP: (None, _OPEN, "nothing to drop", _drop),
+    MessageKind.TEST_ORDER: (None, (), "device-bound message", None),
+    MessageKind.HISTORY_REQUEST: (None, (), "device-bound message", None),
+    MessageKind.RELEASE: (None, (), "device-bound message", None),
+}.items()}
 
 
 def step(case: CaseRecord, message: MailboxMessage, today: int = None):
@@ -348,84 +448,20 @@ def step(case: CaseRecord, message: MailboxMessage, today: int = None):
     entry. A plain int kind is read as the `MessageKind` it equals.
     """
     try:
-        kind = _FRAMES[message.kind].kind
+        name, screen, states, refusal, handler = _STEPS[message.kind]
     except (KeyError, TypeError):  # not a kind, or not hashable
-        kind = None
-    if kind is None:
-        return _illegal(case, message, kind, "unknown kind")
-    if not isinstance(message.body, dict):
-        return _illegal(case, message, kind, "body is not an object")
-    if kind is _OPEN_INQUIRY:
-        if case.state is not _IDLE:
-            return _illegal(case, message, kind, "already open")
-        if not _is_hit_summary(message.body):
-            return _illegal(case, message, kind, "not a hit summary")
-        case.state = _INQUIRY_OPEN
-        case.summary = dict(message.body)
-        return case, []
-    if kind == MessageKind.CATEGORIZATION_EVIDENCE:
-        if case.state is not _INQUIRY_OPEN:
-            return _illegal(case, message, kind, "no open inquiry")
-        if message.body not in _EVIDENCE_BODIES:
-            return _illegal(case, message, kind, "not a reassessment to near or far")
-        case.evidence += (dict(message.body),)
-        return case, []
-    if kind == MessageKind.CATEGORY_DECISION:
-        if case.state is not _INQUIRY_OPEN:
-            return _illegal(case, message, kind, "no open inquiry")
-        try:
-            category = Category(message.body.get("category"))
-        except ValueError as exc:
-            return _illegal(case, message, kind, str(exc))
-        return _decide(case, category, ALL_CATEGORIES, today)
-    if kind == MessageKind.TEST_RESULT:
-        result = message.body.get("result")
-        date = message.body.get("date", 0)
-        if type(date) is not int:
-            return _illegal(case, message, kind, "date is not an int")
-        if (result, date) in case.test_results:
-            return _illegal(case, message, kind, "duplicate test result")
-        if case.state not in (_AWAITING_TEST1, CaseState.AWAITING_TEST2):
-            return _illegal(case, message, kind, "no test pending")
-        # Positive makes the case a carrier and requests the contact history
-        # for the lookback window. A first negative awaits a retest; a second
-        # negative dated at least an incubation period after the first
-        # releases the person.
-        if result == "positive":
-            case.test_results += ((result, date),)
-            case.state = CaseState.CARRIER
-            case.resolution_epoch = date
-            return case, [MailboxMessage(case.token, MessageKind.HISTORY_REQUEST,
-                                         {"from_date": date - case.lookback_days})]
-        if result != "negative":
-            return _illegal(case, message, kind, f"unknown test result {result!r}")
-        if case.state is _AWAITING_TEST1:
-            case.test_results += ((result, date),)
-            case.state = CaseState.AWAITING_TEST2
-            return case, []
-        first_negative = max(d for r, d in case.test_results if r == "negative")
-        if date < first_negative + case.incubation_days:
-            return _illegal(case, message, kind, f"retest at {date} before "
-                            f"{first_negative} + {case.incubation_days}")
-        case.test_results += ((result, date),)
-        case.state = CaseState.RELEASED
-        case.resolution_epoch = date
-        return case, [MailboxMessage(case.token, MessageKind.RELEASE, {})]
-    if kind == MessageKind.HISTORY_UPLOAD:
-        if case.state != CaseState.CARRIER:
-            return _illegal(case, message, kind, "no history requested")
-        # The records go to AuthorityState.register_carrier, which keeps
-        # only the identifiers it publishes; the case notes the upload.
-        case.audit += ("history uploaded",)
-        return case, []
-    if kind == MessageKind.DROP:
-        if case.state is not _INQUIRY_OPEN:
-            return _illegal(case, message, kind, "nothing to drop")
-        _decide(case, _UNCRITICAL, ALL_CATEGORIES, today)
-        return case, []
-    # TEST_ORDER, HISTORY_REQUEST and RELEASE are authority-to-device
-    # notifications; receiving one on a case is always a protocol violation.
-    return _illegal(case, message, kind, "device-bound message")
+        name, reason = f"kind {message.kind!r}", "unknown kind"
+    else:
+        body = message.body
+        if not isinstance(body, dict):
+            reason = "body is not an object"
+        elif not (reason := screen and screen(case, body)):
+            if case.state not in states:
+                reason = refusal
+            elif type(reason := handler(case, body, today)) is list:
+                return case, reason
+    case.audit += (f"{name} in {case.state.value}: {reason}",)
+    return case, []
 
 
 def case_to_dict(case: CaseRecord) -> dict:

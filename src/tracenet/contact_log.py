@@ -97,6 +97,13 @@ class Category(Enum):
     UNCRITICAL = "uncritical"
 
 
+# The members `classify_face_ticks` returns, bound once: on CPython 3.11 an
+# attribute read on an enum class takes the metaclass's slow `__getattr__`.
+_CATEGORY1 = Category.CATEGORY1
+_CATEGORY2 = Category.CATEGORY2
+_UNCRITICAL = Category.UNCRITICAL
+
+
 class ContactRecord(NamedTuple):
     """Accumulated observations of one foreign identifier on one date: the
     value a log stores for `(date, rdi)`, read through properties."""
@@ -118,6 +125,12 @@ class ContactRecord(NamedTuple):
     @property
     def far_ticks(self) -> int:
         return (self.record & _COUNTS) >> 2 * _COUNT_BITS
+
+    @property
+    def tick_counts(self) -> tuple:
+        """(near, mid, far) tick counts, read from the value at once."""
+        counts = self.record & _COUNTS
+        return counts & _FIELD, counts >> _COUNT_BITS & _FIELD, counts >> 2 * _COUNT_BITS
 
     @property
     def first_tick(self) -> int:
@@ -193,10 +206,10 @@ def classify_face_ticks(face_ticks: int) -> Category:
     with no face-to-face tick (far only) is uncritical.
     """
     if face_ticks == 0:
-        return Category.UNCRITICAL
+        return _UNCRITICAL
     if face_ticks * MINUTES_PER_TICK > CATEGORY1_THRESHOLD_MINUTES:
-        return Category.CATEGORY1
-    return Category.CATEGORY2
+        return _CATEGORY1
+    return _CATEGORY2
 
 
 def classify(record: ContactRecord) -> Category:
