@@ -28,20 +28,24 @@ class DomainError(Exception):
 def atomic_write(path: str, data) -> None:
     """Write `data` to a temporary file beside `path`, then rename it into
     place. The file gets the mode a plain `open()` would give it, 0o666 less
-    the umask: `mkstemp` alone makes it owner-only."""
+    the umask: `mkstemp` alone makes it owner-only. An OSError names `path`,
+    not the temporary file, which is gone by then."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     mode = "wb" if isinstance(data, (bytes, bytearray)) else "w"
     umask = os.umask(0)
     os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tracenet-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tracenet-")
         with os.fdopen(fd, mode) as fh:
             fh.write(data)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -181,7 +185,9 @@ def cmd_replay(args) -> int:
             msg, offset = casework.deserialize_message(data, offset)
         except ValueError as exc:
             raise DomainError(f"malformed trace: {exc}") from exc
-        case = cases.setdefault(msg.token, casework.CaseRecord(token=msg.token))
+        case = cases.get(msg.token)
+        if case is None:
+            case = cases[msg.token] = casework.CaseRecord(token=msg.token)
         casework.step(case, msg)
     for token in sorted(cases):
         case = cases[token]

@@ -756,6 +756,8 @@ def test_genlist_refuses_directory_as_out(signed_setup, tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+    # The message names the output, not the temporary file it deleted.
+    assert f"{out_dir}'" in err and ".tracenet-" not in err
     assert not list(tmp_path.glob(".tracenet-*"))
     assert not any(out_dir.iterdir())
 
