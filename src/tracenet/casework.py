@@ -418,7 +418,6 @@ def _drop(case: CaseRecord, body: dict, today):
     return []
 
 
-_OPEN = (_INQUIRY_OPEN,)
 # kind -> (name, screen, states, refusal, handler): the kind's name in audit
 # entries; the check, if any, that runs before the state check; the states
 # the kind is accepted in (tuples: an enum member hashes in Python, but
@@ -426,13 +425,16 @@ _OPEN = (_INQUIRY_OPEN,)
 # TEST_ORDER, HISTORY_REQUEST and RELEASE are authority-to-device
 # notifications, accepted in no state: receiving one on a case is always a
 # protocol violation.
+_OPEN = (CaseState.INQUIRY_OPEN,)
 _STEPS = {kind: (kind.name, *row) for kind, row in {
     MessageKind.OPEN_INQUIRY: (None, (CaseState.IDLE,), "already open", _open_inquiry),
     MessageKind.CATEGORIZATION_EVIDENCE: (None, _OPEN, "no open inquiry", _add_evidence),
     MessageKind.CATEGORY_DECISION: (None, _OPEN, "no open inquiry", _decide_category),
-    MessageKind.TEST_RESULT: (_screen_test_result, (_AWAITING_TEST1, _AWAITING_TEST2),
-                              "no test pending", _test_result),
-    MessageKind.HISTORY_UPLOAD: (None, (_CARRIER,), "no history requested", _note_upload),
+    MessageKind.TEST_RESULT: (
+        _screen_test_result, (CaseState.AWAITING_TEST1, CaseState.AWAITING_TEST2),
+        "no test pending", _test_result),
+    MessageKind.HISTORY_UPLOAD: (
+        None, (CaseState.CARRIER,), "no history requested", _note_upload),
     MessageKind.DROP: (None, _OPEN, "nothing to drop", _drop),
     MessageKind.TEST_ORDER: (None, (), "device-bound message", None),
     MessageKind.HISTORY_REQUEST: (None, (), "device-bound message", None),
@@ -459,7 +461,7 @@ def step(case: CaseRecord, message: MailboxMessage, today: int = None):
             if case.state not in states:
                 reason = refusal
             elif type(reason := handler(case, body, today)) is list:
-                return case, reason
+                return case, reason  # the replies
     case.audit += (f"{name} in {case.state.value}: {reason}",)
     return case, []
 

@@ -222,6 +222,15 @@ def test_categorize_audits_a_summary_open_inquiry_would_refuse(summary):
     assert case.audit == ("categorize in inquiry_open: not a hit summary",)
 
 
+def test_categorize_audits_an_open_case_that_holds_no_summary():
+    # categorize trusts the case's own summary, which only step stores; a
+    # case built open by hand holds none, and is refused like any other.
+    case = CaseRecord(token=bytes(16), state=CaseState.INQUIRY_OPEN)
+    case, msgs = categorize(case, case.summary)
+    assert msgs == [] and case.state == CaseState.INQUIRY_OPEN
+    assert case.audit == ("categorize in inquiry_open: not a hit summary",)
+
+
 def send_result(case, result, date):
     return step(case, MailboxMessage(case.token, MessageKind.TEST_RESULT,
                                      {"result": result, "date": date}))
