@@ -20,6 +20,8 @@ from tracenet.authority import (
 from tracenet.contact_log import ContactLog
 from tracenet.ident import DistanceClass
 
+from linetrace import lines_run, missed_lines
+
 
 def make_state(trace_contact_derived=True, seed=0):
     key, pub = generate_keypair(random.Random(seed))
@@ -310,6 +312,44 @@ def test_deserialize_rejects_bad_magic_and_version():
     data[5] = 0x07
     with pytest.raises(Malformed):
         deserialize_list(bytes(data))
+
+
+def exercise_list_codec():
+    """Encode, decode and verify one valid list; decode one input per
+    `Malformed` text; and verify one list or key per way `verify_list`
+    returns False."""
+    lst, pub = published_list()
+    data = serialize_list(lst)
+    decoded = deserialize_list(bytearray(data))
+    assert decoded == lst and verify_list(decoded, pub)
+    wrong_version = bytearray(data)
+    wrong_version[5] = 0x07
+    wrong_count = bytearray(data)
+    wrong_count[14] = 99
+    for bad, text in ((data[:10], "truncated header"),
+                      (bytes([data[0] ^ 1]) + data[1:], "bad magic"),
+                      (bytes(wrong_version), "unsupported format version 0x07"),
+                      (bytes(wrong_count), "entry count disagrees with body length"),
+                      (data[:-1], "signature length disagrees with payload")):
+        with pytest.raises(Malformed, match=text):
+            deserialize_list(bad)
+    _, other_pub = generate_keypair(random.Random(99))
+    for bad_list, key in ((replace(lst, algorithm=2), pub),
+                          (lst, other_pub),
+                          (lst, b"\x00" * 7),
+                          (lst, None),
+                          (replace(lst, epoch_date=2**32), pub)):
+        assert verify_list(bad_list, key) is False
+
+
+def test_list_codec_inputs_run_every_line_of_the_codec():
+    """`exercise_list_codec` executes every line of the list codec, so a
+    rewrite of its layout cannot keep a branch that none of those inputs
+    takes."""
+    codes = [fn.__code__ for fn in (canonical_body, serialize_list,
+                                    deserialize_list, verify_list)]
+    missed = missed_lines(lines_run(exercise_list_codec, codes))
+    assert not missed, missed
 
 
 def test_erase_empty_state_is_identity():

@@ -2,7 +2,6 @@ import copy
 import gc
 import hashlib
 import random
-import sys
 from collections import OrderedDict
 from types import MappingProxyType
 
@@ -33,6 +32,8 @@ from tracenet.contact_log import (
     classify_face_ticks,
 )
 from tracenet.ident import DistanceClass
+
+from linetrace import lines_run, missed_lines
 
 
 def logged_record(date, rdi, near, mid, far, first=0):
@@ -720,22 +721,7 @@ def test_transcript_runs_every_line_of_the_case_machine():
     enters: `step`, the handler of each kind, `_decide` and what they call.
     So a branch of the case machine that no input reaches fails here, and is
     deleted rather than kept."""
-    ran = {}
-
-    def trace(frame, event, arg):
-        if frame.f_code.co_filename != casework.__file__:
-            return None
-        ran.setdefault(frame.f_code, set()).add(frame.f_lineno)
-        return trace
-
-    previous = sys.gettrace()
-    sys.settrace(trace)
-    try:
-        step_transcript()
-    finally:
-        sys.settrace(previous)
+    ran = lines_run(step_transcript, filename=casework.__file__)
     assert {step.__code__, casework._decide.__code__} <= ran.keys()
-    missed = {f"{code.co_name}:{line}"
-              for code, lines in ran.items() for _, _, line in code.co_lines()
-              if line is not None and line not in lines}
-    assert not missed, sorted(missed)
+    missed = missed_lines(ran)
+    assert not missed, missed

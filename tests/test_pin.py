@@ -16,12 +16,13 @@ no events.
 
 import hashlib
 import inspect
-import sys
 from dataclasses import replace
 
 import pytest
 
 from tracenet.simnet import ScenarioConfig, World, run
+
+from linetrace import lines_run, missed_lines
 
 BASE = ScenarioConfig(population=120, days=30, seed=3, index_cases=2,
                       p_transmit=0.01, retention_days=7)
@@ -85,23 +86,12 @@ def test_pins_run_every_line_of_the_day():
     """Together the six pins execute every line of every `World` method but
     `__init__`, so a rewrite of the day cannot hide a branch they never take.
     A line no pin reaches is either dead or needs a seventh pin."""
-    ran = {fn.__code__: set() for name, fn in vars(World).items()
-           if inspect.isfunction(fn) and name != "__init__"}
+    codes = [fn.__code__ for name, fn in vars(World).items()
+             if inspect.isfunction(fn) and name != "__init__"]
 
-    def trace(frame, event, arg):
-        if frame.f_code not in ran:
-            return None
-        ran[frame.f_code].add(frame.f_lineno)
-        return trace
-
-    previous = sys.gettrace()
-    sys.settrace(trace)
-    try:
+    def run_pins():
         for config, _, _ in PINS.values():
             run(config, record_events=True)
-    finally:
-        sys.settrace(previous)
-    missed = {f"{code.co_name}:{line}"
-              for code, lines in ran.items() for _, _, line in code.co_lines()
-              if line is not None and line not in lines}
-    assert not missed, sorted(missed)
+
+    missed = missed_lines(lines_run(run_pins, codes))
+    assert not missed, missed
