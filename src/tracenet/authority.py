@@ -36,8 +36,15 @@ ALG_ED25519 = 0x01
 
 ERASE_MARGIN_DAYS = 1
 
-# One list entry on the wire: u32 BE date, then the rdi.
-_ENTRY = struct.Struct(f">I{RDI_BYTES}s")
+# The list's wire layout, all big-endian: the header (magic, version,
+# algorithm, epoch, entry count), `count` entries of a date and an rdi, then
+# the signature's length and the signature. Epoch and dates are u32.
+_HEADER = struct.Struct(f">{len(LIST_MAGIC)}sBBII")
+_DATE = struct.Struct(">I")
+_ENTRY = struct.Struct(f"{_DATE.format}{RDI_BYTES}s")
+_SIG_LEN = struct.Struct(">H")
+# One past the largest epoch or date a list can carry.
+DATE_LIMIT = 1 << 8 * _DATE.size
 
 
 class Malformed(ValueError):
@@ -76,21 +83,18 @@ def generate_keypair(rng=None):
 
 
 def canonical_body(epoch_date: int, entries, algorithm: int = ALG_ED25519) -> bytes:
-    """Bytes covered by the signature: header, epoch, count, sorted entries."""
-    parts = [
-        LIST_MAGIC,
-        bytes([LIST_VERSION, algorithm]),
-        struct.pack(">I", epoch_date),
-        struct.pack(">I", len(entries)),
-    ]
+    """Bytes covered by the signature: header, epoch, count, sorted entries.
+    Each rdi is appended as it is: packing it as a fixed-width field would
+    pad or cut one of the wrong length."""
+    parts = [_HEADER.pack(LIST_MAGIC, LIST_VERSION, algorithm, epoch_date, len(entries))]
     for date, rdi in entries:
-        parts.append(struct.pack(">I", date))
+        parts.append(_DATE.pack(date))
         parts.append(rdi)
     return b"".join(parts)
 
 
 def serialize_list(lst: SignedCarrierList) -> bytes:
-    return lst.body + struct.pack(">H", len(lst.signature)) + lst.signature
+    return lst.body + _SIG_LEN.pack(len(lst.signature)) + lst.signature
 
 
 def _with_body(lst: SignedCarrierList, body: bytes) -> SignedCarrierList:
@@ -106,21 +110,19 @@ def deserialize_list(data: bytes) -> SignedCarrierList:
     entry layout is a bijection, so that slice is its canonical body."""
     if not isinstance(data, bytes):
         data = memoryview(data).tobytes()
-    header_len = 5 + 2 + 4 + 4
-    if len(data) < header_len:
+    if len(data) < _HEADER.size:
         raise Malformed("truncated header")
-    if data[:5] != LIST_MAGIC:
+    magic, version, algorithm, epoch_date, count = _HEADER.unpack_from(data)
+    if magic != LIST_MAGIC:
         raise Malformed("bad magic")
-    if data[5] != LIST_VERSION:
-        raise Malformed(f"unsupported format version {data[5]:#04x}")
-    algorithm = data[6]
-    epoch_date, count = struct.unpack(">II", data[7:15])
-    entries_end = header_len + count * _ENTRY.size
-    if len(data) < entries_end + 2:
+    if version != LIST_VERSION:
+        raise Malformed(f"unsupported format version {version:#04x}")
+    entries_end = _HEADER.size + count * _ENTRY.size
+    sig_start = entries_end + _SIG_LEN.size
+    if len(data) < sig_start:
         raise Malformed("entry count disagrees with body length")
-    entries = tuple(_ENTRY.iter_unpack(data[header_len:entries_end]))
-    (sig_len,) = struct.unpack(">H", data[entries_end : entries_end + 2])
-    sig_start = entries_end + 2
+    entries = tuple(_ENTRY.iter_unpack(data[_HEADER.size:entries_end]))
+    (sig_len,) = _SIG_LEN.unpack_from(data, entries_end)
     if len(data) != sig_start + sig_len:
         raise Malformed("signature length disagrees with payload")
     lst = SignedCarrierList(
@@ -290,7 +292,7 @@ def load_state_entries(text: str) -> AuthorityState:
             raise Malformed(f"entry {n}: {exc}") from exc
         # Dates go into the list codec's u32 fields at publication; bools
         # are not integers here.
-        if not (type(date) is int and 0 <= date < 2**32 and type(added) is int):
+        if not (type(date) is int and 0 <= date < DATE_LIMIT and type(added) is int):
             raise Malformed(f"entry {n}: date and added_epoch must be integers")
         state.entries[(date, rdi)] = added
     return state

@@ -113,9 +113,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_genlist(args) -> int:
-    # The list codec stores the epoch as an unsigned 32-bit field.
-    if not 0 <= args.epoch < 2**32:
-        raise DomainError(f"epoch must be in 0..{2**32 - 1}, got {args.epoch}")
+    if not 0 <= args.epoch < authority_mod.DATE_LIMIT:
+        raise DomainError(
+            f"epoch must be in 0..{authority_mod.DATE_LIMIT - 1}, got {args.epoch}")
     with open(args.state) as fh:
         try:
             state = authority_mod.load_state_entries(fh.read())
