@@ -48,7 +48,9 @@ TOKEN_BYTES = 16
 DEFAULT_INCUBATION_DAYS = 5
 DEFAULT_LOOKBACK_DAYS = 5
 
-ALL_CATEGORIES = frozenset({Category.CATEGORY1, Category.CATEGORY2})
+# A tuple, not a set: `in` then compares members by identity in C, where a
+# set would hash each one through the Python-level `Enum.__hash__`.
+ALL_CATEGORIES = (Category.CATEGORY1, Category.CATEGORY2)
 
 
 class NoHits(ValueError):

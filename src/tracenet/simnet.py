@@ -19,7 +19,7 @@ import numpy as np
 from . import casework, matching
 from .authority import AuthorityState, generate_keypair, verify_list
 from .casework import CaseState, MailboxMessage, MessageKind
-from .contact_log import Category, ContactLog, TICKS_PER_DAY
+from .contact_log import DEFAULT_RETENTION_DAYS, Category, ContactLog, TICKS_PER_DAY
 from .ident import (RDI_BYTES, DailyIdentifier, DistanceClass, decode_beacon,
                     encode_beacon, estimate_distance_class)
 # Unread here: perfbench's tracer wraps these two names in this module.
@@ -53,6 +53,13 @@ METRICS_CSV_HEADER = ",".join(("day",) + SERIES)
 # The `# key=value` lines of its summary block, in the order to_csv writes them.
 SUMMARY_KEYS = ("population", "days", "latency_days", "attack_rate",
                 "empirical_r0", "extinction", "extinction_day")
+
+
+# Each `categories_traced` value and the categories it traces.
+TRACED_CATEGORIES = {
+    "cat1": (Category.CATEGORY1,),
+    "cat1+cat2": casework.ALL_CATEGORIES,
+}
 
 
 class InvalidConfig(ValueError):
@@ -89,9 +96,9 @@ class ScenarioConfig:
     quarantine_leak: float = 0.05
     categories_traced: str = "cat1+cat2"
     index_cases: int = 1
-    retention_days: int = 21
-    incubation_days: int = 5
-    lookback_days: int = 5
+    retention_days: int = DEFAULT_RETENTION_DAYS
+    incubation_days: int = casework.DEFAULT_INCUBATION_DAYS
+    lookback_days: int = casework.DEFAULT_LOOKBACK_DAYS
     trace_contact_derived: bool = False
 
     def validate(self) -> "ScenarioConfig":
@@ -104,13 +111,9 @@ class ScenarioConfig:
         ]
         if problems:
             raise InvalidConfig(problems)
-        if self.population < 0:
-            problems.append(f"population must be >= 0, got {self.population}")
-        if self.days < 0:
-            problems.append(f"days must be >= 0, got {self.days}")
-        for name in ("latency_days", "symptom_onset_days", "course_days",
-                     "test_delay_days", "index_cases", "retention_days",
-                     "incubation_days", "lookback_days"):
+        for name in ("population", "days", "latency_days", "symptom_onset_days",
+                     "course_days", "test_delay_days", "index_cases",
+                     "retention_days", "incubation_days", "lookback_days"):
             if getattr(self, name) < 0:
                 problems.append(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("asymptomatic_fraction", "adoption_fraction", "p_transmit",
@@ -131,9 +134,9 @@ class ScenarioConfig:
         mix = self.near_fraction + self.mid_fraction + self.far_fraction
         if abs(mix - 1.0) > 1e-9:
             problems.append(f"distance-class mix must sum to 1, got {mix}")
-        if self.categories_traced not in ("cat1", "cat1+cat2"):
+        if self.categories_traced not in TRACED_CATEGORIES:
             problems.append(
-                f"categories_traced must be 'cat1' or 'cat1+cat2', "
+                f"categories_traced must be {' or '.join(map(repr, TRACED_CATEGORIES))}, "
                 f"got {self.categories_traced!r}"
             )
         if problems:
@@ -142,9 +145,7 @@ class ScenarioConfig:
 
     @property
     def traced_categories(self):
-        if self.categories_traced == "cat1":
-            return frozenset({Category.CATEGORY1})
-        return frozenset({Category.CATEGORY1, Category.CATEGORY2})
+        return TRACED_CATEGORIES[self.categories_traced]
 
 
 def config_from_file(path) -> ScenarioConfig:
