@@ -60,27 +60,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="key=value scenario file")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output directory")
+    p.set_defaults(run=cmd_simulate)
 
     p = sub.add_parser("genlist", help="sign a carrier list from authority state")
     p.add_argument("--state", required=True, help="authority state JSON")
     p.add_argument("--epoch", type=int, required=True)
     p.add_argument("--key", required=True, help="hex Ed25519 private key file")
     p.add_argument("--out", required=True)
+    p.set_defaults(run=cmd_genlist)
 
     p = sub.add_parser("verify", help="verify a signed carrier list")
     p.add_argument("--list", dest="list_path", required=True)
     p.add_argument("--pubkey", required=True, help="hex Ed25519 public key")
+    p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("match", help="match a contact-log CSV against a list")
     p.add_argument("--log", dest="log_csv", required=True)
     p.add_argument("--list", dest="list_path", required=True)
     p.add_argument("--pubkey", required=True)
+    p.set_defaults(run=cmd_match)
 
     p = sub.add_parser("replay", help="replay a mailbox trace through casework")
     p.add_argument("--trace", required=True)
+    p.set_defaults(run=cmd_replay)
 
     p = sub.add_parser("report", help="summarize a metrics CSV")
     p.add_argument("--metrics", required=True)
+    p.set_defaults(run=cmd_report)
 
     return parser
 
@@ -223,21 +229,11 @@ def cmd_report(args) -> int:
     return 0
 
 
-COMMANDS = {
-    "simulate": cmd_simulate,
-    "genlist": cmd_genlist,
-    "verify": cmd_verify,
-    "match": cmd_match,
-    "replay": cmd_replay,
-    "report": cmd_report,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        return args.run(args)
     except (DomainError, simnet.InvalidConfig, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
