@@ -153,6 +153,17 @@ def test_entries_sorted_canonically():
     assert list(lst.entries) == sorted(lst.entries)
 
 
+def test_generate_keypair_without_rng_draws_a_fresh_key():
+    (key, pub), (_, other) = generate_keypair(), generate_keypair()
+    assert len(pub) == 32 and pub != other
+    assert verify_list(AuthorityState(signing_key=key).publish(0), pub)
+
+
+def test_publish_refuses_without_a_signing_key():
+    with pytest.raises(ValueError, match="no signing key"):
+        AuthorityState().publish(0)
+
+
 def published_list():
     state, pub = make_state()
     state.register_carrier([], 0, own_identifiers=own_ids(random.Random(8), [0, 1]),

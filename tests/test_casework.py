@@ -66,6 +66,11 @@ def test_on_hits_requires_hits():
         on_hits([], "negotiate", random.Random(0))
 
 
+def test_on_hits_rejects_an_unknown_preference():
+    with pytest.raises(ValueError, match="unknown preference 'broadcast'"):
+        on_hits([make_hit()], "broadcast", random.Random(0))
+
+
 def test_silent_quarantine_sends_nothing():
     state, messages = on_hits([make_hit()], "quarantine_silently", random.Random(0))
     assert state == CaseState.SELF_QUARANTINED
@@ -553,6 +558,8 @@ def test_message_serialization_round_trip():
     (MessageKind.DROP, {"reason": "none"}),
     (MessageKind.RELEASE, {"x": "y" * 70_000}),
     (MessageKind.OPEN_INQUIRY, ["date", 3]),
+    (MessageKind.TEST_RESULT, {"result": "positive", "day": 3}),
+    (99, {}),
 ], ids=repr)
 def test_serialize_rejects_body_that_does_not_fit(kind, body):
     with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import pytest
 
 from tracenet import authority as authority_mod
 from tracenet import casework, simnet
-from tracenet.cli import main
+from tracenet.cli import atomic_write, main
 from tracenet.contact_log import HISTORY_CSV_HEADER, ContactLog, records_to_csv
 from tracenet.ident import DistanceClass
 from tracenet.matching import brute_force_match
@@ -421,6 +421,8 @@ METRICS = (
      "line 11: to_csv writes '# extinction_day=-1\\n', got '# extinction_day=-1'"),
     (METRICS.replace("# attack_rate=0.100000\n", ""),
      "no '# attack_rate=' line in the summary"),
+    (METRICS.replace("attack_rate=0.100000", "attack_rate=abc"),
+     "summary: could not convert string to float: 'abc'"),
 ], ids=["header", "short-row", "long-row", "day-out-of-order", "negative-population",
         "negative-days", "negative-latency", "row-after-summary",
         "row-inside-summary", "row-count", "attack-rate-above-one", "r0-nan",
@@ -433,7 +435,7 @@ METRICS = (
         "short-attack-rate", "exponent-r0", "leading-zero-r0", "extra-summary-key",
         "repeated-summary-key", "missing-summary-line", "double-hash",
         "reordered-summary", "trailing-space", "no-space-after-hash", "comment-in-summary",
-        "no-final-newline", "missing-rate-line"])
+        "no-final-newline", "missing-rate-line", "unparsed-attack-rate"])
 def test_report_rejects_malformed_csv(tmp_path, capsys, text, detail):
     path = tmp_path / "metrics.csv"
     path.write_text(text)
@@ -760,6 +762,14 @@ def test_genlist_refuses_directory_as_out(signed_setup, tmp_path, capsys):
     assert f"{out_dir}'" in err and ".tracenet-" not in err
     assert not list(tmp_path.glob(".tracenet-*"))
     assert not any(out_dir.iterdir())
+
+
+def test_atomic_write_reraises_other_errors_and_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "out.txt"
+    # Text mode writes only str, so an int fails inside the write.
+    with pytest.raises(TypeError):
+        atomic_write(str(path), 123)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_rejects_non_hex_pubkey(signed_setup, capsys):

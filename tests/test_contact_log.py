@@ -76,6 +76,12 @@ def test_tick_out_of_range_rejected():
         ContactLog().observe([(X, NEAR)], date=0, tick=2880)
 
 
+@pytest.mark.parametrize("start", [-1, 2880])
+def test_span_start_out_of_range_rejected(start):
+    with pytest.raises(ValueError, match="start_tick out of range"):
+        ContactLog().observe_span(X, NEAR, 0, start, 1)
+
+
 def test_six_neighbors_twelve_hours_storage_bound():
     # 6 devices seen every 30-s tick for 12 hours: 360 two-minute buckets
     # each, 2160 bucket-entries in total.

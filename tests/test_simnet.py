@@ -1,4 +1,6 @@
 import gc
+import json
+import re
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tracenet import simnet
+from tracenet.authority import deserialize_list, serialize_list
 from tracenet.casework import CaseState
 from tracenet.contact_log import TICKS_PER_DAY, ContactLog
 from tracenet.ident import (
@@ -847,6 +850,84 @@ def test_authority_never_stores_agent_identity():
         assert banned not in text
 
 
+privacy_worlds = st.builds(
+    ScenarioConfig,
+    population=st.integers(20, 120), days=st.integers(6, 16),
+    seed=st.integers(0, 2**16), index_cases=st.integers(1, 3),
+    p_transmit=st.sampled_from([0.01, 0.02]),
+    retention_days=st.integers(1, 21), lookback_days=st.integers(0, 6),
+    test_delay_days=st.integers(0, 2),
+    adoption_fraction=st.sampled_from([0.6, 1.0]),
+)
+
+
+@pytest.mark.parametrize("contact_derived", [False, True],
+                         ids=["own_identifiers", "contact_derived"])
+@settings(max_examples=4, deadline=None)
+@example(cfg=replace(FAST, days=12, retention_days=7, lookback_days=3))
+@given(cfg=privacy_worlds)
+def test_only_carriers_identifiers_reach_the_authority(contact_derived, cfg):
+    # The paper's privacy claim inside a run. Uploads are observed through
+    # a spy on the authority's `register_carrier`, and each published list
+    # is read back from its bytes. After every day: (1) each stored entry is
+    # a known carrier's own identifier from its lookback window, or, with
+    # contact-derived tracing, a record of a carrier's upload; (2) without
+    # it, no published list names a device that is not a known carrier; (3)
+    # no case holds any device's identifier, in bytes or in hex; (4) erasure
+    # has left no resolved case or stale entry past its cutoff.
+    cfg = replace(cfg, trace_contact_derived=contact_derived)
+    world = World(cfg)
+    authority = world.authority
+    agents = list(world.devices)
+    owners = {}  # (date, rdi) -> the agent whose device broadcast it
+    uploaded = set()  # the (date, rdi) an upload lets the authority store
+    published = []
+    register, publish = authority.register_carrier, authority.publish
+
+    def learn_identifiers():
+        for date, draw in world.identifiers.items():
+            for k, agent in enumerate(agents):
+                owners[(date, draw[RDI_BYTES * k:RDI_BYTES * (k + 1)])] = agent
+
+    def register_spy(history, infectious_start, own_identifiers=(), today=0):
+        history, own = list(history), list(own_identifiers)
+        learn_identifiers()
+        assert infectious_start == today - cfg.lookback_days
+        [carrier] = {owners[key] for key in own}
+        assert world.known_carrier[carrier]
+        assert all(infectious_start <= date <= today for date, _ in own)
+        uploaded.update(own)
+        if contact_derived:
+            uploaded.update((rec.date, rec.rdi) for rec in history
+                            if rec.date >= infectious_start)
+        return register(history, infectious_start, own_identifiers=own, today=today)
+
+    def publish_spy(epoch_date):
+        lst = publish(epoch_date)
+        published.append(deserialize_list(serialize_list(lst)))
+        return lst
+
+    authority.register_carrier, authority.publish = register_spy, publish_spy
+    for day in range(cfg.days):
+        world.step_day()
+        learn_identifiers()
+        assert set(authority.entries) <= uploaded
+        if not contact_derived:
+            assert all(world.known_carrier[owners[key]]
+                       for lst in published for key in lst.entries)
+        published.clear()
+        # JSON text is ASCII: only an ASCII rdi could occur in it as bytes.
+        cases = json.dumps(json.loads(authority.serialize_state())["cases"])
+        runs = re.findall("[0-9a-f]{32,}", cases)
+        hexes = {run[i:i + 32] for run in runs for i in range(len(run) - 31)}
+        rdis = {rdi for _, rdi in owners}
+        assert not hexes & {rdi.hex() for rdi in rdis}
+        assert not any(rdi in cases.encode() for rdi in rdis if rdi.isascii())
+        assert all(case.resolution_epoch is None or case.resolution_epoch >= day
+                   for case in authority.cases.values())
+        assert all(added >= day - 1 for added in authority.entries.values())
+
+
 def test_r_effective_constant_series_is_one():
     report = MetricsReport(
         population=100, days=30, latency_days=3,
@@ -933,6 +1014,14 @@ def test_calibration_gives_up_at_p_one(monkeypatch):
     assert sorted({c.p_transmit for c in calls}) == [
         0.02, 0.04, 0.08, 0.16, 0.32, 0.64, 1.0]
     assert len(calls) == 7 * 20
+
+
+def test_calibration_gives_up_after_thirty_probes(monkeypatch):
+    # R0 jumps across the target, so no probe lands within the tolerance.
+    calls = _fake_probes(monkeypatch, lambda p: 4.0 if p >= 0.001 else 0.0)
+    with pytest.raises(simnet.NoConvergence, match="after 30 probes"):
+        calibrate_p_transmit(FAST, target_r0=2.15)
+    assert len(calls) == 30 * 20
 
 
 @pytest.mark.parametrize("latency, course", [(3, 8), (0, 5), (0, 1), (7, 4)])
