@@ -273,6 +273,11 @@ def load_state_entries(text: str) -> AuthorityState:
     round-tripped through files. Keys that older dumps carry (an entry's
     "source", a "retained_histories" list) are ignored. Raises Malformed on
     text that is not such a dump.
+
+    Unlike the other readers of the package, this one is not held to "the
+    writer is the only grammar": so that `genlist` reads older dumps, it
+    also takes unknown keys, a missing "cases", an upper-case rdi and a
+    repeated (date, rdi), of which the last wins.
     """
     try:
         data = json.loads(text)

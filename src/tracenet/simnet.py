@@ -56,10 +56,7 @@ SUMMARY_KEYS = ("population", "days", "latency_days", "attack_rate",
 
 
 # Each `categories_traced` value and the categories it traces.
-TRACED_CATEGORIES = {
-    "cat1": (Category.CATEGORY1,),
-    "cat1+cat2": casework.ALL_CATEGORIES,
-}
+TRACED_CATEGORIES = {"cat1": (Category.CATEGORY1,), "cat1+cat2": casework.ALL_CATEGORIES}
 
 
 class InvalidConfig(ValueError):
