@@ -262,7 +262,6 @@ class AuthorityState:
                 ],
             },
             sort_keys=True,
-            indent=1,
         )
 
 

@@ -16,7 +16,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from . import authority as authority_mod
 from . import casework, matching, simnet
-from .contact_log import MalformedHistory, classify, log_from_records, records_from_csv
+from .contact_log import classify, log_from_records, records_from_csv
 
 SEED_ENV_VAR = "TRACENET_SEED"
 
@@ -91,6 +91,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(path, parse, what, mode="r"):
+    """Return `parse` of the contents of the file at `path`. Every reader
+    refuses its input with a ValueError (so does a failed text decode), which
+    becomes a DomainError prefixed with `what`. A file that cannot be opened
+    raises its OSError, whose message names the path."""
+    with open(path, mode) as fh:
+        try:
+            return parse(fh.read())
+        except ValueError as exc:
+            raise DomainError(f"{what}: {exc}") from exc
+
+
 def _resolve_seed(args, config):
     if args.seed is not None:
         return args.seed
@@ -122,18 +134,12 @@ def cmd_genlist(args) -> int:
     if not 0 <= args.epoch < authority_mod.DATE_LIMIT:
         raise DomainError(
             f"epoch must be in 0..{authority_mod.DATE_LIMIT - 1}, got {args.epoch}")
-    with open(args.state) as fh:
-        try:
-            state = authority_mod.load_state_entries(fh.read())
-        except (authority_mod.Malformed, UnicodeDecodeError) as exc:
-            raise DomainError(f"malformed state: {exc}") from exc
-    with open(args.key) as fh:
-        try:
-            state.signing_key = Ed25519PrivateKey.from_private_bytes(
-                bytes.fromhex(fh.read().strip())
-            )
-        except ValueError as exc:  # UnicodeDecodeError included
-            raise DomainError(f"bad private key: {exc}") from exc
+    state = _parse(args.state, authority_mod.load_state_entries, "malformed state")
+    state.signing_key = _parse(
+        args.key,
+        lambda text: Ed25519PrivateKey.from_private_bytes(bytes.fromhex(text.strip())),
+        "bad private key",
+    )
     lst = state.publish(args.epoch)
     atomic_write(args.out, authority_mod.serialize_list(lst))
     print(f"wrote {args.out} ({len(lst.entries)} entries, epoch {lst.epoch_date})")
@@ -141,12 +147,7 @@ def cmd_genlist(args) -> int:
 
 
 def _load_verified_list(list_path: str, pubkey_hex: str):
-    with open(list_path, "rb") as fh:
-        data = fh.read()
-    try:
-        lst = authority_mod.deserialize_list(data)
-    except authority_mod.Malformed as exc:
-        raise DomainError(f"malformed list: {exc}") from exc
+    lst = _parse(list_path, authority_mod.deserialize_list, "malformed list", "rb")
     try:
         pubkey = bytes.fromhex(pubkey_hex)
     except ValueError as exc:
@@ -164,12 +165,7 @@ def cmd_verify(args) -> int:
 
 def cmd_match(args) -> int:
     lst = _load_verified_list(args.list_path, args.pubkey)
-    with open(args.log_csv) as fh:
-        try:
-            records = records_from_csv(fh.read())
-        except (MalformedHistory, UnicodeDecodeError) as exc:
-            raise DomainError(f"malformed history: {exc}") from exc
-    log = log_from_records(records)
+    log = log_from_records(_parse(args.log_csv, records_from_csv, "malformed history"))
     index = matching.build_index(lst, verified=True)
     hits = matching.match_contacts(log, index)
     print("date,rdi_hex,duration_minutes,category")
@@ -181,16 +177,20 @@ def cmd_match(args) -> int:
     return 0
 
 
-def cmd_replay(args) -> int:
-    with open(args.trace, "rb") as fh:
-        data = fh.read()
-    cases = {}
+def _frames(data: bytes) -> list:
+    """Every mailbox frame in `data`, in order; a ValueError at the first
+    that does not decode, so no frame is stepped from a malformed trace."""
+    messages = []
     offset = 0
     while offset < len(data):
-        try:
-            msg, offset = casework.deserialize_message(data, offset)
-        except ValueError as exc:
-            raise DomainError(f"malformed trace: {exc}") from exc
+        msg, offset = casework.deserialize_message(data, offset)
+        messages.append(msg)
+    return messages
+
+
+def cmd_replay(args) -> int:
+    cases = {}
+    for msg in _parse(args.trace, _frames, "malformed trace", "rb"):
         case = cases.get(msg.token)
         if case is None:
             case = cases[msg.token] = casework.CaseRecord(token=msg.token)
@@ -204,11 +204,7 @@ def cmd_replay(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.metrics) as fh:
-        try:
-            report = simnet.MetricsReport.from_csv(fh.read())
-        except ValueError as exc:
-            raise DomainError(f"malformed metrics CSV: {exc}") from exc
+    report = _parse(args.metrics, simnet.MetricsReport.from_csv, "malformed metrics CSV")
     peak_active = max(report.active_cases, default=0)
     total_tests = sum(report.tests_used)
     print(f"population           {report.population}")

@@ -245,17 +245,13 @@ class ContactLog:
     def observe(self, sightings, date: int, tick: int) -> "ContactLog":
         """Record one monitoring tick's sightings.
 
-        `sightings` is an iterable of (rdi, DistanceClass); duplicate rdis
-        within one call collapse to the first occurrence, and a (rdi, tick)
-        pair is never counted twice.
+        `sightings` is an iterable of (rdi, DistanceClass). A (rdi, tick)
+        pair is never counted twice, so duplicate rdis within one call
+        collapse to the first occurrence.
         """
         if not 0 <= tick < TICKS_PER_DAY:
             raise ValueError(f"tick out of range: {tick}")
-        seen_this_call = set()
         for rdi, cls in sightings:
-            if rdi in seen_this_call:
-                continue
-            seen_this_call.add(rdi)
             self.observe_span(rdi, cls, date, tick, 1)
         return self
 

@@ -50,9 +50,11 @@ CLASS_RSSI_DBM = {
 # The per-day series of metrics.csv, in column order.
 SERIES = ("new_infections", "active_cases", "quarantined", "tests_used", "list_size")
 METRICS_CSV_HEADER = ",".join(("day",) + SERIES)
-# The `# key=value` lines of its summary block, in the order to_csv writes them.
-SUMMARY_KEYS = ("population", "days", "latency_days", "attack_rate",
-                "empirical_r0", "extinction", "extinction_day")
+# The `# key=value` lines of its summary block, in the order to_csv writes
+# them, each with the format spec of its value.
+SUMMARY_FORMATS = {"population": "d", "days": "d", "latency_days": "d",
+                   "attack_rate": ".6f", "empirical_r0": ".6f",
+                   "extinction": "d", "extinction_day": "d"}
 
 
 # Each `categories_traced` value and the categories it traces.
@@ -231,13 +233,8 @@ class MetricsReport:
         for d, row in enumerate(zip(*(getattr(self, key) for key in SERIES))):
             buf.write(f"{d}," + ",".join(map(str, row)) + "\n")
         buf.write("# summary\n")
-        buf.write(f"# population={self.population}\n")
-        buf.write(f"# days={self.days}\n")
-        buf.write(f"# latency_days={self.latency_days}\n")
-        buf.write(f"# attack_rate={self.attack_rate:.6f}\n")
-        buf.write(f"# empirical_r0={self.empirical_r0:.6f}\n")
-        buf.write(f"# extinction={int(self.extinction)}\n")
-        buf.write(f"# extinction_day={self.extinction_day}\n")
+        for key, fmt in SUMMARY_FORMATS.items():
+            buf.write(f"# {key}={getattr(self, key):{fmt}}\n")
         return buf.getvalue()
 
     @classmethod
@@ -268,7 +265,7 @@ class MetricsReport:
                 raise ValueError(f"line {lineno}: expected integers >= 0, got {line!r}")
             for key, value in zip(series, row[1:]):
                 series[key].append(value)
-        for key in SUMMARY_KEYS:
+        for key in SUMMARY_FORMATS:
             if key not in summary:
                 raise ValueError(f"no '# {key}=' line in the summary")
         try:
@@ -643,17 +640,15 @@ class World:
                 )
                 case, _ = casework.step(case, msg, today=day)
                 self.authority.cases[msg.token] = case
-                case, out = casework.categorize(
+                case, [reply] = casework.categorize(
                     case, case.summary, traced_categories=traced, today=day,
                 )
-                for m2 in out:
-                    if m2.kind == MessageKind.TEST_ORDER:
-                        self._schedule_test(day + cfg.test_delay_days,
-                                            "case", agent, msg.token)
-                        self._log_event(day, "case", agent, "-",
-                                        case.category.value)
-                    elif m2.kind == MessageKind.DROP:
-                        self._log_event(day, "drop", agent, "-", "")
+                if reply.kind == MessageKind.TEST_ORDER:
+                    self._schedule_test(day + cfg.test_delay_days,
+                                        "case", agent, msg.token)
+                    self._log_event(day, "case", agent, "-", case.category.value)
+                else:
+                    self._log_event(day, "drop", agent, "-", "")
 
     def _health_in(self, first, last):
         """Agents whose health code is in `first..last`; the codes of the

@@ -801,3 +801,50 @@ def test_report_prints_mean_effective_r(tmp_path, capsys):
     assert series
     mean_r = sum(r for _, r in series) / len(series)
     assert out.splitlines()[-1] == f"mean_effective_R     {mean_r:.3f}"
+
+
+@pytest.mark.parametrize("flag, prefix", [
+    ("simulate --config", None),  # the scenario reader names the file
+    ("genlist --state", "malformed state"),
+    ("genlist --key", "bad private key"),
+    ("verify --list", "malformed list"),
+    ("match --list", "malformed list"),
+    ("match --log", "malformed history"),
+    ("replay --trace", "malformed trace"),
+    ("report --metrics", "malformed metrics CSV"),
+])
+@pytest.mark.parametrize("bad", ["missing", "directory", "undecodable"])
+def test_every_input_file_is_refused_in_one_line(signed_setup, scenario_file, tmp_path,
+                                                 capsys, flag, prefix, bad):
+    """Each command gets well-formed files but for the one flag under test."""
+    _, pub, state_path, key_path, list_path, _ = signed_setup
+    assert run_cli(["genlist", "--state", str(state_path), "--epoch", "7",
+                    "--key", str(key_path), "--out", str(list_path)], capsys)[0] == 0
+    log_path = tmp_path / "history.csv"
+    log_path.write_text(HISTORY_CSV_HEADER + "\n")
+    path = tmp_path / "input"
+    if bad == "directory":
+        path.mkdir()
+    elif bad == "undecodable":
+        path.write_bytes(b"\xff\xfe\x00")
+    command, name = flag.split()
+    argv = {
+        "simulate": ["--config", str(scenario_file), "--out", str(tmp_path / "out")],
+        "genlist": ["--state", str(state_path), "--epoch", "7",
+                    "--key", str(key_path), "--out", str(tmp_path / "new.bin")],
+        "verify": ["--list", str(list_path), "--pubkey", pub.hex()],
+        "match": ["--log", str(log_path), "--list", str(list_path),
+                  "--pubkey", pub.hex()],
+        "replay": ["--trace", None],
+        "report": ["--metrics", None],
+    }[command]
+    argv[argv.index(name) + 1] = str(path)
+    code, out, err = run_cli([command] + argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    if bad == "undecodable":
+        assert err.startswith(f"error: {prefix or path}: ")
+    else:
+        assert f"'{path}'" in err
