@@ -26,19 +26,22 @@ class DomainError(Exception):
 
 
 def atomic_write(path: str, data) -> None:
-    """Write `data` to a temporary file beside `path`, then rename it into
-    place. The file gets the mode a plain `open()` would give it, 0o666 less
-    the umask: `mkstemp` alone makes it owner-only. An OSError names `path`,
+    """Write `data`, a `str`, `bytes` or an iterable of `str` chunks, to a
+    temporary file beside `path`, then rename it into place. Chunks are
+    written as they come, so the whole text need not be held at once. The
+    file gets the mode a plain `open()` would give it, 0o666 less the
+    umask: `mkstemp` alone makes it owner-only. An OSError names `path`,
     not the temporary file, which is gone by then."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     mode = "wb" if isinstance(data, (bytes, bytearray)) else "w"
+    chunks = (data,) if isinstance(data, (str, bytes, bytearray)) else data
     umask = os.umask(0)
     os.umask(umask)
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tracenet-")
         with os.fdopen(fd, mode) as fh:
-            fh.write(data)
+            fh.writelines(chunks)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException as exc:
@@ -123,7 +126,7 @@ def cmd_simulate(args) -> int:
     atomic_write(os.path.join(args.out, "metrics.csv"), report.to_csv())
     atomic_write(
         os.path.join(args.out, "events.log"),
-        "".join(day + "\n" for day in report.events),
+        (day + "\n" for day in report.events),
     )
     print(f"wrote {args.out}/metrics.csv and {args.out}/events.log")
     print(f"attack_rate={report.attack_rate:.6f} extinction={int(report.extinction)}")

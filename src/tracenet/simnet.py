@@ -333,6 +333,12 @@ class World:
                 for fmt, size in (("%d,contact,", TICKS_PER_DAY), ("%d,", n),
                                   ("%d:", len(DistanceClass)),
                                   ("%d\n", TICKS_PER_DAY + 1)))
+        # The contact rate of every agent on a day with nobody quarantined,
+        # and the normalised cumulative distance-class mix (`_sample_events`).
+        self.free_rate = np.full(n, config.contacts_per_day, dtype=float)
+        self.class_cdf = np.cumsum(
+            [config.near_fraction, config.mid_fraction, config.far_fraction])
+        self.class_cdf /= self.class_cdf[-1]
         self.health = np.full(n, SUSCEPTIBLE, dtype=np.int8)
         self.day_infected = np.full(n, -1, dtype=np.int32)
         self.asymptomatic = self.nprng.random(n) < config.asymptomatic_fraction
@@ -460,7 +466,15 @@ class World:
         draws nothing for them, and the stream is that of a sampler that
         draws every event and gives each attributes. That order is the
         stream contract `tests/test_pin.py` guards, so a change to it
-        changes every run's outputs.
+        changes every run's outputs. Part 2 runs only on a day with an
+        infectious agent: with no receiver numpy would draw nothing for it.
+
+        These passes run over the whole population: the one role gather,
+        `TRANSMISSION_ROLE.take(health)`, and the sender and receiver masks
+        taken from it; the contact-rate `np.where` on a day with someone
+        quarantined (any other day reads `free_rate`, built once); and, on
+        a day with an infectious agent, part 2's `weight` and its `cumsum`.
+        The rest works on the active agents or on the drawn events.
 
         Events are returned part 1 first, in sender order, then part 2, in
         receiver order. A target that two transmitting events infect on one
@@ -483,10 +497,12 @@ class World:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty, empty, empty, empty, np.zeros(0, dtype=bool)
         rng = self.nprng
-        lam = np.where(self.quarantined,
-                       cfg.contacts_per_day * cfg.quarantine_leak,
-                       cfg.contacts_per_day)
-        role = TRANSMISSION_ROLE[self.health]
+        lam = self.free_rate
+        if self.quarantined.any():
+            lam = np.where(self.quarantined,
+                           cfg.contacts_per_day * cfg.quarantine_leak,
+                           cfg.contacts_per_day)
+        role = TRANSMISSION_ROLE.take(self.health)
         infectious = role == 1
         # 1. Active agents' outgoing events.
         senders = np.flatnonzero(self.adopter | infectious)
@@ -505,19 +521,21 @@ class World:
         #    senders. `weight` becomes the running sum of those senders'
         #    rates, so a uniform below its total picks one by search; zero
         #    rates leave it flat, and a right-sided search never picks them.
+        #    With no receiver, numpy would draw nothing here.
         receivers = np.flatnonzero(infectious)
-        weight = np.where((role == 2) & ~self.adopter, lam, 0.0)
-        before = (receivers - 1) % n
-        mass = weight[before]
-        np.cumsum(weight, out=weight)
-        mass += weight[-1]
-        incoming = rng.poisson(mass / n)
-        pick = rng.random(int(incoming.sum())) * np.repeat(mass, incoming)
-        src = np.concatenate((src, np.where(pick < weight[-1],
-                                            np.searchsorted(weight, pick, side="right"),
-                                            np.repeat(before, incoming))))
-        dst = np.concatenate((dst, np.repeat(receivers, incoming)))
-        transmit = np.concatenate((transmit, np.ones(len(pick), dtype=bool)))
+        if len(receivers):
+            weight = np.where((role == 2) & ~self.adopter, lam, 0.0)
+            before = (receivers - 1) % n
+            mass = weight[before]
+            np.cumsum(weight, out=weight)
+            mass += weight[-1]
+            incoming = rng.poisson(mass / n)
+            pick = rng.random(int(incoming.sum())) * np.repeat(mass, incoming)
+            src = np.concatenate((src, np.where(
+                pick < weight[-1], np.searchsorted(weight, pick, side="right"),
+                np.repeat(before, incoming))))
+            dst = np.concatenate((dst, np.repeat(receivers, incoming)))
+            transmit = np.concatenate((transmit, np.ones(len(pick), dtype=bool)))
         k = len(src)
         # An event with a quarantined partner happens with the leak
         # probability; the draw is made whether or not anyone is quarantined.
@@ -529,8 +547,7 @@ class World:
             dur = np.minimum(ticks, TICKS_PER_DAY).astype(np.int64)
         else:
             dur = np.minimum(rng.geometric(p, k), TICKS_PER_DAY)
-        cdf = np.cumsum([cfg.near_fraction, cfg.mid_fraction, cfg.far_fraction])
-        cdf /= cdf[-1]
+        cdf = self.class_cdf
         uniform = rng.random(k)
         cls = (uniform >= cdf[0]).astype(np.int64) + (uniform >= cdf[1])
         start = rng.integers(0, TICKS_PER_DAY, k, dtype=np.int64)
@@ -650,14 +667,37 @@ class World:
                 else:
                     self._log_event(day, "drop", agent, "-", "")
 
-    def _health_in(self, first, last):
-        """Agents whose health code is in `first..last`; the codes of the
-        infected states are contiguous, so a range compare is a set test."""
-        return (self.health >= first) & (self.health <= last)
+    def _progress(self, day):
+        """Step 3 of `step_day`: exposed agents turn infectious after
+        `latency_days`, infectious ones that are not asymptomatic turn
+        symptomatic after `symptom_onset_days`, and every infected agent is
+        removed after `course_days`, each counted from its infection day.
+        Returns the agents infected afterwards and those that turned
+        symptomatic, both ascending.
 
-    def _refresh_quarantine(self):
-        np.logical_and(self.known_carrier, self._health_in(EXPOSED, SYMPTOMATIC),
-                       out=self.quarantined)
+        An infected code with no infection day (-1), as a test may write
+        one, counts its days from -1 and is never removed."""
+        cfg = self.config
+        health = self.health
+        # The infected codes are contiguous, so a range compare is a set test.
+        infected = np.flatnonzero((health >= EXPOSED) & (health <= SYMPTOMATIC))
+        codes = health[infected]
+        since = self.day_infected[infected]
+        t = day - since
+        removed = (since >= 0) & (t >= cfg.course_days)
+        codes[removed] = REMOVED
+        codes[(codes == EXPOSED) & (t >= cfg.latency_days)] = INFECTIOUS
+        symptomatic = ((codes == INFECTIOUS) & (t >= cfg.symptom_onset_days)
+                       & ~self.asymptomatic[infected])
+        codes[symptomatic] = SYMPTOMATIC
+        health[infected] = codes
+        return infected[~removed], infected[symptomatic]
+
+    def _refresh_quarantine(self, sick):
+        """Set tomorrow's quarantine flags: the infected agents `sick` that
+        are known carriers, and every agent with a case test pending."""
+        self.quarantined.fill(False)
+        self.quarantined[sick] = self.known_carrier[sick]
         for tests in self.pending_tests.values():
             for kind, agent, _ in tests:
                 if kind == "case":
@@ -704,22 +744,16 @@ class World:
                     self._infect(target, infector, day)
                     new_infections += 1
 
-        # 3. disease progression.
-        infected = self.day_infected >= 0
-        t = day - self.day_infected
-        to_removed = infected & (self.health != REMOVED) & (t >= cfg.course_days)
-        self.health[to_removed] = REMOVED
-        to_infectious = (self.health == EXPOSED) & (t >= cfg.latency_days)
-        self.health[to_infectious] = INFECTIOUS
-        newly_symptomatic = (
-            (self.health == INFECTIOUS)
-            & (t >= cfg.symptom_onset_days)
-            & ~self.asymptomatic
-        )
-        self.health[newly_symptomatic] = SYMPTOMATIC
+        # 3. disease progression, over the infected agents only. Finding
+        #    them is this step's one pass over the population; progression,
+        #    the active-case count and tomorrow's quarantine flags (step 9)
+        #    then work on that set, since no later step changes health. The
+        #    day's other population-wide passes are the sampler's role
+        #    gather and, with an infectious agent, part 2's weight `cumsum`.
+        sick, newly_symptomatic = self._progress(day)
 
         # 4. symptomatic adopters self-present for testing.
-        for agent in np.flatnonzero(newly_symptomatic):
+        for agent in newly_symptomatic:
             agent = int(agent)
             if self.adopter[agent] and not self.known_carrier[agent]:
                 self._schedule_test(day + cfg.test_delay_days, "self", agent, None)
@@ -749,12 +783,11 @@ class World:
 
         # 9. quarantine flags for tomorrow's contact process: infected
         #    known carriers, and every agent with a case test pending.
-        self._refresh_quarantine()
+        self._refresh_quarantine(sick)
 
         # 10. metrics.
-        active = int(np.count_nonzero(self._health_in(EXPOSED, SYMPTOMATIC)))
         self.metrics["new_infections"].append(new_infections)
-        self.metrics["active_cases"].append(active)
+        self.metrics["active_cases"].append(len(sick))
         self.metrics["quarantined"].append(int(np.count_nonzero(self.quarantined)))
         self.metrics["tests_used"].append(tests_used)
         self.metrics["list_size"].append(list_size)

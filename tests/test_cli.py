@@ -76,6 +76,19 @@ def test_simulate_is_deterministic(scenario_file, tmp_path, capsys):
         (tmp_path / "b" / "events.log").read_bytes()
 
 
+def test_simulate_streams_the_joined_event_log(scenario_file, tmp_path, capsys):
+    # events.log is written one day's text at a time; the file is the text
+    # a single join of the run's days gives.
+    code, _, _ = run_cli(["simulate", "--config", str(scenario_file), "--seed", "7",
+                          "--out", str(tmp_path / "out")], capsys)
+    assert code == 0
+    report = simnet.run(simnet.config_from_file(scenario_file), seed=7,
+                        record_events=True)
+    joined = "".join(day + "\n" for day in report.events)
+    assert len(report.events) > 1
+    assert (tmp_path / "out" / "events.log").read_bytes() == joined.encode()
+
+
 def test_seed_flag_overrides_config(scenario_file, tmp_path, capsys):
     run_cli(["simulate", "--config", str(scenario_file),
              "--out", str(tmp_path / "default")], capsys)

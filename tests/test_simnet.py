@@ -154,6 +154,68 @@ def test_no_agent_returns_to_susceptible():
             )
 
 
+def reference_progress(world, day):
+    """Step 3 of `step_day` as first written: masks over every agent. Moves
+    `world.health` on and returns the newly symptomatic agents."""
+    cfg = world.config
+    health = world.health
+    infected = world.day_infected >= 0
+    t = day - world.day_infected
+    to_removed = infected & (health != simnet.REMOVED) & (t >= cfg.course_days)
+    health[to_removed] = simnet.REMOVED
+    to_infectious = (health == simnet.EXPOSED) & (t >= cfg.latency_days)
+    health[to_infectious] = simnet.INFECTIOUS
+    newly_symptomatic = ((health == simnet.INFECTIOUS)
+                         & (t >= cfg.symptom_onset_days) & ~world.asymptomatic)
+    health[newly_symptomatic] = simnet.SYMPTOMATIC
+    return np.flatnonzero(newly_symptomatic)
+
+
+@st.composite
+def progression_states(draw):
+    """A config with any order of latency, onset and course, a day, and per
+    agent a health code, an infection day and the asymptomatic flag. As in
+    every run, a susceptible agent has no infection day (-1); an infected
+    code may have none either, as tests that write `health` leave it."""
+    n = draw(st.integers(1, 40))
+    day = draw(st.integers(0, 20))
+    cfg = ScenarioConfig(population=n, index_cases=0, adoption_fraction=0.0,
+                         latency_days=draw(st.integers(0, 8)),
+                         symptom_onset_days=draw(st.integers(0, 8)),
+                         course_days=draw(st.integers(0, 12)))
+    health = draw(st.lists(st.integers(simnet.SUSCEPTIBLE, simnet.REMOVED),
+                           min_size=n, max_size=n))
+    since = [-1 if code == simnet.SUSCEPTIBLE else draw(st.integers(-1, day))
+             for code in health]
+    asymptomatic = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return cfg, day, health, since, asymptomatic
+
+
+@settings(max_examples=200, deadline=None)
+@example(state=(ScenarioConfig(population=6, index_cases=0, adoption_fraction=0.0,
+                               latency_days=4, symptom_onset_days=2, course_days=3),
+                5, [1, 1, 2, 3, 4, 0], [2, -1, 1, 0, 3, -1], [False] * 6))
+@example(state=(ScenarioConfig(population=4, index_cases=0, adoption_fraction=0.0,
+                               latency_days=0, symptom_onset_days=0, course_days=0),
+                0, [1, 1, 2, 0], [0, -1, 0, -1], [False, True, False, False]))
+@given(state=progression_states())
+def test_progression_over_the_infected_matches_the_population_wide_step(state):
+    cfg, day, health, since, asymptomatic = state
+    world = World(cfg)
+    world.health[:] = health
+    world.day_infected[:] = since
+    world.asymptomatic[:] = asymptomatic
+    reference = SimpleNamespace(config=cfg, health=world.health.copy(),
+                                day_infected=world.day_infected.copy(),
+                                asymptomatic=world.asymptomatic.copy())
+    sick, newly_symptomatic = world._progress(day)
+    want = reference_progress(reference, day)
+    assert np.array_equal(world.health, reference.health)
+    assert np.array_equal(newly_symptomatic, want)  # ascending, as step 4 reads them
+    assert np.array_equal(sick, np.flatnonzero(
+        (world.health >= simnet.EXPOSED) & (world.health <= simnet.SYMPTOMATIC)))
+
+
 def test_quarantine_reduces_contact_rate():
     # At full adoption every drawn event matters, so the sampler returns
     # each one the leak keeps.
@@ -429,6 +491,21 @@ def test_untraced_day_allocates_under_eight_population_arrays():
     assert world.metrics["new_infections"][-1] > 0  # transmission step ran
     n = cfg.population
     assert peak < 8 * 8 * n, f"peak {peak / n:.1f} bytes per agent"
+
+
+def test_day_with_no_active_agent_draws_nothing():
+    # No adopter, and every index case still exposed: no agent is active, so
+    # the sampler returns no event and leaves the generator as it was.
+    world = World(ScenarioConfig(population=2000, seed=11, index_cases=20,
+                                 adoption_fraction=0.0))
+    assert not world.adopter.any()
+    assert (world.health[list(world.index_infections)] == simnet.EXPOSED).all()
+    state = world.nprng.bit_generator.state
+    *columns, transmit = world._sample_events()
+    for column in columns:
+        assert column.dtype == np.int64 and len(column) == 0
+    assert transmit.dtype == bool and len(transmit) == 0
+    assert world.nprng.bit_generator.state == state
 
 
 class _CountingKey:
