@@ -355,7 +355,7 @@ def _open_inquiry(case: CaseRecord, body: dict, today):
 
 
 def _add_evidence(case: CaseRecord, body: dict, today):
-    if body not in _EVIDENCE_BODIES:
+    if not isinstance(body.get("reassess"), str) or body not in _EVIDENCE_BODIES:
         return "not a reassessment to near or far"
     case.evidence += (dict(body),)
     return []
@@ -375,7 +375,8 @@ def _screen_test_result(case: CaseRecord, body: dict):
     date = body.get("date", 0)
     if type(date) is not int:
         return "date is not an int"
-    if (body.get("result"), date) in case.test_results:
+    if (isinstance(result := body.get("result"), str)
+            and (result, date) in case.test_results):
         return "duplicate test result"
     return None
 
@@ -387,13 +388,13 @@ def _test_result(case: CaseRecord, body: dict, today):
     # the person.
     result = body.get("result")
     date = body.get("date", 0)
-    if result == "positive":
+    if isinstance(result, str) and result == "positive":
         case.test_results += ((result, date),)
         case.state = _CARRIER
         case.resolution_epoch = date
         return [MailboxMessage(case.token, _HISTORY_REQUEST,
                                {"from_date": date - case.lookback_days})]
-    if result != "negative":
+    if not isinstance(result, str) or result != "negative":
         return f"unknown test result {result!r}"
     if case.state is _AWAITING_TEST1:
         case.test_results += ((result, date),)

@@ -387,13 +387,6 @@ class World:
     def _schedule_test(self, due_day, kind, agent, token):
         self.pending_tests.setdefault(due_day, []).append((kind, agent, token))
 
-    def _infect(self, target, infector, day):
-        self.health[target] = EXPOSED
-        self.day_infected[target] = day
-        if infector in self.index_infections:
-            self.index_infections[infector] += 1
-        self._log_event(day, "infect", infector, target, "")
-
     def _identifier(self, date, i):
         """The identifier that the i-th device in `devices` order broadcast
         on `date`."""
@@ -478,7 +471,7 @@ class World:
 
         Events are returned part 1 first, in sender order, then part 2, in
         receiver order. A target that two transmitting events infect on one
-        day is credited to the first (step 2 of `step_day`). Putting part 1
+        day is credited to the first (`_transmit`). Putting part 1
         first favours no infector: every infector is active, and its event
         with a susceptible partner in the same quarantine state is outgoing
         or incoming with equal chance, so credit stays exchangeable between
@@ -556,6 +549,42 @@ class World:
             return src, dst, cls, start, dur, transmit
         keep = ~drop
         return src[keep], dst[keep], cls[keep], start[keep], dur[keep], transmit[keep]
+
+    def _rotate(self, day):
+        """Draw the day's identifiers, one draw for every device in device
+        order, and prune every device's log. Days step by one from 0, so
+        only one date of the table ages out."""
+        self.identifiers[day] = self.rng.randbytes(RDI_BYTES * len(self.devices))
+        self.identifiers.pop(day - self.config.retention_days - 1, None)
+        for dev in self.devices.values():
+            dev.log.prune(day)
+
+    def _transmit(self, day):
+        """The day's contact events: the devices log the ones between
+        adopters (`_exchange_beacons`), and the ones that can transmit
+        infect with `infection_probability`. A target that two events infect
+        is credited to the first. Returns the number of new infections."""
+        src, dst, cls, start, dur, transmit = self._sample_events()
+        if self.devices and len(src):
+            self._exchange_beacons(day, src, dst, cls, start, dur)
+        idx = np.flatnonzero(transmit)
+        near = np.where(cls[idx] == 0, dur[idx], 0)
+        mid = np.where(cls[idx] == 1, dur[idx], 0)
+        probs = infection_probability(near, mid, self.config.p_transmit)
+        hit = idx[self.nprng.random(len(idx)) < probs]
+        health = self.health
+        new_infections = 0
+        for a, b in zip(src[hit].tolist(), dst[hit].tolist()):
+            target, infector = (a, b) if health[a] == SUSCEPTIBLE else (b, a)
+            if health[target] != SUSCEPTIBLE:
+                continue  # already infected earlier today
+            health[target] = EXPOSED
+            self.day_infected[target] = day
+            if infector in self.index_infections:
+                self.index_infections[infector] += 1
+            self._log_event(day, "infect", infector, target, "")
+            new_infections += 1
+        return new_infections
 
     def _exchange_beacons(self, day, src, dst, cls, start, dur):
         """Both devices of every adopter-to-adopter contact event today log
@@ -635,7 +664,24 @@ class World:
                                     "case", agent, token)
         return len(tests)
 
+    def _publish(self, day):
+        """Publish the day's list and log its size. In a world with devices
+        the list is signed and every device matches it
+        (`_match_and_inquire`); a world without signs nothing. Returns the
+        list size."""
+        if not self.devices:
+            size = len(self.authority.list_entries(day))
+            self._log_event(day, "publish", "-", "-", f"entries={size}")
+            return size
+        lst = self.authority.publish(day)
+        self._log_event(day, "publish", "-", "-", f"entries={len(lst.entries)}")
+        self._match_and_inquire(day, lst)
+        return len(lst.entries)
+
     def _match_and_inquire(self, day, lst):
+        """Every device matches the signed list against its own log, in
+        ascending agent order; new hits open inquiries, which are
+        categorized and ordered for testing."""
         cfg = self.config
         verified = verify_list(lst, self.public_key)
         index = matching.build_index(lst, verified)
@@ -668,15 +714,18 @@ class World:
                     self._log_event(day, "drop", agent, "-", "")
 
     def _progress(self, day):
-        """Step 3 of `step_day`: exposed agents turn infectious after
+        """Disease progression: exposed agents turn infectious after
         `latency_days`, infectious ones that are not asymptomatic turn
         symptomatic after `symptom_onset_days`, and every infected agent is
         removed after `course_days`, each counted from its infection day.
         Returns the agents infected afterwards and those that turned
         symptomatic, both ascending.
 
-        An infected code with no infection day (-1), as a test may write
-        one, counts its days from -1 and is never removed."""
+        Finding the infected agents is this phase's one pass over the
+        population; the active-case count and tomorrow's quarantine flags
+        then work on that set, since no later phase changes health. An
+        infected code with no infection day (-1), as a test may write one,
+        counts its days from -1 and is never removed."""
         cfg = self.config
         health = self.health
         # The infected codes are contiguous, so a range compare is a set test.
@@ -693,6 +742,14 @@ class World:
         health[infected] = codes
         return infected[~removed], infected[symptomatic]
 
+    def _self_present(self, day, symptomatic):
+        """The newly symptomatic adopters that are not known carriers
+        self-present for testing."""
+        for agent in symptomatic.tolist():
+            if self.adopter[agent] and not self.known_carrier[agent]:
+                self._schedule_test(day + self.config.test_delay_days, "self", agent, None)
+                self._log_event(day, "symptom", agent, "-", "")
+
     def _refresh_quarantine(self, sick):
         """Set tomorrow's quarantine flags: the infected agents `sick` that
         are known carriers, and every agent with a case test pending."""
@@ -704,93 +761,23 @@ class World:
                     self.quarantined[agent] = True
 
     def step_day(self) -> "World":
-        cfg = self.config
+        """Run one protocol day as its phases, in order, then record the
+        day's metrics and event text."""
         day = self.day
-        new_infections = 0
-        tests_used = 0
-
-        # 1. identifier rotation, retention pruning. One draw holds every
-        #    device's identifier, in device order. Days step by one from 0,
-        #    so only one date of the table ages out.
-        self.identifiers[day] = self.rng.randbytes(RDI_BYTES * len(self.devices))
-        self.identifiers.pop(day - cfg.retention_days - 1, None)
-        for dev in self.devices.values():
-            dev.log.prune(day)
-
-        # 2. contact events: beacon logging and disease transmission. The
-        #    sampler returns only the events that matter and marks those
-        #    that can transmit. The codec runs once per device and distance
-        #    classing once per class; the day's events are then logged in
-        #    sampled order.
-        src, dst, cls, start, dur, transmit = self._sample_events()
-        if len(src):
-            if self.devices:
-                self._exchange_beacons(day, src, dst, cls, start, dur)
-            idx = np.flatnonzero(transmit)
-            if len(idx):
-                near = np.where(cls[idx] == 0, dur[idx], 0)
-                mid = np.where(cls[idx] == 1, dur[idx], 0)
-                probs = infection_probability(near, mid, cfg.p_transmit)
-                draws = self.nprng.random(len(idx))
-                for j in np.flatnonzero(draws < probs):
-                    i = idx[j]
-                    a, b = int(src[i]), int(dst[i])
-                    if self.health[a] == SUSCEPTIBLE:
-                        target, infector = a, b
-                    else:
-                        target, infector = b, a
-                    if self.health[target] != SUSCEPTIBLE:
-                        continue  # already infected earlier today
-                    self._infect(target, infector, day)
-                    new_infections += 1
-
-        # 3. disease progression, over the infected agents only. Finding
-        #    them is this step's one pass over the population; progression,
-        #    the active-case count and tomorrow's quarantine flags (step 9)
-        #    then work on that set, since no later step changes health. The
-        #    day's other population-wide passes are the sampler's role
-        #    gather and, with an infectious agent, part 2's weight `cumsum`.
+        self._rotate(day)
+        new_infections = self._transmit(day)
         sick, newly_symptomatic = self._progress(day)
-
-        # 4. symptomatic adopters self-present for testing.
-        for agent in newly_symptomatic:
-            agent = int(agent)
-            if self.adopter[agent] and not self.known_carrier[agent]:
-                self._schedule_test(day + cfg.test_delay_days, "self", agent, None)
-                self._log_event(day, "symptom", agent, "-", "")
-
-        # 5. run tests due today.
+        self._self_present(day, newly_symptomatic)
+        tests_used = self._run_due_tests(day)
+        list_size = self._publish(day)
+        # A second drain runs the zero-delay test orders issued today.
         tests_used += self._run_due_tests(day)
-
-        # 6. daily publication, signed only when a device will read it.
-        if self.devices:
-            lst = self.authority.publish(day)
-            list_size = len(lst.entries)
-        else:
-            list_size = len(self.authority.list_entries(day))
-        self._log_event(day, "publish", "-", "-", f"entries={list_size}")
-
-        # 7. every device matches the day's list against its own log, in
-        #    ascending agent order; new hits open inquiries, which are
-        #    categorized and ordered for testing. A second test drain
-        #    covers zero-delay test orders issued today.
-        if self.devices:
-            self._match_and_inquire(day, lst)
-        tests_used += self._run_due_tests(day)
-
-        # 8. erase expired non-public data.
         self.authority.erase_expired(day)
-
-        # 9. quarantine flags for tomorrow's contact process: infected
-        #    known carriers, and every agent with a case test pending.
         self._refresh_quarantine(sick)
-
-        # 10. metrics.
-        self.metrics["new_infections"].append(new_infections)
-        self.metrics["active_cases"].append(len(sick))
-        self.metrics["quarantined"].append(int(np.count_nonzero(self.quarantined)))
-        self.metrics["tests_used"].append(tests_used)
-        self.metrics["list_size"].append(list_size)
+        row = (new_infections, len(sick), int(np.count_nonzero(self.quarantined)),
+               tests_used, list_size)
+        for key, value in zip(SERIES, row):
+            self.metrics[key].append(value)
         if self.record_events:
             self.events.append("\n".join(self.day_lines))
             self.day_lines.clear()
@@ -861,8 +848,8 @@ def calibrate_p_transmit(config: ScenarioConfig, target_r0: float) -> float:
     estimate of mean secondary infections of index cases hits `target_r0`.
 
     Each probe is 20 untraced runs (no adopters) of `course_days + 1` days.
-    Index cases are infected on day 0 and removed in step 3 of day
-    `course_days`, so step 2 of that day is the last in which one can
+    Index cases are infected on day 0 and removed by `_progress` on day
+    `course_days`, after that day's `_transmit`, the last in which one can
     transmit. `empirical_r0` counts only their infections, so a longer run
     would return the same estimate.
     """

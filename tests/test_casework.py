@@ -5,6 +5,7 @@ import random
 from collections import OrderedDict
 from types import MappingProxyType
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -388,6 +389,7 @@ def test_step_non_object_body_is_audited_noop(kind, body):
     {"reassess": "near", "rdi": "ab" * 16},
     {"reassess": "sideways"},
     {"reassess": ["far"]},
+    {"reassess": np.array(["near", "far"])},
     {},
 ], ids=repr)
 def test_step_evidence_other_than_a_reassessment_is_audited_noop(body):
@@ -473,6 +475,22 @@ def test_step_category_decision_matches_categorize(category, kind, state):
                                            {"category": category}), today=4)
     assert [m.kind for m in msgs] == [kind]
     assert case.state == state
+
+
+@pytest.mark.parametrize("negatives", [0, 1], ids=["awaiting_test1", "awaiting_test2"])
+def test_step_array_test_result_is_audited_noop(negatives):
+    # An array compares elementwise, to an array that has no truth value,
+    # so neither the duplicate screen nor the result check may compare it.
+    case = open_case()
+    categorize(case, {"near_ticks": 40})
+    for _ in range(negatives):
+        case, _ = send_result(case, "negative", date=3)
+    state, results = case.state, case.test_results
+    case, msgs = send_result(case, np.array([1, 2]), date=3)
+    assert msgs == []
+    assert (case.state, case.test_results) == (state, results)
+    assert case.audit[-1] == (f"TEST_RESULT in {state.value}: "
+                              "unknown test result array([1, 2])")
 
 
 def test_step_replayed_test_result_is_noop():

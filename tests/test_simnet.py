@@ -155,7 +155,7 @@ def test_no_agent_returns_to_susceptible():
 
 
 def reference_progress(world, day):
-    """Step 3 of `step_day` as first written: masks over every agent. Moves
+    """`World._progress` as first written: masks over every agent. Moves
     `world.health` on and returns the newly symptomatic agents."""
     cfg = world.config
     health = world.health
@@ -211,7 +211,7 @@ def test_progression_over_the_infected_matches_the_population_wide_step(state):
     sick, newly_symptomatic = world._progress(day)
     want = reference_progress(reference, day)
     assert np.array_equal(world.health, reference.health)
-    assert np.array_equal(newly_symptomatic, want)  # ascending, as step 4 reads them
+    assert np.array_equal(newly_symptomatic, want)  # ascending, as `_self_present` reads them
     assert np.array_equal(sick, np.flatnonzero(
         (world.health >= simnet.EXPOSED) & (world.health <= simnet.SYMPTOMATIC)))
 
