@@ -25,7 +25,6 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
 )
-from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from . import casework
 from .ident import RDI_BYTES, rdi_from_hex
@@ -78,7 +77,7 @@ def generate_keypair(rng=None):
         private = Ed25519PrivateKey.generate()
     else:
         private = Ed25519PrivateKey.from_private_bytes(rng.randbytes(32))
-    public = private.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
+    public = private.public_key().public_bytes_raw()
     return private, public
 
 

@@ -362,11 +362,11 @@ def _add_evidence(case: CaseRecord, body: dict, today):
 
 
 def _decide_category(case: CaseRecord, body: dict, today):
-    try:
-        category = Category(body.get("category"))
-    except ValueError as exc:
-        return str(exc)
-    return _decide(case, category, ALL_CATEGORIES, today)
+    # Only a str names a member: an array equal to a member's value does not.
+    value = body.get("category")
+    if type(value) is not str or value not in _CATEGORIES:
+        return f"{value!r} is not a valid Category"
+    return _decide(case, Category(value), ALL_CATEGORIES, today)
 
 
 def _screen_test_result(case: CaseRecord, body: dict):

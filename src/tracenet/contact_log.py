@@ -34,9 +34,12 @@ a parsed row gets the lowest mask a device could have counted for it.
 
 A log is partitioned by date, `{date: {rdi: value}}`, since the date is
 the unit the protocol stores, expires and matches by: a write goes into the
-one dict for its date, and `prune` drops whole days. `records` is a
-read-only flat view keyed by `(date, rdi)`, for code that wants the log as
-one mapping.
+one dict for its date, and `prune` drops whole days. The days are held in
+ascending date order: a device writes today's date, so a new date almost
+always goes last, and a write on an older new date sorts the days again.
+So `prune` reads only the oldest days, as many as it drops plus one, never
+every held date. `records` is a read-only flat view keyed by `(date, rdi)`,
+for code that wants the log as one mapping.
 
 Most contacts give one span per pair per day, so `observe_span` stores a
 span on a key the log does not hold yet in closed form: every tick of it is
@@ -220,7 +223,9 @@ def classify(record: ContactRecord) -> Category:
 
 class ContactLog:
     """A device's contact records, partitioned by date: `days` maps each
-    date to `{foreign rdi: value}`, and holds no empty day. Each value is
+    date to `{foreign rdi: value}`, in ascending date order, and holds no
+    empty day; `prune` therefore costs one read per dropped day plus one,
+    however many days the log holds. Each value is
     one int packing the record's three class counts, its first tick, whether
     the device has acted on it, and the uncounted ticks inside its span, so
     neither a value nor a day dict is ever tracked by the garbage collector.
@@ -272,8 +277,15 @@ class ContactLog:
         day = self.days.get(date)
         if day is None:
             # The span counts at least one tick, so the new day is not left
-            # empty.
-            day = self.days[date] = {}
+            # empty. A date below the newest held one puts the days back in
+            # ascending order.
+            days = self.days
+            late = days and date < next(reversed(days))
+            day = days[date] = {}
+            if late:
+                ordered = sorted(days.items())
+                days.clear()
+                days.update(ordered)
         shift = _COUNT_BITS * cls
         rec = day.get(rdi)
         if rec is None:
@@ -309,10 +321,16 @@ class ContactLog:
         return out
 
     def prune(self, today: int) -> "ContactLog":
-        """Drop the days older than the retention window."""
+        """Drop the days older than the retention window. The days are held
+        in ascending order, so this reads the oldest date once for each day
+        it drops, and once more to find the first date it keeps."""
         cutoff = today - self.retention_days
-        for date in [d for d in self.days if d < cutoff]:
-            del self.days[date]
+        days = self.days
+        while days:
+            date = next(iter(days))
+            if date >= cutoff:
+                break
+            del days[date]
         return self
 
     def export_history(self, from_date: int, to_date: int):
@@ -467,7 +485,8 @@ def records_from_csv(text: str):
 
 def log_from_records(records) -> ContactLog:
     """Build a ContactLog from records (e.g. a parsed CSV), each storing its
-    `record` value.
+    `record` value. The records may come in any date order; the log's days
+    are built in ascending date order.
 
     Raises ValueError on a value no device logs: one with no counted tick,
     a hole at bit 0 (the first tick is counted) or at or past its last tick
@@ -475,6 +494,7 @@ def log_from_records(records) -> ContactLog:
     record a device logs or `records_from_csv` returns is accepted.
     """
     log = ContactLog()
+    days = {}
     for rec in records:
         holes = rec.record >> _HOLES_SHIFT
         length = _length(rec.record)
@@ -483,5 +503,6 @@ def log_from_records(records) -> ContactLog:
                 and rec.first_tick + length <= TICKS_PER_DAY):
             raise ValueError(
                 f"no device logs this record: date {rec.date}, rdi {rec.rdi.hex()}")
-        log.days.setdefault(rec.date, {})[rec.rdi] = rec.record
+        days.setdefault(rec.date, {})[rec.rdi] = rec.record
+    log.days.update(sorted(days.items()))
     return log

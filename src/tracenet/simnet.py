@@ -11,8 +11,9 @@ from __future__ import annotations
 import io
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, field, fields, replace
-from itertools import zip_longest
+from itertools import repeat, zip_longest
 
 import numpy as np
 
@@ -594,30 +595,40 @@ class World:
         A device's identifier is fixed for the day, its slice of
         `identifiers[day]`, so each beacon goes through the codec once per
         device, and each distance class is estimated from its
-        representative power once per day. Each device's `observe_span` is
-        looked up once per day too, through the class, so a wrapper set on
-        `ContactLog` still sees every call. Events are applied in their
-        sampled order, because overlapping spans of one pair resolve by
-        first claim; the `contact` lines follow in the same order. Each
-        column's text is looked up by value in its table in `line_tables`,
-        and one join of the gathered pieces makes the day's `contact` text.
+        representative power once per day. The received identifiers and the
+        logs sit in object arrays indexed by agent, so each call's arguments
+        are gathered by position, source's call then destination's for each
+        event in sampled order: overlapping spans of one pair resolve by
+        first claim. `map` runs the calls in C; it is handed
+        `ContactLog.observe_span`, looked up through the class once per
+        day, so a wrapper set on the class still sees every call. The
+        columns are lists of Python objects, so every call gets exactly the
+        ints, classes and bytes a per-event loop would pass; the
+        identifiers are held as objects, since a bytes array drops trailing
+        NUL bytes.
+
+        The `contact` lines follow the events' order. Each column's text is
+        looked up by value in its table in `line_tables`, and one join of
+        the gathered pieces makes the day's `contact` text.
         """
-        rdis = {}
-        observe = {}
-        for i, (agent, dev) in enumerate(self.devices.items()):
-            rdis[agent] = decode_beacon(
-                encode_beacon(DailyIdentifier(self._identifier(day, i), day)))
-            observe[agent] = dev.log.observe_span
-        observed = [estimate_distance_class(CLASS_RSSI_DBM[c], TX_POWER_DBM)
-                    for c in DistanceClass]
+        ids = self.identifiers[day]
+        rdis = np.empty(len(self.adopter), dtype=object)
+        rdis[self.adopter] = [
+            decode_beacon(encode_beacon(DailyIdentifier(ids[k:k + RDI_BYTES], day)))
+            for k in range(0, len(ids), RDI_BYTES)]
+        logs = np.empty(len(self.adopter), dtype=object)
+        logs[self.adopter] = [dev.log for dev in self.devices.values()]
+        observed = np.array([estimate_distance_class(CLASS_RSSI_DBM[c], TX_POWER_DBM)
+                             for c in DistanceClass], dtype=object)
         both = self.adopter[src] & self.adopter[dst]
         table = np.stack((start, src, dst, cls, dur), axis=1)[both]
-        # The pass zips the columns: zip reuses its result tuple, so the day
-        # keeps no tracked object per event for the garbage collector.
-        for s, a, b, c, d in zip(*table.T.tolist()):
-            obs = observed[c]
-            observe[a](rdis[b], obs, day, s, d)
-            observe[b](rdis[a], obs, day, s, d)
+        # Two calls per event: its partners cross as receiver and sender,
+        # and its other columns repeat.
+        pairs = table[:, 1:3]
+        deque(map(ContactLog.observe_span, logs[pairs.ravel()].tolist(),
+                  rdis[pairs[:, ::-1].ravel()].tolist(),
+                  observed[table[:, 3].repeat(2)].tolist(), repeat(day),
+                  table[:, 0].repeat(2).tolist(), table[:, 4].repeat(2).tolist()), maxlen=0)
         if self.record_events and len(table):
             ticks, agents, classes, durations = self.line_tables
             pieces = np.empty((len(table), 6), dtype=object)

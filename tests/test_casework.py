@@ -477,6 +477,25 @@ def test_step_category_decision_matches_categorize(category, kind, state):
     assert case.state == state
 
 
+@pytest.mark.parametrize("category", [
+    np.array(["category1"]),
+    np.array([1, 2]),
+    ["category1"],
+    1,
+    None,
+], ids=repr)
+def test_step_category_decision_other_than_a_member_name_is_audited_noop(category):
+    # A one-element array equals the member's value, and a longer one has
+    # no truth value: only a str names a member.
+    case = open_case()
+    case, msgs = step(case, MailboxMessage(case.token, MessageKind.CATEGORY_DECISION,
+                                           {"category": category}), today=4)
+    assert msgs == []
+    assert (case.state, case.category) == (CaseState.INQUIRY_OPEN, None)
+    assert case.audit == (f"CATEGORY_DECISION in inquiry_open: "
+                          f"{category!r} is not a valid Category",)
+
+
 @pytest.mark.parametrize("negatives", [0, 1], ids=["awaiting_test1", "awaiting_test2"])
 def test_step_array_test_result_is_audited_noop(negatives):
     # An array compares elementwise, to an array that has no truth value,

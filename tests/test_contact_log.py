@@ -159,6 +159,37 @@ def test_prune_empty_log_is_identity():
     assert log.records == {}
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(min_value=0, max_value=40),
+                       st.sampled_from([X, Y]),
+                       st.integers(min_value=0, max_value=2879)),
+             min_size=1, max_size=30),
+    st.integers(min_value=0, max_value=70),
+    st.integers(min_value=0, max_value=25),
+    st.randoms(use_true_random=False),
+)
+def test_days_stay_ascending_and_prune_keeps_the_window(writes, today, retention, rng):
+    # Dates arrive in any order, through observe_span and, shuffled, through
+    # log_from_records; prune stops at the first date it keeps, so it must
+    # find the days ascending.
+    written = ContactLog(retention_days=retention)
+    for date, rdi, tick in writes:
+        written.observe_span(rdi, NEAR, date, tick, 1)
+    records = [ContactRecord(rdi, date, value)
+               for date, day in written.days.items() for rdi, value in day.items()]
+    rng.shuffle(records)
+    built = log_from_records(records)
+    built.retention_days = retention
+    assert built.days == written.days
+    for log in (written, built):
+        assert list(log.days) == sorted(log.days)
+        kept = {d: day for d, day in log.days.items() if d >= today - retention}
+        log.prune(today)
+        assert log.days == kept
+        assert list(log.days) == sorted(log.days)
+
+
 def test_export_history_filters_and_sorts():
     log = ContactLog()
     log.observe([(X, NEAR)], date=5, tick=10)

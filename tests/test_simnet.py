@@ -583,9 +583,10 @@ def test_one_observe_span_call_per_logged_span(monkeypatch):
 
 
 def test_traced_day_leaves_no_tracked_object_per_span(monkeypatch):
-    # The beacon pass keeps no tracked object per event, and a log stores
-    # none per record, so a traced day allocates O(devices) objects for the
-    # garbage collector to walk, during the pass and after it, not O(spans).
+    # The beacon pass keeps no tracked object per event or per device, and
+    # a log stores none per record, so a traced day allocates one day dict
+    # per log for the garbage collector to walk, during the pass and after
+    # it, and nothing per span.
     cfg = replace(FAST, population=200, adoption_fraction=1.0, contacts_per_day=20.0)
     world = World(cfg, record_events=True)
     for _ in range(2):
@@ -598,7 +599,7 @@ def test_traced_day_leaves_no_tracked_object_per_span(monkeypatch):
         return real_observe_span(self, *args)
 
     monkeypatch.setattr(ContactLog, "observe_span", counting_observe_span)
-    bound = 2 * len(world.devices) + 100
+    bound = len(world.devices) + 100
     gc.collect()
     gc.disable()
     try:
