@@ -335,8 +335,11 @@ class World:
                                   ("%d:", len(DistanceClass)),
                                   ("%d\n", TICKS_PER_DAY + 1)))
         # The contact rate of every agent on a day with nobody quarantined,
-        # and the normalised cumulative distance-class mix (`_sample_events`).
-        self.free_rate = np.full(n, config.contacts_per_day, dtype=float)
+        # one value seen n times, and `free_running`, its running sums: on
+        # such a day the first k are those of any k part-2 senders. Then the
+        # normalised cumulative distance-class mix (`_sample_events`).
+        self.free_rate = np.broadcast_to(np.float64(config.contacts_per_day), n)
+        self.free_running = np.cumsum(self.free_rate)
         self.class_cdf = np.cumsum(
             [config.near_fraction, config.mid_fraction, config.far_fraction])
         self.class_cdf /= self.class_cdf[-1]
@@ -464,11 +467,22 @@ class World:
         infectious agent: with no receiver numpy would draw nothing for it.
 
         These passes run over the whole population: the one role gather,
-        `TRANSMISSION_ROLE.take(health)`, and the sender and receiver masks
-        taken from it; the contact-rate `np.where` on a day with someone
-        quarantined (any other day reads `free_rate`, built once); and, on
-        a day with an infectious agent, part 2's `weight` and its `cumsum`.
-        The rest works on the active agents or on the drawn events.
+        `TRANSMISSION_ROLE.take(health)`, and the masks and scans taken from
+        it (with no device the infectious agents are the only active ones,
+        so part 1 reuses part 2's receiver scan); the contact-rate
+        `np.where` on a day with someone quarantined (any other day reads
+        `free_rate`); and, on a day with an infectious agent, part 2's
+        sender mask and its scan. The rest works on the active agents, on
+        part 2's senders or on the drawn events.
+
+        Part 2 draws a sender by a right-sided search for a uniform below
+        the senders' total rate in their running sums, taken in agent
+        order. On a day with nobody quarantined every rate is equal, so
+        these are a prefix of `free_running`, built once; on any other day,
+        the `cumsum` of the senders' rates. They are the very floats that a
+        running sum over the population, zero at every other agent, holds
+        at each sender (`cumsum` adds from left to right, and adding 0.0
+        changes no float), so the draws are those of a search over it.
 
         Events are returned part 1 first, in sender order, then part 2, in
         receiver order. A target that two transmitting events infect on one
@@ -498,8 +512,10 @@ class World:
                            cfg.contacts_per_day)
         role = TRANSMISSION_ROLE.take(self.health)
         infectious = role == 1
-        # 1. Active agents' outgoing events.
-        senders = np.flatnonzero(self.adopter | infectious)
+        receivers = np.flatnonzero(infectious)
+        # 1. Active agents' outgoing events. With no device the infectious
+        #    agents are the only active ones.
+        senders = np.flatnonzero(self.adopter | infectious) if self.devices else receivers
         src = np.repeat(senders, rng.poisson(lam[senders]))
         m = len(src)
         dst = rng.integers(0, n, m, dtype=np.int64)
@@ -512,22 +528,24 @@ class World:
         if np.count_nonzero(matters) < m:  # else, as at full adoption, skip the copy
             src, dst, transmit = src[matters], dst[matters], transmit[matters]
         # 2. Infectious agents' incoming events from inactive susceptible
-        #    senders. `weight` becomes the running sum of those senders'
-        #    rates, so a uniform below its total picks one by search; zero
-        #    rates leave it flat, and a right-sided search never picks them.
-        #    With no receiver, numpy would draw nothing here.
-        receivers = np.flatnonzero(infectious)
+        #    senders, each picked by a search of their running rate sums
+        #    (above); zero rates leave the sums flat, and a right-sided
+        #    search never picks them. With no receiver, numpy would draw
+        #    nothing here.
         if len(receivers):
-            weight = np.where((role == 2) & ~self.adopter, lam, 0.0)
+            inactive = (role == 2) & ~self.adopter
+            senders = np.flatnonzero(inactive)
+            running = (self.free_running[:len(senders)] if lam is self.free_rate
+                       else np.cumsum(lam[senders]))
+            total = running[-1] if len(senders) else 0.0
             before = (receivers - 1) % n
-            mass = weight[before]
-            np.cumsum(weight, out=weight)
-            mass += weight[-1]
+            mass = np.where(inactive[before], lam[before], 0.0) + total
             incoming = rng.poisson(mass / n)
             pick = rng.random(int(incoming.sum())) * np.repeat(mass, incoming)
-            src = np.concatenate((src, np.where(
-                pick < weight[-1], np.searchsorted(weight, pick, side="right"),
-                np.repeat(before, incoming))))
+            origin = np.repeat(before, incoming)
+            below = pick < total
+            origin[below] = senders[np.searchsorted(running, pick[below], side="right")]
+            src = np.concatenate((src, origin))
             dst = np.concatenate((dst, np.repeat(receivers, incoming)))
             transmit = np.concatenate((transmit, np.ones(len(pick), dtype=bool)))
         k = len(src)

@@ -88,3 +88,22 @@ def test_pairs_alternate_and_land_in_the_out_file(tmp_path, capsys):
     assert summary["wall_s"]["change_wins"] == 1
     assert "--workload w --seed 7 --seconds 5 --trace 0" in record["commands"]["w seed 7"]
     assert '"w seed 7"' in capsys.readouterr().out
+
+
+def test_runs_may_write_bytecode(monkeypatch):
+    # A set-up import that writes `__pycache__` in one checkout and not in
+    # the other would time different work, so no run inherits the switch.
+    tool = load_tool()
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    handed = {}
+
+    def fake_run(command, **kwargs):
+        handed.update(kwargs)
+        out = [json.dumps({"counts": {}, "digest": {}}), json.dumps({"metrics": {}})]
+        return tool.subprocess.CompletedProcess(command, 0, "\n".join(out), "")
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    tool.run_once("checkout", "w", 1, 5, 0)
+    assert handed["cwd"] == "checkout"
+    assert "PYTHONDONTWRITEBYTECODE" not in handed["env"]
+    assert handed["env"]["PATH"] == tool.os.environ["PATH"]

@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import re
 import sys
 import tracemalloc
@@ -356,6 +357,86 @@ def test_sampler_returns_the_reference_partners_that_matter(cfg):
     assert np.array_equal(dst, want_dst)
     assert np.array_equal(transmit, can_transmit)
     assert world.nprng.bit_generator.state == reference.nprng.bit_generator.state
+
+
+def population_sum_sample_events(world):
+    """`World._sample_events` as it was when part 2 picked each sender by a
+    search over the running sum of every agent's part-2 rate, zero for an
+    agent that is no part-2 sender. Durations by inversion only (p < 1/3)."""
+    cfg = world.config
+    n = cfg.population
+    rng = world.nprng
+    lam = np.where(world.quarantined, cfg.contacts_per_day * cfg.quarantine_leak,
+                   cfg.contacts_per_day)
+    role = simnet.TRANSMISSION_ROLE[world.health]
+    infectious = role == 1
+    senders = np.flatnonzero(world.adopter | infectious)
+    src = np.repeat(senders, rng.poisson(lam[senders]))
+    dst = rng.integers(0, n, len(src), dtype=np.int64)
+    clash = dst == src
+    dst[clash] = (dst[clash] + 1) % n
+    transmit = (role[src] ^ role[dst]) == 3
+    matters = transmit | (world.adopter[src] & world.adopter[dst])
+    src, dst, transmit = src[matters], dst[matters], transmit[matters]
+    receivers = np.flatnonzero(infectious)
+    if len(receivers):
+        weight = np.where((role == 2) & ~world.adopter, lam, 0.0)
+        running = np.cumsum(weight)
+        before = (receivers - 1) % n
+        mass = weight[before] + running[-1]
+        incoming = rng.poisson(mass / n)
+        pick = rng.random(int(incoming.sum())) * np.repeat(mass, incoming)
+        src = np.concatenate((src, np.where(
+            pick < running[-1], np.searchsorted(running, pick, side="right"),
+            np.repeat(before, incoming))))
+        dst = np.concatenate((dst, np.repeat(receivers, incoming)))
+        transmit = np.concatenate((transmit, np.ones(len(pick), dtype=bool)))
+    k = len(src)
+    keep = ~world.quarantined[dst] | (rng.random(k) < cfg.quarantine_leak)
+    ticks = np.ceil(rng.standard_exponential(k) / -math.log1p(-1.0 / cfg.duration_mean_ticks))
+    dur = np.minimum(ticks, TICKS_PER_DAY).astype(np.int64)
+    uniform = rng.random(k)
+    cls = (uniform >= world.class_cdf[0]).astype(np.int64) + (uniform >= world.class_cdf[1])
+    start = np.minimum(rng.integers(0, TICKS_PER_DAY, k, dtype=np.int64), TICKS_PER_DAY - dur)
+    return tuple(a[keep] for a in (src, dst, cls, start, dur, transmit))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=st.builds(
+    ScenarioConfig, index_cases=st.just(0), duration_mean_ticks=st.just(12.0),
+    population=st.sampled_from([2, 3, 50, 400]),
+    seed=st.integers(0, 2**16),
+    adoption_fraction=st.sampled_from([0.0, 0.5]),
+    contacts_per_day=st.sampled_from([2.7, 3.0, 8.0]),
+    quarantine_leak=st.sampled_from([0.0, 0.05, 1.0])),
+    quarantined_share=st.sampled_from([0.1, 0.5, 1.0]))
+def test_part_two_senders_match_the_population_running_sum(cfg, quarantined_share):
+    # On random health and quarantine states, below full adoption, the
+    # sampler returns exactly the population-sum sampler's arrays and leaves
+    # the generator where it leaves it. Day 0 has nobody quarantined, so its
+    # running sums come from `free_running`; days 1 and 2 quarantine a share,
+    # at leak 0 with zero-rate senders; day 2 has an infectious agent but no
+    # part-2 sender.
+    n = cfg.population
+    world, reference = World(cfg), World(cfg)
+    states = np.random.default_rng(cfg.seed)
+    for day in range(3):
+        health = states.choice(
+            [simnet.SUSCEPTIBLE, simnet.EXPOSED, simnet.INFECTIOUS,
+             simnet.SYMPTOMATIC, simnet.REMOVED], n, p=[0.6, 0.1, 0.1, 0.1, 0.1])
+        quarantined = states.random(n) < (quarantined_share if day else 0.0)
+        if day == 2:
+            health[(health == simnet.SUSCEPTIBLE) & ~world.adopter] = simnet.REMOVED
+            health[0] = simnet.INFECTIOUS
+        for w in (world, reference):
+            w.health[:] = health
+            w.quarantined[:] = quarantined
+        got = world._sample_events()
+        want = population_sum_sample_events(reference)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
+        assert world.nprng.bit_generator.state == reference.nprng.bit_generator.state
 
 
 # Each law check compares a statistic of the sampler with the reference's on

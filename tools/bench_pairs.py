@@ -32,10 +32,13 @@ SIDES = ("parent", "change")
 
 
 def run_once(checkout, workload, seed, seconds, trace):
-    """One perfbench run in `checkout`: `{"counts", "digest", "result"}`."""
+    """One perfbench run in `checkout`: `{"counts", "digest", "result"}`.
+    The run may write bytecode whatever this process's environment says, so
+    that both checkouts' set-up imports read their own `__pycache__` alike."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True, env=env)
     lines = done.stdout.strip().splitlines()
     if done.returncode or len(lines) < 2:
         raise RuntimeError(f"{' '.join(command)} in {checkout} exited "
