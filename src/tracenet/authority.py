@@ -11,6 +11,10 @@ body it was signed over, and a list from `deserialize_list` the bytes its
 entries were decoded from, so neither re-encodes to verify or serialize.
 A list built any other way (including `dataclasses.replace`) encodes its
 own fields on first use.
+
+The Ed25519 bindings (cryptography's Rust/OpenSSL extension, about 6 MB of
+memory and 7 ms of import) load on the first key generation, sign or
+verify, not on import: a run that never signs a list never loads them.
 """
 
 from __future__ import annotations
@@ -18,16 +22,14 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from functools import cached_property
-
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
+from functools import cache, cached_property
+from typing import TYPE_CHECKING
 
 from . import casework
 from .ident import RDI_BYTES, rdi_from_hex
+
+if TYPE_CHECKING:
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 LIST_MAGIC = b"GACTC"
 LIST_VERSION = 0x01
@@ -70,13 +72,23 @@ class SignedCarrierList:
         return canonical_body(self.epoch_date, self.entries, self.algorithm)
 
 
+@cache
+def _ed25519():
+    """cryptography's Ed25519 module and its InvalidSignature, imported on
+    the first call; a later call costs one cache lookup."""
+    from cryptography.exceptions import InvalidSignature
+    from cryptography.hazmat.primitives.asymmetric import ed25519
+    return ed25519, InvalidSignature
+
+
 def generate_keypair(rng=None):
     """Return (private_key, raw_public_bytes). With `rng` the key is derived
     deterministically from the stream (simulation use only)."""
+    key_type = _ed25519()[0].Ed25519PrivateKey
     if rng is None:
-        private = Ed25519PrivateKey.generate()
+        private = key_type.generate()
     else:
-        private = Ed25519PrivateKey.from_private_bytes(rng.randbytes(32))
+        private = key_type.from_private_bytes(rng.randbytes(32))
     public = private.public_key().public_bytes_raw()
     return private, public
 
@@ -141,12 +153,13 @@ def verify_list(lst: SignedCarrierList, public_key) -> bool:
     the wrong key, including a key of any other type and an epoch or entry
     date that is not an int in u32 range.
     """
+    ed25519, InvalidSignature = _ed25519()
     try:
         if lst.algorithm != ALG_ED25519:
             return False
-        if not isinstance(public_key, Ed25519PublicKey):
+        if not isinstance(public_key, ed25519.Ed25519PublicKey):
             # memoryview, not bytes(): bytes(n) of an int would allocate n bytes.
-            public_key = Ed25519PublicKey.from_public_bytes(
+            public_key = ed25519.Ed25519PublicKey.from_public_bytes(
                 memoryview(public_key).tobytes())
         public_key.verify(lst.signature, lst.body)
         return True
@@ -181,7 +194,9 @@ class AuthorityState:
 
         Raises ValueError, before any entry is added, when an own
         identifier or a traced record holds an rdi that is not `RDI_BYTES`
-        long: the list codec could not carry it.
+        long or a date that is not an int in `0..DATE_LIMIT - 1` (a bool is
+        not an int here): the list codec could not carry it, so every later
+        `publish` would fail until the entry aged out.
         """
         history = list(history)
         own_identifiers = list(own_identifiers)
@@ -191,10 +206,11 @@ class AuthorityState:
                 f"all {len(history)} records predate infectious_start {infectious_start}"
             )
         traced = usable if self.trace_contact_derived else []
-        rdis = [rdi for _, rdi in own_identifiers] + [rec.rdi for rec in traced]
-        for rdi in rdis:
+        for date, rdi in own_identifiers + [(rec.date, rec.rdi) for rec in traced]:
             if len(rdi) != RDI_BYTES:
                 raise ValueError(f"rdi must be {RDI_BYTES} bytes, got {len(rdi)}")
+            if not (type(date) is int and 0 <= date < DATE_LIMIT):
+                raise ValueError(f"date must be an int in 0..{DATE_LIMIT - 1}, got {date!r}")
         for date, rdi in own_identifiers:
             if date >= infectious_start:
                 self.entries.setdefault((date, rdi), today)

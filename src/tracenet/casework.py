@@ -164,8 +164,8 @@ def serialize_message(msg: MailboxMessage) -> bytes:
 
     Raises ValueError on a message that does not fit: a token that is not
     16 bytes, or a body that is not a dict with exactly the kind's fields,
-    each an int in its layout's range (not a bool) or one of its byte's
-    strings.
+    each an int in its layout's range (not a bool) or, as a `str`, one of
+    its byte's strings.
     """
     frame = _FRAMES.get(msg.kind)
     if frame is None:
@@ -181,7 +181,7 @@ def serialize_message(msg: MailboxMessage) -> bytes:
     except KeyError as exc:
         raise ValueError(f"{kind.name} body must have fields {names}") from exc
     for i, strings in choices:
-        if values[i] not in strings:
+        if type(values[i]) is not str or values[i] not in strings:
             raise ValueError(f"{kind.name} {names[i]} must be one of {strings}, "
                              f"got {values[i]!r}")
         values[i] = strings.index(values[i])

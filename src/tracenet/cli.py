@@ -12,8 +12,6 @@ import os
 import sys
 import tempfile
 
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
-
 from . import authority as authority_mod
 from . import casework, matching, simnet
 from .contact_log import classify, log_from_records, records_from_csv
@@ -134,6 +132,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_genlist(args) -> int:
+    # Imported here, not at module level, so that importing the CLI does not
+    # load the signing stack.
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+
     if not 0 <= args.epoch < authority_mod.DATE_LIMIT:
         raise DomainError(
             f"epoch must be in 0..{authority_mod.DATE_LIMIT - 1}, got {args.epoch}")

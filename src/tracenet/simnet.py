@@ -309,6 +309,12 @@ class World:
     line, so no day's text is empty. Such a world also holds `line_tables`,
     the text of a `contact` line's columns by value (`_exchange_beacons`);
     any other world holds None there.
+
+    A world without devices holds no signing key: `public_key` and the
+    authority's `signing_key` are None, since `_publish` signs nothing
+    there. Skipping the key's draw moves no output. It was the last draw
+    from `rng` in `__init__`, and such a world never draws from `rng` again:
+    `_rotate` draws zero bytes, and casework and registration need a device.
     """
 
     def __init__(self, config: ScenarioConfig, seed: int = None,
@@ -367,7 +373,11 @@ class World:
             self.day_infected[a] = 0
             self.index_infections[a] = 0
 
-        key, self.public_key = generate_keypair(self.rng)
+        # The last draw from `self.rng` here; see the class docstring.
+        if self.devices:
+            key, self.public_key = generate_keypair(self.rng)
+        else:
+            key = self.public_key = None
         self.authority = AuthorityState(
             signing_key=key, trace_contact_derived=config.trace_contact_derived
         )

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from tracenet.authority import (
     ALG_ED25519,
+    DATE_LIMIT,
     AuthorityState,
     Malformed,
     SignedCarrierList,
@@ -100,6 +101,24 @@ def test_register_rejects_rdis_the_list_codec_cannot_carry():
     lst = state.publish(3)
     assert verify_list(lst, pub)
     assert deserialize_list(serialize_list(lst)) == lst
+
+
+@pytest.mark.parametrize("date", [-1, DATE_LIMIT, 1.5, True], ids=repr)
+def test_register_rejects_dates_the_list_codec_cannot_carry(date):
+    # Were such a date entered, every publish would fail on packing it until
+    # the entry aged out: one bad upload would stop the list for everyone.
+    state, pub = make_state()
+    good = contact(3, bytes([1]) * 16)
+    with pytest.raises(ValueError, match="date must be an int"):
+        state.register_carrier([good, good._replace(date=date)], -10, today=3)
+    with pytest.raises(ValueError, match="date must be an int"):
+        state.register_carrier([], -10, own_identifiers=[(3, bytes(16)), (date, bytes(16))],
+                               today=3)
+    assert state.entries == {}
+    state.register_carrier([good], -10, today=3)
+    lst = state.publish(3)
+    assert verify_list(lst, pub)
+    assert deserialize_list(serialize_list(lst)).entries == ((3, good.rdi),)
 
 
 def test_untraced_contact_identifiers_are_not_stored():

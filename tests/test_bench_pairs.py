@@ -32,9 +32,30 @@ def test_summary_arithmetic_on_canned_runs():
     assert summary["all_correct"] and summary["same_counts_and_digest"]
     assert summary["wall_s"] == {"parent_median": 3.0, "parent_q1_q3": [2.0, 4.0],
                                  "change_median": 3.0, "change_q1_q3": [1.5, 3.5],
-                                 "change_wins": 4}
+                                 "change_wins": 4, "meets_claim_bar": False}
     # A metric where higher is better: the change won no pair, and tied one.
     assert summary["matching.hit_ratio"]["change_wins"] == 0
+
+
+def test_claim_bar_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_spread():
+    tool = load_tool()
+    parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]
+    runs = [canned_run(k, "parent", w, w) for k, w in enumerate(parent, 1)]
+
+    def bar(change, better=None):
+        change_runs = [canned_run(k, "change", w, w) for k, w in enumerate(change, 1)]
+        return tool.summarize(runs + change_runs, better)["wall_s"]["meets_claim_bar"]
+
+    # Parent median 10.0, quartiles 9.925 and 10.1: a spread of 0.175.
+    passes = [w - 0.5 for w in parent]
+    assert bar(passes)
+    # A gap past the spread, but only 8 of 10 pairs won.
+    assert not bar(passes[:8] + [10.2, 10.3])
+    # 10 of 10 pairs won, but the medians are only 0.1 apart.
+    assert not bar([w - 0.1 for w in parent])
+    # Where higher is better, the same lower runs win nothing.
+    assert not bar(passes, {"wall_s": "higher"})
+    assert bar([w + 0.5 for w in parent], {"wall_s": "higher"})
 
 
 def test_summary_flags_a_failed_run_and_differing_work():

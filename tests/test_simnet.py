@@ -1,10 +1,13 @@
 import gc
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -961,7 +964,9 @@ def test_long_run_keeps_device_state_inside_the_retention_window():
     # days a device keeps at most the window's dates of records, and the
     # world the window's dates of identifiers, however long the epidemic
     # lasts. An acted-on hit is a bit of its record, so it ages out by date
-    # with the log.
+    # with the log. Every record a day holds is keyed by another device's
+    # identifier of that date, so a day holds at most one record per other
+    # device.
     cfg = ScenarioConfig(population=300, days=120, seed=1, index_cases=3,
                          p_transmit=0.01, retention_days=7)
     world = World(cfg)
@@ -970,13 +975,52 @@ def test_long_run_keeps_device_state_inside_the_retention_window():
         world.step_day()
         cutoff = day - cfg.retention_days
         assert list(world.identifiers) == list(range(max(0, cutoff), day + 1))
-        for dev in world.devices.values():
+        position = {date: {world._identifier(date, i): i for i in range(len(world.devices))}
+                    for date in world.identifiers}
+        for i, dev in enumerate(world.devices.values()):
             dates = dev.log.days.keys()
             assert len(dates) <= cfg.retention_days + 1
             assert all(cutoff <= date <= day for date in dates)
+            for date, records in dev.log.days.items():
+                assert all(position[date].get(rdi, i) != i for rdi in records)
+                assert len(records) <= len(world.devices) - 1
             full_windows += len(dates) == cfg.retention_days + 1
             late_hits += day > 2 * cfg.retention_days and bool(_acted_on(dev.log))
     assert full_windows and late_hits
+
+
+SIGNING_STACK = "cryptography.hazmat.bindings._rust"
+
+# Run in a fresh interpreter: this one's other tests have signed lists.
+UNTRACED_RUN_THEN_TRACED_DAY = f"""
+import sys
+from dataclasses import replace
+import tracenet, tracenet.cli
+from tracenet import simnet
+from tracenet.authority import verify_list
+
+cfg = simnet.ScenarioConfig(population=120, days=15, seed=3, index_cases=2,
+                            p_transmit=0.02, adoption_fraction=0.0)
+simnet.run(cfg)
+world = simnet.World(cfg)
+assert world.public_key is None and world.authority.signing_key is None
+assert {SIGNING_STACK!r} not in sys.modules, "an untraced run loaded the signing stack"
+traced = simnet.World(replace(cfg, adoption_fraction=0.5))
+traced.step_day()
+assert {SIGNING_STACK!r} in sys.modules
+assert verify_list(traced.authority.publish(0), traced.public_key)
+"""
+
+
+def test_untraced_run_never_loads_the_signing_stack():
+    # The Ed25519 bindings cost memory and import time that a world
+    # without devices, which signs and verifies nothing, should not pay.
+    src = str(Path(simnet.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", UNTRACED_RUN_THEN_TRACED_DAY],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("seed", range(5))

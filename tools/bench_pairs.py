@@ -10,7 +10,10 @@ change first on even pairs. Every run's last two output lines (its counts
 and digest, and its result) are kept. For each metric the summary gives
 both sides' medians and inclusive quartiles, and the number of pairs the
 change won; a tie counts for neither side. A metric's better direction is
-read from the change's BENCHMARK.json, lower when it names none.
+read from the change's BENCHMARK.json, lower when it names none. Its
+"meets_claim_bar" is true when the change won at least nine tenths of the
+pairs and its median beats the parent's by more than the parent's quartile
+spread: the bar a claimed gain must clear.
 
 The summary is printed, with whether every run was correct and whether all
 did the same work (equal counts and digests). With --out, the perfbench
@@ -58,8 +61,8 @@ def quartiles(values):
 def summarize(runs, better=None):
     """The summary of `runs`, each `{"pair", "side", "counts", "digest",
     "result"}`: whether every run was correct and all did the same work, and
-    per metric both sides' medians and quartiles and the pairs the change
-    won."""
+    per metric both sides' medians and quartiles, the pairs the change won
+    and whether that meets the claim bar."""
     better = better or {}
     by_pair = {}
     for run in runs:
@@ -75,12 +78,16 @@ def summarize(runs, better=None):
         values = {side: [p[side][name]["value"] for p in pairs] for side in SIDES}
         sign = -1 if better.get(name) == "higher" else 1
         wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
+        medians = {side: statistics.median(values[side]) for side in SIDES}
+        q1, q3 = quartiles(values["parent"])
         summary[name] = {
-            "parent_median": round(statistics.median(values["parent"]), 4),
-            "parent_q1_q3": [round(q, 4) for q in quartiles(values["parent"])],
-            "change_median": round(statistics.median(values["change"]), 4),
+            "parent_median": round(medians["parent"], 4),
+            "parent_q1_q3": [round(q1, 4), round(q3, 4)],
+            "change_median": round(medians["change"], 4),
             "change_q1_q3": [round(q, 4) for q in quartiles(values["change"])],
             "change_wins": wins,
+            "meets_claim_bar": (10 * wins >= 9 * len(pairs)
+                                and sign * (medians["parent"] - medians["change"]) > q3 - q1),
         }
     return summary
 
