@@ -13,8 +13,8 @@ A list built any other way (including `dataclasses.replace`) encodes its
 own fields on first use.
 
 The Ed25519 bindings (cryptography's Rust/OpenSSL extension, about 6 MB of
-memory and 7 ms of import) load on the first key generation, sign or
-verify, not on import: a run that never signs a list never loads them.
+memory and 7 ms of import) load on the first key generation or parse, sign
+or verify, not on import: a run that never signs a list never loads them.
 """
 
 from __future__ import annotations
@@ -91,6 +91,12 @@ def generate_keypair(rng=None):
         private = key_type.from_private_bytes(rng.randbytes(32))
     public = private.public_key().public_bytes_raw()
     return private, public
+
+
+def private_key_from_hex(text: str):
+    """The Ed25519 private key whose 32 raw bytes `text` spells in hex,
+    surrounding whitespace ignored. Raises ValueError on any other text."""
+    return _ed25519()[0].Ed25519PrivateKey.from_private_bytes(bytes.fromhex(text.strip()))
 
 
 def canonical_body(epoch_date: int, entries, algorithm: int = ALG_ED25519) -> bytes:

@@ -132,19 +132,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_genlist(args) -> int:
-    # Imported here, not at module level, so that importing the CLI does not
-    # load the signing stack.
-    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
-
     if not 0 <= args.epoch < authority_mod.DATE_LIMIT:
         raise DomainError(
             f"epoch must be in 0..{authority_mod.DATE_LIMIT - 1}, got {args.epoch}")
     state = _parse(args.state, authority_mod.load_state_entries, "malformed state")
-    state.signing_key = _parse(
-        args.key,
-        lambda text: Ed25519PrivateKey.from_private_bytes(bytes.fromhex(text.strip())),
-        "bad private key",
-    )
+    state.signing_key = _parse(args.key, authority_mod.private_key_from_hex,
+                               "bad private key")
     lst = state.publish(args.epoch)
     atomic_write(args.out, authority_mod.serialize_list(lst))
     print(f"wrote {args.out} ({len(lst.entries)} entries, epoch {lst.epoch_date})")

@@ -362,9 +362,9 @@ class World:
             a: Device(log=ContactLog(retention_days=config.retention_days))
             for a in adopters
         }
-        # {date: that day's one draw of identifiers}, over the retention
-        # window. The i-th device in `devices` order broadcasts bytes
-        # `RDI_BYTES * i` to `RDI_BYTES * (i + 1)` (`_identifier`).
+        # {date: that day's one draw of identifiers}, over the window an
+        # upload sends (`_rotate`). The i-th device in `devices` order
+        # broadcasts bytes `RDI_BYTES * i` to `RDI_BYTES * (i + 1)`.
         self.identifiers = {}
         # Index agent -> infections it caused: the sample of empirical_r0.
         self.index_infections = {}
@@ -401,11 +401,6 @@ class World:
     def _schedule_test(self, due_day, kind, agent, token):
         self.pending_tests.setdefault(due_day, []).append((kind, agent, token))
 
-    def _identifier(self, date, i):
-        """The identifier that the i-th device in `devices` order broadcast
-        on `date`."""
-        return self.identifiers[date][RDI_BYTES * i:RDI_BYTES * (i + 1)]
-
     def _register_positive(self, agent, day):
         """Carrier registration, once per agent: the device uploads its
         contact history and its own broadcast identifiers for the lookback
@@ -423,10 +418,10 @@ class World:
         start = day - self.config.lookback_days
         history = log.export_history(start, day)
         # Devices are keyed in agent order, so the adopters below `agent`
-        # give its position. The table is written in ascending date order.
-        i = int(np.count_nonzero(self.adopter[:agent]))
-        own = [(date, self._identifier(date, i))
-               for date in self.identifiers if date >= start]
+        # give its position. The table holds exactly the upload's dates, in
+        # ascending order (`_rotate`).
+        k = RDI_BYTES * int(np.count_nonzero(self.adopter[:agent]))
+        own = [(date, draw[k:k + RDI_BYTES]) for date, draw in self.identifiers.items()]
         self.authority.register_carrier(history, start, own_identifiers=own, today=day)
         # The carrier's own upload must not trigger inquiries back at the
         # carrier when contact-derived entries get published.
@@ -581,10 +576,12 @@ class World:
 
     def _rotate(self, day):
         """Draw the day's identifiers, one draw for every device in device
-        order, and prune every device's log. Days step by one from 0, so
-        only one date of the table ages out."""
+        order, and prune every device's log. The table keeps the dates an
+        upload sends: the lookback window, cut to the log's retention. Days
+        step by one from 0, so only one date of the table ages out."""
+        cfg = self.config
         self.identifiers[day] = self.rng.randbytes(RDI_BYTES * len(self.devices))
-        self.identifiers.pop(day - self.config.retention_days - 1, None)
+        self.identifiers.pop(day - min(cfg.lookback_days, cfg.retention_days) - 1, None)
         for dev in self.devices.values():
             dev.log.prune(day)
 

@@ -15,6 +15,7 @@ from tracenet.authority import (
     canonical_body,
     deserialize_list,
     generate_keypair,
+    private_key_from_hex,
     serialize_list,
     verify_list,
 )
@@ -176,6 +177,16 @@ def test_generate_keypair_without_rng_draws_a_fresh_key():
     (key, pub), (_, other) = generate_keypair(), generate_keypair()
     assert len(pub) == 32 and pub != other
     assert verify_list(AuthorityState(signing_key=key).publish(0), pub)
+
+
+def test_private_key_from_hex_reads_back_a_drawn_key():
+    key, pub = generate_keypair(random.Random(5))
+    raw = key.private_bytes_raw()
+    parsed = private_key_from_hex(f"  {raw.hex()}\n")
+    assert parsed.public_key().public_bytes_raw() == pub
+    for text in ("", "zz" * 32, raw.hex()[:-2], raw.hex() + "00"):
+        with pytest.raises(ValueError):
+            private_key_from_hex(text)
 
 
 def test_publish_refuses_without_a_signing_key():

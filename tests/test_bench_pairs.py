@@ -2,6 +2,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 
 
@@ -73,8 +75,15 @@ from pathlib import Path
 here = Path.cwd()
 values = json.loads((here / "values.json").read_text())
 (here / "values.json").write_text(json.dumps(values[1:]))
+if values[0] is None:
+    sys.exit("run failed")
 with open(here.parent / "order.txt", "a") as fh:
     fh.write(here.name + " " + " ".join(sys.argv[1:]) + "\\n")
+# Three repetitions' raw set-up, the run's value last: its median.
+(here / ".perfbench_out").mkdir(exist_ok=True)
+reps = [{"raw_setup_s": s} for s in (0.0, 9.0, values[0] / 10)]
+(here / ".perfbench_out" / "result-w-seed7-trace0.json").write_text(
+    json.dumps({"detail": {"repetitions": reps}}))
 print("wall_s 1.0 s")
 print(json.dumps({"detail": {}, "counts": {"spans_logged": 7}, "digest": {}}))
 print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
@@ -82,12 +91,18 @@ print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
 '''
 
 
-def test_pairs_alternate_and_land_in_the_out_file(tmp_path, capsys):
-    tool = load_tool()
-    for side, values in (("parent", [3.0, 2.0, 4.0]), ("change", [1.0, 2.5, 5.0])):
+def fake_checkouts(tmp_path, parent, change):
+    """Two checkouts whose perfbench runs report `wall_s` from the given
+    values in turn; a None value makes that run fail."""
+    for side, values in (("parent", parent), ("change", change)):
         (tmp_path / side / "perfbench").mkdir(parents=True)
         (tmp_path / side / "perfbench" / "run.py").write_text(FAKE_RUN)
         (tmp_path / side / "values.json").write_text(json.dumps(values))
+
+
+def test_pairs_alternate_and_land_in_the_out_file(tmp_path, capsys):
+    tool = load_tool()
+    fake_checkouts(tmp_path, [3.0, 2.0, 4.0], [1.0, 2.5, 5.0])
     out = tmp_path / "bench.json"
     out.write_text(json.dumps({"what": "kept"}))
     argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w",
@@ -107,16 +122,38 @@ def test_pairs_alternate_and_land_in_the_out_file(tmp_path, capsys):
     assert summary["wall_s"]["parent_median"] == 3.0
     assert summary["wall_s"]["change_median"] == 2.5
     assert summary["wall_s"]["change_wins"] == 1
+    assert [run["raw_setup_s"] for run in record["runs"]] == [0.3, 0.1, 0.25, 0.2, 0.4, 0.5]
+    assert summary["raw_setup_s"]["parent_median"] == 0.3
+    assert summary["raw_setup_s"]["change_median"] == 0.25
+    assert not (tmp_path / "bench.json.tmp").exists()
     assert "--workload w --seed 7 --seconds 5 --trace 0" in record["commands"]["w seed 7"]
     assert '"w seed 7"' in capsys.readouterr().out
 
 
-def test_runs_may_write_bytecode(monkeypatch):
+def test_a_failed_run_keeps_the_runs_before_it(tmp_path):
+    tool = load_tool()
+    fake_checkouts(tmp_path, [3.0, 2.0], [1.0, None])
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps({"runs": [{"pair": 1, "side": "earlier"}]}))
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w",
+            "--seed", "7", "--pairs", "2", "--seconds", "5", "--out", str(out)]
+    with pytest.raises(RuntimeError, match="run failed"):
+        tool.main(argv)
+    record = json.loads(out.read_text())
+    assert [run["side"] for run in record["runs"]] == ["earlier", "parent", "change"]
+    assert record["summary"]["w seed 7"]["pairs"] == 1
+    assert record["summary"]["w seed 7"]["wall_s"]["change_median"] == 1.0
+
+
+def test_runs_may_write_bytecode(monkeypatch, tmp_path):
     # A set-up import that writes `__pycache__` in one checkout and not in
     # the other would time different work, so no run inherits the switch.
     tool = load_tool()
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     handed = {}
+    (tmp_path / ".perfbench_out").mkdir()
+    (tmp_path / ".perfbench_out" / "result-w-seed1-trace0.json").write_text(
+        json.dumps({"detail": {"repetitions": [{"raw_setup_s": 0.2}]}}))
 
     def fake_run(command, **kwargs):
         handed.update(kwargs)
@@ -124,7 +161,7 @@ def test_runs_may_write_bytecode(monkeypatch):
         return tool.subprocess.CompletedProcess(command, 0, "\n".join(out), "")
 
     monkeypatch.setattr(tool.subprocess, "run", fake_run)
-    tool.run_once("checkout", "w", 1, 5, 0)
-    assert handed["cwd"] == "checkout"
+    assert tool.run_once(str(tmp_path), "w", 1, 5, 0)["raw_setup_s"] == 0.2
+    assert handed["cwd"] == str(tmp_path)
     assert "PYTHONDONTWRITEBYTECODE" not in handed["env"]
     assert handed["env"]["PATH"] == tool.os.environ["PATH"]

@@ -962,21 +962,27 @@ def test_simulator_is_a_well_behaved_casework_client(cfg):
 def test_long_run_keeps_device_state_inside_the_retention_window():
     # `run` stops at extinction, so the world is stepped directly: over 120
     # days a device keeps at most the window's dates of records, and the
-    # world the window's dates of identifiers, however long the epidemic
-    # lasts. An acted-on hit is a bit of its record, so it ages out by date
-    # with the log. Every record a day holds is keyed by another device's
-    # identifier of that date, so a day holds at most one record per other
-    # device.
+    # world only the upload window's dates of identifiers, however long the
+    # epidemic lasts. An acted-on hit is a bit of its record, so it ages out
+    # by date with the log. Every record a day holds is keyed by another
+    # device's identifier of that date, so a day holds at most one record
+    # per other device. Each day's draw is kept here as it is stepped, since
+    # the world drops it before the logs do.
     cfg = ScenarioConfig(population=300, days=120, seed=1, index_cases=3,
                          p_transmit=0.01, retention_days=7)
+    window = min(cfg.lookback_days, cfg.retention_days)
+    assert window < cfg.retention_days
     world = World(cfg)
+    position = {}  # date -> {rdi: the position of the device that sent it}
     full_windows = late_hits = 0
     for day in range(cfg.days):
         world.step_day()
         cutoff = day - cfg.retention_days
-        assert list(world.identifiers) == list(range(max(0, cutoff), day + 1))
-        position = {date: {world._identifier(date, i): i for i in range(len(world.devices))}
-                    for date in world.identifiers}
+        assert list(world.identifiers) == list(range(max(0, day - window), day + 1))
+        draw = world.identifiers[day]
+        position[day] = {draw[RDI_BYTES * i:RDI_BYTES * (i + 1)]: i
+                         for i in range(len(world.devices))}
+        position.pop(cutoff - 1, None)
         for i, dev in enumerate(world.devices.values()):
             dates = dev.log.days.keys()
             assert len(dates) <= cfg.retention_days + 1
@@ -987,6 +993,40 @@ def test_long_run_keeps_device_state_inside_the_retention_window():
             full_windows += len(dates) == cfg.retention_days + 1
             late_hits += day > 2 * cfg.retention_days and bool(_acted_on(dev.log))
     assert full_windows and late_hits
+
+
+@pytest.mark.parametrize("lookback, retention", [(2, 6), (30, 3), (0, 4)],
+                         ids=["lookback-below-retention", "lookback-above-retention",
+                              "lookback-0"])
+def test_world_holds_its_identifiers_for_the_upload_window_only(lookback, retention):
+    # A carrier uploads the identifiers it broadcast over the lookback
+    # window, cut to the log's retention. The world holds exactly those
+    # dates, so an upload is the carrier's slice of every held draw.
+    cfg = replace(FAST, days=16, lookback_days=lookback, retention_days=retention)
+    window = min(lookback, retention)
+    world = World(cfg)
+    agents = list(world.devices)
+    registered, uploads = set(), []
+    register = world.authority.register_carrier
+
+    def register_spy(history, infectious_start, own_identifiers=(), today=0):
+        [carrier] = set(np.flatnonzero(world.known_carrier).tolist()) - registered
+        registered.add(carrier)
+        k = RDI_BYTES * agents.index(carrier)
+        assert list(own_identifiers) == [(date, draw[k:k + RDI_BYTES])
+                                         for date, draw in world.identifiers.items()]
+        uploads.append((today, [date for date, _ in own_identifiers]))
+        return register(history, infectious_start, own_identifiers=own_identifiers,
+                        today=today)
+
+    world.authority.register_carrier = register_spy
+    for day in range(cfg.days):
+        world.step_day()
+        assert list(world.identifiers) == list(range(max(0, day - window), day + 1))
+    assert registered
+    assert all(dates == list(range(max(0, today - window), today + 1))
+               for today, dates in uploads)
+    assert any(len(dates) == window + 1 for _, dates in uploads)
 
 
 SIGNING_STACK = "cryptography.hazmat.bindings._rust"

@@ -7,19 +7,26 @@
 Each pair runs `python3 perfbench/run.py --workload W --seed S --seconds T
 --trace X` once in each checkout, the parent first on odd pairs and the
 change first on even pairs. Every run's last two output lines (its counts
-and digest, and its result) are kept. For each metric the summary gives
-both sides' medians and inclusive quartiles, and the number of pairs the
-change won; a tie counts for neither side. A metric's better direction is
-read from the change's BENCHMARK.json, lower when it names none. Its
-"meets_claim_bar" is true when the change won at least nine tenths of the
-pairs and its median beats the parent's by more than the parent's quartile
-spread: the bar a claimed gain must clear.
+and digest, and its result) are kept, with its raw set-up time: the median
+`raw_setup_s` over the run's repetitions, read from the checkout's
+`.perfbench_out/result-W-seedS-traceX.json`. That is the set-up from spawn,
+unscaled, summarized as `raw_setup_s` beside the scaled `setup_s`, so work
+moved between the imports and the workload build shows as what it is.
+
+For each metric the summary gives both sides' medians and inclusive
+quartiles, and the number of pairs the change won; a tie counts for neither
+side. A metric's better direction is read from the change's BENCHMARK.json,
+lower when it names none. Its "meets_claim_bar" is true when the change won
+at least nine tenths of the pairs and its median beats the parent's by more
+than the parent's quartile spread: the bar a claimed gain must clear.
 
 The summary is printed, with whether every run was correct and whether all
 did the same work (equal counts and digests). With --out, the perfbench
 command, the runs and the summary are added to that JSON file, under the
 key "W seed S" (with " trace 1" for a traced run), keeping what the file
-already holds.
+already holds. The file is rewritten after every run, through a temporary
+file and a rename, so a failed run keeps the runs before it and an
+interrupted write leaves the previous file whole.
 """
 
 from __future__ import annotations
@@ -47,7 +54,18 @@ def run_once(checkout, workload, seed, seconds, trace):
         raise RuntimeError(f"{' '.join(command)} in {checkout} exited "
                            f"{done.returncode}: {done.stderr.strip()[-500:]}")
     detail, result = json.loads(lines[-2]), json.loads(lines[-1])
-    return {"counts": detail["counts"], "digest": detail["digest"], "result": result}
+    return {"counts": detail["counts"], "digest": detail["digest"], "result": result,
+            "raw_setup_s": raw_setup(checkout, workload, seed, trace)}
+
+
+def raw_setup(checkout, workload, seed, trace):
+    """The median `raw_setup_s` over the repetitions of the run that last
+    wrote its result file in `checkout`."""
+    path = os.path.join(checkout, ".perfbench_out",
+                        f"result-{workload}-seed{seed}-trace{trace}.json")
+    with open(path) as fh:
+        repetitions = json.load(fh)["detail"]["repetitions"]
+    return statistics.median(rep["raw_setup_s"] for rep in repetitions)
 
 
 def quartiles(values):
@@ -66,7 +84,10 @@ def summarize(runs, better=None):
     better = better or {}
     by_pair = {}
     for run in runs:
-        by_pair.setdefault(run["pair"], {})[run["side"]] = run["result"]["metrics"]
+        metrics = dict(run["result"]["metrics"])
+        if "raw_setup_s" in run:
+            metrics["raw_setup_s"] = {"value": run["raw_setup_s"]}
+        by_pair.setdefault(run["pair"], {})[run["side"]] = metrics
     pairs = [sides for sides in by_pair.values() if len(sides) == 2]
     outputs = {json.dumps([run["counts"], run["digest"]], sort_keys=True) for run in runs}
     summary = {"pairs": len(pairs),
@@ -119,9 +140,29 @@ def parse_args(argv):
     return args
 
 
+def write_json(path, record):
+    """Replace the file at `path` with `record` as JSON, whole or not at all."""
+    temp = f"{path}.tmp"
+    with open(temp, "w") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+    os.replace(temp, path)
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     checkouts = {"parent": args.parent, "change": args.change}
+    key = f"{args.workload} seed {args.seed}" + (" trace 1" if args.trace else "")
+    better = better_directions(args.change)
+    record = {}
+    if args.out and os.path.exists(args.out):
+        with open(args.out) as fh:
+            record = json.load(fh)
+    record.setdefault("commands", {})[key] = (
+        f"python3 perfbench/run.py --workload {args.workload} --seed {args.seed} "
+        f"--seconds {args.seconds} --trace {args.trace}, in {args.pairs} pairs, "
+        "odd pairs parent first, even pairs change first")
+    kept = record.get("runs", [])
     runs = []
     for pair in range(1, args.pairs + 1):
         order = SIDES if pair % 2 else SIDES[::-1]
@@ -131,23 +172,12 @@ def main(argv=None) -> int:
             runs.append({"pair": pair, "seed": args.seed, "workload": args.workload,
                          "trace": args.trace, "side": side, "first": order[0], **run})
             print(json.dumps(runs[-1]), flush=True)
-    key = f"{args.workload} seed {args.seed}" + (" trace 1" if args.trace else "")
-    summary = summarize(runs, better_directions(args.change))
+            summary = summarize(runs, better)
+            if args.out:
+                record.setdefault("summary", {})[key] = summary
+                record["runs"] = kept + runs
+                write_json(args.out, record)
     print(json.dumps({key: summary}, indent=1))
-    if args.out:
-        record = {}
-        if os.path.exists(args.out):
-            with open(args.out) as fh:
-                record = json.load(fh)
-        record.setdefault("commands", {})[key] = (
-            f"python3 perfbench/run.py --workload {args.workload} --seed {args.seed} "
-            f"--seconds {args.seconds} --trace {args.trace}, in {args.pairs} pairs, "
-            "odd pairs parent first, even pairs change first")
-        record.setdefault("summary", {})[key] = summary
-        record.setdefault("runs", []).extend(runs)
-        with open(args.out, "w") as fh:
-            json.dump(record, fh, indent=1)
-            fh.write("\n")
     return 0
 
 
