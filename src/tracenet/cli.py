@@ -228,8 +228,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (DomainError, simnet.InvalidConfig, OSError) as exc:
+    except (DomainError, simnet.InvalidConfig, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:  # carries no text
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -107,7 +107,7 @@ class ScenarioConfig:
         problems = [
             f"{f.name} must be finite, got {getattr(self, f.name)}"
             for f in fields(self)
-            if f.type in ("float", float) and not math.isfinite(getattr(self, f.name))
+            if f.type == "float" and not math.isfinite(getattr(self, f.name))
         ]
         if problems:
             raise InvalidConfig(problems)
@@ -172,11 +172,11 @@ def config_from_file(path) -> ScenarioConfig:
             if key in values:
                 raise InvalidConfig([f"{path}:{lineno}: duplicate key {key!r}"])
             try:
-                if spec.type in ("int", int):
+                if spec.type == "int":
                     values[key] = int(value)
-                elif spec.type in ("float", float):
+                elif spec.type == "float":
                     values[key] = float(value)
-                elif spec.type in ("bool", bool):
+                elif spec.type == "bool":
                     if value.lower() not in ("1", "true", "yes", "0", "false", "no"):
                         raise ValueError(
                             f"expected 1/true/yes or 0/false/no, got {value!r}")
@@ -460,13 +460,14 @@ class World:
         The generator is drawn in this order: part 1's counts (poisson) and
         partners (integers), part 2's counts (poisson) and senders (random),
         then for every returned event the quarantine-leak uniforms (random),
-        durations (standard_exponential, or geometric), distance classes
-        (random) and start ticks (integers). The attributes are i.i.d. and
-        independent of the partners, so giving them to the returned events
-        only leaves the law of a run unchanged. At full adoption every agent
-        is active: part 2 has no sender, its Poisson rates are zero, numpy
-        draws nothing for them, and the stream is that of a sampler that
-        draws every event and gives each attributes. That order is the
+        durations (geometric), distance classes (random) and start ticks
+        (integers). The attributes are i.i.d. and independent of the
+        partners, so giving them to the returned events only leaves the law
+        of a run unchanged. At full adoption every agent is active: part 2
+        has no sender, its Poisson rates are zero, numpy draws nothing for
+        them, and the stream is that of a sampler that draws every event and
+        gives each attributes. Likewise a zero `contacts_per_day` draws no
+        event and leaves the generator where it was. That order is the
         stream contract `tests/test_pin.py` guards, so a change to it
         changes every run's outputs. Part 2 runs only on a day with an
         infectious agent: with no receiver numpy would draw nothing for it.
@@ -497,16 +498,14 @@ class World:
         or incoming with equal chance, so credit stays exchangeable between
         infectors.
 
-        The class and duration draws are numpy's own `choice(3, p=...)` and
-        `geometric` without their per-call overhead: a uniform compared
-        against the normalised cumulative mix, and the exponential inversion
-        `geometric` uses for p < 1/3. At p >= 1/3, that is a mean of three
-        ticks or less, numpy's `geometric` draws by a search instead, which
-        consumes the stream differently, so it is called as it is.
+        The class draw is numpy's own `choice(3, p=...)` without its per-call
+        overhead: a uniform compared against the normalised cumulative mix.
+        Durations are numpy's `geometric` clipped to a day; numpy caps a draw
+        past the int64 range at its maximum, so no mean overflows them.
         """
         cfg = self.config
         n = cfg.population
-        if n < 2 or cfg.contacts_per_day == 0:
+        if n < 2:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty, empty, empty, empty, np.zeros(0, dtype=bool)
         rng = self.nprng
@@ -557,13 +556,7 @@ class World:
         # An event with a quarantined partner happens with the leak
         # probability; the draw is made whether or not anyone is quarantined.
         drop = self.quarantined[dst] & (rng.random(k) >= cfg.quarantine_leak)
-        p = 1.0 / cfg.duration_mean_ticks
-        if p < 1 / 3:
-            # Clipped before the int cast, which a long mean's draws overflow.
-            ticks = np.ceil(rng.standard_exponential(k) / -math.log1p(-p))
-            dur = np.minimum(ticks, TICKS_PER_DAY).astype(np.int64)
-        else:
-            dur = np.minimum(rng.geometric(p, k), TICKS_PER_DAY)
+        dur = np.minimum(rng.geometric(1.0 / cfg.duration_mean_ticks, k), TICKS_PER_DAY)
         cdf = self.class_cdf
         uniform = rng.random(k)
         cls = (uniform >= cdf[0]).astype(np.int64) + (uniform >= cdf[1])

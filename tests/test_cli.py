@@ -578,6 +578,28 @@ def test_simulate_rejects_out_of_range_value(tmp_path, capsys, line, problem):
     assert not out_dir.exists()
 
 
+# A scenario the host cannot hold: the single agent's epidemic ends within
+# days, and then padding its series to `days` fails. A huge population is left
+# out, since `World` would grow its tables until the host gave out.
+@pytest.mark.parametrize("days, error", [
+    (2**62, "error: out of memory\n"),  # a list that size cannot be allocated
+    (10**30, None),  # past a list's index range: CPython's OverflowError text
+], ids=["out_of_memory", "past_index_range"])
+def test_simulate_refuses_scenario_too_large_for_the_host(tmp_path, capsys,
+                                                          days, error):
+    path = tmp_path / "scenario.cfg"
+    path.write_text(f"population = 1\ndays = {days}\n")
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        ["simulate", "--config", str(path), "--out", str(out_dir)], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert error is None or err == error
+    assert not (out_dir / "metrics.csv").exists()
+
+
 def test_simulate_rejects_calibration_target(tmp_path, capsys):
     # The R0 target is an argument of calibrate_p_transmit, not a scenario key.
     path = tmp_path / "scenario.cfg"

@@ -8,10 +8,11 @@ re-pins here and says why in CHANGES.md.
 
 The short retention window makes log pruning, case erasure and the daily
 bookkeeping around them run inside a 30-day scenario. The last three pins
-cover the branches of the event stream that the first three never take: a
-run with no device, which publishes unsigned and stops early; contacts short
-enough that durations are drawn by `geometric`; and one agent, which draws
-no events.
+cover what the first three never reach: a run with no device, which
+publishes unsigned and stops early; contacts short enough (a mean of at most
+three ticks, p >= 1/3) that numpy's `geometric` draws durations by its search
+rather than its inversion, a regime inside numpy and not a branch of the
+sampler; and one agent, which draws no events.
 """
 
 import hashlib

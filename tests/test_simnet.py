@@ -278,11 +278,15 @@ sampler_configs = st.builds(
 
 
 # numpy's geometric switches from a search to an inversion below p = 1/3.
-@pytest.mark.parametrize("duration_mean_ticks", [1, 1.5, 3.0, 3.0001, 12, 300])
+# At 1e300 every draw is past the int64 range.
+@pytest.mark.parametrize("duration_mean_ticks", [1, 1.5, 3.0, 3.0001, 12, 300, 1e300])
 @settings(max_examples=20, deadline=None)
 @example(cfg=ScenarioConfig(population=400, seed=5, index_cases=0,
                             near_fraction=0.0, mid_fraction=0.5,
                             far_fraction=0.5),
+         quarantined_share=0.5)
+@example(cfg=ScenarioConfig(population=50, seed=9, index_cases=0,
+                            contacts_per_day=0.0),
          quarantined_share=0.5)
 @given(cfg=sampler_configs, quarantined_share=st.sampled_from([0.0, 0.1, 0.5, 1.0]))
 def test_sample_events_matches_reference_stream(duration_mean_ticks, cfg,
@@ -309,8 +313,8 @@ def test_sample_events_matches_reference_stream(duration_mean_ticks, cfg,
 
 
 def test_sample_events_clips_durations_longer_than_a_day():
-    # At a mean this long every inverted exponential draw is far past the
-    # int64 range, so the clip to one day must come before the int cast.
+    # At a mean this long every draw is far past the int64 range, where
+    # numpy's `geometric` returns its cap; the clip brings it to one day.
     cfg = ScenarioConfig(population=50, seed=3, index_cases=0,
                          duration_mean_ticks=1e300)
     src, _, _, start, dur, _ = World(cfg)._sample_events()
