@@ -18,7 +18,7 @@ from itertools import repeat, zip_longest
 import numpy as np
 
 from . import casework, matching
-from .authority import AuthorityState, generate_keypair, verify_list
+from .authority import DATE_LIMIT, AuthorityState, generate_keypair, verify_list
 from .casework import CaseState, MailboxMessage, MessageKind
 from .contact_log import DEFAULT_RETENTION_DAYS, Category, ContactLog, TICKS_PER_DAY
 from .ident import (RDI_BYTES, DailyIdentifier, DistanceClass, decode_beacon,
@@ -63,9 +63,7 @@ TRACED_CATEGORIES = {"cat1": (Category.CATEGORY1,), "cat1+cat2": casework.ALL_CA
 
 
 class InvalidConfig(ValueError):
-    def __init__(self, problems):
-        self.problems = list(problems)
-        super().__init__("; ".join(self.problems))
+    pass
 
 
 class NoConvergence(RuntimeError):
@@ -78,6 +76,10 @@ class InsufficientData(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One scenario's knobs. Every config is in range: building one, by
+    `dataclasses.replace` too, raises `InvalidConfig` naming each value out
+    of range."""
+
     population: int = 1000
     days: int = 60
     seed: int = 0
@@ -101,7 +103,7 @@ class ScenarioConfig:
     lookback_days: int = casework.DEFAULT_LOOKBACK_DAYS
     trace_contact_derived: bool = False
 
-    def validate(self) -> "ScenarioConfig":
+    def __post_init__(self):
         # Every range check below is meaningless on inf or nan, so those
         # are reported alone.
         problems = [
@@ -110,12 +112,15 @@ class ScenarioConfig:
             if f.type == "float" and not math.isfinite(getattr(self, f.name))
         ]
         if problems:
-            raise InvalidConfig(problems)
-        for name in ("population", "days", "latency_days", "symptom_onset_days",
+            raise InvalidConfig("; ".join(problems))
+        for name in ("population", "latency_days", "symptom_onset_days",
                      "course_days", "test_delay_days", "index_cases",
                      "retention_days", "incubation_days", "lookback_days"):
             if getattr(self, name) < 0:
                 problems.append(f"{name} must be >= 0, got {getattr(self, name)}")
+        # Every stepped day is a list epoch, which the codec writes as a u32.
+        if not 0 <= self.days <= DATE_LIMIT:
+            problems.append(f"days must be in [0, {DATE_LIMIT}], got {self.days}")
         for name in ("asymptomatic_fraction", "adoption_fraction", "p_transmit",
                      "quarantine_leak", "near_fraction", "mid_fraction",
                      "far_fraction"):
@@ -140,8 +145,7 @@ class ScenarioConfig:
                 f"got {self.categories_traced!r}"
             )
         if problems:
-            raise InvalidConfig(problems)
-        return self
+            raise InvalidConfig("; ".join(problems))
 
     @property
     def traced_categories(self):
@@ -156,21 +160,21 @@ def config_from_file(path) -> ScenarioConfig:
         try:
             lines = fh.readlines()
         except UnicodeDecodeError as exc:
-            raise InvalidConfig([f"{path}: {exc}"]) from exc
+            raise InvalidConfig(f"{path}: {exc}") from exc
         for lineno, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise InvalidConfig([f"{path}:{lineno}: expected key=value, got {line!r}"])
+                raise InvalidConfig(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
             spec = by_name.get(key)
             if spec is None:
-                raise InvalidConfig([f"{path}:{lineno}: unknown key {key!r}"])
+                raise InvalidConfig(f"{path}:{lineno}: unknown key {key!r}")
             if key in values:
-                raise InvalidConfig([f"{path}:{lineno}: duplicate key {key!r}"])
+                raise InvalidConfig(f"{path}:{lineno}: duplicate key {key!r}")
             try:
                 if spec.type == "int":
                     values[key] = int(value)
@@ -184,8 +188,8 @@ def config_from_file(path) -> ScenarioConfig:
                 else:
                     values[key] = value
             except ValueError as exc:
-                raise InvalidConfig([f"{path}:{lineno}: bad {key}: {exc}"]) from exc
-    return ScenarioConfig(**values).validate()
+                raise InvalidConfig(f"{path}:{lineno}: bad {key}: {exc}") from exc
+    return ScenarioConfig(**values)
 
 
 def infection_probability(near_ticks, mid_ticks, p_transmit):
@@ -319,7 +323,6 @@ class World:
 
     def __init__(self, config: ScenarioConfig, seed: int = None,
                  record_events: bool = False):
-        config.validate()
         if seed is not None:
             config = replace(config, seed=seed)
         self.config = config
@@ -883,8 +886,7 @@ def calibrate_p_transmit(config: ScenarioConfig, target_r0: float) -> float:
     would return the same estimate.
     """
     if not (math.isfinite(target_r0) and target_r0 >= 0):
-        raise InvalidConfig([f"target_r0 must be finite and >= 0, got {target_r0}"])
-    config.validate()
+        raise InvalidConfig(f"target_r0 must be finite and >= 0, got {target_r0}")
     tolerance, runs_per_probe, max_steps = 0.1, 20, 30
     if target_r0 == 0:
         return 0.0

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tracenet import simnet
-from tracenet.authority import deserialize_list, serialize_list
+from tracenet.authority import DATE_LIMIT, deserialize_list, serialize_list
 from tracenet.casework import CaseState
 from tracenet.contact_log import TICKS_PER_DAY, ContactLog
 from tracenet.ident import (
@@ -49,13 +49,26 @@ def event_lines(events):
 
 
 def test_config_validation_names_offending_fields():
-    bad = ScenarioConfig(population=-1, adoption_fraction=1.5, near_fraction=0.9)
     with pytest.raises(InvalidConfig) as err:
-        bad.validate()
+        ScenarioConfig(population=-1, adoption_fraction=1.5, near_fraction=0.9)
     text = str(err.value)
     assert "population" in text
     assert "adoption_fraction" in text
     assert "mix" in text
+
+
+@pytest.mark.parametrize("field, value", [
+    ("population", -1), ("p_transmit", 1.5), ("contacts_per_day", TICKS_PER_DAY + 1),
+    ("duration_mean_ticks", 0.5), ("categories_traced", "cat2"),
+    ("days", DATE_LIMIT + 1),
+])
+def test_replace_checks_the_config_it_builds(field, value):
+    with pytest.raises(InvalidConfig, match=f"^{field} must be .*, got {value!r}"):
+        replace(FAST, **{field: value})
+
+
+def test_days_may_reach_the_last_list_epoch():
+    assert replace(FAST, days=DATE_LIMIT).days == DATE_LIMIT
 
 
 def test_config_from_file(tmp_path):
@@ -1309,5 +1322,7 @@ def test_metrics_csv_round_trip():
 
 
 def test_invalid_config_propagates_from_run():
+    # The config refuses itself as it is built, so the error comes before
+    # `run` starts.
     with pytest.raises(InvalidConfig):
         run(ScenarioConfig(days=-1))
