@@ -441,7 +441,7 @@ class World:
 
         Each agent sends a Poisson count of events a day, at
         `contacts_per_day` scaled by the leak while it is quarantined, each
-        to a uniform partner; a self-draw moves to the next agent. An event
+        to a partner drawn uniformly from the other `n - 1` agents. An event
         matters when both partners are adopters, so both devices log it, or
         when the partners' `TRANSMISSION_ROLE`s XOR to 3, so it can transmit.
         No other event changes a run. Call an agent active when it is an
@@ -454,11 +454,10 @@ class World:
         2. Every infectious agent's incoming events from susceptible senders
            that are not active. A sender that is not active is neither an
            adopter nor infectious, so this is the only way its event can
-           matter, and every such event can transmit. They reach receiver
-           `b` at rate `(W + w[b-1]) / n`, where `W` is the summed rate of
-           those senders and `w[b-1]` the rate of `b - 1` if it is one,
-           whose self-draws also land on `b`. Each event's sender is drawn
-           in proportion to its rate, `b - 1` counting twice.
+           matter, and every such event can transmit. They reach every
+           receiver at one rate, `W / (n - 1)`, where `W` is the summed rate
+           of those senders, and each event's sender is drawn in proportion
+           to its rate.
 
         The generator is drawn in this order: part 1's counts (poisson) and
         partners (integers), part 2's counts (poisson) and senders (random),
@@ -525,9 +524,8 @@ class World:
         senders = np.flatnonzero(self.adopter | infectious) if self.devices else receivers
         src = np.repeat(senders, rng.poisson(lam[senders]))
         m = len(src)
-        dst = rng.integers(0, n, m, dtype=np.int64)
-        clash = dst == src
-        dst[clash] = (dst[clash] + 1) % n
+        dst = rng.integers(0, n - 1, m, dtype=np.int64)
+        dst += dst >= src
         transmit = (role[src] ^ role[dst]) == 3
         matters = transmit
         if self.devices:
@@ -540,18 +538,13 @@ class World:
         #    search never picks them. With no receiver, numpy would draw
         #    nothing here.
         if len(receivers):
-            inactive = (role == 2) & ~self.adopter
-            senders = np.flatnonzero(inactive)
+            senders = np.flatnonzero((role == 2) & ~self.adopter)
             running = (self.free_running[:len(senders)] if lam is self.free_rate
                        else np.cumsum(lam[senders]))
             total = running[-1] if len(senders) else 0.0
-            before = (receivers - 1) % n
-            mass = np.where(inactive[before], lam[before], 0.0) + total
-            incoming = rng.poisson(mass / n)
-            pick = rng.random(int(incoming.sum())) * np.repeat(mass, incoming)
-            origin = np.repeat(before, incoming)
-            below = pick < total
-            origin[below] = senders[np.searchsorted(running, pick[below], side="right")]
+            incoming = rng.poisson(total / (n - 1), len(receivers))
+            pick = rng.random(int(incoming.sum())) * total
+            origin = senders[np.searchsorted(running, pick, side="right")]
             src = np.concatenate((src, origin))
             dst = np.concatenate((dst, np.repeat(receivers, incoming)))
             transmit = np.concatenate((transmit, np.ones(len(pick), dtype=bool)))

@@ -31,7 +31,8 @@ def test_summary_arithmetic_on_canned_runs():
     runs += [canned_run(k, "change", w, w) for k, w in enumerate(change, 1)]
     summary = tool.summarize(runs, {"matching.hit_ratio": "higher"})
     assert summary["pairs"] == 5
-    assert summary["all_correct"] and summary["same_counts_and_digest"]
+    assert summary["all_correct"] and summary["sides_match"]
+    assert summary["same_counts_and_digest"] == {"parent": True, "change": True}
     assert summary["wall_s"] == {"parent_median": 3.0, "parent_q1_q3": [2.0, 4.0],
                                  "change_median": 3.0, "change_q1_q3": [1.5, 3.5],
                                  "change_wins": 4, "meets_claim_bar": False}
@@ -66,8 +67,14 @@ def test_summary_flags_a_failed_run_and_differing_work():
             canned_run(1, "change", 1.0, 1.0, counts={"spans_logged": 8}, correct=False)]
     summary = tool.summarize(runs)
     assert not summary["all_correct"]
-    assert not summary["same_counts_and_digest"]
+    # The sides differ, and each agrees with itself until a change run
+    # differs from the change's other runs.
+    assert not summary["sides_match"]
+    assert summary["same_counts_and_digest"] == {"parent": True, "change": True}
     assert summary["wall_s"]["parent_q1_q3"] == [1.0, 1.0]
+    runs.append(canned_run(2, "change", 1.0, 1.0))
+    assert tool.summarize(runs)["same_counts_and_digest"] == {"parent": True,
+                                                              "change": False}
 
 
 FAKE_RUN = '''import json, sys
@@ -85,19 +92,24 @@ reps = [{"raw_setup_s": s} for s in (0.0, 9.0, values[0] / 10)]
 (here / ".perfbench_out" / "result-w-seed7-trace0.json").write_text(
     json.dumps({"detail": {"repetitions": reps}}))
 print("wall_s 1.0 s")
-print(json.dumps({"detail": {}, "counts": {"spans_logged": 7}, "digest": {}}))
+digest = here / "digest.json"
+digest = json.loads(digest.read_text()) if digest.exists() else {}
+print(json.dumps({"detail": {}, "counts": {"spans_logged": 7}, "digest": digest}))
 print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
                   "metrics": {"wall_s": {"value": values[0], "unit": "s"}}}))
 '''
 
 
-def fake_checkouts(tmp_path, parent, change):
+def fake_checkouts(tmp_path, parent, change, digests=None):
     """Two checkouts whose perfbench runs report `wall_s` from the given
-    values in turn; a None value makes that run fail."""
+    values in turn; a None value makes that run fail. `digests`, if given,
+    maps a side to the digest its runs print (else `{}`)."""
     for side, values in (("parent", parent), ("change", change)):
         (tmp_path / side / "perfbench").mkdir(parents=True)
         (tmp_path / side / "perfbench" / "run.py").write_text(FAKE_RUN)
         (tmp_path / side / "values.json").write_text(json.dumps(values))
+        if digests:
+            (tmp_path / side / "digest.json").write_text(json.dumps(digests[side]))
 
 
 def test_pairs_alternate_and_land_in_the_out_file(tmp_path, capsys):
@@ -128,6 +140,22 @@ def test_pairs_alternate_and_land_in_the_out_file(tmp_path, capsys):
     assert not (tmp_path / "bench.json.tmp").exists()
     assert "--workload w --seed 7 --seconds 5 --trace 0" in record["commands"]["w seed 7"]
     assert '"w seed 7"' in capsys.readouterr().out
+
+
+def test_sides_that_print_different_digests_each_agree_with_themselves(tmp_path):
+    tool = load_tool()
+    fake_checkouts(tmp_path, [3.0, 2.0], [1.0, 2.5],
+                   {"parent": {"sha": "old"}, "change": {"sha": "new"}})
+    out = tmp_path / "bench.json"
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w",
+            "--seed", "7", "--pairs", "2", "--seconds", "5", "--out", str(out)]
+    assert tool.main(argv) == 0
+    record = json.loads(out.read_text())
+    assert [run["digest"] for run in record["runs"]] == [
+        {"sha": "old"}, {"sha": "new"}, {"sha": "new"}, {"sha": "old"}]
+    summary = record["summary"]["w seed 7"]
+    assert summary["same_counts_and_digest"] == {"parent": True, "change": True}
+    assert not summary["sides_match"]
 
 
 def test_a_failed_run_keeps_the_runs_before_it(tmp_path):

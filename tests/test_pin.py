@@ -31,31 +31,31 @@ BASE = ScenarioConfig(population=120, days=30, seed=3, index_cases=2,
 PINS = {
     "full_adoption": (
         BASE,
-        "b3a4d0b0b98a7904b449629c48be66572f4365d6b35337993a4389e4285f66ca",
-        "39eaeada99ce4ae43279a62007d18a40e843200c03985fd45ca951dc15e16ca4",
+        "9cc32f3ac5e12ab2549b4314ae3abf9e4d58ee2b75e825c0b59c7e33a1eca473",
+        "69d71305882265f59c89ecc1020ba08e274e4f63ce51a6f403f90bf5740aeb46",
     ),
     "partial_adoption_delayed_tests": (
         replace(BASE, adoption_fraction=0.6, test_delay_days=2),
-        "ee0de0d1285f551812f52e316eecf71c4255089bad603a4f5ea8fd55a0a4e90b",
-        "48d7b9a65385dd43910ef63b1435b23e1b8904577803c5ebe877fa6f7592df36",
+        "f1691ddc5fbcdb548fcf64010737b0dd72d29e8a126a841292a2a622667f3552",
+        "13a6850bd373f383d1d61ea9cd4a023493bb3164a959b75395893a45d12e3ab1",
     ),
-    # Published contact-derived entries make many more hits (13,416 against
-    # 2,869 at full adoption), so the acted-on hit bookkeeping is pinned too.
+    # Published contact-derived entries make many more hits (13,690 against
+    # 3,108 at full adoption), so the acted-on hit bookkeeping is pinned too.
     "contact_derived": (
         replace(BASE, trace_contact_derived=True),
-        "873e090f007bee80d68af26e3630863b87d725953d40c45eb88c6f01c9d67918",
-        "967db2d12fa1925134dee8ac951c05013cb8f5e7e0af78f13302226481d23331",
+        "71d2b432d49ef737e5928b4b36ac07e9a6d5c0917ecbd4f05cf217918fa708b8",
+        "ae0016321706e017a7fc8c6936108e6eaf971a9aeb253eb89b9d8ac2253785c5",
     ),
-    # 55 of 60 days are stepped, so the series ends in padding zeros.
+    # 57 of 60 days are stepped, so the series ends in padding zeros.
     "untraced_early_stop": (
         replace(BASE, adoption_fraction=0.0, p_transmit=0.004, days=60),
-        "d351f70fb2d1fab45bacf8dc7fa18d2fe79aadb901b394a60dc0090d98ed0dc9",
-        "870f646ce698aaa8415d9fa77e1d084092ad1a1a8658a8c6a3695d7adf83f603",
+        "6994730c9a0fc5612c1e12709062d3fef4da2e1df28ada5ddf0a26df04a89a25",
+        "ddc091a6c5e902cde8a073f04d03c7d668c565fc420ffe1c9c54efbc62db13a6",
     ),
     "short_contacts": (
         replace(BASE, duration_mean_ticks=2.0),
-        "49a79faa2dfecd46abfef6a960752fc70f0ed17b05b16d3ab0b8c9fc2e9018e3",
-        "c61d0a9725e522193d70d38e3968c6299b07a437c1b513487431991efdaafb73",
+        "622f4abbf1eafa798e3276b18033dcc7ce77df7be0eb67710924a5a3ca8e44a8",
+        "7e6a7b17e38b4a8039b93aac5eafbba452ebc92f0483df2b29b8821bba49e624",
     ),
     "single_agent": (
         replace(BASE, population=1),

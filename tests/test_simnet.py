@@ -249,8 +249,9 @@ def test_quarantine_reduces_contact_rate():
 
 
 def reference_sample_events(world):
-    """The contact sampler as first written, kept deliberately dumb: numpy's
-    own `choice` and `geometric`, and a `keep` mask applied to every array."""
+    """The contact sampler kept deliberately dumb: every agent's events, each
+    to a partner drawn uniformly from the other `n - 1` agents, numpy's own
+    `choice` and `geometric`, and a `keep` mask applied to every array."""
     cfg = world.config
     n = cfg.population
     if n < 2 or cfg.contacts_per_day == 0:
@@ -262,9 +263,8 @@ def reference_sample_events(world):
     counts = world.nprng.poisson(lam)
     src = np.repeat(np.arange(n, dtype=np.int64), counts)
     m = len(src)
-    dst = world.nprng.integers(0, n, m, dtype=np.int64)
-    clash = dst == src
-    dst[clash] = (dst[clash] + 1) % n
+    dst = world.nprng.integers(0, n - 1, m, dtype=np.int64)
+    dst += dst >= src
     keep = world.nprng.random(m) < np.where(
         world.quarantined[dst], cfg.quarantine_leak, 1.0
     )
@@ -380,9 +380,10 @@ def test_sampler_returns_the_reference_partners_that_matter(cfg):
 
 
 def population_sum_sample_events(world):
-    """`World._sample_events` as it was when part 2 picked each sender by a
-    search over the running sum of every agent's part-2 rate, zero for an
-    agent that is no part-2 sender. Durations by inversion only (p < 1/3)."""
+    """`World._sample_events` with part 2 picking each sender by a search
+    over the running sum of every agent's part-2 rate, zero for an agent
+    that is no part-2 sender; every receiver draws its count at that sum
+    over `n - 1`. Durations by inversion only (p < 1/3)."""
     cfg = world.config
     n = cfg.population
     rng = world.nprng
@@ -392,9 +393,8 @@ def population_sum_sample_events(world):
     infectious = role == 1
     senders = np.flatnonzero(world.adopter | infectious)
     src = np.repeat(senders, rng.poisson(lam[senders]))
-    dst = rng.integers(0, n, len(src), dtype=np.int64)
-    clash = dst == src
-    dst[clash] = (dst[clash] + 1) % n
+    dst = rng.integers(0, n - 1, len(src), dtype=np.int64)
+    dst += dst >= src
     transmit = (role[src] ^ role[dst]) == 3
     matters = transmit | (world.adopter[src] & world.adopter[dst])
     src, dst, transmit = src[matters], dst[matters], transmit[matters]
@@ -402,13 +402,9 @@ def population_sum_sample_events(world):
     if len(receivers):
         weight = np.where((role == 2) & ~world.adopter, lam, 0.0)
         running = np.cumsum(weight)
-        before = (receivers - 1) % n
-        mass = weight[before] + running[-1]
-        incoming = rng.poisson(mass / n)
-        pick = rng.random(int(incoming.sum())) * np.repeat(mass, incoming)
-        src = np.concatenate((src, np.where(
-            pick < running[-1], np.searchsorted(running, pick, side="right"),
-            np.repeat(before, incoming))))
+        incoming = rng.poisson(running[-1] / (n - 1), len(receivers))
+        pick = rng.random(int(incoming.sum())) * running[-1]
+        src = np.concatenate((src, np.searchsorted(running, pick, side="right")))
         dst = np.concatenate((dst, np.repeat(receivers, incoming)))
         transmit = np.concatenate((transmit, np.ones(len(pick), dtype=bool)))
     k = len(src)
@@ -517,8 +513,10 @@ def test_sampler_keeps_the_reference_law_per_pair(adoption_fraction):
     # Five agents: one infectious, the agent before it a susceptible sender
     # that is not active, and another such sender quarantined. Each ordered
     # pair's count of transmitting events a day is compared over 3000 days
-    # per sampler: the pair from the agent before carries the self-draw
-    # shift, and the quarantined agent's pairs carry the leak both ways.
+    # per sampler. A partner is any of the other four agents with equal
+    # chance, so every pair with the infectious agent has one rate, the
+    # agent before it included, except the quarantined agent's pairs, which
+    # carry the leak both ways.
     n = 5
     cfg = ScenarioConfig(population=n, seed=6, index_cases=0,
                          adoption_fraction=adoption_fraction, quarantine_leak=0.3)
@@ -903,7 +901,7 @@ def test_pending_case_tests_track_awaiting_cases(overrides):
     cfg = replace(FAST, days=30, retention_days=5, **overrides)
     world = World(cfg)
     awaiting = {CaseState.AWAITING_TEST1, CaseState.AWAITING_TEST2}
-    ever_pending = False
+    ever_pending = ever_acted = False
     for _ in range(cfg.days):
         world.step_day()
         tokens = [token for tests in world.pending_tests.values()
@@ -917,8 +915,10 @@ def test_pending_case_tests_track_awaiting_cases(overrides):
         assert all(date >= cutoff for date in world.identifiers)
         for dev in world.devices.values():
             assert all(date >= cutoff for date in dev.log.days)
+        # An acted-on record ages out with its log day, so look every day.
+        ever_acted |= any(_acted_on(dev.log) for dev in world.devices.values())
     assert ever_pending
-    assert any(_acted_on(dev.log) for dev in world.devices.values())
+    assert ever_acted
 
 
 small_worlds = st.builds(

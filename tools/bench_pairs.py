@@ -20,13 +20,15 @@ lower when it names none. Its "meets_claim_bar" is true when the change won
 at least nine tenths of the pairs and its median beats the parent's by more
 than the parent's quartile spread: the bar a claimed gain must clear.
 
-The summary is printed, with whether every run was correct and whether all
-did the same work (equal counts and digests). With --out, the perfbench
-command, the runs and the summary are added to that JSON file, under the
-key "W seed S" (with " trace 1" for a traced run), keeping what the file
-already holds. The file is rewritten after every run, through a temporary
-file and a rename, so a failed run keeps the runs before it and an
-interrupted write leaves the previous file whole.
+The summary is printed, with whether every run was correct and, per side,
+whether that side's runs all did the same work (equal counts and digests);
+`sides_match` says whether the two sides did the same work as each other,
+which a change that moves outputs on purpose does not. With --out, the
+perfbench command, the runs and the summary are added to that JSON file,
+under the key "W seed S" (with " trace 1" for a traced run), keeping what
+the file already holds. The file is rewritten after every run, through a
+temporary file and a rename, so a failed run keeps the runs before it and
+an interrupted write leaves the previous file whole.
 """
 
 from __future__ import annotations
@@ -78,9 +80,10 @@ def quartiles(values):
 
 def summarize(runs, better=None):
     """The summary of `runs`, each `{"pair", "side", "counts", "digest",
-    "result"}`: whether every run was correct and all did the same work, and
-    per metric both sides' medians and quartiles, the pairs the change won
-    and whether that meets the claim bar."""
+    "result"}`: whether every run was correct, whether each side's runs and
+    then both sides did the same work, and per metric both sides' medians
+    and quartiles, the pairs the change won and whether that meets the
+    claim bar."""
     better = better or {}
     by_pair = {}
     for run in runs:
@@ -89,10 +92,13 @@ def summarize(runs, better=None):
             metrics["raw_setup_s"] = {"value": run["raw_setup_s"]}
         by_pair.setdefault(run["pair"], {})[run["side"]] = metrics
     pairs = [sides for sides in by_pair.values() if len(sides) == 2]
-    outputs = {json.dumps([run["counts"], run["digest"]], sort_keys=True) for run in runs}
+    outputs = {side: set() for side in SIDES}
+    for run in runs:
+        outputs[run["side"]].add(json.dumps([run["counts"], run["digest"]], sort_keys=True))
     summary = {"pairs": len(pairs),
                "all_correct": all(run["result"]["correct"] for run in runs),
-               "same_counts_and_digest": len(outputs) == 1}
+               "same_counts_and_digest": {side: len(outputs[side]) <= 1 for side in SIDES},
+               "sides_match": len(outputs["parent"] | outputs["change"]) == 1}
     if not pairs:
         return summary
     for name in pairs[0]["parent"]:
