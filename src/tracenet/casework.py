@@ -400,7 +400,11 @@ def _test_result(case: CaseRecord, body: dict, today):
         case.test_results += ((result, date),)
         case.state = _AWAITING_TEST2
         return []
-    first_negative = max(d for r, d in case.test_results if r == "negative")
+    # `step` never leaves a case awaiting its retest without a negative,
+    # but a case built by hand may be.
+    first_negative = max((d for r, d in case.test_results if r == "negative"), default=None)
+    if first_negative is None:
+        return "no first negative on record"
     if date < first_negative + case.incubation_days:
         return f"retest at {date} before {first_negative} + {case.incubation_days}"
     case.test_results += ((result, date),)

@@ -113,7 +113,9 @@ class ScenarioConfig:
         ]
         if problems:
             raise InvalidConfig("; ".join(problems))
-        for name in ("population", "latency_days", "symptom_onset_days",
+        # `random.Random` seeds with the absolute value, so a negative seed
+        # would silently repeat its positive twin's run.
+        for name in ("population", "seed", "latency_days", "symptom_onset_days",
                      "course_days", "test_delay_days", "index_cases",
                      "retention_days", "incubation_days", "lookback_days"):
             if getattr(self, name) < 0:
@@ -343,15 +345,10 @@ class World:
                 for fmt, size in (("%d,contact,", TICKS_PER_DAY), ("%d,", n),
                                   ("%d:", len(DistanceClass)),
                                   ("%d\n", TICKS_PER_DAY + 1)))
-        # The contact rate of every agent on a day with nobody quarantined,
-        # one value seen n times, and `free_running`, its running sums: on
-        # such a day the first k are those of any k part-2 senders. Then the
-        # normalised cumulative distance-class mix (`_sample_events`).
-        self.free_rate = np.broadcast_to(np.float64(config.contacts_per_day), n)
-        self.free_running = np.cumsum(self.free_rate)
-        self.class_cdf = np.cumsum(
-            [config.near_fraction, config.mid_fraction, config.far_fraction])
-        self.class_cdf /= self.class_cdf[-1]
+        # The normalised cumulative distance-class mix up to its last class,
+        # the cut-offs of `_sample_events`' class draw.
+        near, mid, far = config.near_fraction, config.mid_fraction, config.far_fraction
+        self.class_cdf = (near / (near + mid + far), (near + mid) / (near + mid + far))
         self.health = np.full(n, SUSCEPTIBLE, dtype=np.int8)
         self.day_infected = np.full(n, -1, dtype=np.int32)
         self.asymptomatic = self.nprng.random(n) < config.asymptomatic_fraction
@@ -439,13 +436,17 @@ class World:
         events that can transmit. A population below two has no pairs and
         draws no events.
 
-        Each agent sends a Poisson count of events a day, at
-        `contacts_per_day` scaled by the leak while it is quarantined, each
-        to a partner drawn uniformly from the other `n - 1` agents. An event
-        matters when both partners are adopters, so both devices log it, or
-        when the partners' `TRANSMISSION_ROLE`s XOR to 3, so it can transmit.
-        No other event changes a run. Call an agent active when it is an
-        adopter or infectious. The day's process is split by sender into two
+        Each agent sends a Poisson count of events a day, at one rate,
+        `contacts_per_day`, each to a partner drawn uniformly from the other
+        `n - 1` agents. An event happens with probability `quarantine_leak`
+        for each of its partners that is quarantined, so an ordered pair
+        meets at `contacts_per_day / (n - 1)` times the leak once per
+        quarantined partner: thinning a Poisson process by independent marks
+        gives a Poisson process. An event matters when both partners are
+        adopters, so both devices log it, or when the partners'
+        `TRANSMISSION_ROLE`s XOR to 3, so it can transmit. No other event
+        changes a run. Call an agent active when it is an adopter or
+        infectious. The day's process is split by sender into two
         independent Poisson processes, and only these are drawn:
 
         1. Every active agent's outgoing events: a count per agent and a
@@ -455,9 +456,9 @@ class World:
            that are not active. A sender that is not active is neither an
            adopter nor infectious, so this is the only way its event can
            matter, and every such event can transmit. They reach every
-           receiver at one rate, `W / (n - 1)`, where `W` is the summed rate
-           of those senders, and each event's sender is drawn in proportion
-           to its rate.
+           receiver at one rate, `W / (n - 1)`, where `W` is
+           `contacts_per_day` times the number of those senders, and each
+           event's sender is drawn uniformly among them.
 
         The generator is drawn in this order: part 1's counts (poisson) and
         partners (integers), part 2's counts (poisson) and senders (random),
@@ -477,28 +478,20 @@ class World:
         These passes run over the whole population: the one role gather,
         `TRANSMISSION_ROLE.take(health)`, and the masks and scans taken from
         it (with no device the infectious agents are the only active ones,
-        so part 1 reuses part 2's receiver scan); the contact-rate
-        `np.where` on a day with someone quarantined (any other day reads
-        `free_rate`); and, on a day with an infectious agent, part 2's
-        sender mask and its scan. The rest works on the active agents, on
-        part 2's senders or on the drawn events.
+        so part 1 reuses part 2's receiver scan); and, on a day with an
+        infectious agent, part 2's sender mask and its scan. The rest works
+        on the active agents, on part 2's senders or on the drawn events;
+        quarantine is read only in the per-event leak test.
 
-        Part 2 draws a sender by a right-sided search for a uniform below
-        the senders' total rate in their running sums, taken in agent
-        order. On a day with nobody quarantined every rate is equal, so
-        these are a prefix of `free_running`, built once; on any other day,
-        the `cumsum` of the senders' rates. They are the very floats that a
-        running sum over the population, zero at every other agent, holds
-        at each sender (`cumsum` adds from left to right, and adding 0.0
-        changes no float), so the draws are those of a search over it.
+        Part 2 picks the sender at position `floor(u * len(senders))` of the
+        senders in agent order, for a uniform `u`.
 
         Events are returned part 1 first, in sender order, then part 2, in
         receiver order. A target that two transmitting events infect on one
         day is credited to the first (`_transmit`). Putting part 1
         first favours no infector: every infector is active, and its event
-        with a susceptible partner in the same quarantine state is outgoing
-        or incoming with equal chance, so credit stays exchangeable between
-        infectors.
+        with a susceptible partner is outgoing or incoming with equal
+        chance, so credit stays exchangeable between infectors.
 
         The class draw is numpy's own `choice(3, p=...)` without its per-call
         overhead: a uniform compared against the normalised cumulative mix.
@@ -511,18 +504,13 @@ class World:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty, empty, empty, empty, np.zeros(0, dtype=bool)
         rng = self.nprng
-        lam = self.free_rate
-        if self.quarantined.any():
-            lam = np.where(self.quarantined,
-                           cfg.contacts_per_day * cfg.quarantine_leak,
-                           cfg.contacts_per_day)
         role = TRANSMISSION_ROLE.take(self.health)
         infectious = role == 1
         receivers = np.flatnonzero(infectious)
         # 1. Active agents' outgoing events. With no device the infectious
         #    agents are the only active ones.
         senders = np.flatnonzero(self.adopter | infectious) if self.devices else receivers
-        src = np.repeat(senders, rng.poisson(lam[senders]))
+        src = np.repeat(senders, rng.poisson(cfg.contacts_per_day, len(senders)))
         m = len(src)
         dst = rng.integers(0, n - 1, m, dtype=np.int64)
         dst += dst >= src
@@ -533,25 +521,22 @@ class World:
         if np.count_nonzero(matters) < m:  # else, as at full adoption, skip the copy
             src, dst, transmit = src[matters], dst[matters], transmit[matters]
         # 2. Infectious agents' incoming events from inactive susceptible
-        #    senders, each picked by a search of their running rate sums
-        #    (above); zero rates leave the sums flat, and a right-sided
-        #    search never picks them. With no receiver, numpy would draw
-        #    nothing here.
+        #    senders, each picked uniformly. With no receiver, numpy would
+        #    draw nothing here.
         if len(receivers):
             senders = np.flatnonzero((role == 2) & ~self.adopter)
-            running = (self.free_running[:len(senders)] if lam is self.free_rate
-                       else np.cumsum(lam[senders]))
-            total = running[-1] if len(senders) else 0.0
-            incoming = rng.poisson(total / (n - 1), len(receivers))
-            pick = rng.random(int(incoming.sum())) * total
-            origin = senders[np.searchsorted(running, pick, side="right")]
-            src = np.concatenate((src, origin))
+            incoming = rng.poisson(cfg.contacts_per_day * len(senders) / (n - 1),
+                                   len(receivers))
+            pick = rng.random(int(incoming.sum())) * len(senders)
+            src = np.concatenate((src, senders[pick.astype(np.int64)]))
             dst = np.concatenate((dst, np.repeat(receivers, incoming)))
             transmit = np.concatenate((transmit, np.ones(len(pick), dtype=bool)))
         k = len(src)
-        # An event with a quarantined partner happens with the leak
-        # probability; the draw is made whether or not anyone is quarantined.
-        drop = self.quarantined[dst] & (rng.random(k) >= cfg.quarantine_leak)
+        # An event happens with the leak probability for each of its partners
+        # that is quarantined; the draw is made whether or not anyone is.
+        chance, leak = rng.random(k), cfg.quarantine_leak
+        q_src, q_dst = self.quarantined[src], self.quarantined[dst]
+        drop = ((q_src | q_dst) & (chance >= leak)) | (q_src & q_dst & (chance >= leak * leak))
         dur = np.minimum(rng.geometric(1.0 / cfg.duration_mean_ticks, k), TICKS_PER_DAY)
         cdf = self.class_cdf
         uniform = rng.random(k)

@@ -72,9 +72,13 @@ def test_summary_flags_a_failed_run_and_differing_work():
     assert not summary["sides_match"]
     assert summary["same_counts_and_digest"] == {"parent": True, "change": True}
     assert summary["wall_s"]["parent_q1_q3"] == [1.0, 1.0]
+    assert summary["counts"] == {"parent": {"spans_logged": 7},
+                                 "change": {"spans_logged": 8}}
     runs.append(canned_run(2, "change", 1.0, 1.0))
-    assert tool.summarize(runs)["same_counts_and_digest"] == {"parent": True,
-                                                              "change": False}
+    summary = tool.summarize(runs)
+    assert summary["same_counts_and_digest"] == {"parent": True, "change": False}
+    # A side whose runs did different work has no one set of counts.
+    assert summary["counts"] == {"parent": {"spans_logged": 7}, "change": None}
 
 
 FAKE_RUN = '''import json, sys
@@ -94,22 +98,27 @@ reps = [{"raw_setup_s": s} for s in (0.0, 9.0, values[0] / 10)]
 print("wall_s 1.0 s")
 digest = here / "digest.json"
 digest = json.loads(digest.read_text()) if digest.exists() else {}
-print(json.dumps({"detail": {}, "counts": {"spans_logged": 7}, "digest": digest}))
+counts = here / "counts.json"
+counts = json.loads(counts.read_text()) if counts.exists() else {"spans_logged": 7}
+print(json.dumps({"detail": {}, "counts": counts, "digest": digest}))
 print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
                   "metrics": {"wall_s": {"value": values[0], "unit": "s"}}}))
 '''
 
 
-def fake_checkouts(tmp_path, parent, change, digests=None):
+def fake_checkouts(tmp_path, parent, change, digests=None, counts=None):
     """Two checkouts whose perfbench runs report `wall_s` from the given
-    values in turn; a None value makes that run fail. `digests`, if given,
-    maps a side to the digest its runs print (else `{}`)."""
+    values in turn; a None value makes that run fail. `digests` and
+    `counts`, if given, map a side to the digest and the counts its runs
+    print (else `{}` and `{"spans_logged": 7}`)."""
     for side, values in (("parent", parent), ("change", change)):
         (tmp_path / side / "perfbench").mkdir(parents=True)
         (tmp_path / side / "perfbench" / "run.py").write_text(FAKE_RUN)
         (tmp_path / side / "values.json").write_text(json.dumps(values))
         if digests:
             (tmp_path / side / "digest.json").write_text(json.dumps(digests[side]))
+        if counts:
+            (tmp_path / side / "counts.json").write_text(json.dumps(counts[side]))
 
 
 def test_pairs_alternate_and_land_in_the_out_file(tmp_path, capsys):
@@ -145,7 +154,8 @@ def test_pairs_alternate_and_land_in_the_out_file(tmp_path, capsys):
 def test_sides_that_print_different_digests_each_agree_with_themselves(tmp_path):
     tool = load_tool()
     fake_checkouts(tmp_path, [3.0, 2.0], [1.0, 2.5],
-                   {"parent": {"sha": "old"}, "change": {"sha": "new"}})
+                   {"parent": {"sha": "old"}, "change": {"sha": "new"}},
+                   {"parent": {"hits": 349}, "change": {"hits": 729}})
     out = tmp_path / "bench.json"
     argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w",
             "--seed", "7", "--pairs", "2", "--seconds", "5", "--out", str(out)]
@@ -156,6 +166,8 @@ def test_sides_that_print_different_digests_each_agree_with_themselves(tmp_path)
     summary = record["summary"]["w seed 7"]
     assert summary["same_counts_and_digest"] == {"parent": True, "change": True}
     assert not summary["sides_match"]
+    # Each side's runs agree, so the summary shows the work each side did.
+    assert summary["counts"] == {"parent": {"hits": 349}, "change": {"hits": 729}}
 
 
 def test_a_failed_run_keeps_the_runs_before_it(tmp_path):

@@ -276,6 +276,22 @@ def test_premature_retest_is_audited_noop():
     assert len(case.audit) == 1
 
 
+def step_cases_step_never_builds():
+    """Step, with a negative result, a case awaiting its retest that holds
+    no negative: `step` never builds one, but a caller may. Returns what
+    `step` returns."""
+    case = CaseRecord(token=bytes(16), state=CaseState.AWAITING_TEST2)
+    return send_result(case, "negative", date=9)
+
+
+def test_retest_with_no_negative_on_record_is_audited_noop():
+    case, msgs = step_cases_step_never_builds()
+    assert msgs == []
+    assert case.state == CaseState.AWAITING_TEST2
+    assert case.test_results == () and case.resolution_epoch is None
+    assert case.audit == ("TEST_RESULT in awaiting_test2: no first negative on record",)
+
+
 def test_stored_cases_add_at_most_two_tracked_objects_each():
     # A decided case keeps no inquiry payload and no list, so a stored case
     # awaiting its retest leaves little more than its own record for the
@@ -767,11 +783,12 @@ def test_step_transcript_is_pinned():
 
 
 def test_transcript_runs_every_line_of_the_case_machine():
-    """The transcript executes every line of every `casework` function it
-    enters: `step`, the handler of each kind, `_decide` and what they call.
-    So a branch of the case machine that no input reaches fails here, and is
-    deleted rather than kept."""
-    ran = lines_run(step_transcript, filename=casework.__file__)
+    """The transcript, with the cases `step` never builds, executes every
+    line of every `casework` function it enters: `step`, the handler of each
+    kind, `_decide` and what they call. So a branch of the case machine that
+    no input reaches fails here, and is deleted rather than kept."""
+    ran = lines_run(lambda: (step_transcript(), step_cases_step_never_builds()),
+                    filename=casework.__file__)
     assert {step.__code__, casework._decide.__code__} <= ran.keys()
     missed = missed_lines(ran)
     assert not missed, missed

@@ -122,6 +122,20 @@ def test_bad_seed_env_var_is_domain_error(scenario_file, tmp_path,
     assert "TRACENET_SEED" in err
 
 
+@pytest.mark.parametrize("flag, env", [(["--seed", "-1"], None), ([], "-1")])
+def test_negative_seed_is_refused_in_one_line(scenario_file, tmp_path, capsys,
+                                              monkeypatch, flag, env):
+    # `random.Random` seeds with the absolute value, so seed -1 would write
+    # seed 1's files.
+    if env is not None:
+        monkeypatch.setenv("TRACENET_SEED", env)
+    code, _, err = run_cli(["simulate", "--config", str(scenario_file), *flag,
+                            "--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert err == "error: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.fixture
 def signed_setup(tmp_path):
     rng = random.Random(21)

@@ -31,20 +31,20 @@ BASE = ScenarioConfig(population=120, days=30, seed=3, index_cases=2,
 PINS = {
     "full_adoption": (
         BASE,
-        "9cc32f3ac5e12ab2549b4314ae3abf9e4d58ee2b75e825c0b59c7e33a1eca473",
-        "69d71305882265f59c89ecc1020ba08e274e4f63ce51a6f403f90bf5740aeb46",
+        "e7294733763a73f3052de2cdc482237b3343b05591253ad13e63e0620a0b363d",
+        "656279757708b66a5ed1e3d5790065ff4a8185a54a47e0dbe02eea4a09d7829c",
     ),
     "partial_adoption_delayed_tests": (
         replace(BASE, adoption_fraction=0.6, test_delay_days=2),
-        "f1691ddc5fbcdb548fcf64010737b0dd72d29e8a126a841292a2a622667f3552",
-        "13a6850bd373f383d1d61ea9cd4a023493bb3164a959b75395893a45d12e3ab1",
+        "33fceb32c2d966a6daa457ba054c9923f3b6696881bc6e1bcc33e084a6b66a0e",
+        "9fcc15904f50b505b7d86adb29f8610c634fec71a8ac2fabbedc000864345561",
     ),
-    # Published contact-derived entries make many more hits (13,690 against
-    # 3,108 at full adoption), so the acted-on hit bookkeeping is pinned too.
+    # Published contact-derived entries make many more hits (13,979 against
+    # 2,874 at full adoption), so the acted-on hit bookkeeping is pinned too.
     "contact_derived": (
         replace(BASE, trace_contact_derived=True),
-        "71d2b432d49ef737e5928b4b36ac07e9a6d5c0917ecbd4f05cf217918fa708b8",
-        "ae0016321706e017a7fc8c6936108e6eaf971a9aeb253eb89b9d8ac2253785c5",
+        "bc4f8364467d44284363a0e7d67c8efdde52a924aa8860b5968f315f862a7262",
+        "6d672788b871f59250cd9e12f9a9e46b6a152e3ee3cb3549d1a4413e25083ceb",
     ),
     # 57 of 60 days are stepped, so the series ends in padding zeros.
     "untraced_early_stop": (
@@ -54,8 +54,8 @@ PINS = {
     ),
     "short_contacts": (
         replace(BASE, duration_mean_ticks=2.0),
-        "622f4abbf1eafa798e3276b18033dcc7ce77df7be0eb67710924a5a3ca8e44a8",
-        "7e6a7b17e38b4a8039b93aac5eafbba452ebc92f0483df2b29b8821bba49e624",
+        "c27f29a0a0af2f6609cfd470199792c94783875af84d6a86c70f6dadd22152bc",
+        "62317d390e72e9462a49ce3f39fd32b50314c62a90c14e3e078702d794943165",
     ),
     "single_agent": (
         replace(BASE, population=1),

@@ -60,7 +60,7 @@ def test_config_validation_names_offending_fields():
 @pytest.mark.parametrize("field, value", [
     ("population", -1), ("p_transmit", 1.5), ("contacts_per_day", TICKS_PER_DAY + 1),
     ("duration_mean_ticks", 0.5), ("categories_traced", "cat2"),
-    ("days", DATE_LIMIT + 1),
+    ("days", DATE_LIMIT + 1), ("seed", -1),
 ])
 def test_replace_checks_the_config_it_builds(field, value):
     with pytest.raises(InvalidConfig, match=f"^{field} must be .*, got {value!r}"):
@@ -244,30 +244,35 @@ def test_quarantine_reduces_contact_rate():
     src, dst, *_ = world._sample_events()
     quarantined_initiated = np.count_nonzero(src < 200)
     free_initiated = np.count_nonzero(src >= 200)
-    # Expected ~100 vs ~2000 events; allow generous Monte-Carlo slack.
+    # Expected ~52 vs ~1050 events (the leak once per quarantined partner,
+    # and half the partners quarantined); allow generous Monte-Carlo slack.
     assert quarantined_initiated < free_initiated * 0.15
 
 
+def _leak_factors(world, src, dst):
+    """Each event's chance to happen: the leak once per quarantined partner."""
+    leak = world.config.quarantine_leak
+    return (np.where(world.quarantined[src], leak, 1.0)
+            * np.where(world.quarantined[dst], leak, 1.0))
+
+
 def reference_sample_events(world):
-    """The contact sampler kept deliberately dumb: every agent's events, each
-    to a partner drawn uniformly from the other `n - 1` agents, numpy's own
-    `choice` and `geometric`, and a `keep` mask applied to every array."""
+    """The contact sampler kept deliberately dumb: every agent's events at
+    one rate, each to a partner drawn uniformly from the other `n - 1`
+    agents and kept with the leak probability once per quarantined partner,
+    numpy's own `choice` and `geometric`, and a `keep` mask applied to every
+    array."""
     cfg = world.config
     n = cfg.population
     if n < 2 or cfg.contacts_per_day == 0:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty, empty, empty, empty
-    lam = np.where(world.quarantined,
-                   cfg.contacts_per_day * cfg.quarantine_leak,
-                   cfg.contacts_per_day)
-    counts = world.nprng.poisson(lam)
+    counts = world.nprng.poisson(cfg.contacts_per_day, n)
     src = np.repeat(np.arange(n, dtype=np.int64), counts)
     m = len(src)
     dst = world.nprng.integers(0, n - 1, m, dtype=np.int64)
     dst += dst >= src
-    keep = world.nprng.random(m) < np.where(
-        world.quarantined[dst], cfg.quarantine_leak, 1.0
-    )
+    keep = world.nprng.random(m) < _leak_factors(world, src, dst)
     dur = world.nprng.geometric(1.0 / cfg.duration_mean_ticks, m).astype(np.int64)
     np.minimum(dur, simnet.TICKS_PER_DAY, out=dur)
     cls = world.nprng.choice(
@@ -381,18 +386,18 @@ def test_sampler_returns_the_reference_partners_that_matter(cfg):
 
 def population_sum_sample_events(world):
     """`World._sample_events` with part 2 picking each sender by a search
-    over the running sum of every agent's part-2 rate, zero for an agent
-    that is no part-2 sender; every receiver draws its count at that sum
-    over `n - 1`. Durations by inversion only (p < 1/3)."""
+    over the running sum of every agent's part-2 weight, 1.0 for a part-2
+    sender and 0.0 elsewhere; every receiver draws its count at
+    `contacts_per_day` times that sum over `n - 1`. The sums are exact
+    integers, so the picks are those of a uniform index at any rate.
+    Durations by inversion only (p < 1/3)."""
     cfg = world.config
     n = cfg.population
     rng = world.nprng
-    lam = np.where(world.quarantined, cfg.contacts_per_day * cfg.quarantine_leak,
-                   cfg.contacts_per_day)
     role = simnet.TRANSMISSION_ROLE[world.health]
     infectious = role == 1
     senders = np.flatnonzero(world.adopter | infectious)
-    src = np.repeat(senders, rng.poisson(lam[senders]))
+    src = np.repeat(senders, rng.poisson(cfg.contacts_per_day, len(senders)))
     dst = rng.integers(0, n - 1, len(src), dtype=np.int64)
     dst += dst >= src
     transmit = (role[src] ^ role[dst]) == 3
@@ -400,15 +405,15 @@ def population_sum_sample_events(world):
     src, dst, transmit = src[matters], dst[matters], transmit[matters]
     receivers = np.flatnonzero(infectious)
     if len(receivers):
-        weight = np.where((role == 2) & ~world.adopter, lam, 0.0)
+        weight = np.where((role == 2) & ~world.adopter, 1.0, 0.0)
         running = np.cumsum(weight)
-        incoming = rng.poisson(running[-1] / (n - 1), len(receivers))
+        incoming = rng.poisson(cfg.contacts_per_day * running[-1] / (n - 1), len(receivers))
         pick = rng.random(int(incoming.sum())) * running[-1]
         src = np.concatenate((src, np.searchsorted(running, pick, side="right")))
         dst = np.concatenate((dst, np.repeat(receivers, incoming)))
         transmit = np.concatenate((transmit, np.ones(len(pick), dtype=bool)))
     k = len(src)
-    keep = ~world.quarantined[dst] | (rng.random(k) < cfg.quarantine_leak)
+    keep = rng.random(k) < _leak_factors(world, src, dst)
     ticks = np.ceil(rng.standard_exponential(k) / -math.log1p(-1.0 / cfg.duration_mean_ticks))
     dur = np.minimum(ticks, TICKS_PER_DAY).astype(np.int64)
     uniform = rng.random(k)
@@ -429,10 +434,9 @@ def population_sum_sample_events(world):
 def test_part_two_senders_match_the_population_running_sum(cfg, quarantined_share):
     # On random health and quarantine states, below full adoption, the
     # sampler returns exactly the population-sum sampler's arrays and leaves
-    # the generator where it leaves it. Day 0 has nobody quarantined, so its
-    # running sums come from `free_running`; days 1 and 2 quarantine a share,
-    # at leak 0 with zero-rate senders; day 2 has an infectious agent but no
-    # part-2 sender.
+    # the generator where it leaves it. Day 0 has nobody quarantined; days 1
+    # and 2 quarantine a share, and at leak 0 every event with a quarantined
+    # partner is dropped; day 2 has an infectious agent but no part-2 sender.
     n = cfg.population
     world, reference = World(cfg), World(cfg)
     states = np.random.default_rng(cfg.seed)
@@ -508,15 +512,22 @@ def test_sampler_keeps_the_reference_law_on_fixed_states(duration_mean_ticks,
         _within_four_standard_errors(transmitting[:, j], ref_transmitting[:, j])
 
 
-@pytest.mark.parametrize("adoption_fraction", [0.0, 0.5])
-def test_sampler_keeps_the_reference_law_per_pair(adoption_fraction):
+@pytest.mark.parametrize("adoption_fraction, infectious_quarantined", [
+    pytest.param(0.0, False, id="0.0"),
+    pytest.param(0.5, False, id="0.5"),
+    pytest.param(0.0, True, id="0.0-infectious-quarantined"),
+])
+def test_sampler_keeps_the_reference_law_per_pair(adoption_fraction,
+                                                  infectious_quarantined):
     # Five agents: one infectious, the agent before it a susceptible sender
     # that is not active, and another such sender quarantined. Each ordered
     # pair's count of transmitting events a day is compared over 3000 days
     # per sampler. A partner is any of the other four agents with equal
     # chance, so every pair with the infectious agent has one rate, the
     # agent before it included, except the quarantined agent's pairs, which
-    # carry the leak both ways.
+    # carry the leak both ways. With the infectious agent quarantined too,
+    # every one of its pairs carries its leak, and the pairs with the other
+    # quarantined agent carry the leak of both partners.
     n = 5
     cfg = ScenarioConfig(population=n, seed=6, index_cases=0,
                          adoption_fraction=adoption_fraction, quarantine_leak=0.3)
@@ -527,6 +538,7 @@ def test_sampler_keeps_the_reference_law_per_pair(adoption_fraction):
     quarantined = next(a for a in free if a not in (before, infectious))
     world.health[infectious] = simnet.INFECTIOUS
     world.quarantined[quarantined] = True
+    world.quarantined[infectious] = infectious_quarantined
     days = 3000
 
     def sample(sampler, first_seed):

@@ -21,14 +21,15 @@ at least nine tenths of the pairs and its median beats the parent's by more
 than the parent's quartile spread: the bar a claimed gain must clear.
 
 The summary is printed, with whether every run was correct and, per side,
-whether that side's runs all did the same work (equal counts and digests);
-`sides_match` says whether the two sides did the same work as each other,
-which a change that moves outputs on purpose does not. With --out, the
-perfbench command, the runs and the summary are added to that JSON file,
-under the key "W seed S" (with " trace 1" for a traced run), keeping what
-the file already holds. The file is rewritten after every run, through a
-temporary file and a rename, so a failed run keeps the runs before it and
-an interrupted write leaves the previous file whole.
+whether that side's runs all did the same work (equal counts and digests)
+and, where they did, that side's counts; `sides_match` says whether the two
+sides did the same work as each other, which a change that moves outputs on
+purpose does not. With --out, the perfbench command, the runs and the
+summary are added to that JSON file, under the key "W seed S" (with
+" trace 1" for a traced run), keeping what the file already holds. The
+file is rewritten after every run, through a temporary file and a rename,
+so a failed run keeps the runs before it and an interrupted write leaves
+the previous file whole.
 """
 
 from __future__ import annotations
@@ -81,9 +82,10 @@ def quartiles(values):
 def summarize(runs, better=None):
     """The summary of `runs`, each `{"pair", "side", "counts", "digest",
     "result"}`: whether every run was correct, whether each side's runs and
-    then both sides did the same work, and per metric both sides' medians
-    and quartiles, the pairs the change won and whether that meets the
-    claim bar."""
+    then both sides did the same work, each side's counts (None where its
+    runs differ or it has none), and per metric both sides' medians and
+    quartiles, the pairs the change won and whether that meets the claim
+    bar."""
     better = better or {}
     by_pair = {}
     for run in runs:
@@ -98,7 +100,9 @@ def summarize(runs, better=None):
     summary = {"pairs": len(pairs),
                "all_correct": all(run["result"]["correct"] for run in runs),
                "same_counts_and_digest": {side: len(outputs[side]) <= 1 for side in SIDES},
-               "sides_match": len(outputs["parent"] | outputs["change"]) == 1}
+               "sides_match": len(outputs["parent"] | outputs["change"]) == 1,
+               "counts": {side: json.loads(next(iter(outputs[side])))[0]
+                          if len(outputs[side]) == 1 else None for side in SIDES}}
     if not pairs:
         return summary
     for name in pairs[0]["parent"]:
