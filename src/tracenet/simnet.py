@@ -33,10 +33,9 @@ INFECTIOUS = 2
 SYMPTOMATIC = 3
 REMOVED = 4
 
-# Each health state's part in transmission, indexed by health code:
-# susceptible 2, infectious or symptomatic 1, otherwise 0. A contact can
-# transmit exactly when its partners' parts are 1 and 2, so XOR to 3.
-TRANSMISSION_ROLE = np.array([2, 0, 1, 1, 0], dtype=np.int8)
+# Each distance class's exposure per tick, indexed by class: a near tick is
+# one transmission chance, a mid tick half of one, a far tick none.
+CLASS_EXPOSURE = np.array([1.0, 0.5, 0.0])
 
 # Calibrated broadcast power at 1 m and representative received powers per
 # distance class, so receivers classify proximity from power like a radio
@@ -47,6 +46,10 @@ CLASS_RSSI_DBM = {
     DistanceClass.MID: -69,  # ~3.2 m
     DistanceClass.FAR: -79,  # ~10 m
 }
+
+# The largest population numpy can hold every per-agent array for. The
+# widest, the float64 asymptomatic draw, must fit numpy's byte size limit.
+POPULATION_LIMIT = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
 # The per-day series of metrics.csv, in column order.
 SERIES = ("new_infections", "active_cases", "quarantined", "tests_used", "list_size")
@@ -113,9 +116,12 @@ class ScenarioConfig:
         ]
         if problems:
             raise InvalidConfig("; ".join(problems))
+        if not 0 <= self.population <= POPULATION_LIMIT:
+            problems.append(f"population must be in [0, {POPULATION_LIMIT}], "
+                            f"got {self.population}")
         # `random.Random` seeds with the absolute value, so a negative seed
         # would silently repeat its positive twin's run.
-        for name in ("population", "seed", "latency_days", "symptom_onset_days",
+        for name in ("seed", "latency_days", "symptom_onset_days",
                      "course_days", "test_delay_days", "index_cases",
                      "retention_days", "incubation_days", "lookback_days"):
             if getattr(self, name) < 0:
@@ -194,11 +200,11 @@ def config_from_file(path) -> ScenarioConfig:
     return ScenarioConfig(**values)
 
 
-def infection_probability(near_ticks, mid_ticks, p_transmit):
-    """Per-event infection probability: each near tick is an independent
-    transmission chance, mid ticks count half, far ticks nothing."""
-    exposure = near_ticks + 0.5 * mid_ticks
-    return 1.0 - np.power(1.0 - p_transmit, exposure)
+def infection_probability(cls, ticks, p_transmit):
+    """Per-event infection probability of `ticks` ticks in distance class
+    `cls`: each tick is `CLASS_EXPOSURE[cls]` independent transmission
+    chances, so a near tick is one, a mid tick half of one, a far tick none."""
+    return 1.0 - np.power(1.0 - p_transmit, ticks * CLASS_EXPOSURE[cls])
 
 
 @dataclass
@@ -336,15 +342,6 @@ class World:
         self.day_lines = []
 
         n = config.population
-        # The `contact` line's pieces: "<tick>,contact," by tick, "<agent>,"
-        # by agent, "<class>:" by class and "<duration>\n" by duration.
-        self.line_tables = None
-        if record_events:
-            self.line_tables = tuple(
-                np.array([fmt % v for v in range(size)], dtype=object)
-                for fmt, size in (("%d,contact,", TICKS_PER_DAY), ("%d,", n),
-                                  ("%d:", len(DistanceClass)),
-                                  ("%d\n", TICKS_PER_DAY + 1)))
         # The normalised cumulative distance-class mix up to its last class,
         # the cut-offs of `_sample_events`' class draw.
         near, mid, far = config.near_fraction, config.mid_fraction, config.far_fraction
@@ -355,6 +352,17 @@ class World:
         self.quarantined = np.zeros(n, dtype=bool)
         self.known_carrier = np.zeros(n, dtype=bool)
         self.adopter = np.zeros(n, dtype=bool)
+        # The `contact` line's pieces: "<tick>,contact," by tick, "<agent>,"
+        # by agent, "<class>:" by class and "<duration>\n" by duration. Built
+        # after the arrays, so a population the host cannot hold fails on
+        # its first array, not after building strings until memory runs out.
+        self.line_tables = None
+        if record_events:
+            self.line_tables = tuple(
+                np.array([fmt % v for v in range(size)], dtype=object)
+                for fmt, size in (("%d,contact,", TICKS_PER_DAY), ("%d,", n),
+                                  ("%d:", len(DistanceClass)),
+                                  ("%d\n", TICKS_PER_DAY + 1)))
 
         adopters = sorted(self.rng.sample(range(n), round(n * config.adoption_fraction)))
         self.adopter[adopters] = True
@@ -443,8 +451,8 @@ class World:
         meets at `contacts_per_day / (n - 1)` times the leak once per
         quarantined partner: thinning a Poisson process by independent marks
         gives a Poisson process. An event matters when both partners are
-        adopters, so both devices log it, or when the partners'
-        `TRANSMISSION_ROLE`s XOR to 3, so it can transmit. No other event
+        adopters, so both devices log it, or when one partner is infectious
+        and the other susceptible, so it can transmit. No other event
         changes a run. Call an agent active when it is an adopter or
         infectious. The day's process is split by sender into two
         independent Poisson processes, and only these are drawn:
@@ -475,13 +483,17 @@ class World:
         changes every run's outputs. Part 2 runs only on a day with an
         infectious agent: with no receiver numpy would draw nothing for it.
 
-        These passes run over the whole population: the one role gather,
-        `TRANSMISSION_ROLE.take(health)`, and the masks and scans taken from
-        it (with no device the infectious agents are the only active ones,
-        so part 1 reuses part 2's receiver scan); and, on a day with an
-        infectious agent, part 2's sender mask and its scan. The rest works
-        on the active agents, on part 2's senders or on the drawn events;
-        quarantine is read only in the per-event leak test.
+        These passes run over the whole population: the infectious and
+        susceptible masks, the role built from them (1 infectious, 2
+        susceptible, else 0, so an event can transmit exactly when its
+        partners' roles XOR to 3), part 1's sender scan (with no device the
+        infectious agents are the only active ones, so part 2's receiver
+        scan serves), and the test whether anyone is quarantined; and, on a
+        day with an infectious agent, part 2's sender mask and its scan. The
+        rest works on the active agents, on part 2's senders or on the drawn
+        events. The partners' quarantine flags are gathered per event only
+        on a day when someone is quarantined; an untraced world never
+        quarantines anyone.
 
         Part 2 picks the sender at position `floor(u * len(senders))` of the
         senders in agent order, for a uniform `u`.
@@ -504,12 +516,15 @@ class World:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty, empty, empty, empty, np.zeros(0, dtype=bool)
         rng = self.nprng
-        role = TRANSMISSION_ROLE.take(self.health)
-        infectious = role == 1
-        receivers = np.flatnonzero(infectious)
+        health = self.health
+        # The infectious codes are contiguous, so a range compare is a set test.
+        infectious = (health >= INFECTIOUS) & (health <= SYMPTOMATIC)
+        susceptible = health == SUSCEPTIBLE
+        role = infectious.view(np.int8) + 2 * susceptible.view(np.int8)
+        receivers = infectious.nonzero()[0]
         # 1. Active agents' outgoing events. With no device the infectious
         #    agents are the only active ones.
-        senders = np.flatnonzero(self.adopter | infectious) if self.devices else receivers
+        senders = (self.adopter | infectious).nonzero()[0] if self.devices else receivers
         src = np.repeat(senders, rng.poisson(cfg.contacts_per_day, len(senders)))
         m = len(src)
         dst = rng.integers(0, n - 1, m, dtype=np.int64)
@@ -524,7 +539,7 @@ class World:
         #    senders, each picked uniformly. With no receiver, numpy would
         #    draw nothing here.
         if len(receivers):
-            senders = np.flatnonzero((role == 2) & ~self.adopter)
+            senders = (susceptible & ~self.adopter).nonzero()[0]
             incoming = rng.poisson(cfg.contacts_per_day * len(senders) / (n - 1),
                                    len(receivers))
             pick = rng.random(int(incoming.sum())) * len(senders)
@@ -533,17 +548,19 @@ class World:
             transmit = np.concatenate((transmit, np.ones(len(pick), dtype=bool)))
         k = len(src)
         # An event happens with the leak probability for each of its partners
-        # that is quarantined; the draw is made whether or not anyone is.
-        chance, leak = rng.random(k), cfg.quarantine_leak
-        q_src, q_dst = self.quarantined[src], self.quarantined[dst]
-        drop = ((q_src | q_dst) & (chance >= leak)) | (q_src & q_dst & (chance >= leak * leak))
+        # that is quarantined. The uniforms are drawn whether or not anyone
+        # is, and the partners' flags are read only on a day when someone is.
+        chance, leak, drop = rng.random(k), cfg.quarantine_leak, None
+        if self.quarantined.any():
+            q_src, q_dst = self.quarantined[src], self.quarantined[dst]
+            drop = ((q_src | q_dst) & (chance >= leak)) | (q_src & q_dst & (chance >= leak * leak))
         dur = np.minimum(rng.geometric(1.0 / cfg.duration_mean_ticks, k), TICKS_PER_DAY)
         cdf = self.class_cdf
         uniform = rng.random(k)
         cls = (uniform >= cdf[0]).astype(np.int64) + (uniform >= cdf[1])
         start = rng.integers(0, TICKS_PER_DAY, k, dtype=np.int64)
         np.minimum(start, TICKS_PER_DAY - dur, out=start)
-        if not drop.any():
+        if drop is None or not drop.any():
             return src, dst, cls, start, dur, transmit
         keep = ~drop
         return src[keep], dst[keep], cls[keep], start[keep], dur[keep], transmit[keep]
@@ -567,10 +584,8 @@ class World:
         src, dst, cls, start, dur, transmit = self._sample_events()
         if self.devices and len(src):
             self._exchange_beacons(day, src, dst, cls, start, dur)
-        idx = np.flatnonzero(transmit)
-        near = np.where(cls[idx] == 0, dur[idx], 0)
-        mid = np.where(cls[idx] == 1, dur[idx], 0)
-        probs = infection_probability(near, mid, self.config.p_transmit)
+        idx = transmit.nonzero()[0]
+        probs = infection_probability(cls[idx], dur[idx], self.config.p_transmit)
         hit = idx[self.nprng.random(len(idx)) < probs]
         health = self.health
         new_infections = 0
@@ -739,7 +754,7 @@ class World:
         cfg = self.config
         health = self.health
         # The infected codes are contiguous, so a range compare is a set test.
-        infected = np.flatnonzero((health >= EXPOSED) & (health <= SYMPTOMATIC))
+        infected = ((health >= EXPOSED) & (health <= SYMPTOMATIC)).nonzero()[0]
         codes = health[infected]
         since = self.day_infected[infected]
         t = day - since

@@ -35,7 +35,8 @@ def test_summary_arithmetic_on_canned_runs():
     assert summary["same_counts_and_digest"] == {"parent": True, "change": True}
     assert summary["wall_s"] == {"parent_median": 3.0, "parent_q1_q3": [2.0, 4.0],
                                  "change_median": 3.0, "change_q1_q3": [1.5, 3.5],
-                                 "change_wins": 4, "meets_claim_bar": False}
+                                 "change_wins": 4, "meets_claim_bar": False,
+                                 "within_bound": None}
     # A metric where higher is better: the change won no pair, and tied one.
     assert summary["matching.hit_ratio"]["change_wins"] == 0
 
@@ -59,6 +60,37 @@ def test_claim_bar_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_spread():
     # Where higher is better, the same lower runs win nothing.
     assert not bar(passes, {"wall_s": "higher"})
     assert bar([w + 0.5 for w in parent], {"wall_s": "higher"})
+
+
+def test_within_bound_compares_medians_in_the_better_direction():
+    tool = load_tool()
+    # One pair; every parent value is 10.0, and each bound allows 2.5 worse.
+    sides = {"parent": {"inside": 10.0, "past": 10.0, "unbounded": 10.0, "higher": 10.0},
+             "change": {"inside": 12.5, "past": 12.6, "unbounded": 99.0, "higher": 7.6}}
+    runs = [{"pair": 1, "side": side, "counts": {}, "digest": {},
+             "result": {"correct": True, "metrics": {
+                 name: {"value": value} for name, value in values.items()}}}
+            for side, values in sides.items()]
+    better = {"higher": "higher"}
+    bounds = {"inside": 0.25, "past": 0.25, "higher": 0.25}
+    summary = tool.summarize(runs, better, bounds)
+    assert summary["inside"]["within_bound"] is True
+    assert summary["past"]["within_bound"] is False
+    assert summary["unbounded"]["within_bound"] is None
+    # Higher is better: 7.6 is 2.4 below the parent, inside 2.5.
+    assert summary["higher"]["within_bound"] is True
+    runs[1]["result"]["metrics"]["higher"]["value"] = 7.4
+    assert tool.summarize(runs, better, bounds)["higher"]["within_bound"] is False
+
+
+def test_bounds_come_from_benchmark_json(tmp_path):
+    tool = load_tool()
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}],
+        "per_layer": [{"name": "matching.hit_ratio", "better": "higher"}]}))
+    assert tool.better_directions(str(tmp_path)) == (
+        {"wall_s": "lower", "matching.hit_ratio": "higher"}, {"wall_s": 0.25})
+    assert tool.better_directions(str(tmp_path / "missing")) == ({}, {})
 
 
 def test_summary_flags_a_failed_run_and_differing_work():

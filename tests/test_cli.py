@@ -2,6 +2,9 @@ import json
 import os
 import random
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -595,8 +598,7 @@ def test_simulate_rejects_out_of_range_value(tmp_path, capsys, line, problem):
 # Scenarios the host could not hold: padding the daily series to 2**62 days
 # runs out of memory, and to 10**30 days passes a list's index range. Both lie
 # past the last list epoch, so the scenario is refused as it is read, before
-# any day is stepped. A huge population is left out, since `World` would grow
-# its tables until the host gave out.
+# any day is stepped.
 @pytest.mark.parametrize("days", [2**62, 10**30],
                          ids=["out_of_memory", "past_index_range"])
 def test_simulate_refuses_scenario_too_large_for_the_host(tmp_path, capsys, days):
@@ -610,6 +612,38 @@ def test_simulate_refuses_scenario_too_large_for_the_host(tmp_path, capsys, days
     assert out == ""
     assert err == f"error: days must be in [0, {authority_mod.DATE_LIMIT}], got {days}\n"
     assert not (out_dir / "metrics.csv").exists()
+
+
+# `tracenet simulate` in a child process whose address space is capped at
+# 1 GiB, so a run that grows instead of failing fails the test, not the host.
+CAPPED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from tracenet.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+# Past numpy's index range the scenario is refused as it is read, in one line
+# naming `population`. At the bound `World` fails on its first population
+# array, before it builds any per-agent text.
+@pytest.mark.parametrize("population, error", [
+    (10**21, f"error: population must be in [0, {simnet.POPULATION_LIMIT}], "
+             f"got {10**21}\n"),
+    (simnet.POPULATION_LIMIT, "error: out of memory\n"),
+], ids=["past_index_range", "out_of_memory"])
+def test_simulate_refuses_population_too_large_for_the_host(tmp_path, population, error):
+    path = tmp_path / "scenario.cfg"
+    path.write_text(f"population = {population}\ndays = 3\n")
+    out_dir = tmp_path / "out"
+    src = str(Path(simnet.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", CAPPED_CLI, "simulate", "--config", str(path),
+         "--out", str(out_dir)], capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", error)
+    assert not out_dir.exists()
 
 
 # No scenario under the bound on `days` reaches these errors alike on every

@@ -42,6 +42,12 @@ from tracenet.simnet import (
 FAST = ScenarioConfig(population=120, days=15, seed=3, index_cases=2,
                       p_transmit=0.02)
 
+# Each health state's part in transmission, indexed by health code, the
+# reference samplers' role table: susceptible 2, infectious or symptomatic
+# 1, otherwise 0. A contact can transmit exactly when its partners' parts
+# are 1 and 2, so XOR to 3.
+TRANSMISSION_ROLE = np.array([2, 0, 1, 1, 0], dtype=np.int8)
+
 
 def event_lines(events):
     """The event log's lines, from its one text per stepped day."""
@@ -61,6 +67,7 @@ def test_config_validation_names_offending_fields():
     ("population", -1), ("p_transmit", 1.5), ("contacts_per_day", TICKS_PER_DAY + 1),
     ("duration_mean_ticks", 0.5), ("categories_traced", "cat2"),
     ("days", DATE_LIMIT + 1), ("seed", -1),
+    ("population", simnet.POPULATION_LIMIT + 1),
 ])
 def test_replace_checks_the_config_it_builds(field, value):
     with pytest.raises(InvalidConfig, match=f"^{field} must be .*, got {value!r}"):
@@ -135,17 +142,43 @@ def test_no_infected_means_no_transmission_or_publication():
 
 
 def test_transmission_probability_closed_form():
-    # 1 - 0.99^30 = 0.26030
-    assert infection_probability(30, 0, 0.01) == pytest.approx(0.26030, abs=1e-4)
-    assert infection_probability(0, 60, 0.01) == pytest.approx(0.26030, abs=1e-4)
+    # 1 - 0.99^30 = 0.26030: 30 near ticks, or 60 mid ticks.
+    assert infection_probability(0, 30, 0.01) == pytest.approx(0.26030, abs=1e-4)
+    assert infection_probability(1, 60, 0.01) == pytest.approx(0.26030, abs=1e-4)
     assert infection_probability(0, 0, 0.5) == 0.0
 
 
 def test_transmit_degenerate_probabilities():
     # Far ticks carry no exposure: 500 far-only ticks are 0 near, 0 mid.
-    assert infection_probability(10, 0, 0.0) == 0.0
-    assert infection_probability(10, 0, 1.0) == 1.0
+    assert infection_probability(0, 10, 0.0) == 0.0
+    assert infection_probability(0, 10, 1.0) == 1.0
     assert infection_probability(0, 0, 1.0) == 0.0
+    assert infection_probability(2, 500, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("p", [0.0, 0.001, 0.5, 1.0])
+def test_transmit_draws_against_the_exposure_law_bit_for_bit(monkeypatch, p):
+    # Every class at every duration from 1 tick to a day, each event able to
+    # transmit: the probabilities `_transmit` draws against are the law
+    # written per column, near ticks plus half the mid ticks, to the bit.
+    world = World(replace(FAST, p_transmit=p, adoption_fraction=0.0))
+    dur = np.tile(np.arange(1, TICKS_PER_DAY + 1), 3)
+    cls = np.repeat(np.arange(3), TICKS_PER_DAY)
+    src, dst = np.zeros_like(dur), np.ones_like(dur)
+    events = (src, dst, cls, np.zeros_like(dur), dur, np.ones(len(dur), dtype=bool))
+    monkeypatch.setattr(world, "_sample_events", lambda: events)
+    used = []
+
+    def recorded(*args):
+        used.append(infection_probability(*args))
+        return used[-1]
+
+    monkeypatch.setattr(simnet, "infection_probability", recorded)
+    world._transmit(0)
+    near, mid = np.where(cls == 0, dur, 0), np.where(cls == 1, dur, 0)
+    want = 1.0 - np.power(1.0 - p, near + 0.5 * mid)
+    assert len(used) == 1
+    assert used[0].dtype == want.dtype and used[0].tobytes() == want.tobytes()
 
 
 def test_population_conserved_every_day():
@@ -345,7 +378,7 @@ def test_sample_events_clips_durations_longer_than_a_day():
 def _mattering(world, src, dst):
     """Which of the events `(src, dst)` can transmit, and which matter: both
     partners are adopters, or the event can transmit."""
-    role = simnet.TRANSMISSION_ROLE[world.health]
+    role = TRANSMISSION_ROLE[world.health]
     transmit = (role[src] ^ role[dst]) == 3
     return transmit, transmit | (world.adopter[src] & world.adopter[dst])
 
@@ -394,7 +427,7 @@ def population_sum_sample_events(world):
     cfg = world.config
     n = cfg.population
     rng = world.nprng
-    role = simnet.TRANSMISSION_ROLE[world.health]
+    role = TRANSMISSION_ROLE[world.health]
     infectious = role == 1
     senders = np.flatnonzero(world.adopter | infectious)
     src = np.repeat(senders, rng.poisson(cfg.contacts_per_day, len(senders)))
@@ -481,7 +514,7 @@ def test_sampler_keeps_the_reference_law_on_fixed_states(duration_mean_ticks,
     world = World(cfg)
     _set_health(world, 4)
     world.quarantined[:] = np.random.default_rng(5).random(cfg.population) < 0.1
-    infectious = np.flatnonzero(simnet.TRANSMISSION_ROLE[world.health] == 1)
+    infectious = np.flatnonzero(TRANSMISSION_ROLE[world.health] == 1)
     quarantined = world.quarantined[infectious]
     assert quarantined.any() and not quarantined.all()
     days = 300

@@ -15,10 +15,14 @@ moved between the imports and the workload build shows as what it is.
 
 For each metric the summary gives both sides' medians and inclusive
 quartiles, and the number of pairs the change won; a tie counts for neither
-side. A metric's better direction is read from the change's BENCHMARK.json,
-lower when it names none. Its "meets_claim_bar" is true when the change won
-at least nine tenths of the pairs and its median beats the parent's by more
-than the parent's quartile spread: the bar a claimed gain must clear.
+side. A metric's better direction and bound are read from the change's
+BENCHMARK.json; the direction is lower when it names none. Its
+"meets_claim_bar" is true when the change won at least nine tenths of the
+pairs and its median beats the parent's by more than the parent's quartile
+spread: the bar a claimed gain must clear. Its "within_bound" is true when
+the change's median is no worse than the parent's, in the better direction,
+by more than the bound times the parent's median: the bar every end-to-end
+metric must clear. It is None for a metric with no bound.
 
 The summary is printed, with whether every run was correct and, per side,
 whether that side's runs all did the same work (equal counts and digests)
@@ -79,14 +83,15 @@ def quartiles(values):
     return [q1, q3]
 
 
-def summarize(runs, better=None):
+def summarize(runs, better=None, bounds=None):
     """The summary of `runs`, each `{"pair", "side", "counts", "digest",
     "result"}`: whether every run was correct, whether each side's runs and
     then both sides did the same work, each side's counts (None where its
     runs differ or it has none), and per metric both sides' medians and
-    quartiles, the pairs the change won and whether that meets the claim
-    bar."""
-    better = better or {}
+    quartiles, the pairs the change won, whether that meets the claim bar
+    and whether the change's median is within the metric's bound in
+    `bounds`."""
+    better, bounds = better or {}, bounds or {}
     by_pair = {}
     for run in runs:
         metrics = dict(run["result"]["metrics"])
@@ -111,6 +116,7 @@ def summarize(runs, better=None):
         wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
         medians = {side: statistics.median(values[side]) for side in SIDES}
         q1, q3 = quartiles(values["parent"])
+        bound = bounds.get(name)
         summary[name] = {
             "parent_median": round(medians["parent"], 4),
             "parent_q1_q3": [round(q1, 4), round(q3, 4)],
@@ -119,19 +125,23 @@ def summarize(runs, better=None):
             "change_wins": wins,
             "meets_claim_bar": (10 * wins >= 9 * len(pairs)
                                 and sign * (medians["parent"] - medians["change"]) > q3 - q1),
+            "within_bound": None if bound is None else (
+                sign * (medians["change"] - medians["parent"]) <= bound * medians["parent"]),
         }
     return summary
 
 
 def better_directions(checkout):
-    """`{metric: "lower" | "higher"}` from the checkout's BENCHMARK.json."""
+    """`({metric: "lower" | "higher"}, {metric: bound})` from the checkout's
+    BENCHMARK.json; a metric with no bound is left out of the second."""
     path = os.path.join(checkout, "BENCHMARK.json")
     if not os.path.exists(path):
-        return {}
+        return {}, {}
     with open(path) as fh:
         spec = json.load(fh)
-    return {m["name"]: m["better"]
-            for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+    metrics = spec.get("end_to_end", []) + spec.get("per_layer", [])
+    return ({m["name"]: m["better"] for m in metrics},
+            {m["name"]: m["bound"] for m in metrics if "bound" in m})
 
 
 def parse_args(argv):
@@ -163,7 +173,7 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     checkouts = {"parent": args.parent, "change": args.change}
     key = f"{args.workload} seed {args.seed}" + (" trace 1" if args.trace else "")
-    better = better_directions(args.change)
+    better, bounds = better_directions(args.change)
     record = {}
     if args.out and os.path.exists(args.out):
         with open(args.out) as fh:
@@ -182,7 +192,7 @@ def main(argv=None) -> int:
             runs.append({"pair": pair, "seed": args.seed, "workload": args.workload,
                          "trace": args.trace, "side": side, "first": order[0], **run})
             print(json.dumps(runs[-1]), flush=True)
-            summary = summarize(runs, better)
+            summary = summarize(runs, better, bounds)
             if args.out:
                 record.setdefault("summary", {})[key] = summary
                 record["runs"] = kept + runs
