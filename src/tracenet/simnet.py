@@ -323,10 +323,12 @@ class World:
     any other world holds None there.
 
     A world without devices holds no signing key: `public_key` and the
-    authority's `signing_key` are None, since `_publish` signs nothing
-    there. Skipping the key's draw moves no output. It was the last draw
-    from `rng` in `__init__`, and such a world never draws from `rng` again:
-    `_rotate` draws zero bytes, and casework and registration need a device.
+    authority's `signing_key` are None. `_publish` signs a day's list only
+    when it holds an entry, and only a device's registration adds one, so
+    such a world never signs. Skipping the key's draw moves no output. It
+    was the last draw from `rng` in `__init__`, and such a world never
+    draws from `rng` again: `_rotate` draws zero bytes, and casework and
+    registration need a device.
     """
 
     def __init__(self, config: ScenarioConfig, seed: int = None,
@@ -690,28 +692,25 @@ class World:
         return len(tests)
 
     def _publish(self, day):
-        """Publish the day's list and log its size. In a world with devices
-        the list is signed and every device matches it
-        (`_match_and_inquire`); a world without signs nothing. Returns the
-        list size."""
-        if not self.devices:
-            size = len(self.authority.list_entries(day))
-            self._log_event(day, "publish", "-", "-", f"entries={size}")
-            return size
-        lst = self.authority.publish(day)
-        self._log_event(day, "publish", "-", "-", f"entries={len(lst.entries)}")
-        self._match_and_inquire(day, lst)
-        return len(lst.entries)
+        """Log the day's list size and, when the list holds an entry, sign
+        it and have every device match it (`_match_and_inquire`). A list
+        with no entry is neither signed nor matched, which moves no output:
+        signing draws from no generator and matching an empty list finds
+        nothing. Only `_register_positive` adds entries and it needs a
+        device, so a world without devices never signs. Returns the list
+        size."""
+        size = len(self.authority.list_entries(day))
+        self._log_event(day, "publish", "-", "-", f"entries={size}")
+        if size:
+            self._match_and_inquire(day, self.authority.publish(day))
+        return size
 
     def _match_and_inquire(self, day, lst):
         """Every device matches the signed list against its own log, in
         ascending agent order; new hits open inquiries, which are
         categorized and ordered for testing."""
         cfg = self.config
-        verified = verify_list(lst, self.public_key)
-        index = matching.build_index(lst, verified)
-        if len(index) == 0:
-            return
+        index = matching.build_index(lst, verify_list(lst, self.public_key))
         traced = cfg.traced_categories
         for agent, dev in self.devices.items():
             new = dev.log.mark_acted(matching.match_contacts(dev.log, index))

@@ -7,12 +7,14 @@ change that alters them on purpose (for example by removing an RNG draw)
 re-pins here and says why in CHANGES.md.
 
 The short retention window makes log pruning, case erasure and the daily
-bookkeeping around them run inside a 30-day scenario. The last three pins
-cover what the first three never reach: a run with no device, which
-publishes unsigned and stops early; contacts short enough (a mean of at most
-three ticks, p >= 1/3) that numpy's `geometric` draws durations by its search
-rather than its inversion, a regime inside numpy and not a branch of the
-sampler; and one agent, which draws no events.
+bookkeeping around them run inside a 30-day scenario. Any run signs a day's
+list only when it holds an entry, so the first three leave their empty days
+unsigned too. The last three pins cover what the first three never reach: a
+run with no device, which draws no signing key, registers no carrier and
+stops early; contacts short enough (a mean of at most three ticks, p >= 1/3)
+that numpy's `geometric` draws durations by its search rather than its
+inversion, a regime inside numpy and not a branch of the sampler; and one
+agent, which draws no events.
 """
 
 import hashlib

@@ -664,17 +664,30 @@ class _CountingKey:
         return self.key.sign(data)
 
 
-@pytest.mark.parametrize("adoption_fraction, signed", [(0.0, 0), (1.0, 6)])
-def test_day_list_is_signed_only_when_a_device_reads_it(adoption_fraction, signed):
-    # Six days, each with a publish line; a traced run signs once a day and
-    # a run with no device to read the list never signs.
+@pytest.mark.parametrize("adoption_fraction, signed", [(0.0, 0), (1.0, 2)])
+def test_day_list_is_signed_only_when_it_holds_an_entry(
+        monkeypatch, adoption_fraction, signed):
+    # Every day logs a publish line, but a list is signed and verified only
+    # on a day it holds an entry: days 9 and 10 of the traced run, and no
+    # day of a run with no device to register a carrier.
+    verifications = []
+    real_verify = simnet.verify_list
+
+    def counting_verify(lst, public_key):
+        verifications.append(lst.epoch_date)
+        return real_verify(lst, public_key)
+
+    monkeypatch.setattr(simnet, "verify_list", counting_verify)
     world = World(replace(FAST, adoption_fraction=adoption_fraction),
                   record_events=True)
     key = world.authority.signing_key = _CountingKey(world.authority.signing_key)
-    for _ in range(6):
+    for _ in range(FAST.days):
         world.step_day()
+    listed = [day for day, size in enumerate(world.metrics["list_size"]) if size]
+    assert len(listed) == signed
     assert key.signatures == signed
-    assert sum(",publish," in line for line in event_lines(world.events)) == 6
+    assert verifications == listed
+    assert sum(",publish," in line for line in event_lines(world.events)) == FAST.days
 
 
 def test_one_agent_world_has_no_contacts():
