@@ -3,6 +3,15 @@
 A device broadcasts a fresh 128-bit random identifier every calendar day.
 The identifier is never derived from anything device-specific, so two days
 of broadcasts from the same device are unlinkable.
+
+A receiver hears each neighbour's beacon at every scan, and a simulation
+runs many receivers in one process, so the same payload is decoded over
+and over. `decode_beacon` therefore keeps the last `DECODE_CACHE_SIZE`
+(1024, one day's identifiers for up to 1024 devices) payloads that passed
+its checks, each with its identifier, and returns the very same `bytes`
+object for every equal payload: every contact log that hears an identifier
+then keys on one object, not one copy per sighting. A payload that fails a
+check is never cached and raises on every call.
 """
 
 from __future__ import annotations
@@ -19,6 +28,9 @@ RDI_BYTES = 16
 
 # The 8 bytes every beacon starts with.
 _BEACON_HEADER = BEACON_MAGIC + bytes([BEACON_VERSION])
+
+# Payloads `decode_beacon` keeps with their identifiers; see its docstring.
+DECODE_CACHE_SIZE = 1024
 
 # Distance class boundaries in meters (inclusive at the near side).
 NEAR_MAX_M = 2.0
@@ -83,14 +95,35 @@ def encode_beacon(ident: DailyIdentifier) -> bytes:
     return _BEACON_HEADER + ident.rdi
 
 
-def decode_beacon(payload: bytes) -> bytes:
-    """Extract the rdi from a beacon payload.
+def decode_beacon(payload) -> bytes:
+    """Extract the rdi from a beacon payload, as `bytes` whatever bytes-like
+    object the payload is; an argument that is not one raises TypeError.
 
     The observation date is the receiver's local date; the payload
     deliberately carries no timestamp.
 
+    Cached: a receiver hears a neighbour's beacon at every scan, and many
+    simulated receivers share one process, so equal payloads arrive again
+    and again. The last `DECODE_CACHE_SIZE` (1024) payloads that passed the
+    checks are kept, each with the identifier decoded from it, and an equal
+    payload returns that same `bytes` object, so every log that hears an
+    identifier stores one key for it. 1024 holds one day's identifiers for
+    a population of up to 1024 devices, at about 250 KB; past that, fewer
+    decodes hit, and each still returns an equal identifier. A payload
+    that fails a check is never cached: it raises on every call. The cache
+    holds payloads and identifiers only, no date, tick, distance class or
+    receiving device; but on a device that hears few beacons it can keep
+    up to 1024 identifiers past the log's 21 days.
+
     Raises WrongLength, BadMagic or UnsupportedVersion.
     """
+    if type(payload) is not bytes:
+        payload = bytes(memoryview(payload))
+    return _decode_checked(payload)
+
+
+@functools.lru_cache(maxsize=DECODE_CACHE_SIZE)
+def _decode_checked(payload: bytes) -> bytes:
     if len(payload) != BEACON_LENGTH:
         raise WrongLength(f"expected {BEACON_LENGTH} bytes, got {len(payload)}")
     if payload[:7] != BEACON_MAGIC:

@@ -4,16 +4,20 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from tracenet.contact_log import ContactLog
 from tracenet.ident import (
     BEACON_LENGTH,
     BEACON_MAGIC,
+    DECODE_CACHE_SIZE,
     NEAR_MAX_M,
     RDI_BYTES,
     BadMagic,
+    BeaconError,
     DailyIdentifier,
     DistanceClass,
     UnsupportedVersion,
     WrongLength,
+    _decode_checked,
     decode_beacon,
     encode_beacon,
     estimate_distance_class,
@@ -124,6 +128,98 @@ def test_decode_rejects_unsupported_version():
     payload[7] = 0x02
     with pytest.raises(UnsupportedVersion):
         decode_beacon(bytes(payload))
+
+
+def malformed_payloads():
+    """(payload, error) for each kind of malformed beacon."""
+    good = encode_beacon(generate_daily_identifier(random.Random(4), 0))
+    return [
+        (good[:-1], WrongLength),
+        (good + b"\x00", WrongLength),
+        (b"\x00" + good[1:], BadMagic),
+        (good[:7] + b"\x02" + good[8:], UnsupportedVersion),
+    ]
+
+
+@pytest.mark.parametrize("form", [bytes, bytearray, memoryview])
+def test_bytes_like_payload_decodes_to_bytes(form):
+    ident = generate_daily_identifier(random.Random(5), 0)
+    rdi = decode_beacon(form(encode_beacon(ident)))
+    assert type(rdi) is bytes
+    assert rdi == ident.rdi
+    # A bytes key: the log can hash it.
+    ContactLog().observe_span(rdi, DistanceClass.NEAR, 0, 0, 1)
+
+
+@pytest.mark.parametrize("form", [bytes, bytearray, memoryview])
+@pytest.mark.parametrize("payload,error", malformed_payloads(),
+                         ids=["short", "long", "magic", "version"])
+def test_bytes_like_malformed_payload_raises_as_bytes_does(form, payload, error):
+    with pytest.raises(error):
+        decode_beacon(form(payload))
+
+
+@pytest.mark.parametrize("payload", ["C0F1D19\x01" + "x" * 16, 24, None, [0] * 24],
+                         ids=["str", "int", "None", "list"])
+def test_non_buffer_payload_raises_type_error(payload):
+    with pytest.raises(TypeError):
+        decode_beacon(payload)
+
+
+def test_equal_payloads_decode_to_one_object():
+    ident = generate_daily_identifier(random.Random(6), 0)
+    first, second = encode_beacon(ident), encode_beacon(ident)
+    assert first is not second
+    assert decode_beacon(first) is decode_beacon(second)
+
+
+def test_malformed_payload_raises_on_every_call_and_is_not_cached():
+    good = encode_beacon(generate_daily_identifier(random.Random(7), 0))
+    decode_beacon(good)
+    for payload, error in malformed_payloads():
+        size = _decode_checked.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(error):
+                decode_beacon(payload)
+        assert _decode_checked.cache_info().currsize == size
+
+
+def test_decode_cache_is_bounded():
+    rng = random.Random(8)
+    for _ in range(DECODE_CACHE_SIZE + 10):
+        decode_beacon(encode_beacon(generate_daily_identifier(rng, 0)))
+    assert _decode_checked.cache_info().currsize <= DECODE_CACHE_SIZE
+
+
+@given(st.one_of(
+    st.binary(min_size=BEACON_LENGTH - 1, max_size=BEACON_LENGTH + 1),
+    st.builds(bytes.__add__, st.sampled_from([BEACON_MAGIC + b"\x01", BEACON_MAGIC + b"\x02"]),
+              st.binary(min_size=RDI_BYTES, max_size=RDI_BYTES)),
+))
+def test_cached_decode_equals_uncached(payload):
+    uncached = _decode_checked.__wrapped__
+    try:
+        expected = uncached(payload)
+    except BeaconError as exc:
+        expected = type(exc)
+    # Twice: the first call may fill the cache, the second reads it.
+    for _ in range(2):
+        try:
+            assert decode_beacon(payload) == expected
+        except BeaconError as exc:
+            assert type(exc) is expected
+
+
+def test_logs_hearing_one_beacon_share_one_key():
+    # The memory claim: every receiver decodes its own copy of the payload,
+    # yet all the logs key on one object.
+    ident = generate_daily_identifier(random.Random(9), 3)
+    logs = [ContactLog() for _ in range(50)]
+    for tick, log in enumerate(logs):
+        log.observe_span(decode_beacon(encode_beacon(ident)), DistanceClass.MID, 3, tick, 2)
+    keys = {id(key) for log in logs for key in log.days[3]}
+    assert len(keys) == 1
+    assert all(log.record(3, ident.rdi).total_ticks == 2 for log in logs)
 
 
 def test_distance_equal_power_is_one_meter_near():
