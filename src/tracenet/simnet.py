@@ -26,13 +26,6 @@ from .ident import (RDI_BYTES, DailyIdentifier, DistanceClass, decode_beacon,
 # Unread here: perfbench's tracer wraps these two names in this module.
 from .ident import generate_daily_identifier, rotate_if_needed  # noqa: F401
 
-# Health state codes.
-SUSCEPTIBLE = 0
-EXPOSED = 1
-INFECTIOUS = 2
-SYMPTOMATIC = 3
-REMOVED = 4
-
 # Each distance class's exposure per tick, indexed by class: a near tick is
 # one transmission chance, a mid tick half of one, a far tick none.
 CLASS_EXPOSURE = np.array([1.0, 0.5, 0.0])
@@ -315,6 +308,17 @@ class MetricsReport:
 class World:
     """All mutable simulation state for one run.
 
+    An agent's one disease state is its infection day in `day_infected`,
+    -1 for an agent never infected. The course is a clock from that day:
+    `t` days after it, at the end of a day, an agent is removed once `t >=
+    course_days`, and before that it is sick: infectious from `t =
+    latency_days`, and symptomatic from `t = max(latency_days,
+    symptom_onset_days)` unless asymptomatic. Removal comes first, so an
+    agent whose latency outlasts its course is never infectious. A reader
+    of the state compares infection days against bounds such as
+    `max(day - course_days, -1)`, where the -1 keeps the never infected
+    out of a course that reaches back before day 0.
+
     With `record_events`, each element of `events` is one stepped day's
     event lines joined by "\n", with no trailing newline. The lines are
     gathered in `day_lines` while the day runs; every day logs a `publish`
@@ -348,7 +352,6 @@ class World:
         # the cut-offs of `_sample_events`' class draw.
         near, mid, far = config.near_fraction, config.mid_fraction, config.far_fraction
         self.class_cdf = (near / (near + mid + far), (near + mid) / (near + mid + far))
-        self.health = np.full(n, SUSCEPTIBLE, dtype=np.int8)
         self.day_infected = np.full(n, -1, dtype=np.int32)
         self.asymptomatic = self.nprng.random(n) < config.asymptomatic_fraction
         self.quarantined = np.zeros(n, dtype=bool)
@@ -379,7 +382,6 @@ class World:
         # Index agent -> infections it caused: the sample of empirical_r0.
         self.index_infections = {}
         for a in self.rng.sample(range(n), min(config.index_cases, n)):
-            self.health[a] = EXPOSED
             self.day_infected[a] = 0
             self.index_infections[a] = 0
 
@@ -440,11 +442,12 @@ class World:
 
     # -- daily step -------------------------------------------------------
 
-    def _sample_events(self):
-        """Draw the day's contact events that matter as parallel int64 arrays
-        `(src, dst, cls, start, dur)` and a bool array `transmit` marking the
-        events that can transmit. A population below two has no pairs and
-        draws no events.
+    def _sample_events(self, day):
+        """Draw the contact events of `day` that matter as parallel int64
+        arrays `(src, dst, cls, start, dur)` and a bool array `transmit`
+        marking the events that can transmit. A population below two has no
+        pairs and draws no events. The events meet the agents as the course
+        left them at the end of the day before (`_infectious_and_susceptible`).
 
         Each agent sends a Poisson count of events a day, at one rate,
         `contacts_per_day`, each to a partner drawn uniformly from the other
@@ -518,10 +521,7 @@ class World:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty, empty, empty, empty, np.zeros(0, dtype=bool)
         rng = self.nprng
-        health = self.health
-        # The infectious codes are contiguous, so a range compare is a set test.
-        infectious = (health >= INFECTIOUS) & (health <= SYMPTOMATIC)
-        susceptible = health == SUSCEPTIBLE
+        infectious, susceptible = self._infectious_and_susceptible(day)
         role = infectious.view(np.int8) + 2 * susceptible.view(np.int8)
         receivers = infectious.nonzero()[0]
         # 1. Active agents' outgoing events. With no device the infectious
@@ -567,6 +567,19 @@ class World:
         keep = ~drop
         return src[keep], dst[keep], cls[keep], start[keep], dur[keep], transmit[keep]
 
+    def _infectious_and_susceptible(self, day):
+        """The masks of the agents that the contacts of `day` meet
+        infectious and susceptible: the course at the end of `day - 1`,
+        since `step_day` runs a day's contacts before its course moves on.
+        An agent infected on day `since` is infectious from `latency_days`
+        after it until it is removed, and susceptible while it has no
+        infection day (-1)."""
+        cfg = self.config
+        since = self.day_infected
+        infectious = ((since > max(day - 1 - cfg.course_days, -1))
+                      & (since <= day - 1 - cfg.latency_days))
+        return infectious, since < 0
+
     def _rotate(self, day):
         """Draw the day's identifiers, one draw for every device in device
         order, and prune every device's log. The table keeps the dates an
@@ -583,20 +596,19 @@ class World:
         adopters (`_exchange_beacons`), and the ones that can transmit
         infect with `infection_probability`. A target that two events infect
         is credited to the first. Returns the number of new infections."""
-        src, dst, cls, start, dur, transmit = self._sample_events()
+        src, dst, cls, start, dur, transmit = self._sample_events(day)
         if self.devices and len(src):
             self._exchange_beacons(day, src, dst, cls, start, dur)
         idx = transmit.nonzero()[0]
         probs = infection_probability(cls[idx], dur[idx], self.config.p_transmit)
         hit = idx[self.nprng.random(len(idx)) < probs]
-        health = self.health
+        since = self.day_infected
         new_infections = 0
         for a, b in zip(src[hit].tolist(), dst[hit].tolist()):
-            target, infector = (a, b) if health[a] == SUSCEPTIBLE else (b, a)
-            if health[target] != SUSCEPTIBLE:
+            target, infector = (a, b) if since[a] < 0 else (b, a)
+            if since[target] >= 0:
                 continue  # already infected earlier today
-            health[target] = EXPOSED
-            self.day_infected[target] = day
+            since[target] = day
             if infector in self.index_infections:
                 self.index_infections[infector] += 1
             self._log_event(day, "infect", infector, target, "")
@@ -661,7 +673,7 @@ class World:
         cfg = self.config
         tests = self.pending_tests.pop(day, ())
         for kind, agent, token in tests:
-            infected = EXPOSED <= self.health[agent] <= SYMPTOMATIC
+            infected = self.day_infected[agent] > max(day - cfg.course_days, -1)
             result = "positive" if infected else "negative"
             self._log_event(day, "test", agent, "-", f"{kind}:{result}")
             if kind == "self":
@@ -738,33 +750,23 @@ class World:
                     self._log_event(day, "drop", agent, "-", "")
 
     def _progress(self, day):
-        """Disease progression: exposed agents turn infectious after
-        `latency_days`, infectious ones that are not asymptomatic turn
-        symptomatic after `symptom_onset_days`, and every infected agent is
-        removed after `course_days`, each counted from its infection day.
-        Returns the agents infected afterwards and those that turned
-        symptomatic, both ascending.
+        """The course at the end of `day`: the sick agents and, among them,
+        the newly symptomatic ones, both ascending. An agent is sick when it
+        was infected fewer than `course_days` days before. A sick agent that
+        is not asymptomatic turns symptomatic on the first day it is both
+        infectious and past onset, `max(latency_days, symptom_onset_days)`
+        days after its infection day.
 
-        Finding the infected agents is this phase's one pass over the
-        population; the active-case count and tomorrow's quarantine flags
-        then work on that set, since no later phase changes health. An
-        infected code with no infection day (-1), as a test may write one,
-        counts its days from -1 and is never removed."""
+        The bound `max(day - course_days, -1)` keeps the never infected (-1)
+        out while the course reaches back before day 0. Finding the sick
+        agents is this phase's one pass over the population; the
+        active-case count and tomorrow's quarantine flags then work on that
+        set."""
         cfg = self.config
-        health = self.health
-        # The infected codes are contiguous, so a range compare is a set test.
-        infected = ((health >= EXPOSED) & (health <= SYMPTOMATIC)).nonzero()[0]
-        codes = health[infected]
-        since = self.day_infected[infected]
-        t = day - since
-        removed = (since >= 0) & (t >= cfg.course_days)
-        codes[removed] = REMOVED
-        codes[(codes == EXPOSED) & (t >= cfg.latency_days)] = INFECTIOUS
-        symptomatic = ((codes == INFECTIOUS) & (t >= cfg.symptom_onset_days)
-                       & ~self.asymptomatic[infected])
-        codes[symptomatic] = SYMPTOMATIC
-        health[infected] = codes
-        return infected[~removed], infected[symptomatic]
+        since = self.day_infected
+        sick = (since > max(day - cfg.course_days, -1)).nonzero()[0]
+        onset = sick[since[sick] == day - max(cfg.latency_days, cfg.symptom_onset_days)]
+        return sick, onset[~self.asymptomatic[onset]]
 
     def _self_present(self, day, symptomatic):
         """The newly symptomatic adopters that are not known carriers
@@ -872,10 +874,11 @@ def calibrate_p_transmit(config: ScenarioConfig, target_r0: float) -> float:
     estimate of mean secondary infections of index cases hits `target_r0`.
 
     Each probe is 20 untraced runs (no adopters) of `course_days + 1` days.
-    Index cases are infected on day 0 and removed by `_progress` on day
-    `course_days`, after that day's `_transmit`, the last in which one can
-    transmit. `empirical_r0` counts only their infections, so a longer run
-    would return the same estimate.
+    Index cases are infected on day 0 and removed at the end of day
+    `course_days`. That day's `_transmit` meets the course of the day
+    before, so it is the last in which one can transmit. `empirical_r0`
+    counts only their infections, so a longer run would return the same
+    estimate.
     """
     if not (math.isfinite(target_r0) and target_r0 >= 0):
         raise InvalidConfig(f"target_r0 must be finite and >= 0, got {target_r0}")

@@ -42,11 +42,20 @@ from tracenet.simnet import (
 FAST = ScenarioConfig(population=120, days=15, seed=3, index_cases=2,
                       p_transmit=0.02)
 
-# Each health state's part in transmission, indexed by health code, the
-# reference samplers' role table: susceptible 2, infectious or symptomatic
-# 1, otherwise 0. A contact can transmit exactly when its partners' parts
-# are 1 and 2, so XOR to 3.
+# The health codes of the old code-stepping rule (`reference_step`), the
+# reference for the course `World` reads from each agent's infection day.
+SUSCEPTIBLE, EXPOSED, INFECTIOUS, SYMPTOMATIC, REMOVED = range(5)
+SICK = (EXPOSED, INFECTIOUS, SYMPTOMATIC)
+
+# Each health state's part in transmission, indexed by health code:
+# susceptible 2, infectious or symptomatic 1, otherwise 0. A contact can
+# transmit exactly when its partners' parts are 1 and 2, so XOR to 3.
 TRANSMISSION_ROLE = np.array([2, 0, 1, 1, 0], dtype=np.int8)
+
+# The first sampler day on which `_set_states` can set every state of the
+# default course: a removed agent was infected `course_days` days before
+# the day before.
+STATE_DAY = ScenarioConfig.course_days + 1
 
 
 def event_lines(events):
@@ -166,7 +175,7 @@ def test_transmit_draws_against_the_exposure_law_bit_for_bit(monkeypatch, p):
     cls = np.repeat(np.arange(3), TICKS_PER_DAY)
     src, dst = np.zeros_like(dur), np.ones_like(dur)
     events = (src, dst, cls, np.zeros_like(dur), dur, np.ones(len(dur), dtype=bool))
-    monkeypatch.setattr(world, "_sample_events", lambda: events)
+    monkeypatch.setattr(world, "_sample_events", lambda day: events)
     used = []
 
     def recorded(*args):
@@ -181,89 +190,113 @@ def test_transmit_draws_against_the_exposure_law_bit_for_bit(monkeypatch, p):
     assert used[0].dtype == want.dtype and used[0].tobytes() == want.tobytes()
 
 
-def test_population_conserved_every_day():
-    world = World(replace(FAST, days=12))
-    for _ in range(12):
-        world.step_day()
-        states, counts = np.unique(world.health, return_counts=True)
-        assert counts.sum() == FAST.population
-
-
-def test_no_agent_returns_to_susceptible():
-    world = World(FAST)
-    ever_infected = set()
-    for _ in range(FAST.days):
-        world.step_day()
-        ever_infected |= set(np.flatnonzero(world.day_infected >= 0))
-        for agent in ever_infected:
-            assert world.health[agent] != simnet.SUSCEPTIBLE or \
-                world.day_infected[agent] >= 0
-            assert world.health[agent] in (
-                simnet.EXPOSED, simnet.INFECTIOUS,
-                simnet.SYMPTOMATIC, simnet.REMOVED,
-            )
-
-
-def reference_progress(world, day):
-    """`World._progress` as first written: masks over every agent. Moves
-    `world.health` on and returns the newly symptomatic agents."""
+def reference_step(world, codes, day):
+    """The old code-stepping rule, from when `World` kept a health code per
+    agent beside its infection day: the agents infected on `day` turn
+    exposed, as `_transmit` made them, then masks over every agent move
+    `codes` on to the end of `day`. Returns the newly symptomatic agents."""
     cfg = world.config
-    health = world.health
-    infected = world.day_infected >= 0
-    t = day - world.day_infected
-    to_removed = infected & (health != simnet.REMOVED) & (t >= cfg.course_days)
-    health[to_removed] = simnet.REMOVED
-    to_infectious = (health == simnet.EXPOSED) & (t >= cfg.latency_days)
-    health[to_infectious] = simnet.INFECTIOUS
-    newly_symptomatic = ((health == simnet.INFECTIOUS)
+    since = world.day_infected
+    codes[since == day] = EXPOSED
+    t = day - since
+    to_removed = (since >= 0) & (codes != REMOVED) & (t >= cfg.course_days)
+    codes[to_removed] = REMOVED
+    to_infectious = (codes == EXPOSED) & (t >= cfg.latency_days)
+    codes[to_infectious] = INFECTIOUS
+    newly_symptomatic = ((codes == INFECTIOUS)
                          & (t >= cfg.symptom_onset_days) & ~world.asymptomatic)
-    health[newly_symptomatic] = simnet.SYMPTOMATIC
+    codes[newly_symptomatic] = SYMPTOMATIC
     return np.flatnonzero(newly_symptomatic)
 
 
+def test_population_conserved_every_day():
+    # The old rule, stepped beside the run, puts every agent in one state,
+    # and its infected agents are the run's active cases.
+    world = World(replace(FAST, days=12))
+    codes = np.full(FAST.population, SUSCEPTIBLE, dtype=np.int8)
+    for day in range(12):
+        world.step_day()
+        reference_step(world, codes, day)
+        states, counts = np.unique(codes, return_counts=True)
+        assert counts.sum() == FAST.population
+        assert world.metrics["active_cases"][-1] == np.isin(codes, SICK).sum()
+
+
+def test_no_agent_returns_to_susceptible():
+    # An infection day, once set, never changes, so no agent is susceptible
+    # again.
+    world = World(FAST)
+    codes = np.full(FAST.population, SUSCEPTIBLE, dtype=np.int8)
+    infected_on = {}
+    for day in range(FAST.days):
+        world.step_day()
+        reference_step(world, codes, day)
+        for agent in np.flatnonzero(world.day_infected >= 0).tolist():
+            infected_on.setdefault(agent, world.day_infected[agent])
+        for agent, since in infected_on.items():
+            assert world.day_infected[agent] == since
+            assert codes[agent] != SUSCEPTIBLE or world.day_infected[agent] >= 0
+            assert codes[agent] in (EXPOSED, INFECTIOUS, SYMPTOMATIC, REMOVED)
+        assert not world._infectious_and_susceptible(world.day)[1][list(infected_on)].any()
+
+
 @st.composite
-def progression_states(draw):
-    """A config with any order of latency, onset and course, a day, and per
-    agent a health code, an infection day and the asymptomatic flag. As in
-    every run, a susceptible agent has no infection day (-1); an infected
-    code may have none either, as tests that write `health` leave it."""
+def courses(draw):
+    """A config with any order of latency, onset and course, a number of
+    days to step, and per agent an infection day among them or -1 (never)
+    and the asymptomatic flag."""
     n = draw(st.integers(1, 40))
-    day = draw(st.integers(0, 20))
+    days = draw(st.integers(1, 25))
     cfg = ScenarioConfig(population=n, index_cases=0, adoption_fraction=0.0,
                          latency_days=draw(st.integers(0, 8)),
                          symptom_onset_days=draw(st.integers(0, 8)),
                          course_days=draw(st.integers(0, 12)))
-    health = draw(st.lists(st.integers(simnet.SUSCEPTIBLE, simnet.REMOVED),
-                           min_size=n, max_size=n))
-    since = [-1 if code == simnet.SUSCEPTIBLE else draw(st.integers(-1, day))
-             for code in health]
+    infected = draw(st.lists(st.integers(-1, days - 1), min_size=n, max_size=n))
     asymptomatic = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    return cfg, day, health, since, asymptomatic
+    return cfg, days, infected, asymptomatic
+
+
+def _course(latency, onset, course, infected, asymptomatic):
+    """One `courses` example, stepped over 16 days."""
+    return (ScenarioConfig(population=len(infected), index_cases=0,
+                           adoption_fraction=0.0, latency_days=latency,
+                           symptom_onset_days=onset, course_days=course),
+            16, infected, asymptomatic)
 
 
 @settings(max_examples=200, deadline=None)
-@example(state=(ScenarioConfig(population=6, index_cases=0, adoption_fraction=0.0,
-                               latency_days=4, symptom_onset_days=2, course_days=3),
-                5, [1, 1, 2, 3, 4, 0], [2, -1, 1, 0, 3, -1], [False] * 6))
-@example(state=(ScenarioConfig(population=4, index_cases=0, adoption_fraction=0.0,
-                               latency_days=0, symptom_onset_days=0, course_days=0),
-                0, [1, 1, 2, 0], [0, -1, 0, -1], [False, True, False, False]))
-@given(state=progression_states())
-def test_progression_over_the_infected_matches_the_population_wide_step(state):
-    cfg, day, health, since, asymptomatic = state
-    world = World(cfg)
-    world.health[:] = health
-    world.day_infected[:] = since
+# Latency past the course, onset before latency.
+@example(course=_course(4, 2, 3, [0, 1, -1, 5, 15, 0], [False] * 6))
+@example(course=_course(0, 0, 0, [0, -1, 3, 15], [False, True, False, False]))
+@example(course=_course(0, 3, 5, [0, 0, 2, -1, 9, 15], [False, True] * 3))
+@given(course=courses())
+def test_course_from_the_infection_day_matches_the_code_stepping_rule(course):
+    # Day by day, the drawn infections land as `_transmit` lands them, and
+    # what the world reads from the infection days agrees with the old rule:
+    # the sampler's infectious and susceptible masks (yesterday's course,
+    # before today's infections), `_progress`'s sick and newly symptomatic
+    # agents, and the result of a test of every agent.
+    cfg, days, infected, asymptomatic = course
+    world = World(cfg, record_events=True)
     world.asymptomatic[:] = asymptomatic
-    reference = SimpleNamespace(config=cfg, health=world.health.copy(),
-                                day_infected=world.day_infected.copy(),
-                                asymptomatic=world.asymptomatic.copy())
-    sick, newly_symptomatic = world._progress(day)
-    want = reference_progress(reference, day)
-    assert np.array_equal(world.health, reference.health)
-    assert np.array_equal(newly_symptomatic, want)  # ascending, as `_self_present` reads them
-    assert np.array_equal(sick, np.flatnonzero(
-        (world.health >= simnet.EXPOSED) & (world.health <= simnet.SYMPTOMATIC)))
+    world._register_positive = lambda agent, day: None  # results alone are read
+    infected = np.array(infected)
+    codes = np.full(cfg.population, SUSCEPTIBLE, dtype=np.int8)
+    for day in range(days):
+        infectious, susceptible = world._infectious_and_susceptible(day)
+        assert np.array_equal(infectious, np.isin(codes, (INFECTIOUS, SYMPTOMATIC)))
+        assert np.array_equal(susceptible, codes == SUSCEPTIBLE)
+        world.day_infected[infected == day] = day
+        sick, newly_symptomatic = world._progress(day)
+        want = reference_step(world, codes, day)
+        assert np.array_equal(newly_symptomatic, want)  # ascending, as `_self_present` reads them
+        assert np.array_equal(sick, np.flatnonzero(np.isin(codes, SICK)))
+        for agent in range(cfg.population):
+            world._schedule_test(day, "self", agent, None)
+        assert world._run_due_tests(day) == cfg.population
+        positive = [line.endswith("self:positive") for line in world.day_lines]
+        assert positive == np.isin(codes, SICK).tolist()
+        world.day_lines.clear()
 
 
 def test_quarantine_reduces_contact_rate():
@@ -274,7 +307,7 @@ def test_quarantine_reduces_contact_rate():
                          adoption_fraction=1.0)
     world = World(cfg)
     world.quarantined[:200] = True
-    src, dst, *_ = world._sample_events()
+    src, dst, *_ = world._sample_events(0)
     quarantined_initiated = np.count_nonzero(src < 200)
     free_initiated = np.count_nonzero(src >= 200)
     # Expected ~52 vs ~1050 events (the leak once per quarantined partner,
@@ -351,10 +384,10 @@ def test_sample_events_matches_reference_stream(duration_mean_ticks, cfg,
     masks = [np.ones(n, dtype=bool), np.zeros(n, dtype=bool)] + [
         np.random.default_rng(day).random(n) < quarantined_share for day in range(3)]
     world, reference = World(cfg), World(cfg)
-    for mask in masks:
+    for day, mask in enumerate(masks):
         world.quarantined[:] = mask
         reference.quarantined[:] = mask
-        got = world._sample_events()
+        got = world._sample_events(day)
         want = reference_sample_events(reference)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype == np.int64
@@ -368,28 +401,53 @@ def test_sample_events_clips_durations_longer_than_a_day():
     # numpy's `geometric` returns its cap; the clip brings it to one day.
     cfg = ScenarioConfig(population=50, seed=3, index_cases=0,
                          duration_mean_ticks=1e300)
-    src, _, _, start, dur, _ = World(cfg)._sample_events()
+    src, _, _, start, dur, _ = World(cfg)._sample_events(0)
     assert len(src) > 0
     assert ((dur >= 1) & (dur <= simnet.TICKS_PER_DAY)).all()
     assert (start >= 0).all()
     assert (start + dur <= simnet.TICKS_PER_DAY).all()
 
 
-def _mattering(world, src, dst):
-    """Which of the events `(src, dst)` can transmit, and which matter: both
-    partners are adopters, or the event can transmit."""
-    role = TRANSMISSION_ROLE[world.health]
+def _sampler_role(world, day):
+    """Each agent's part in transmission, as in `TRANSMISSION_ROLE`, as the
+    contacts of `day` meet it."""
+    infectious, susceptible = world._infectious_and_susceptible(day)
+    return infectious + 2 * susceptible
+
+
+def _mattering(world, src, dst, day):
+    """Which of the events `(src, dst)` of `day` can transmit, and which
+    matter: both partners are adopters, or the event can transmit."""
+    role = _sampler_role(world, day)
     transmit = (role[src] ^ role[dst]) == 3
     return transmit, transmit | (world.adopter[src] & world.adopter[dst])
 
 
-def _set_health(world, seed):
-    """A fixed mix of health states, infectious agents among them."""
+def _set_states(world, codes, day):
+    """Give each agent the infection day that puts it in state `codes[agent]`
+    as the contacts of `day` meet it, at the end of `day - 1`: -1 if
+    susceptible; else infected that day if exposed, `latency_days` before
+    if infectious, `max(latency_days, symptom_onset_days)` before and not
+    asymptomatic if symptomatic, and `course_days` before if removed."""
+    cfg = world.config
+    codes = np.asarray(codes)
+    age = np.array([0, 0, cfg.latency_days,
+                    max(cfg.latency_days, cfg.symptom_onset_days), cfg.course_days])
+    since = np.where(codes == SUSCEPTIBLE, -1, day - 1 - age[codes])
+    assert (since[codes != SUSCEPTIBLE] >= 0).all(), f"day {day} is too early"
+    world.day_infected[:] = since
+    world.asymptomatic[codes == SYMPTOMATIC] = False
+    assert np.array_equal(_sampler_role(world, day), TRANSMISSION_ROLE[codes])
+
+
+def _set_health(world, seed, day):
+    """A fixed mix of health states, infectious agents among them, as the
+    contacts of `day` meet it. Returns the codes."""
     codes = np.random.default_rng(seed).choice(
-        [simnet.SUSCEPTIBLE, simnet.EXPOSED, simnet.INFECTIOUS,
-         simnet.SYMPTOMATIC, simnet.REMOVED],
+        [SUSCEPTIBLE, EXPOSED, INFECTIOUS, SYMPTOMATIC, REMOVED],
         world.config.population, p=[0.8, 0.05, 0.05, 0.05, 0.05])
-    world.health[:] = codes
+    _set_states(world, codes, day)
+    return codes
 
 
 @settings(max_examples=40, deadline=None)
@@ -405,11 +463,11 @@ def test_sampler_returns_the_reference_partners_that_matter(cfg):
     # on equal seeds it returns exactly the reference's events, every one of
     # which matters, and draws nothing for incoming events.
     world, reference = World(cfg), World(cfg)
-    _set_health(world, cfg.seed)
-    _set_health(reference, cfg.seed)
-    src, dst, _, _, _, transmit = world._sample_events()
+    _set_health(world, cfg.seed, STATE_DAY)
+    _set_health(reference, cfg.seed, STATE_DAY)
+    src, dst, _, _, _, transmit = world._sample_events(STATE_DAY)
     want_src, want_dst, *_ = reference_sample_events(reference)
-    can_transmit, matters = _mattering(reference, want_src, want_dst)
+    can_transmit, matters = _mattering(reference, want_src, want_dst, STATE_DAY)
     assert matters.all()
     assert np.array_equal(src, want_src)
     assert np.array_equal(dst, want_dst)
@@ -417,7 +475,7 @@ def test_sampler_returns_the_reference_partners_that_matter(cfg):
     assert world.nprng.bit_generator.state == reference.nprng.bit_generator.state
 
 
-def population_sum_sample_events(world):
+def population_sum_sample_events(world, day):
     """`World._sample_events` with part 2 picking each sender by a search
     over the running sum of every agent's part-2 weight, 1.0 for a part-2
     sender and 0.0 elsewhere; every receiver draws its count at
@@ -427,7 +485,7 @@ def population_sum_sample_events(world):
     cfg = world.config
     n = cfg.population
     rng = world.nprng
-    role = TRANSMISSION_ROLE[world.health]
+    role = _sampler_role(world, day)
     infectious = role == 1
     senders = np.flatnonzero(world.adopter | infectious)
     src = np.repeat(senders, rng.poisson(cfg.contacts_per_day, len(senders)))
@@ -467,25 +525,27 @@ def population_sum_sample_events(world):
 def test_part_two_senders_match_the_population_running_sum(cfg, quarantined_share):
     # On random health and quarantine states, below full adoption, the
     # sampler returns exactly the population-sum sampler's arrays and leaves
-    # the generator where it leaves it. Day 0 has nobody quarantined; days 1
-    # and 2 quarantine a share, and at leak 0 every event with a quarantined
-    # partner is dropped; day 2 has an infectious agent but no part-2 sender.
+    # the generator where it leaves it. The first of three days has nobody
+    # quarantined; the other two quarantine a share, and at leak 0 every
+    # event with a quarantined partner is dropped; the third has an
+    # infectious agent but no part-2 sender.
     n = cfg.population
     world, reference = World(cfg), World(cfg)
     states = np.random.default_rng(cfg.seed)
-    for day in range(3):
+    for k in range(3):
+        day = STATE_DAY + k
         health = states.choice(
-            [simnet.SUSCEPTIBLE, simnet.EXPOSED, simnet.INFECTIOUS,
-             simnet.SYMPTOMATIC, simnet.REMOVED], n, p=[0.6, 0.1, 0.1, 0.1, 0.1])
-        quarantined = states.random(n) < (quarantined_share if day else 0.0)
-        if day == 2:
-            health[(health == simnet.SUSCEPTIBLE) & ~world.adopter] = simnet.REMOVED
-            health[0] = simnet.INFECTIOUS
+            [SUSCEPTIBLE, EXPOSED, INFECTIOUS, SYMPTOMATIC, REMOVED], n,
+            p=[0.6, 0.1, 0.1, 0.1, 0.1])
+        quarantined = states.random(n) < (quarantined_share if k else 0.0)
+        if k == 2:
+            health[(health == SUSCEPTIBLE) & ~world.adopter] = REMOVED
+            health[0] = INFECTIOUS
         for w in (world, reference):
-            w.health[:] = health
+            _set_states(w, health, day)
             w.quarantined[:] = quarantined
-        got = world._sample_events()
-        want = population_sum_sample_events(reference)
+        got = world._sample_events(day)
+        want = population_sum_sample_events(reference, day)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype
             assert np.array_equal(g, w)
@@ -512,9 +572,9 @@ def test_sampler_keeps_the_reference_law_on_fixed_states(duration_mean_ticks,
                          adoption_fraction=adoption_fraction, quarantine_leak=0.2,
                          duration_mean_ticks=duration_mean_ticks)
     world = World(cfg)
-    _set_health(world, 4)
+    codes = _set_health(world, 4, STATE_DAY)
     world.quarantined[:] = np.random.default_rng(5).random(cfg.population) < 0.1
-    infectious = np.flatnonzero(TRANSMISSION_ROLE[world.health] == 1)
+    infectious = np.flatnonzero(TRANSMISSION_ROLE[codes] == 1)
     quarantined = world.quarantined[infectious]
     assert quarantined.any() and not quarantined.all()
     days = 300
@@ -525,7 +585,7 @@ def test_sampler_keeps_the_reference_law_on_fixed_states(duration_mean_ticks,
         for seed in range(first_seed, first_seed + days):
             world.nprng = np.random.default_rng(seed)
             src, dst, cls, start, dur, *_ = sampler(world)
-            transmit, matters = _mattering(world, src, dst)
+            transmit, matters = _mattering(world, src, dst, STATE_DAY)
             for name, values in (("cls", cls), ("dur", dur), ("start", start)):
                 per_event[name].append(values[matters])
             per_agent.append(
@@ -534,7 +594,7 @@ def test_sampler_keeps_the_reference_law_on_fixed_states(duration_mean_ticks,
         return ({name: np.concatenate(v) for name, v in per_event.items()},
                 np.array(per_agent))
 
-    events, transmitting = sample(World._sample_events, 0)
+    events, transmitting = sample(lambda w: w._sample_events(STATE_DAY), 0)
     ref_events, ref_transmitting = sample(reference_sample_events, days)
     for c in range(3):
         _within_four_standard_errors(events["cls"] == c, ref_events["cls"] == c)
@@ -569,7 +629,9 @@ def test_sampler_keeps_the_reference_law_per_pair(adoption_fraction,
     before = free[0]
     infectious = (before + 1) % n
     quarantined = next(a for a in free if a not in (before, infectious))
-    world.health[infectious] = simnet.INFECTIOUS
+    codes = np.full(n, SUSCEPTIBLE)
+    codes[infectious] = INFECTIOUS
+    _set_states(world, codes, STATE_DAY)
     world.quarantined[quarantined] = True
     world.quarantined[infectious] = infectious_quarantined
     days = 3000
@@ -579,12 +641,12 @@ def test_sampler_keeps_the_reference_law_per_pair(adoption_fraction,
         for seed in range(first_seed, first_seed + days):
             world.nprng = np.random.default_rng(seed)
             src, dst, *_ = sampler(world)
-            transmit, _ = _mattering(world, src, dst)
+            transmit, _ = _mattering(world, src, dst, STATE_DAY)
             per_pair.append(np.bincount(src[transmit] * n + dst[transmit],
                                         minlength=n * n))
         return np.array(per_pair)
 
-    pairs = sample(World._sample_events, 0)
+    pairs = sample(lambda w: w._sample_events(STATE_DAY), 0)
     ref_pairs = sample(reference_sample_events, days)
     for pair in range(n * n):
         a, b = divmod(pair, n)
@@ -604,9 +666,9 @@ def test_sampler_keeps_the_reference_epidemic(monkeypatch):
     runs = 200
     new = [run(cfg, seed=seed) for seed in range(runs)]
 
-    def reference_with_transmit(world):
+    def reference_with_transmit(world, day):
         src, dst, cls, start, dur = reference_sample_events(world)
-        transmit, _ = _mattering(world, src, dst)
+        transmit, _ = _mattering(world, src, dst, day)
         return src, dst, cls, start, dur, transmit
 
     monkeypatch.setattr(World, "_sample_events", reference_with_transmit)
@@ -638,14 +700,15 @@ def test_untraced_day_allocates_under_eight_population_arrays():
 
 
 def test_day_with_no_active_agent_draws_nothing():
-    # No adopter, and every index case still exposed: no agent is active, so
-    # the sampler returns no event and leaves the generator as it was.
+    # No adopter, and every index case still exposed, infected on the day
+    # sampled: no agent is active, so the sampler returns no event and
+    # leaves the generator as it was.
     world = World(ScenarioConfig(population=2000, seed=11, index_cases=20,
                                  adoption_fraction=0.0))
     assert not world.adopter.any()
-    assert (world.health[list(world.index_infections)] == simnet.EXPOSED).all()
+    assert (world.day_infected[list(world.index_infections)] == 0).all()
     state = world.nprng.bit_generator.state
-    *columns, transmit = world._sample_events()
+    *columns, transmit = world._sample_events(0)
     for column in columns:
         assert column.dtype == np.int64 and len(column) == 0
     assert transmit.dtype == bool and len(transmit) == 0
@@ -934,8 +997,14 @@ def test_trace_through_nonadopter_index_case():
     index = 0
     world.adopter[index] = False
     world.devices.pop(index)
-    world.health[index] = simnet.INFECTIOUS
-    world.day_infected[index] = 0
+    # The index case, infected on day 0, is infectious from the first
+    # stepped day: the world starts on day `1 + latency_days`, whose
+    # contacts meet it at the end of its latency.
+    world.day = 1 + cfg.latency_days
+    codes = np.full(cfg.population, SUSCEPTIBLE)
+    codes[index] = INFECTIOUS
+    _set_states(world, codes, world.day)
+    assert world.day_infected[index] == 0
     world.index_infections[index] = 0
     seen_states = set()
     peak_cases = 0
@@ -1004,9 +1073,11 @@ def test_simulator_is_a_well_behaved_casework_client(cfg):
     # infected known carriers; devices keep nothing past retention; the
     # reported list size is the published one.
     world = World(cfg, record_events=True)
+    codes = np.full(cfg.population, SUSCEPTIBLE, dtype=np.int8)
     awaiting = (CaseState.AWAITING_TEST1, CaseState.AWAITING_TEST2)
     for day in range(cfg.days):
         world.step_day()
+        reference_step(world, codes, day)
         for case in world.authority.cases.values():
             assert [e for e in case.audit if e != "history uploaded"] == []
         today = [line.split(",") for line in world.events[-1].split("\n")]
@@ -1019,8 +1090,7 @@ def test_simulator_is_a_well_behaved_casework_client(cfg):
                    for kind, agent, token in tests if kind == "case"}
         assert set(pending) == {token for token, case in world.authority.cases.items()
                                 if case.state in awaiting}
-        infected = np.isin(world.health, (simnet.EXPOSED, simnet.INFECTIOUS,
-                                          simnet.SYMPTOMATIC))
+        infected = np.isin(codes, SICK)
         carriers = np.flatnonzero(world.known_carrier & infected).tolist()
         assert world.metrics["quarantined"][-1] == len(set(pending.values())
                                                        | set(carriers))
